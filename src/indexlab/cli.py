@@ -80,6 +80,13 @@ _FLOW_ERRORS = (EndpointInSpectrumError, RefinementError, MethodDisagreementErro
 _CHERN_ERRORS = (DegeneracyError, SectionVanishesError, AliasingError,
                  DegenerateZeroError)
 
+_INT_FIELDS = ("max_level", "guard_levels", "steps", "grid_n", "equator_samples",
+               "branch_table_levels")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -107,6 +114,14 @@ class Scenario:
             raise ModelError(f"unsupported scenario schema {self.schema!r}")
         if self.model not in ("normal-form", "matsuno", "ts2", "constant"):
             raise ModelError(f"unknown model {self.model!r}")
+        if len(self.window) != 3 or not all(map(_is_number, self.window)):
+            raise ModelError(f"window must be three numbers, got {list(self.window)!r}")
+        for name in ("mu_min", "mu_max"):
+            if not _is_number(getattr(self, name)):
+                raise ModelError(f"{name} must be a number, got {getattr(self, name)!r}")
+        for name in _INT_FIELDS:
+            if type(getattr(self, name)) is not int:
+                raise ModelError(f"{name} must be an integer, got {getattr(self, name)!r}")
 
     # -- construction of live objects -------------------------------------
     def symbol(self) -> AffineMatrixSymbol:

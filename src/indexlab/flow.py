@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import (
     EndpointInSpectrumError,
@@ -74,20 +73,17 @@ class SpectralWindow:
 class EigenSample:
     """Filtered window spectrum of the operator at one mu value.
 
+    ``omegas`` are the ascending non-spurious eigenvalues inside the window
+    and ``guard_weights`` their squared amplitudes on the guard levels.
     ``count_below_ref`` counts every non-spurious eigenvalue under the
     reference level (above a floor one full spectral span below the window
-    bottom, which in practice includes the whole retained spectrum); the
-    fingerprints record the dominant Hermite level and per-component weight
-    of each window eigenvector.
+    bottom, which in practice includes the whole retained spectrum).
     """
 
     mu: float
     omegas: np.ndarray
-    leading_levels: np.ndarray
-    component_weights: np.ndarray
     guard_weights: np.ndarray
     count_below_ref: int
-    n_spurious: int
 
 
 @dataclass(frozen=True)
@@ -96,14 +92,6 @@ class SpectrumSweep:
 
     samples: tuple[EigenSample, ...]
     window: SpectralWindow
-    basis: TruncatedBasis
-    mu_min: float
-    mu_max: float
-    requested_steps: int
-
-    @property
-    def mu_grid(self) -> np.ndarray:
-        return np.array([s.mu for s in self.samples])
 
     def table_rows(self):
         """(mu, ordinal, omega, spurious_weight) rows for export."""
@@ -130,51 +118,51 @@ class FlowResult:
     crossings: tuple[Crossing, ...]
 
 
-class _SampleFactory:
-    """Dense eigensolve + spurious filter at one mu, cached."""
+def _window_sample(symbol: AffineMatrixSymbol, basis: TruncatedBasis,
+                   window: SpectralWindow, mu: float) -> EigenSample:
+    """Dense eigensolve + spurious filter at one mu."""
+    op = quantize(symbol, mu, basis)
+    omegas, vecs = np.linalg.eigh(op.matrix)
+    weights = spurious_weights(op, vecs)
+    keep = weights <= SPURIOUS_THRESHOLD
+    kept = omegas[keep]
+    span = float(omegas[-1] - omegas[0]) if len(omegas) else 0.0
+    floor = window.omega_min - span
+    count_below = int(np.sum((kept > floor) & (kept < window.omega_ref)))
+    in_window = keep & (omegas > window.omega_min) & (omegas < window.omega_max)
+    return EigenSample(
+        mu=float(mu),
+        omegas=omegas[in_window],
+        guard_weights=weights[in_window],
+        count_below_ref=count_below,
+    )
 
-    def __init__(self, symbol: AffineMatrixSymbol, basis: TruncatedBasis,
-                 window: SpectralWindow):
-        self.symbol = symbol
-        self.basis = basis
-        self.window = window
-        self._cache: dict[float, EigenSample] = {}
-        self.solves = 0
 
-    def __call__(self, mu: float) -> EigenSample:
-        hit = self._cache.get(mu)
-        if hit is not None:
-            return hit
-        op = quantize(self.symbol, mu, self.basis)
-        omegas, vecs = np.linalg.eigh(op.matrix)
-        weights = spurious_weights(op, vecs)
-        keep = weights <= SPURIOUS_THRESHOLD
-        kept = omegas[keep]
-        span = float(omegas[-1] - omegas[0]) if len(omegas) else 0.0
-        floor = self.window.omega_min - span
-        count_below = int(np.sum((kept > floor) & (kept < self.window.omega_ref)))
-        in_window = keep & (omegas > self.window.omega_min) & (omegas < self.window.omega_max)
-        idx = np.where(in_window)[0]
-        m = self.basis.size
-        d = self.symbol.dim
-        lead = np.empty(len(idx), dtype=int)
-        comp_w = np.empty((len(idx), d))
-        for j, i in enumerate(idx):
-            comps = np.abs(vecs[:, i].reshape(d, m)) ** 2
-            lead[j] = int(np.argmax(comps.sum(axis=0)))
-            comp_w[j] = comps.sum(axis=1)
-        sample = EigenSample(
-            mu=float(mu),
-            omegas=omegas[idx].copy(),
-            leading_levels=lead,
-            component_weights=comp_w,
-            guard_weights=weights[idx].copy(),
-            count_below_ref=count_below,
-            n_spurious=int(np.sum(~keep)),
-        )
-        self._cache[mu] = sample
-        self.solves += 1
-        return sample
+def _ordered_assignment(short: np.ndarray, long_: np.ndarray) -> list[int]:
+    """Columns of ``long_`` matched to each entry of ``short``, ascending.
+
+    Both arrays are sorted and ``len(short) <= len(long_)``.  For |difference|
+    cost on sorted reals some minimum-cost matching never crosses, so the
+    identity is optimal for equal sizes; otherwise a dynamic program picks
+    which entries of ``long_`` stay unmatched.
+    """
+    n, m = len(short), len(long_)
+    if n == m:
+        return list(range(n))
+    cost = np.abs(short[:, None] - long_[None, :])
+    # best[i, j]: least cost of matching short[:i] into long_[:j]
+    best = np.full((n + 1, m + 1), np.inf)
+    best[0] = 0.0
+    for i in range(1, n + 1):
+        best[i, i:] = np.minimum.accumulate(best[i - 1, i - 1 : m] + cost[i - 1, i - 1 :])
+    cols = []
+    j = m
+    for i in range(n, 0, -1):
+        while best[i, j] == best[i, j - 1]:  # long_[j - 1] stays unmatched
+            j -= 1
+        j -= 1
+        cols.append(j)
+    return cols[::-1]
 
 
 def _match_windows(a: EigenSample, b: EigenSample):
@@ -182,17 +170,19 @@ def _match_windows(a: EigenSample, b: EigenSample):
 
     Returns (pairs, unmatched_a, unmatched_b, worst_motion); pairing is the
     minimum-total-|difference| assignment of the smaller set into the
-    larger one.
+    larger one, found by :func:`_ordered_assignment`, with pairs in
+    ascending order of both indices.
     """
     wa, wb = a.omegas, b.omegas
-    if len(wa) == 0 or len(wb) == 0:
-        return [], list(range(len(wa))), list(range(len(wb))), 0.0
-    cost = np.abs(wa[:, None] - wb[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    pairs = list(zip(rows.tolist(), cols.tolist()))
-    unmatched_a = [i for i in range(len(wa)) if i not in set(rows.tolist())]
-    unmatched_b = [j for j in range(len(wb)) if j not in set(cols.tolist())]
-    worst = max((cost[i, j] for i, j in pairs), default=0.0)
+    if len(wa) <= len(wb):
+        pairs = list(enumerate(_ordered_assignment(wa, wb)))
+    else:
+        pairs = [(i, j) for j, i in enumerate(_ordered_assignment(wb, wa))]
+    matched_a = {i for i, _ in pairs}
+    matched_b = {j for _, j in pairs}
+    unmatched_a = [i for i in range(len(wa)) if i not in matched_a]
+    unmatched_b = [j for j in range(len(wb)) if j not in matched_b]
+    worst = max((abs(wa[i] - wb[j]) for i, j in pairs), default=0.0)
     return pairs, unmatched_a, unmatched_b, float(worst)
 
 
@@ -261,8 +251,10 @@ def sweep(
         raise ModelError("sweep needs steps >= 16")
     if not mu_min < mu_max:
         raise ModelError("sweep needs mu_min < mu_max")
-    solve = _SampleFactory(symbol, basis, window)
-    samples = [solve(mu) for mu in np.linspace(mu_min, mu_max, steps + 1)]
+    samples = [
+        _window_sample(symbol, basis, window, mu)
+        for mu in np.linspace(mu_min, mu_max, steps + 1)
+    ]
 
     for s in (samples[0], samples[-1]):
         if len(s.omegas) and np.min(np.abs(s.omegas - window.omega_ref)) < CROSSING_WIDTH:
@@ -282,20 +274,13 @@ def sweep(
         a, b = samples[i], samples[i + 1]
         width = b.mu - a.mu
         if width > CROSSING_WIDTH and _needs_split(a, b, window):
-            samples.insert(i + 1, solve(0.5 * (a.mu + b.mu)))
+            samples.insert(i + 1, _window_sample(symbol, basis, window, 0.5 * (a.mu + b.mu)))
             continue
         if width <= MATCH_MIN_WIDTH:
             _check_matchable_at_floor(a, b, window)
         i += 1
 
-    return SpectrumSweep(
-        samples=tuple(samples),
-        window=window,
-        basis=basis,
-        mu_min=float(mu_min),
-        mu_max=float(mu_max),
-        requested_steps=steps,
-    )
+    return SpectrumSweep(samples=tuple(samples), window=window)
 
 
 def spectral_index(sweep_: SpectrumSweep) -> FlowResult:

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (
     AliasingError,
@@ -116,6 +115,16 @@ class SphereGrid:
         return cls(n_per_face=n, vertices=pts, cells=np.asarray(cells, dtype=int))
 
 
+def _fix_phases(vecs: np.ndarray) -> np.ndarray:
+    """Make the largest-magnitude component of each column real positive.
+
+    ``vecs`` holds eigenvectors as columns, optionally stacked: (..., d, k).
+    """
+    idx = np.abs(vecs).argmax(axis=-2)
+    lead = np.take_along_axis(vecs, idx[..., np.newaxis, :], axis=-2)
+    return vecs * np.exp(-1j * np.angle(lead))
+
+
 def point_eigensystem(
     symbol: AffineMatrixSymbol,
     point: Sequence[float],
@@ -131,9 +140,7 @@ def point_eigensystem(
     mu, x, xi = point
     h = symbol.evaluate(mu, x, xi)
     omegas, vecs = np.linalg.eigh(h)
-    idx = np.argmax(np.abs(vecs), axis=0)
-    phases = np.exp(-1j * np.angle(vecs[idx, np.arange(vecs.shape[1])]))
-    vecs = vecs * phases[np.newaxis, :]
+    vecs = _fix_phases(vecs)
     if bands is not None:
         lo, hi = min(bands) - 1, max(bands) - 1
         if lo > 0 and omegas[lo] - omegas[lo - 1] < BAND_GAP_TOL:
@@ -189,29 +196,15 @@ class BandProjectorField:
             raise DegeneracyError(
                 f"selected bands touch unselected ones (min gap {min_gap:.3g})"
             )
-        sel = vecs[:, :, lo : hi + 1]
         # deterministic phase fix per cached vector (results are gauge
         # invariant; this only pins intermediate dumps)
-        mags = np.abs(sel)
-        idx = mags.argmax(axis=1)
-        gauge = np.take_along_axis(sel, idx[:, np.newaxis, :], axis=1)
-        sel = sel * np.exp(-1j * np.angle(gauge))
-        fld = cls(
+        return cls(
             symbol=symbol,
             bands=bands,
             grid=grid,
-            vectors=sel,
+            vectors=_fix_phases(vecs[:, :, lo : hi + 1]),
             min_gap=min_gap,
         )
-        fld._check_projectors()
-        return fld
-
-    def _check_projectors(self, sample: int = 16, tol: float = 1e-12):
-        take = np.linspace(0, len(self.vectors) - 1, sample).astype(int)
-        for v in self.vectors[take]:
-            p = v @ v.conj().T
-            if np.abs(p @ p - p).max() > tol:
-                raise DegeneracyError("cached projector is not idempotent")
 
     def projector_at(self, point: Sequence[float]) -> np.ndarray:
         """Spectral projector of the selected bands at an arbitrary point."""
@@ -464,27 +457,15 @@ def _section_at(field_: BandProjectorField, u0: np.ndarray, p: np.ndarray) -> np
 def _refine_zero(
     field_: BandProjectorField, u0: np.ndarray, seed_point: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Polish a candidate zero of |s|^2: simplex descent, then 2x2 Newton."""
+    """Polish a candidate zero of the section by 2x2 Newton from its seed.
+
+    Newton runs on the complex coordinate z(t) = <v0 | s> of the section in
+    the frame of the band eigenvector v0 at the current point, with t the
+    tangent-plane offset.  The seed is a grid vertex where the section is
+    small; near a nondegenerate zero the iteration converges quadratically.
+    Returns the point and the section norm there, which the caller tests.
+    """
     p0 = seed_point / np.linalg.norm(seed_point)
-    t1, t2 = _tangent_frame(p0)
-
-    def embed(t):
-        q = p0 + t[0] * t1 + t[1] * t2
-        return q / np.linalg.norm(q)
-
-    def cost(t):
-        s = _section_at(field_, u0, embed(t))
-        return float(np.vdot(s, s).real)
-
-    res = minimize(
-        cost,
-        np.zeros(2),
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-24, "maxiter": 400},
-    )
-    p0 = embed(res.x)
-    # Newton polish on the complex coordinate z(t) = <v0 | s> of the section
-    # in the frame of the band eigenvector at the current point.
     for _ in range(6):
         t1, t2 = _tangent_frame(p0)
         _, vecs = point_eigensystem(field_.symbol, p0, bands=field_.bands)

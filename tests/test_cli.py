@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from indexlab.cli import (
     run_spectrum,
     run_verify,
 )
+import indexlab
 from indexlab.errors import ModelError
 
 
@@ -236,3 +240,44 @@ def test_run_verify_reflected_normal_form():
     assert result.flow.N == -1
     assert result.subgap_chern == -1
     assert result.passed
+
+
+def write_scenario(tmp_path, name, **changes):
+    data = {**load_preset(name).to_dict(), **changes}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "field_,value", [("window", [-0.9, 0.9]), ("max_level", "24"), ("mu_min", "-2")]
+)
+def test_malformed_scenario_field_is_config_error(tmp_path, capsys, field_, value):
+    path = write_scenario(tmp_path, "normal-form", **{field_: value})
+    assert main(["flow", "--scenario", path]) == 1
+    assert "indexlab: scenario error:" in capsys.readouterr().err
+
+
+def test_flow_endpoint_in_spectrum_exit_code(tmp_path, capsys):
+    # the normal-form ground branch sits on omega_ref = 0 at mu = 0
+    path = write_scenario(tmp_path, "normal-form", mu_max=0.0)
+    assert main(["flow", "--scenario", path]) == 3
+    assert "indexlab: flow error:" in capsys.readouterr().err
+
+
+def test_chern_degenerate_band_exit_code(tmp_path, capsys):
+    # a constant two-band symbol is degenerate everywhere
+    path = write_scenario(tmp_path, "constant", model_params={"value": 5.0, "dim": 2},
+                          chern_bands=[1])
+    assert main(["chern", "--scenario", path, "--grid", "16"]) == 4
+    assert "indexlab: chern error:" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(indexlab.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, indexlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 
 from indexlab.errors import EndpointInSpectrumError, ModelError
 from indexlab.flow import (
+    EigenSample,
     SpectralWindow,
+    _match_windows,
     flow_invariance_check,
     spectral_index,
     sweep,
@@ -234,3 +237,39 @@ def test_table_rows_shape():
     for mu, ordinal, omega, weight in rows:
         assert isinstance(ordinal, int)
         assert weight <= 1e-8
+
+
+def window_sample(omegas):
+    omegas = np.sort(np.asarray(omegas, dtype=float))
+    return EigenSample(mu=0.0, omegas=omegas, guard_weights=np.zeros(len(omegas)),
+                       count_below_ref=0)
+
+
+def brute_force_cost(wa, wb):
+    """Least total |difference| over injective maps of the smaller set."""
+    if len(wa) > len(wb):
+        wa, wb = wb, wa
+    return min(
+        (sum(abs(wa[i] - wb[j]) for i, j in enumerate(cols))
+         for cols in itertools.permutations(range(len(wb)), len(wa))),
+        default=0.0,
+    )
+
+
+@pytest.mark.parametrize("n_a,n_b", [(0, 0), (0, 3), (2, 0), (3, 3), (2, 5), (6, 4), (1, 6)])
+def test_match_windows_is_minimum_cost(n_a, n_b):
+    rng = np.random.default_rng(100 * n_a + n_b)
+    for _ in range(25):
+        a = window_sample(rng.uniform(-1.0, 1.0, n_a))
+        b = window_sample(rng.uniform(-1.0, 1.0, n_b))
+        pairs, un_a, un_b, worst = _match_windows(a, b)
+        assert len(pairs) == min(n_a, n_b)
+        rows = [i for i, _ in pairs]
+        cols = [j for _, j in pairs]
+        assert rows == sorted(set(rows)) and len(set(cols)) == len(cols)
+        assert sorted(rows + un_a) == list(range(n_a))
+        assert sorted(cols + un_b) == list(range(n_b))
+        costs = [abs(a.omegas[i] - b.omegas[j]) for i, j in pairs]
+        assert math.isclose(sum(costs), brute_force_cost(a.omegas, b.omegas),
+                            rel_tol=1e-12, abs_tol=1e-12)
+        assert worst == max(costs, default=0.0)

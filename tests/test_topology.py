@@ -395,6 +395,20 @@ def test_zeros_tangent_bundle(grid32):
     assert all(z.index == 1 for z in rep.zeros)
 
 
+def test_zeros_newton_polish_off_vertex(grid32):
+    # u0 is the upper eigenvector at a point about 0.017 from the nearest
+    # vertex, so the polish has to move off its seed to reach the zero
+    sym = normal_form_symbol()
+    u0 = np.array([0.6, 0.8 * np.exp(0.7j)])
+    rep = chern_section_zeros(BandProjectorField.build(sym, [1], grid32), u0)
+    assert rep.C == 1 and len(rep.zeros) == 1
+    zero = rep.zeros[0]
+    assert zero.index == 1
+    assert zero.section_norm < 1e-10
+    assert np.min(np.linalg.norm(grid32.vertices - np.array(zero.point), axis=1)) > 1e-2
+    assert np.linalg.norm(sym.evaluate(*zero.point) @ u0 - u0) < 1e-9
+
+
 def test_zeros_nonvanishing_section(grid32):
     rep = chern_section_zeros(
         BandProjectorField.build(two_level_constant(), [1], grid32), [1.0, 0.0]
