@@ -56,9 +56,9 @@ from .models import (
     BranchLabel,
 )
 from .topology import (
-    BandProjectorField,
     ChernReport,
     SphereGrid,
+    SphereSpectrum,
     chern_clutching,
     chern_curvature,
     chern_section_zeros,
@@ -86,6 +86,21 @@ _INT_FIELDS = ("max_level", "guard_levels", "steps", "grid_n", "equator_samples"
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    return type(value) is int
+
+
+#: Type checks of the documented ``model_params`` keys.
+_PARAM_CHECKS: dict[str, Callable] = {
+    "epsilon": _is_number,
+    "value": _is_number,
+    "reflected": lambda v: isinstance(v, bool),
+    "gap_band": _is_int,
+    "dim": _is_int,
+    "gap_band_override": lambda v: v is None or _is_int(v),  # null: no override
+}
 
 
 @dataclass(frozen=True)
@@ -120,8 +135,19 @@ class Scenario:
             if not _is_number(getattr(self, name)):
                 raise ModelError(f"{name} must be a number, got {getattr(self, name)!r}")
         for name in _INT_FIELDS:
-            if type(getattr(self, name)) is not int:
+            if not _is_int(getattr(self, name)):
                 raise ModelError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for key, value in self.model_params.items():
+            if not _PARAM_CHECKS.get(key, lambda v: True)(value):
+                raise ModelError(f"model_params[{key!r}] has the wrong type: {value!r}")
+        for band, pairs in self.zero_refs.items():
+            if not isinstance(pairs, (list, tuple)) or not all(
+                isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_is_number, p))
+                for p in pairs
+            ):
+                raise ModelError(f"zero_refs[{band!r}] must be a list of [re, im] number pairs")
+        if not all(map(_is_int, self.chern_bands)):
+            raise ModelError(f"chern_bands must be integers, got {list(self.chern_bands)!r}")
 
     # -- construction of live objects -------------------------------------
     def symbol(self) -> AffineMatrixSymbol:
@@ -195,11 +221,9 @@ class Scenario:
 
 
 def _default_zero_ref(model: str, band: int, dim: int) -> np.ndarray:
-    if model == "matsuno":
-        if band == 2:
-            return np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
-        return np.array([0.0, 0.0, 1.0], dtype=complex)
-    if model == "ts2":
+    if model == "matsuno" and band == 2:
+        return np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    if model in ("matsuno", "ts2"):
         return np.array([0.0, 0.0, 1.0], dtype=complex)
     if model == "normal-form":
         return np.array([0.0, 1.0], dtype=complex) if band == 1 else np.array([1.0, 0.0], dtype=complex)
@@ -227,22 +251,6 @@ _GLOBAL_SECTIONS: dict[tuple[str, int], Callable] = {
 # presets
 # ---------------------------------------------------------------------------
 
-def _normal_form_preset() -> Scenario:
-    return Scenario(
-        name="normal-form",
-        model="normal-form",
-        model_params={"epsilon": 1.0},
-        max_level=24,
-        window=(-0.9, 0.9, 0.0),
-        mu_min=-2.0,
-        mu_max=2.0,
-        steps=32,
-        grid_n=64,
-        chern_bands=(1, 2),
-        branch_table_levels=10,
-    )
-
-
 def _matsuno_preset(name: str, gap_band: int, window, mu, steps) -> Scenario:
     return Scenario(
         name=name,
@@ -253,15 +261,20 @@ def _matsuno_preset(name: str, gap_band: int, window, mu, steps) -> Scenario:
         mu_min=mu[0],
         mu_max=mu[1],
         steps=steps,
-        grid_n=64,
         chern_bands=(1, 2, 3),
         clutch_refs={"2": "global-section"},
-        branch_table_levels=8,
     )
 
 
+#: Built-in scenarios; fields left out take the :class:`Scenario` defaults.
 PRESETS: dict[str, Callable[[], Scenario]] = {
-    "normal-form": _normal_form_preset,
+    "normal-form": lambda: Scenario(
+        name="normal-form",
+        model="normal-form",
+        model_params={"epsilon": 1.0},
+        chern_bands=(1, 2),
+        branch_table_levels=10,
+    ),
     "matsuno": lambda: _matsuno_preset(
         "matsuno", 2, (1.1, 1.5, 1.3), (-4.0, 4.0), 161
     ),
@@ -275,25 +288,11 @@ PRESETS: dict[str, Callable[[], Scenario]] = {
         name="ts2",
         model="ts2",
         model_params={"gap_band": 2},
-        max_level=24,
         window=(0.3, 0.7, 0.5),
-        mu_min=-2.0,
-        mu_max=2.0,
-        steps=32,
-        grid_n=64,
         chern_bands=(3,),
     ),
     "constant": lambda: Scenario(
-        name="constant",
-        model="constant",
-        model_params={"value": 5.0, "dim": 1},
-        max_level=24,
-        window=(-0.9, 0.9, 0.0),
-        mu_min=-2.0,
-        mu_max=2.0,
-        steps=32,
-        grid_n=64,
-        chern_bands=(),
+        name="constant", model="constant", model_params={"value": 5.0, "dim": 1}
     ),
 }
 
@@ -331,12 +330,8 @@ def _closed_form_rows(scenario: Scenario) -> list[tuple[float, str, int, float]]
     return rows
 
 
-def run_spectrum(scenario: Scenario) -> dict:
-    """Sweep and export (mu, ordinal, omega, spurious_weight) records."""
-    t0 = time.monotonic()
-    symbol = scenario.symbol()
-    symbol.validate()
-    sw = sweep(
+def _sweep(scenario: Scenario, symbol: AffineMatrixSymbol):
+    return sweep(
         symbol,
         scenario.basis(),
         scenario.spectral_window(),
@@ -344,41 +339,49 @@ def run_spectrum(scenario: Scenario) -> dict:
         scenario.mu_max,
         scenario.steps,
     )
-    report = {
+
+
+def run_spectrum(scenario: Scenario) -> dict:
+    """Sweep and export (mu, ordinal, omega, spurious_weight) records."""
+    t0 = time.monotonic()
+    symbol = scenario.symbol()
+    symbol.validate()
+    sw = _sweep(scenario, symbol)
+    return {
         "schema": "indexlab.spectrum/1",
         "scenario": scenario.to_dict(),
         "rows": [list(r) for r in sw.table_rows()],
         "closed_form_rows": [list(r) for r in _closed_form_rows(scenario)],
         "timings": {"seconds": time.monotonic() - t0},
     }
-    return report
 
 
-def run_flow(scenario: Scenario) -> dict:
-    """Spectral flow of the scenario through its gap window."""
-    t0 = time.monotonic()
-    symbol = scenario.symbol()
+def _flow(scenario: Scenario, symbol: AffineMatrixSymbol) -> tuple[FlowResult, dict, int]:
+    """Validate, certify the gap, sweep and count: result, report fields, samples."""
     symbol.validate()
     sampled_gap_certificate(symbol, strict=True)
-    sw = sweep(
-        symbol,
-        scenario.basis(),
-        scenario.spectral_window(),
-        scenario.mu_min,
-        scenario.mu_max,
-        scenario.steps,
-    )
+    sw = _sweep(scenario, symbol)
     result = spectral_index(sw)
-    return {
-        "schema": "indexlab.flow/1",
-        "scenario": scenario.to_dict(),
+    fields = {
         "N": result.N,
         "method_counts": result.method_counts,
         "crossings": [
             {"mu_lo": c.mu_lo, "mu_hi": c.mu_hi, "direction": c.direction}
             for c in result.crossings
         ],
-        "samples": len(sw.samples),
+    }
+    return result, fields, len(sw.samples)
+
+
+def run_flow(scenario: Scenario) -> dict:
+    """Spectral flow of the scenario through its gap window."""
+    t0 = time.monotonic()
+    _, fields, samples = _flow(scenario, scenario.symbol())
+    return {
+        "schema": "indexlab.flow/1",
+        "scenario": scenario.to_dict(),
+        **fields,
+        "samples": samples,
         "timings": {"seconds": time.monotonic() - t0},
     }
 
@@ -398,20 +401,15 @@ def _chern_report_dict(report: ChernReport) -> dict:
     return out
 
 
-def run_chern(scenario: Scenario, method: str = "all") -> dict:
-    """Per-band Chern indices by the requested method(s)."""
-    if method not in ("curvature", "clutching", "zeros", "all"):
-        raise ModelError(f"unknown chern method {method!r}")
-    t0 = time.monotonic()
-    symbol = scenario.symbol()
-    symbol.validate()
-    bands = scenario.chern_bands or tuple(range(1, symbol.dim + 1))
-    grid = SphereGrid.build(scenario.grid_n)
+def _band_reports(
+    scenario: Scenario, spectrum: SphereSpectrum, bands: Sequence[int], method: str
+) -> tuple[list[int], list[dict], bool]:
+    """Per-band C (first method), report entries and agreement, from one spectrum."""
     per_band = []
     c_values = []
     agreement = True
     for band in bands:
-        fld = BandProjectorField.build(symbol, [band], grid)
+        fld = spectrum.field([band])
         reports: dict[str, ChernReport] = {}
         if method in ("curvature", "all"):
             reports["curvature"] = chern_curvature(fld)
@@ -428,6 +426,19 @@ def run_chern(scenario: Scenario, method: str = "all") -> dict:
         per_band.append(
             {"band": band, "reports": {k: _chern_report_dict(v) for k, v in reports.items()}}
         )
+    return c_values, per_band, agreement
+
+
+def run_chern(scenario: Scenario, method: str = "all") -> dict:
+    """Per-band Chern indices by the requested method(s)."""
+    if method not in ("curvature", "clutching", "zeros", "all"):
+        raise ModelError(f"unknown chern method {method!r}")
+    t0 = time.monotonic()
+    symbol = scenario.symbol()
+    symbol.validate()
+    bands = scenario.chern_bands or tuple(range(1, symbol.dim + 1))
+    spectrum = SphereSpectrum.build(symbol, SphereGrid.build(scenario.grid_n))
+    c_values, per_band, agreement = _band_reports(scenario, spectrum, bands, method)
     out = {
         "schema": "indexlab.chern/1",
         "scenario": scenario.to_dict(),
@@ -449,7 +460,6 @@ class VerificationReport:
     flow: FlowResult
     subgap_chern: int
     subgap_raw: float
-    band_reports: tuple
     verdict: str
 
     @property
@@ -462,61 +472,47 @@ def run_verify(scenario: Scenario) -> tuple[VerificationReport, dict]:
 
     The bundle below the tracked gap is bands ``1..gap_band``; its index is
     computed with the determinant-overlap curvature method (rank >= 2 safe).
-    A scenario with no band below the gap has index 0 by convention.
+    A scenario with no band below the gap has index 0 by convention.  The
+    sub-gap group and the ``chern_bands`` reports share one grid eigensolve,
+    made only if one of them needs it.
     """
     t0 = time.monotonic()
     symbol = scenario.symbol()
-    symbol.validate()
-    sampled_gap_certificate(symbol, strict=True)
-
-    sw = sweep(
-        symbol,
-        scenario.basis(),
-        scenario.spectral_window(),
-        scenario.mu_min,
-        scenario.mu_max,
-        scenario.steps,
-    )
-    flow_result = spectral_index(sw)
+    flow_result, flow_fields, _ = _flow(scenario, symbol)
     t_flow = time.monotonic()
 
-    grid = SphereGrid.build(scenario.grid_n)
-    if symbol.gap_band >= 1:
-        subgap = BandProjectorField.build(
-            symbol, tuple(range(1, symbol.gap_band + 1)), grid
-        )
-        subgap_report = chern_curvature(subgap)
+    subgap_bands = list(range(1, symbol.gap_band + 1))
+    if subgap_bands or scenario.chern_bands:
+        spectrum = SphereSpectrum.build(symbol, SphereGrid.build(scenario.grid_n))
+    if subgap_bands:
+        subgap_report = chern_curvature(spectrum.field(subgap_bands))
         subgap_c, subgap_raw = subgap_report.C, subgap_report.raw_value
     else:
         subgap_c, subgap_raw = 0, 0.0
 
-    chern_all = run_chern(scenario, "all") if scenario.chern_bands else None
+    per_band, agreement = [], None
+    if scenario.chern_bands:
+        _, per_band, agreement = _band_reports(
+            scenario, spectrum, scenario.chern_bands, "all"
+        )
     verdict = "PASS" if flow_result.N == subgap_c else "FAIL"
     report = VerificationReport(
         scenario=scenario,
         flow=flow_result,
         subgap_chern=subgap_c,
         subgap_raw=subgap_raw,
-        band_reports=tuple(chern_all["bands"]) if chern_all else (),
         verdict=verdict,
     )
     payload = {
         "schema": "indexlab.verify/1",
         "scenario": scenario.to_dict(),
-        "flow": {
-            "N": flow_result.N,
-            "method_counts": flow_result.method_counts,
-            "crossings": [
-                {"mu_lo": c.mu_lo, "mu_hi": c.mu_hi, "direction": c.direction}
-                for c in flow_result.crossings
-            ],
-        },
+        "flow": flow_fields,
         "chern": {
-            "subgap_bands": list(range(1, symbol.gap_band + 1)),
+            "subgap_bands": subgap_bands,
             "C": subgap_c,
             "raw_value": subgap_raw,
-            "per_band": chern_all["bands"] if chern_all else [],
-            "agreement": chern_all.get("agreement") if chern_all else None,
+            "per_band": per_band,
+            "agreement": agreement,
         },
         "verdict": verdict,
         "timings": {

@@ -115,11 +115,18 @@ class AffineMatrixSymbol:
         )
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
-        """Stack of symbol matrices at ``points`` of shape (n, 3) = (mu, x, xi)."""
+        """Stack of symbol matrices at ``points`` of shape (n, 3) = (mu, x, xi).
+
+        ``const_term`` gets one scalar ``mu`` at a time; the ``x`` and ``xi``
+        terms are whole-array operations in :meth:`evaluate`'s order, so
+        each matrix is bit-identical to it.
+        """
         points = np.asarray(points, dtype=float)
         out = np.empty((points.shape[0], self.dim, self.dim), dtype=complex)
-        for i, (mu, x, xi) in enumerate(points):
-            out[i] = self.evaluate(mu, x, xi)
+        for i, mu in enumerate(points[:, 0]):
+            out[i] = self.const_term(mu)
+        out += points[:, 1, None, None] * self.x_coeff
+        out += points[:, 2, None, None] * self.xi_coeff
         return out
 
     def validate(self, rng: np.random.Generator | None = None, samples: int = 32):
@@ -211,13 +218,11 @@ def quantize(
 
 def spurious_weight(operator: TruncatedOperator, eigenvector: np.ndarray) -> float:
     """Squared amplitude of a unit vector on the top ``guard_levels`` levels."""
-    comps = np.asarray(eigenvector).reshape(operator.dim, operator.basis.size)
-    k = operator.basis.guard_levels
-    return float(np.sum(np.abs(comps[:, -k:]) ** 2))
+    return float(spurious_weights(operator, np.reshape(eigenvector, (-1, 1)))[0])
 
 
 def spurious_weights(operator: TruncatedOperator, eigenvectors: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`spurious_weight` over eigenvector columns."""
+    """:func:`spurious_weight` of each eigenvector column."""
     m = operator.basis.size
     k = operator.basis.guard_levels
     comps = np.abs(eigenvectors) ** 2
@@ -262,27 +267,19 @@ def sampled_gap_certificate(
     norms = np.linalg.norm(pts, axis=1)
     keep = (norms >= lo) & (norms <= hi) & (np.abs(pts[:, 0]) <= mu_max)
     pts = pts[keep]
-    mats = symbol.evaluate_many(pts)
-    eigs = np.linalg.eigvalsh(mats)
+    eigs = np.linalg.eigvalsh(symbol.evaluate_many(pts))
     r = symbol.gap_band
-    lower_edge = symbol.gap_center - symbol.gap_constant
-    upper_edge = symbol.gap_center + symbol.gap_constant
-    lower_margin = np.inf
-    upper_margin = np.inf
+    lower = np.full(len(pts), np.inf)
+    upper = np.full(len(pts), np.inf)
     if r >= 1:
-        lower_margin = float((lower_edge - eigs[:, r - 1]).min())
+        lower = symbol.gap_center - symbol.gap_constant - eigs[:, r - 1]
     if r <= symbol.dim - 1:
-        upper_margin = float((eigs[:, r] - upper_edge).min())
-    margins = np.full(len(pts), np.inf)
-    if r >= 1:
-        margins = np.minimum(margins, lower_edge - eigs[:, r - 1])
-    if r <= symbol.dim - 1:
-        margins = np.minimum(margins, eigs[:, r] - upper_edge)
-    worst = pts[int(np.argmin(margins))] if len(pts) else np.zeros(3)
+        upper = eigs[:, r] - (symbol.gap_center + symbol.gap_constant)
+    worst = pts[int(np.argmin(np.minimum(lower, upper)))] if len(pts) else np.zeros(3)
     cert = GapCertificate(
-        ok=bool(lower_margin > 0 and upper_margin > 0),
-        lower_margin=lower_margin,
-        upper_margin=upper_margin,
+        ok=bool(lower.min() > 0 and upper.min() > 0),
+        lower_margin=float(lower.min()),
+        upper_margin=float(upper.min()),
         points_checked=len(pts),
         worst_point=tuple(float(c) for c in worst),
     )

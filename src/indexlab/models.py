@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError, ResonanceError, TruncationError
-from .hermite import AffineMatrixSymbol, TruncatedBasis, quantize
+from .hermite import AffineMatrixSymbol, TruncatedBasis
 
 __all__ = [
     "BranchLabel",
@@ -336,15 +336,3 @@ def matsuno_branch_table(mu: float, n_max: int) -> list[tuple[BranchLabel, float
     for level in range(0, n_max + 1):
         rows.extend(matsuno_eigenvalues(level, mu).items())
     return rows
-
-
-def eigenvector_residual(
-    symbol: AffineMatrixSymbol,
-    mu: float,
-    basis: TruncatedBasis,
-    omega: float,
-    vec: np.ndarray,
-) -> float:
-    """``|H v - omega v|`` against the quantized operator (oracle check)."""
-    h = quantize(symbol, mu, basis).matrix
-    return float(np.linalg.norm(h @ vec - omega * vec))

@@ -34,9 +34,11 @@ from .hermite import AffineMatrixSymbol
 
 __all__ = [
     "SphereGrid",
+    "SphereSpectrum",
     "BandProjectorField",
     "ChernReport",
     "SectionZero",
+    "batch_eigensystem",
     "point_eigensystem",
     "winding_number",
     "chern_curvature",
@@ -44,24 +46,12 @@ __all__ = [
     "chern_section_zeros",
 ]
 
-NORTH = np.array([1.0, 0.0, 0.0])
-SOUTH = np.array([-1.0, 0.0, 0.0])
-
 #: Minimum eigenvalue separation between selected and unselected bands.
 BAND_GAP_TOL = 1e-9
 
 
-def _face_axes():
-    """(normal axis, sign, u axis, v axis) per face; e_u x e_v = sign * e_k."""
-    out = []
-    for k in range(3):
-        for s in (+1, -1):
-            if s > 0:
-                au, av = (k + 1) % 3, (k + 2) % 3
-            else:
-                au, av = (k + 2) % 3, (k + 1) % 3
-            out.append((k, s, au, av))
-    return out
+#: (normal axis k, sign s, u axis, v axis) per cube face; e_u x e_v = s e_k.
+_FACES = ((0, 1, 1, 2), (0, -1, 2, 1), (1, 1, 2, 0), (1, -1, 0, 2), (2, 1, 0, 1), (2, -1, 1, 0))
 
 
 @dataclass(frozen=True)
@@ -71,6 +61,8 @@ class SphereGrid:
     Vertices on face boundaries are deduplicated so every interior edge is
     shared by exactly two cells; this makes the summed cell phases quantized
     to 2 pi Z up to roundoff.  All cells are counterclockwise from outside.
+    Vertices are numbered in order of first occurrence, face by face in
+    :data:`_FACES` order and row-major within a face.
     """
 
     n_per_face: int
@@ -83,36 +75,23 @@ class SphereGrid:
             raise ModelError("sphere grid needs N >= 16 cells per face edge")
         n = n_per_face
         ticks = np.linspace(-1.0, 1.0, n + 1)
-        index_of: dict[tuple[float, float, float], int] = {}
-        cube_pts: list[tuple[float, float, float]] = []
-
-        def vid(coords: list[float]) -> int:
-            key = (coords[0] + 0.0, coords[1] + 0.0, coords[2] + 0.0)
-            idx = index_of.get(key)
-            if idx is None:
-                idx = len(cube_pts)
-                index_of[key] = idx
-                cube_pts.append(key)
-            return idx
-
-        cells = []
-        for k, s, au, av in _face_axes():
-            face = np.empty((n + 1, n + 1), dtype=int)
-            for i in range(n + 1):
-                for j in range(n + 1):
-                    c = [0.0, 0.0, 0.0]
-                    c[k] = float(s)
-                    c[au] = float(ticks[i])
-                    c[av] = float(ticks[j])
-                    face[i, j] = vid(c)
-            for i in range(n):
-                for j in range(n):
-                    cells.append(
-                        (face[i, j], face[i + 1, j], face[i + 1, j + 1], face[i, j + 1])
-                    )
-        pts = np.asarray(cube_pts)
+        cube = np.empty((6, n + 1, n + 1, 3))
+        for f, (k, s, au, av) in enumerate(_FACES):
+            cube[f, :, :, k] = float(s)
+            cube[f, :, :, au] = ticks[:, None]
+            cube[f, :, :, av] = ticks[None, :]
+        # "+ 0.0" maps -0.0 to 0.0 so that equal points compare equal
+        flat = cube.reshape(-1, 3) + 0.0
+        _, first, inverse = np.unique(flat, axis=0, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # unique points in order of first occurrence
+        face = np.argsort(order)[inverse.reshape(-1)].reshape(6, n + 1, n + 1)
+        cells = np.stack(
+            (face[:, :-1, :-1], face[:, 1:, :-1], face[:, 1:, 1:], face[:, :-1, 1:]),
+            axis=-1,
+        ).reshape(-1, 4)
+        pts = flat[first[order]]
         pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-        return cls(n_per_face=n, vertices=pts, cells=np.asarray(cells, dtype=int))
+        return cls(n_per_face=n, vertices=pts, cells=cells)
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
@@ -125,29 +104,91 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     return vecs * np.exp(-1j * np.angle(lead))
 
 
+def _band_gap(omegas: np.ndarray, bands: Sequence[int], points: np.ndarray) -> float:
+    """Smallest gap between selected and unselected bands of ``omegas`` (n, d).
+
+    A gap below :data:`BAND_GAP_TOL` raises :class:`DegeneracyError` naming its point.
+    """
+    lo, hi = min(bands) - 1, max(bands) - 1
+    gaps = np.full(len(omegas), np.inf)
+    if lo > 0:
+        gaps = np.minimum(gaps, omegas[:, lo] - omegas[:, lo - 1])
+    if hi < omegas.shape[1] - 1:
+        gaps = np.minimum(gaps, omegas[:, hi + 1] - omegas[:, hi])
+    worst = int(np.argmin(gaps))
+    if gaps[worst] < BAND_GAP_TOL:
+        point = tuple(float(c) for c in points[worst])
+        raise DegeneracyError(
+            f"band gap {gaps[worst]:.3g} below {BAND_GAP_TOL} at {point}"
+        )
+    return float(gaps[worst])
+
+
+def batch_eigensystem(
+    symbol: AffineMatrixSymbol,
+    points: np.ndarray,
+    bands: Sequence[int] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues (n, d) and phase-fixed eigenvector columns (n, d, d).
+
+    ``points`` (n, 3) are solved by one batched ``eigh``.  The phase of each
+    eigenvector is fixed by making its largest-magnitude component real
+    positive.  If ``bands`` (1-based, contiguous) is given, a gap below
+    :data:`BAND_GAP_TOL` between selected and unselected bands at any point
+    raises :class:`DegeneracyError`.
+    """
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    omegas, vecs = np.linalg.eigh(symbol.evaluate_many(points))
+    if bands is not None:
+        _band_gap(omegas, bands, points)
+    return omegas, _fix_phases(vecs)
+
+
 def point_eigensystem(
     symbol: AffineMatrixSymbol,
     point: Sequence[float],
     bands: Sequence[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and phase-fixed orthonormal eigenvectors.
+    """:func:`batch_eigensystem` at a single point: (d,) and (d, d)."""
+    omegas, vecs = batch_eigensystem(symbol, point, bands)
+    return omegas[0], vecs[0]
 
-    The phase of each eigenvector is fixed by making its largest-magnitude
-    component real positive.  If ``bands`` (1-based, contiguous) is given,
-    a gap below :data:`BAND_GAP_TOL` between selected and unselected bands
-    raises :class:`DegeneracyError`.
+
+@dataclass(frozen=True)
+class SphereSpectrum:
+    """Eigensystem of a symbol at every vertex of a sphere grid.
+
+    One batched eigensolve serves every band group: :meth:`field` slices
+    the frames of a contiguous group out of ``vectors``.
     """
-    mu, x, xi = point
-    h = symbol.evaluate(mu, x, xi)
-    omegas, vecs = np.linalg.eigh(h)
-    vecs = _fix_phases(vecs)
-    if bands is not None:
-        lo, hi = min(bands) - 1, max(bands) - 1
-        if lo > 0 and omegas[lo] - omegas[lo - 1] < BAND_GAP_TOL:
-            raise DegeneracyError(f"band gap below {BAND_GAP_TOL} at {tuple(point)}")
-        if hi < symbol.dim - 1 and omegas[hi + 1] - omegas[hi] < BAND_GAP_TOL:
-            raise DegeneracyError(f"band gap below {BAND_GAP_TOL} at {tuple(point)}")
-    return omegas, vecs
+
+    symbol: AffineMatrixSymbol
+    grid: SphereGrid
+    omegas: np.ndarray  # (V, d) ascending
+    vectors: np.ndarray  # (V, d, d) phase-fixed eigenvector columns
+
+    @classmethod
+    def build(cls, symbol: AffineMatrixSymbol, grid: SphereGrid) -> "SphereSpectrum":
+        omegas, vectors = batch_eigensystem(symbol, grid.vertices)
+        return cls(symbol=symbol, grid=grid, omegas=omegas, vectors=vectors)
+
+    def field(self, bands: Sequence[int]) -> "BandProjectorField":
+        """Frames of a contiguous band group, gap-checked at every vertex."""
+        bands = tuple(sorted(int(b) for b in bands))
+        if not bands:
+            raise ModelError("band selection is empty")
+        if bands[0] < 1 or bands[-1] > self.symbol.dim:
+            raise ModelError(f"bands {bands} out of range 1..{self.symbol.dim}")
+        if list(bands) != list(range(bands[0], bands[-1] + 1)):
+            raise ModelError(f"bands must be contiguous, got {bands}")
+        min_gap = _band_gap(self.omegas, bands, self.grid.vertices)
+        return BandProjectorField(
+            symbol=self.symbol,
+            bands=bands,
+            grid=self.grid,
+            vectors=self.vectors[:, :, bands[0] - 1 : bands[-1]],
+            min_gap=min_gap,
+        )
 
 
 @dataclass(frozen=True)
@@ -157,7 +198,9 @@ class BandProjectorField:
     ``vectors[v]`` is the (d, r) orthonormal frame of the selected bands at
     grid vertex v.  The spectral projector is ``P = V V^dag``; its rank is
     the number of selected bands everywhere because the build checks the
-    gap to unselected bands at every vertex.
+    gap to unselected bands at every vertex.  Fields of several band groups
+    on one grid should be sliced from one :class:`SphereSpectrum`;
+    :meth:`build` solves the grid for a single group.
     """
 
     symbol: AffineMatrixSymbol
@@ -177,40 +220,12 @@ class BandProjectorField:
         bands: Sequence[int],
         grid: SphereGrid,
     ) -> "BandProjectorField":
-        bands = tuple(sorted(int(b) for b in bands))
-        if not bands:
-            raise ModelError("band selection is empty")
-        if bands[0] < 1 or bands[-1] > symbol.dim:
-            raise ModelError(f"bands {bands} out of range 1..{symbol.dim}")
-        if list(bands) != list(range(bands[0], bands[-1] + 1)):
-            raise ModelError(f"bands must be contiguous, got {bands}")
-        mats = symbol.evaluate_many(grid.vertices)
-        omegas, vecs = np.linalg.eigh(mats)
-        lo, hi = bands[0] - 1, bands[-1] - 1
-        min_gap = np.inf
-        if lo > 0:
-            min_gap = min(min_gap, float((omegas[:, lo] - omegas[:, lo - 1]).min()))
-        if hi < symbol.dim - 1:
-            min_gap = min(min_gap, float((omegas[:, hi + 1] - omegas[:, hi]).min()))
-        if min_gap < BAND_GAP_TOL:
-            raise DegeneracyError(
-                f"selected bands touch unselected ones (min gap {min_gap:.3g})"
-            )
-        # deterministic phase fix per cached vector (results are gauge
-        # invariant; this only pins intermediate dumps)
-        return cls(
-            symbol=symbol,
-            bands=bands,
-            grid=grid,
-            vectors=_fix_phases(vecs[:, :, lo : hi + 1]),
-            min_gap=min_gap,
-        )
+        return SphereSpectrum.build(symbol, grid).field(bands)
 
     def projector_at(self, point: Sequence[float]) -> np.ndarray:
         """Spectral projector of the selected bands at an arbitrary point."""
         _, vecs = point_eigensystem(self.symbol, point, bands=self.bands)
-        lo, hi = self.bands[0] - 1, self.bands[-1] - 1
-        frame = vecs[:, lo : hi + 1]
+        frame = vecs[:, self.bands[0] - 1 : self.bands[-1]]
         return frame @ frame.conj().T
 
     def with_phase_field(self, phases: np.ndarray) -> "BandProjectorField":
@@ -299,11 +314,7 @@ def _cell_phases(field_: BandProjectorField) -> np.ndarray:
     return -np.angle(prod)
 
 
-def chern_curvature(
-    field_: BandProjectorField,
-    grid: SphereGrid | None = None,
-    max_refinements: int = 2,
-) -> ChernReport:
+def chern_curvature(field_: BandProjectorField, max_refinements: int = 2) -> ChernReport:
     """Chern index as the summed cell Berry phases over 2 pi.
 
     The sum is exactly an integer multiple of 2 pi up to roundoff because
@@ -312,8 +323,6 @@ def chern_curvature(
     grid is refined (doubled) up to ``max_refinements`` times before the
     spike is reported as a degeneracy on or near the sphere.
     """
-    if grid is not None and grid is not field_.grid:
-        field_ = BandProjectorField.build(field_.symbol, field_.bands, grid)
     refinements = 0
     while True:
         phases = _cell_phases(field_)
@@ -351,32 +360,41 @@ def chern_curvature(
 RefSpec = np.ndarray | Callable[[np.ndarray], np.ndarray] | None
 
 
-def _pole_reference(field_: BandProjectorField, pole: np.ndarray) -> np.ndarray:
-    """Band eigenvector at a pole: the canonical hemisphere reference."""
-    _, vecs = point_eigensystem(field_.symbol, pole, bands=field_.bands)
-    return vecs[:, field_.bands[0] - 1]
+def _band_frames(field_: BandProjectorField, points: np.ndarray) -> np.ndarray:
+    """Rank-1 band frames (n, d, 1) at ``points`` from one batched solve."""
+    _, vecs = batch_eigensystem(field_.symbol, points, field_.bands)
+    lo = field_.bands[0] - 1
+    return vecs[:, :, lo : lo + 1]
 
 
-def _as_ref_fn(ref, field_: BandProjectorField, pole: np.ndarray):
-    if ref is None:
-        vec = _pole_reference(field_, pole)
-        return lambda p: vec
+def _sections(frames: np.ndarray, refs: np.ndarray) -> np.ndarray:
+    """Projections ``P u`` (n, d, 1), ``P = V V^dag``, of references (n, d) or (d,)."""
+    proj = frames @ frames.conj().swapaxes(1, 2)
+    return proj @ np.reshape(refs, (-1, frames.shape[1], 1))
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked ``<a|b>`` of column vectors (n, d, 1) -> (n,)."""
+    return (a.conj().swapaxes(1, 2) @ b)[:, 0, 0]
+
+
+def _ref_values(ref: RefSpec, points: np.ndarray, dim: int) -> np.ndarray:
+    """A constant reference vector (d,) or a callable's values (n, d)."""
     if callable(ref):
-        return ref
+        return np.array([ref(p) for p in points], dtype=complex)
     vec = np.asarray(ref, dtype=complex)
-    if vec.shape != (field_.symbol.dim,):
+    if vec.shape != (dim,):
         raise ModelError("reference vector has wrong dimension")
-    return lambda p: vec
+    return vec
 
 
 def _hemisphere_points(sign: float, rings: int = 24, per_ring: int = 48) -> np.ndarray:
-    """Sample of a closed hemisphere {sign * mu >= 0}, equator included."""
-    pts = [np.array([sign, 0.0, 0.0])]
-    for mu in np.linspace(0.0, 1.0, rings + 1)[:-1]:
-        r = np.sqrt(1.0 - mu * mu)
-        for th in np.linspace(0.0, 2.0 * np.pi, per_ring, endpoint=False):
-            pts.append(np.array([sign * mu, r * np.cos(th), r * np.sin(th)]))
-    return np.asarray(pts)
+    """Sample of a closed hemisphere {sign * mu >= 0}, pole first, equator included."""
+    mu = sign * np.repeat(np.linspace(0.0, 1.0, rings + 1)[:-1], per_ring)
+    th = np.tile(np.linspace(0.0, 2.0 * np.pi, per_ring, endpoint=False), rings)
+    r = np.sqrt(1.0 - mu * mu)
+    ring_pts = np.stack((mu, r * np.cos(th), r * np.sin(th)), axis=1)
+    return np.vstack(([sign, 0.0, 0.0], ring_pts))
 
 
 def chern_clutching(
@@ -394,37 +412,36 @@ def chern_clutching(
     trivializing constant vector.  Both sections are verified to satisfy
     ``|s|^2 > 1e-6`` on a sample of their closed hemisphere; the transition
     phase is ``<s_north | s_south>`` on the equator and its winding is C.
+    Each hemisphere sample and the equator are solved as one batch each.
     """
     if field_.rank != 1:
         raise ModelError("clutching method requires a rank-1 band")
     if equator_samples < 16:
         raise ModelError("need at least 16 equator samples")
-    ref_n = _as_ref_fn(north_ref, field_, NORTH)
-    ref_s = _as_ref_fn(south_ref, field_, SOUTH)
+    dim = field_.symbol.dim
 
+    refs = []
     min_norms = []
-    for sign, ref, name in ((+1.0, ref_n, "north"), (-1.0, ref_s, "south")):
-        worst = np.inf
-        for p in _hemisphere_points(sign):
-            pi_ = field_.projector_at(p)
-            s = pi_ @ np.asarray(ref(p), dtype=complex)
-            worst = min(worst, float(np.vdot(s, s).real))
+    for sign, ref, name in ((+1.0, north_ref, "north"), (-1.0, south_ref, "south")):
+        pts = _hemisphere_points(sign)
+        frames = _band_frames(field_, pts)
+        if ref is None:
+            ref = frames[0, :, 0]  # the band eigenvector at the pole
+        s = _sections(frames, _ref_values(ref, pts, dim))
+        worst = float(_inner(s, s).real.min())
         if worst <= 1e-6:
             raise SectionVanishesError(
                 f"{name} reference section vanishes on its hemisphere "
                 f"(min |s|^2 = {worst:.3g}); supply a different reference"
             )
+        refs.append(ref)
         min_norms.append(worst)
 
     thetas = np.linspace(0.0, 2.0 * np.pi, equator_samples, endpoint=False)
-    f21 = np.empty(equator_samples, dtype=complex)
-    for i, th in enumerate(thetas):
-        p = np.array([0.0, np.cos(th), np.sin(th)])
-        pi_ = field_.projector_at(p)
-        s1 = pi_ @ np.asarray(ref_n(p), dtype=complex)
-        s2 = pi_ @ np.asarray(ref_s(p), dtype=complex)
-        f21[i] = np.vdot(s1, s2)
-    w = winding_number(f21)
+    pts = np.stack((np.zeros_like(thetas), np.cos(thetas), np.sin(thetas)), axis=1)
+    frames = _band_frames(field_, pts)
+    s1, s2 = (_sections(frames, _ref_values(ref, pts, dim)) for ref in refs)
+    w = winding_number(_inner(s1, s2))
     return ChernReport(
         method="clutching",
         C=w,
@@ -450,8 +467,15 @@ def _tangent_frame(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t1, t2
 
 
-def _section_at(field_: BandProjectorField, u0: np.ndarray, p: np.ndarray) -> np.ndarray:
-    return field_.projector_at(p) @ u0
+def _section_coords(
+    field_: BandProjectorField, u0: np.ndarray, center: np.ndarray, points: np.ndarray
+) -> np.ndarray:
+    """Coordinates ``<v0 | P(q) u0>`` at ``points`` q, v0 the band vector at ``center``.
+
+    The center and the points are solved as one batch.
+    """
+    frames = _band_frames(field_, np.vstack((center, points)))
+    return _inner(frames[:1], _sections(frames[1:], u0))
 
 
 def _refine_zero(
@@ -463,23 +487,20 @@ def _refine_zero(
     the frame of the band eigenvector v0 at the current point, with t the
     tangent-plane offset.  The seed is a grid vertex where the section is
     small; near a nondegenerate zero the iteration converges quadratically.
-    Returns the point and the section norm there, which the caller tests.
+    Each step solves the point and its four finite-difference neighbours as
+    one batch.  Returns the point and the section norm there, which the
+    caller tests.
     """
     p0 = seed_point / np.linalg.norm(seed_point)
+    h = 1e-7
+    offsets = np.array([[0.0, 0.0], [h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
     for _ in range(6):
         t1, t2 = _tangent_frame(p0)
-        _, vecs = point_eigensystem(field_.symbol, p0, bands=field_.bands)
-        v0 = vecs[:, field_.bands[0] - 1]
-
-        def zfun(t):
-            q = p0 + t[0] * t1 + t[1] * t2
-            q /= np.linalg.norm(q)
-            return complex(np.vdot(v0, _section_at(field_, u0, q)))
-
-        h = 1e-7
-        z0 = zfun((0.0, 0.0))
-        dz1 = (zfun((h, 0.0)) - zfun((-h, 0.0))) / (2 * h)
-        dz2 = (zfun((0.0, h)) - zfun((0.0, -h))) / (2 * h)
+        q = p0 + offsets[:, :1] * t1 + offsets[:, 1:] * t2
+        q /= np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]  # rounds as np.linalg.norm(row)
+        z0, z1p, z1m, z2p, z2m = _section_coords(field_, u0, p0, q).tolist()
+        dz1 = (z1p - z1m) / (2 * h)
+        dz2 = (z2p - z2m) / (2 * h)
         jac = np.array([[dz1.real, dz2.real], [dz1.imag, dz2.imag]])
         try:
             step = np.linalg.solve(jac, -np.array([z0.real, z0.imag]))
@@ -489,7 +510,7 @@ def _refine_zero(
         p0 /= np.linalg.norm(p0)
         if abs(z0) < 1e-13:
             break
-    s = _section_at(field_, u0, p0)
+    s = _sections(_band_frames(field_, p0), u0)
     return p0, float(np.linalg.norm(s))
 
 
@@ -543,16 +564,13 @@ def chern_section_zeros(
 
     found: list[SectionZero] = []
     total = 0
+    phis = np.linspace(0.0, 2.0 * np.pi, circle_samples, endpoint=False)
     for point, norm in zeros:
         t1, t2 = _tangent_frame(point)
-        _, vecs = point_eigensystem(field_.symbol, point, bands=field_.bands)
-        v0 = vecs[:, field_.bands[0] - 1]
-        loop = []
-        for phi in np.linspace(0.0, 2.0 * np.pi, circle_samples, endpoint=False):
-            q = point + probe_radius * (np.cos(phi) * t1 + np.sin(phi) * t2)
-            q /= np.linalg.norm(q)
-            loop.append(complex(np.vdot(v0, _section_at(field_, u0, q))))
-        idx = winding_number(loop)
+        offsets = np.cos(phis)[:, None] * t1 + np.sin(phis)[:, None] * t2
+        circle = point + probe_radius * offsets
+        circle /= np.linalg.norm(circle, axis=1, keepdims=True)
+        idx = winding_number(_section_coords(field_, u0, point, circle))
         if idx == 0:
             raise DegenerateZeroError(
                 f"zero at {tuple(point)} has vanishing winding; refine the "

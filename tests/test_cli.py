@@ -250,7 +250,16 @@ def write_scenario(tmp_path, name, **changes):
 
 
 @pytest.mark.parametrize(
-    "field_,value", [("window", [-0.9, 0.9]), ("max_level", "24"), ("mu_min", "-2")]
+    "field_,value",
+    [
+        ("window", [-0.9, 0.9]),
+        ("max_level", "24"),
+        ("mu_min", "-2"),
+        ("model_params", {"epsilon": "1"}),
+        ("zero_refs", {"1": [1, 0]}),
+        ("model_params", {"epsilon": 1.0, "gap_band_override": "x"}),
+        ("chern_bands", ["1"]),
+    ],
 )
 def test_malformed_scenario_field_is_config_error(tmp_path, capsys, field_, value):
     path = write_scenario(tmp_path, "normal-form", **{field_: value})
@@ -263,6 +272,18 @@ def test_flow_endpoint_in_spectrum_exit_code(tmp_path, capsys):
     path = write_scenario(tmp_path, "normal-form", mu_max=0.0)
     assert main(["flow", "--scenario", path]) == 3
     assert "indexlab: flow error:" in capsys.readouterr().err
+
+
+def test_verify_fail_exit_code(tmp_path, capsys):
+    # starting the sweep at mu = 0.5 misses the ground branch's crossing at
+    # mu = 0, so the flow is 0 while the sub-gap Chern index stays +1
+    path = write_scenario(tmp_path, "normal-form", mu_min=0.5)
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--scenario", path, "--grid", "16", "--out", str(out)]) == 5
+    assert "indexlab: FAIL" in capsys.readouterr().err
+    report = read_json(out)
+    assert (report["flow"]["N"], report["chern"]["C"]) == (0, 1)
+    assert report["verdict"] == "FAIL"
 
 
 def test_chern_degenerate_band_exit_code(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from indexlab.models import (
 from indexlab.topology import (
     BandProjectorField,
     SphereGrid,
+    SphereSpectrum,
+    batch_eigensystem,
     chern_clutching,
     chern_curvature,
     chern_section_zeros,
@@ -73,6 +76,41 @@ def test_grid_edges_shared_exactly_twice(grid32):
         for i in range(4):
             edges[frozenset((cell[i], cell[(i + 1) % 4]))] += 1
     assert set(edges.values()) == {2}
+
+
+def dict_deduplicated_grid(n):
+    """Reference build: a double loop per face, vertices deduplicated by dict."""
+    ticks = np.linspace(-1.0, 1.0, n + 1)
+    index_of, cube_pts, cells = {}, [], []
+    for k in range(3):
+        for s in (+1, -1):
+            au, av = ((k + 1) % 3, (k + 2) % 3) if s > 0 else ((k + 2) % 3, (k + 1) % 3)
+            face = np.empty((n + 1, n + 1), dtype=int)
+            for i in range(n + 1):
+                for j in range(n + 1):
+                    c = [0.0, 0.0, 0.0]
+                    c[k], c[au], c[av] = float(s), float(ticks[i]), float(ticks[j])
+                    key = (c[0] + 0.0, c[1] + 0.0, c[2] + 0.0)
+                    if key not in index_of:
+                        index_of[key] = len(cube_pts)
+                        cube_pts.append(key)
+                    face[i, j] = index_of[key]
+            for i in range(n):
+                for j in range(n):
+                    cells.append(
+                        (face[i, j], face[i + 1, j], face[i + 1, j + 1], face[i, j + 1])
+                    )
+    pts = np.asarray(cube_pts)
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True), np.asarray(cells)
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_grid_matches_dict_deduplicated_loop(n):
+    # vertex order matters: section-zero seeds are taken in vertex order
+    vertices, cells = dict_deduplicated_grid(n)
+    grid = SphereGrid.build(n)
+    assert np.array_equal(grid.vertices, vertices)
+    assert np.array_equal(grid.cells, cells)
 
 
 def test_grid_minimum_size():
@@ -150,6 +188,14 @@ def test_point_eigensystem_degeneracy_error():
         point_eigensystem(matsuno_symbol(), (1e-12, 0.0, 0.0), bands=(1,))
 
 
+def test_batch_eigensystem_degeneracy_error_names_point():
+    points = [(0.6, 0.0, 0.8), (1e-12, 0.0, 0.0), (0.0, 1.0, 0.0)]
+    with pytest.raises(DegeneracyError, match=re.escape("(1e-12, 0.0, 0.0)")):
+        batch_eigensystem(matsuno_symbol(), points, bands=(1,))
+    omegas, vecs = batch_eigensystem(matsuno_symbol(), points[::2], bands=(1,))
+    assert omegas.shape == (2, 3) and vecs.shape == (2, 3, 3)
+
+
 # ---------------------------------------------------------------------------
 # band projector field
 # ---------------------------------------------------------------------------
@@ -165,6 +211,29 @@ def test_field_build_validations(grid32):
     fld = BandProjectorField.build(sym, [1, 2], grid32)
     assert fld.rank == 2
     assert fld.min_gap > 0.9  # gap to band 3 is 1 on the unit sphere
+
+
+def per_band_reference(sym, bands, grid):
+    """One band group solved on its own: per-point symbols, eigh, slice, phase fix."""
+    omegas, vecs = np.linalg.eigh(np.array([sym.evaluate(*p) for p in grid.vertices]))
+    lo, hi = bands[0] - 1, bands[-1] - 1
+    frames = vecs[:, :, lo : hi + 1]
+    lead = np.take_along_axis(frames, np.abs(frames).argmax(axis=1)[:, None, :], axis=1)
+    gaps = [omegas[:, lo] - omegas[:, lo - 1]] if lo > 0 else []
+    gaps += [omegas[:, hi + 1] - omegas[:, hi]] if hi < sym.dim - 1 else []
+    return frames * np.exp(-1j * np.angle(lead)), min(float(g.min()) for g in gaps)
+
+
+@pytest.mark.parametrize("bands", [[1], [2], [3], [1, 2], [2, 3]])
+def test_fields_sliced_from_one_spectrum_match_independent_builds(grid32, bands):
+    sym = matsuno_symbol()
+    sliced = SphereSpectrum.build(sym, grid32).field(bands)
+    built = BandProjectorField.build(sym, bands, grid32)
+    vectors, min_gap = per_band_reference(sym, bands, grid32)
+    assert sliced.bands == built.bands == tuple(bands)
+    for fld in (sliced, built):
+        assert np.array_equal(fld.vectors, vectors)
+        assert fld.min_gap == min_gap
 
 
 def test_field_projector_idempotent(grid32):
