@@ -137,6 +137,9 @@ class Scenario:
         for name in _INT_FIELDS:
             if not _is_int(getattr(self, name)):
                 raise ModelError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("model_params", "zero_refs", "clutch_refs"):
+            if not isinstance(getattr(self, name), dict):
+                raise ModelError(f"{name} must be an object, got {getattr(self, name)!r}")
         for key, value in self.model_params.items():
             if not _PARAM_CHECKS.get(key, lambda v: True)(value):
                 raise ModelError(f"model_params[{key!r}] has the wrong type: {value!r}")
@@ -148,6 +151,10 @@ class Scenario:
                 raise ModelError(f"zero_refs[{band!r}] must be a list of [re, im] number pairs")
         if not all(map(_is_int, self.chern_bands)):
             raise ModelError(f"chern_bands must be integers, got {list(self.chern_bands)!r}")
+        for band, strategy in self.clutch_refs.items():
+            if strategy not in ("poles", "global-section"):
+                raise ModelError(f"unknown clutching reference strategy {strategy!r} "
+                                 f"for band {band!r}")
 
     # -- construction of live objects -------------------------------------
     def symbol(self) -> AffineMatrixSymbol:
@@ -192,14 +199,12 @@ class Scenario:
         strategy = self.clutch_refs.get(str(band), "poles")
         if strategy == "poles":
             return None, None
-        if strategy == "global-section":
-            fn = _GLOBAL_SECTIONS.get((self.model, band))
-            if fn is None:
-                raise ModelError(
-                    f"no registered global section for {self.model} band {band}"
-                )
-            return fn, fn
-        raise ModelError(f"unknown clutching reference strategy {strategy!r}")
+        fn = _GLOBAL_SECTIONS.get((self.model, band))
+        if fn is None:
+            raise ModelError(
+                f"no registered global section for {self.model} band {band}"
+            )
+        return fn, fn
 
     # -- serialization ------------------------------------------------------
     def to_dict(self) -> dict:

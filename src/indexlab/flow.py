@@ -341,12 +341,13 @@ class InvarianceReport:
         return all(e.matches_baseline for e in self.entries if e.gap_ok)
 
 
-def _bump(mu: float, half_width: float = 2.0) -> float:
+def _bump(mu: np.ndarray, half_width: float = 2.0) -> np.ndarray:
     """Smooth compactly supported envelope, 1 at mu = 0, 0 for |mu| >= width."""
     t = mu / half_width
-    if abs(t) >= 1.0:
-        return 0.0
-    return float(np.exp(1.0 - 1.0 / (1.0 - t * t)))
+    inside = np.abs(t) < 1.0
+    out = np.zeros_like(t)
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - t[inside] * t[inside]))
+    return out
 
 
 def flow_invariance_check(
@@ -379,8 +380,8 @@ def flow_invariance_check(
     for delta in deltas:
         shifted = AffineMatrixSymbol(
             dim=symbol.dim,
-            const_term=lambda mu, dl=delta: np.asarray(base_const(mu), dtype=complex)
-            + (dl * _bump(mu)) * pert,
+            const_term=lambda mu, dl=delta: base_const(mu)
+            + (dl * _bump(mu))[:, None, None] * pert,
             x_coeff=symbol.x_coeff,
             xi_coeff=symbol.xi_coeff,
             gap_band=symbol.gap_band,

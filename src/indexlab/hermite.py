@@ -73,7 +73,9 @@ class TruncatedBasis:
 class AffineMatrixSymbol:
     """Family of Hermitian symbols ``H_mu(x, xi) = A(mu) + B x + C xi``.
 
-    ``const_term`` is a callback so the mu-dependence may be nonlinear.
+    ``const_term`` is a callback so the mu-dependence may be nonlinear.  It
+    takes a 1-D float array of n values of mu and returns the ``(n, d, d)``
+    complex stack ``A(mu)``; any other shape raises :class:`ModelError`.
     ``gap_band`` is the number of bands below the tracked spectral gap
     (0 is allowed for scalar controls with no band below the gap) and
     ``gap_center``/``gap_constant`` certify that, away from the origin,
@@ -82,7 +84,7 @@ class AffineMatrixSymbol:
     """
 
     dim: int
-    const_term: Callable[[float], np.ndarray]
+    const_term: Callable[[np.ndarray], np.ndarray]
     x_coeff: np.ndarray
     xi_coeff: np.ndarray
     gap_band: int
@@ -106,26 +108,25 @@ class AffineMatrixSymbol:
             if not _is_hermitian(coeff):
                 raise ModelError(f"{label} must be Hermitian")
 
+    def _const_stack(self, mu: np.ndarray) -> np.ndarray:
+        """``A(mu)`` for a 1-D array of mu: one ``const_term`` call, shape-checked."""
+        mu = np.asarray(mu, dtype=float)
+        amats = np.asarray(self.const_term(mu), dtype=complex)
+        if amats.shape != (len(mu), self.dim, self.dim):
+            raise ModelError(
+                f"const_term of {len(mu)} mu values has shape {amats.shape}, "
+                f"expected ({len(mu)}, {self.dim}, {self.dim})"
+            )
+        return amats
+
     def evaluate(self, mu: float, x: float, xi: float) -> np.ndarray:
-        """Symbol matrix at a phase-space point (no Hermiticity re-check)."""
-        return (
-            np.asarray(self.const_term(mu), dtype=complex)
-            + x * self.x_coeff
-            + xi * self.xi_coeff
-        )
+        """Symbol matrix at one phase-space point (no Hermiticity re-check)."""
+        return self.evaluate_many(np.array([[mu, x, xi]]))[0]
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
-        """Stack of symbol matrices at ``points`` of shape (n, 3) = (mu, x, xi).
-
-        ``const_term`` gets one scalar ``mu`` at a time; the ``x`` and ``xi``
-        terms are whole-array operations in :meth:`evaluate`'s order, so
-        each matrix is bit-identical to it.
-        """
+        """Stack of symbol matrices at ``points`` of shape (n, 3) = (mu, x, xi)."""
         points = np.asarray(points, dtype=float)
-        out = np.empty((points.shape[0], self.dim, self.dim), dtype=complex)
-        for i, mu in enumerate(points[:, 0]):
-            out[i] = self.const_term(mu)
-        out += points[:, 1, None, None] * self.x_coeff
+        out = self._const_stack(points[:, 0]) + points[:, 1, None, None] * self.x_coeff
         out += points[:, 2, None, None] * self.xi_coeff
         return out
 
@@ -133,13 +134,13 @@ class AffineMatrixSymbol:
         """Assert Hermiticity of the family on a random sample of (mu, x, xi)."""
         rng = rng or np.random.default_rng(2026)
         pts = rng.uniform(-2.0, 2.0, size=(samples, 3))
-        for mu, x, xi in pts:
-            h = self.evaluate(mu, x, xi)
-            if not _is_hermitian(h):
-                raise ModelError(
-                    f"symbol {self.name!r} is not Hermitian at "
-                    f"(mu, x, xi)=({mu:.3f}, {x:.3f}, {xi:.3f})"
-                )
+        hermitian = _is_hermitian(self.evaluate_many(pts))
+        if not hermitian.all():
+            mu, x, xi = pts[np.argmin(hermitian)]
+            raise ModelError(
+                f"symbol {self.name!r} is not Hermitian at "
+                f"(mu, x, xi)=({mu:.3f}, {x:.3f}, {xi:.3f})"
+            )
 
 
 @dataclass(frozen=True)
@@ -155,10 +156,12 @@ class TruncatedOperator:
         return self.dim * self.basis.size
 
 
-def _is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
+def _is_hermitian(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Per-matrix Hermiticity of a ``(..., d, d)`` stack, relative to its scale."""
     m = np.asarray(m)
-    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    return bool(np.abs(m - m.conj().T).max(initial=0.0) <= tol * scale)
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
+    defect = np.abs(m - m.conj().swapaxes(-2, -1)).max(axis=(-2, -1), initial=0.0)
+    return defect <= tol * scale
 
 
 def ladder_matrices(basis: TruncatedBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -197,12 +200,7 @@ def quantize(
     couples component i level k with component j level l.  The result is
     made exactly Hermitian by symmetrization (exact in IEEE arithmetic).
     """
-    amat = np.asarray(symbol.const_term(mu), dtype=complex)
-    if amat.shape != (symbol.dim, symbol.dim):
-        raise ModelError(
-            f"const_term({mu}) has shape {amat.shape}, expected "
-            f"({symbol.dim}, {symbol.dim})"
-        )
+    amat = symbol._const_stack(np.array([mu]))[0]
     if not _is_hermitian(amat):
         raise ModelError(f"const_term({mu}) is not Hermitian")
     xmat, ximat = position_momentum(basis)

@@ -65,6 +65,11 @@ class BranchLabel:
             raise ModelError(f"{self.family} carries no excitation level")
 
 
+def _linear_const(a1: np.ndarray, a0: np.ndarray | float = 0.0):
+    """``const_term`` of ``A(mu) = a0 + mu * a1``: an (n, d, d) stack per n values."""
+    return lambda mu: a0 + np.multiply.outer(mu, a1)
+
+
 def normal_form_symbol(epsilon: float = 1.0, reflected: bool = False) -> AffineMatrixSymbol:
     """Two-band symbol ``[[-mu, x+i xi], [x-i xi, mu]]``.
 
@@ -76,13 +81,9 @@ def normal_form_symbol(epsilon: float = 1.0, reflected: bool = False) -> AffineM
     if epsilon <= 0:
         raise ModelError("epsilon must be positive")
     sign = -1.0 if reflected else 1.0
-
-    def const_term(mu: float) -> np.ndarray:
-        return np.array([[-sign * mu, 0.0], [0.0, sign * mu]], dtype=complex)
-
     return AffineMatrixSymbol(
         dim=2,
-        const_term=const_term,
+        const_term=_linear_const(np.diag([-sign, sign]).astype(complex)),
         x_coeff=np.array([[0, 1], [1, 0]], dtype=complex),
         xi_coeff=np.array([[0, 1j], [-1j, 0]], dtype=complex),
         gap_band=1,
@@ -102,15 +103,9 @@ def matsuno_symbol(gap_band: int = 2) -> AffineMatrixSymbol:
     """
     if gap_band not in (1, 2):
         raise ModelError("matsuno gap_band must be 1 or 2")
-
-    def const_term(mu: float) -> np.ndarray:
-        return np.array(
-            [[0.0, mu, 0.0], [mu, 0.0, 0.0], [0.0, 0.0, 0.0]], dtype=complex
-        )
-
     return AffineMatrixSymbol(
         dim=3,
-        const_term=const_term,
+        const_term=_linear_const(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)),
         x_coeff=np.array([[0, 0, 0], [0, 0, 1j], [0, -1j, 0]], dtype=complex),
         xi_coeff=np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]], dtype=complex),
         gap_band=gap_band,
@@ -135,12 +130,9 @@ def ts2_symbol(gap_band: int = 2) -> AffineMatrixSymbol:
             [[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]], dtype=complex
         )
 
-    def const_term(mu: float) -> np.ndarray:
-        return -1j * cross(np.array([mu, 0.0, 0.0]))
-
     return AffineMatrixSymbol(
         dim=3,
-        const_term=const_term,
+        const_term=_linear_const(-1j * cross(np.array([1.0, 0.0, 0.0]))),
         x_coeff=-1j * cross(np.array([0.0, 1.0, 0.0])),
         xi_coeff=-1j * cross(np.array([0.0, 0.0, 1.0])),
         gap_band=gap_band,
@@ -152,13 +144,10 @@ def ts2_symbol(gap_band: int = 2) -> AffineMatrixSymbol:
 
 def constant_symbol(value: float = 5.0, dim: int = 1) -> AffineMatrixSymbol:
     """Constant scalar control ``H = value * Id`` with no band below the gap."""
-
-    def const_term(mu: float) -> np.ndarray:
-        return value * np.eye(dim, dtype=complex)
-
     return AffineMatrixSymbol(
         dim=dim,
-        const_term=const_term,
+        const_term=_linear_const(np.zeros((dim, dim), dtype=complex),
+                                 value * np.eye(dim, dtype=complex)),
         x_coeff=np.zeros((dim, dim), dtype=complex),
         xi_coeff=np.zeros((dim, dim), dtype=complex),
         gap_band=0,

@@ -259,6 +259,10 @@ def write_scenario(tmp_path, name, **changes):
         ("zero_refs", {"1": [1, 0]}),
         ("model_params", {"epsilon": 1.0, "gap_band_override": "x"}),
         ("chern_bands", ["1"]),
+        ("model_params", [1]),
+        ("zero_refs", [1]),
+        ("clutch_refs", [1]),
+        ("clutch_refs", {"2": 5}),
     ],
 )
 def test_malformed_scenario_field_is_config_error(tmp_path, capsys, field_, value):

@@ -4,10 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from indexlab.errors import EndpointInSpectrumError, ModelError
+from indexlab.errors import (
+    EndpointInSpectrumError,
+    MethodDisagreementError,
+    ModelError,
+    RefinementError,
+)
 from indexlab.flow import (
     EigenSample,
     SpectralWindow,
+    SpectrumSweep,
+    _check_matchable_at_floor,
     _match_windows,
     flow_invariance_check,
     spectral_index,
@@ -239,10 +246,10 @@ def test_table_rows_shape():
         assert weight <= 1e-8
 
 
-def window_sample(omegas):
+def window_sample(omegas, mu=0.0, count_below_ref=0):
     omegas = np.sort(np.asarray(omegas, dtype=float))
-    return EigenSample(mu=0.0, omegas=omegas, guard_weights=np.zeros(len(omegas)),
-                       count_below_ref=0)
+    return EigenSample(mu=mu, omegas=omegas, guard_weights=np.zeros(len(omegas)),
+                       count_below_ref=count_below_ref)
 
 
 def brute_force_cost(wa, wb):
@@ -273,3 +280,24 @@ def test_match_windows_is_minimum_cost(n_a, n_b):
         assert math.isclose(sum(costs), brute_force_cost(a.omegas, b.omegas),
                             rel_tol=1e-12, abs_tol=1e-12)
         assert worst == max(costs, default=0.0)
+
+
+def test_eigenvalue_appearing_mid_window_at_floor_raises_refinement_error():
+    # 1e-4 apart in mu, b has an extra eigenvalue at the window centre that
+    # no branch of a can reach
+    a = window_sample([0.5], mu=0.0)
+    b = window_sample([0.0, 0.5], mu=1e-4)
+    with pytest.raises(RefinementError, match="deep inside the window"):
+        _check_matchable_at_floor(a, b, WINDOW_NF)
+
+
+def test_counting_and_crossing_disagreement_raises():
+    # one matched branch crosses omega_ref = 0 upward (+1), but the endpoint
+    # counts below the reference level are equal, so the counting flow is 0
+    sw = SpectrumSweep(
+        samples=(window_sample([-0.5], mu=-1.0, count_below_ref=3),
+                 window_sample([0.5], mu=1.0, count_below_ref=3)),
+        window=WINDOW_NF,
+    )
+    with pytest.raises(MethodDisagreementError):
+        spectral_index(sw)

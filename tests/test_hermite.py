@@ -108,7 +108,7 @@ def test_quantize_normal_form_spectrum_mu0():
 def test_quantize_zero_symbol():
     zero = AffineMatrixSymbol(
         dim=1,
-        const_term=lambda mu: np.zeros((1, 1), dtype=complex),
+        const_term=lambda mu: np.zeros((len(mu), 1, 1), dtype=complex),
         x_coeff=np.zeros((1, 1), dtype=complex),
         xi_coeff=np.zeros((1, 1), dtype=complex),
         gap_band=0,
@@ -139,7 +139,7 @@ def test_quantize_exactly_hermitian():
 def test_quantize_rejects_non_hermitian_const():
     bad = AffineMatrixSymbol(
         dim=2,
-        const_term=lambda mu: np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
+        const_term=lambda mu: np.array([[0.0, 1.0], [0.0, 0.0]]) * np.ones((len(mu), 1, 1), dtype=complex),
         x_coeff=np.zeros((2, 2), dtype=complex),
         xi_coeff=np.zeros((2, 2), dtype=complex),
         gap_band=1,
@@ -153,7 +153,7 @@ def test_quantize_rejects_non_hermitian_const():
 def test_symbol_validate_catches_non_hermitian_family():
     bad = AffineMatrixSymbol(
         dim=2,
-        const_term=lambda mu: np.array([[0.0, mu], [0.0, 0.0]], dtype=complex),
+        const_term=lambda mu: np.multiply.outer(mu, np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)),
         x_coeff=np.eye(2, dtype=complex),
         xi_coeff=np.eye(2, dtype=complex),
         gap_band=1,
@@ -162,6 +162,49 @@ def test_symbol_validate_catches_non_hermitian_family():
     )
     with pytest.raises(ModelError):
         bad.validate()
+
+
+@pytest.mark.parametrize(
+    "const_term",
+    [
+        lambda mu: np.diag([-1.0, 1.0]).astype(complex),  # (d, d) for any mu
+        lambda mu: np.diag([-mu, mu]) + 0.5 * np.eye(2),  # scalar-only form
+        lambda mu: np.zeros((len(mu), 2, 3), dtype=complex),
+    ],
+)
+def test_validate_rejects_const_term_that_is_not_a_stack(const_term):
+    sym = AffineMatrixSymbol(
+        dim=2,
+        const_term=const_term,
+        x_coeff=normal_form_symbol().x_coeff,
+        xi_coeff=normal_form_symbol().xi_coeff,
+        gap_band=1,
+        gap_constant=0.5,
+        name="not-a-stack",
+    )
+    with pytest.raises(ModelError, match="expected"):
+        sym.validate()
+    with pytest.raises(ModelError, match="expected"):
+        quantize(sym, 0.3, TruncatedBasis(max_level=4, guard_levels=2))
+
+
+def test_each_evaluation_calls_const_term_once():
+    base = normal_form_symbol()
+    calls = []
+
+    def counted(mu):
+        calls.append(np.shape(mu))
+        return base.const_term(mu)
+
+    sym = AffineMatrixSymbol(
+        dim=2, const_term=counted, x_coeff=base.x_coeff, xi_coeff=base.xi_coeff,
+        gap_band=1, gap_constant=0.9, name="counted",
+    )
+    sym.evaluate_many(np.zeros((50, 3)))
+    sym.evaluate(0.1, 0.2, 0.3)
+    sym.validate()
+    quantize(sym, 0.4, TruncatedBasis(max_level=4, guard_levels=2))
+    assert calls == [(50,), (1,), (32,), (1,)]
 
 
 def test_spurious_weight_exact_mode_is_zero():

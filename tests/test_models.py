@@ -67,6 +67,43 @@ def test_ts2_point_structure(rng):
         assert np.abs(eigs - np.array([-r, 0.0, r])).max() < 1e-12
 
 
+def normal_form_matrix(mu, x, xi):
+    return np.array([[-mu, complex(x, xi)], [complex(x, -xi), mu]], dtype=complex)
+
+
+def matsuno_matrix(mu, x, xi):
+    return np.array([[0, mu, xi], [mu, 0, complex(0, x)], [xi, complex(0, -x), 0]],
+                    dtype=complex)
+
+
+def ts2_matrix(mu, x, xi):
+    # -i v x (.) with v = (mu, x, xi)
+    return np.array([[0, complex(0, xi), complex(0, -x)],
+                     [complex(0, -xi), 0, complex(0, mu)],
+                     [complex(0, x), complex(0, -mu), 0]], dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "sym,matrix",
+    [
+        (normal_form_symbol(), normal_form_matrix),
+        (normal_form_symbol(reflected=True), lambda mu, x, xi: normal_form_matrix(-mu, x, xi)),
+        (mu_reflected(normal_form_symbol()), lambda mu, x, xi: normal_form_matrix(-mu, x, xi)),
+        (matsuno_symbol(), matsuno_matrix),
+        (mu_reflected(matsuno_symbol(gap_band=1)), lambda mu, x, xi: matsuno_matrix(-mu, x, xi)),
+        (ts2_symbol(), ts2_matrix),
+        (constant_symbol(), lambda mu, x, xi: 5.0 * np.eye(1)),
+        (constant_symbol(-2.5, dim=3), lambda mu, x, xi: -2.5 * np.eye(3)),
+    ],
+)
+def test_evaluate_many_matches_closed_form_matrices(rng, sym, matrix):
+    points = rng.uniform(-2, 2, size=(40, 3))
+    points[:4] = [(0, 0, 0), (0, 1, 0), (-1.5, 0, 0), (0, 0, -0.5)]
+    expected = np.array([matrix(*p) for p in points])
+    assert np.array_equal(sym.evaluate_many(points), expected)
+    assert np.array_equal(sym.evaluate(*points[7]), expected[7])
+
+
 def test_symbols_pass_hermiticity_validation(rng):
     for sym in (normal_form_symbol(), matsuno_symbol(), ts2_symbol(),
                 constant_symbol(), mu_reflected(normal_form_symbol())):

@@ -39,7 +39,7 @@ def matsuno_band2_section(p):
 def two_level_constant():
     return AffineMatrixSymbol(
         dim=2,
-        const_term=lambda mu: np.diag([-1.0, 1.0]).astype(complex),
+        const_term=lambda mu: np.diag([-1.0, 1.0]) * np.ones((len(mu), 1, 1), dtype=complex),
         x_coeff=np.zeros((2, 2), dtype=complex),
         xi_coeff=np.zeros((2, 2), dtype=complex),
         gap_band=1,
@@ -246,7 +246,7 @@ def test_field_projector_idempotent(grid32):
 def test_field_degenerate_selection_raises(grid32):
     flat = AffineMatrixSymbol(
         dim=2,
-        const_term=lambda mu: np.zeros((2, 2), dtype=complex),
+        const_term=lambda mu: np.zeros((len(mu), 2, 2), dtype=complex),
         x_coeff=np.zeros((2, 2), dtype=complex),
         xi_coeff=np.zeros((2, 2), dtype=complex),
         gap_band=1,
@@ -330,7 +330,7 @@ def test_curvature_degeneracy_detection(grid32):
     # a symbol with a band crossing ON the sphere: gap check must fire
     shifted = AffineMatrixSymbol(
         dim=2,
-        const_term=lambda mu: np.diag([-mu, mu]).astype(complex) + 0.5 * np.eye(2),
+        const_term=lambda mu: np.multiply.outer(mu, np.diag([-1.0, 1.0])) + 0.5 * np.eye(2, dtype=complex),
         x_coeff=normal_form_symbol().x_coeff,
         xi_coeff=normal_form_symbol().xi_coeff,
         gap_band=1,
@@ -340,7 +340,7 @@ def test_curvature_degeneracy_detection(grid32):
     # eigenvalues 0.5 +- 1 on the sphere: still gapped; shrink instead
     squeezed = AffineMatrixSymbol(
         dim=2,
-        const_term=lambda mu: np.zeros((2, 2), dtype=complex),
+        const_term=lambda mu: np.zeros((len(mu), 2, 2), dtype=complex),
         x_coeff=shifted.x_coeff,
         xi_coeff=shifted.xi_coeff,
         gap_band=1,
