@@ -155,6 +155,9 @@ class Scenario:
             if strategy not in ("poles", "global-section"):
                 raise ModelError(f"unknown clutching reference strategy {strategy!r} "
                                  f"for band {band!r}")
+            if strategy == "global-section" and not any(
+                    (model, str(b)) == (self.model, str(band)) for model, b in _GLOBAL_SECTIONS):
+                raise ModelError(f"no registered global section for {self.model} band {band}")
 
     # -- construction of live objects -------------------------------------
     def symbol(self) -> AffineMatrixSymbol:
@@ -199,11 +202,7 @@ class Scenario:
         strategy = self.clutch_refs.get(str(band), "poles")
         if strategy == "poles":
             return None, None
-        fn = _GLOBAL_SECTIONS.get((self.model, band))
-        if fn is None:
-            raise ModelError(
-                f"no registered global section for {self.model} band {band}"
-            )
+        fn = _GLOBAL_SECTIONS[(self.model, band)]  # checked in __post_init__
         return fn, fn
 
     # -- serialization ------------------------------------------------------

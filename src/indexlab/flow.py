@@ -2,7 +2,9 @@
 
 A sweep diagonalizes the quantized operator on an adaptively refined mu
 grid, discards truncation artifacts, and records the eigenvalues inside a
-spectral window.  The flow count through the reference level is computed
+spectral window.  Each sample solves the level-parity blocks of the operator
+(:class:`~indexlab.hermite.OperatorPieces`, built once per sweep) one
+``eigh`` each and merges their eigenvalues.  The flow count through the reference level is computed
 two independent ways -- a counting-function difference between the sweep
 endpoints and a signed tally of tracked branch crossings -- and the two
 must agree exactly.
@@ -24,10 +26,9 @@ from .errors import (
 from .hermite import (
     SPURIOUS_THRESHOLD,
     AffineMatrixSymbol,
+    OperatorPieces,
     TruncatedBasis,
-    quantize,
     sampled_gap_certificate,
-    spurious_weights,
 )
 
 __all__ = [
@@ -118,12 +119,16 @@ class FlowResult:
     crossings: tuple[Crossing, ...]
 
 
-def _window_sample(symbol: AffineMatrixSymbol, basis: TruncatedBasis,
-                   window: SpectralWindow, mu: float) -> EigenSample:
-    """Dense eigensolve + spurious filter at one mu."""
-    op = quantize(symbol, mu, basis)
-    omegas, vecs = np.linalg.eigh(op.matrix)
-    weights = spurious_weights(op, vecs)
+def _window_sample(pieces: OperatorPieces, window: SpectralWindow, mu: float) -> EigenSample:
+    """One ``eigh`` per level-parity block, merged, + spurious filter at one mu."""
+    amat = pieces.const(mu)
+    parts = []
+    for block in pieces.blocks(amat):
+        w, v = np.linalg.eigh(block.assemble(amat))
+        parts.append((w, (np.abs(v[block.guard]) ** 2).sum(axis=0)))
+    omegas, weights = np.concatenate(parts, axis=1)
+    order = np.argsort(omegas, kind="stable")
+    omegas, weights = omegas[order], weights[order]
     keep = weights <= SPURIOUS_THRESHOLD
     kept = omegas[keep]
     span = float(omegas[-1] - omegas[0]) if len(omegas) else 0.0
@@ -251,8 +256,9 @@ def sweep(
         raise ModelError("sweep needs steps >= 16")
     if not mu_min < mu_max:
         raise ModelError("sweep needs mu_min < mu_max")
+    pieces = OperatorPieces(symbol, basis)
     samples = [
-        _window_sample(symbol, basis, window, mu)
+        _window_sample(pieces, window, mu)
         for mu in np.linspace(mu_min, mu_max, steps + 1)
     ]
 
@@ -274,7 +280,7 @@ def sweep(
         a, b = samples[i], samples[i + 1]
         width = b.mu - a.mu
         if width > CROSSING_WIDTH and _needs_split(a, b, window):
-            samples.insert(i + 1, _window_sample(symbol, basis, window, 0.5 * (a.mu + b.mu)))
+            samples.insert(i + 1, _window_sample(pieces, window, 0.5 * (a.mu + b.mu)))
             continue
         if width <= MATCH_MIN_WIDTH:
             _check_matchable_at_floor(a, b, window)

@@ -9,11 +9,13 @@ exact for them; the top ``guard_levels`` levels are reserved for detecting
 the truncation-edge artifacts that the cutoff necessarily creates.
 
 All functions here are pure; returned arrays are freshly allocated and safe
-to share between threads.
+to share between threads.  An :class:`OperatorPieces` keeps the blocks it
+has built, one list per zero pattern of ``A(mu)``, for its own lifetime.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -25,6 +27,8 @@ __all__ = [
     "TruncatedBasis",
     "AffineMatrixSymbol",
     "TruncatedOperator",
+    "OperatorBlock",
+    "OperatorPieces",
     "ladder_matrices",
     "position_momentum",
     "quantize",
@@ -191,6 +195,112 @@ def position_momentum(basis: TruncatedBasis) -> tuple[np.ndarray, np.ndarray]:
     return xmat, ximat
 
 
+#: Level gauge phase ``i^n`` of level n, indexed by ``n % 4``; exact in IEEE arithmetic.
+_LEVEL_PHASES = np.array([1, 1j, -1, -1j])
+
+
+@dataclass(frozen=True)
+class OperatorBlock:
+    """The quantized operator on one set of component-major indices.
+
+    ``static`` is ``B (x) xhat + C (x) xihat`` on ``index``, in the level
+    gauge of :meth:`real_form` when one was applied.  ``A(mu)`` entry
+    ``components[0][k], components[1][k]`` lands at ``same_level[0][k],
+    same_level[1][k]``; ``guard`` flags the indices on the guard levels.
+    """
+
+    index: np.ndarray
+    level: np.ndarray
+    guard: np.ndarray
+    static: np.ndarray
+    same_level: tuple[np.ndarray, np.ndarray]
+    components: tuple[np.ndarray, np.ndarray]
+
+    def assemble(self, amat: np.ndarray) -> np.ndarray:
+        """``A(mu) (x) Id + static`` on the block, symmetrized to be exactly Hermitian.
+
+        The result is real when ``static`` and ``amat`` are.
+        """
+        if not amat.imag.any():
+            amat = amat.real
+        h = self.static.astype(np.result_type(self.static, amat))
+        h[self.same_level] += amat[self.components]
+        return 0.5 * (h + h.conj().T)
+
+    def real_form(self) -> "OperatorBlock":
+        """The block in the first level gauge that makes ``static`` exactly real.
+
+        The gauges are the identity and ``i^n`` on level n of every
+        component.  ``A(mu) (x) Id``, the eigenvalues and ``|v|^2`` do not
+        depend on the gauge.  Returns ``self`` when neither gauge works.
+        """
+        for phase in (np.ones(len(self.level)), _LEVEL_PHASES[self.level % 4]):
+            gauged = phase.conj()[:, None] * self.static * phase
+            if not gauged.imag.any():
+                return dataclasses.replace(self, static=gauged.real.copy())
+        return self
+
+
+class OperatorPieces:
+    """The mu-independent parts of :func:`quantize` for one (symbol, basis).
+
+    ``B (x) xhat + C (x) xihat`` is built once; each ``A(mu)`` then only
+    adds its same-level entries.  With p the level parity, ``A(mu)``
+    couples (component i, p) to (j, p) and ``B``, ``C`` couple (i, p) to
+    (j, 1 - p); the connected components of that graph on 2d nodes split
+    the operator into decoupled blocks (:meth:`blocks`).
+    """
+
+    def __init__(self, symbol: AffineMatrixSymbol, basis: TruncatedBasis):
+        xmat, ximat = position_momentum(basis)
+        self.symbol = symbol
+        self.static = np.kron(symbol.x_coeff, xmat) + np.kron(symbol.xi_coeff, ximat)
+        self.component, self.level = np.divmod(np.arange(symbol.dim * basis.size), basis.size)
+        self.guard = self.level >= basis.size - basis.guard_levels
+        # node 2i + p is component i at level parity p
+        node_component, node_parity = np.divmod(np.arange(2 * symbol.dim), 2)
+        self._node_component = node_component
+        self._same_parity = node_parity[:, None] == node_parity[None, :]
+        flips = (symbol.x_coeff != 0) | (symbol.xi_coeff != 0)
+        flips = (flips | flips.T)[np.ix_(node_component, node_component)]
+        self._flip_links = (flips & ~self._same_parity) | np.eye(2 * symbol.dim, dtype=bool)
+        self._blocks: dict[bytes, list[OperatorBlock]] = {}
+
+    def const(self, mu: float) -> np.ndarray:
+        """``A(mu)``, checked Hermitian."""
+        amat = self.symbol._const_stack(np.array([mu]))[0]
+        if not _is_hermitian(amat):
+            raise ModelError(f"const_term({mu}) is not Hermitian")
+        return amat
+
+    def block(self, index: np.ndarray) -> OperatorBlock:
+        """The operator on the component-major indices ``index``, standard gauge."""
+        level, comp = self.level[index], self.component[index]
+        rows, cols = np.nonzero(level[:, None] == level[None, :])
+        return OperatorBlock(index, level, self.guard[index],
+                             self.static[np.ix_(index, index)], (rows, cols),
+                             (comp[rows], comp[cols]))
+
+    def blocks(self, amat: np.ndarray) -> list[OperatorBlock]:
+        """Level-parity blocks at ``A(mu) = amat``, each in its real form if it has one.
+
+        The partition follows the exact zero pattern of ``amat`` and is
+        built once per pattern.
+        """
+        same = (amat != 0) | (amat.T != 0)
+        nodes = self._node_component
+        reach = (same[np.ix_(nodes, nodes)] & self._same_parity) | self._flip_links
+        while not np.array_equal(grown := reach @ reach, reach):
+            reach = grown
+        first = reach.argmax(axis=1)  # lowest node of each node's component
+        key = first.tobytes()
+        if key not in self._blocks:
+            label = first[2 * self.component + self.level % 2]
+            self._blocks[key] = [self.block(np.flatnonzero(label == c)).real_form()
+                                 for c in np.unique(label)]
+        return self._blocks[key]
+
+
 def quantize(
     symbol: AffineMatrixSymbol, mu: float, basis: TruncatedBasis
 ) -> TruncatedOperator:
@@ -200,18 +310,11 @@ def quantize(
     couples component i level k with component j level l.  The result is
     made exactly Hermitian by symmetrization (exact in IEEE arithmetic).
     """
-    amat = symbol._const_stack(np.array([mu]))[0]
-    if not _is_hermitian(amat):
-        raise ModelError(f"const_term({mu}) is not Hermitian")
-    xmat, ximat = position_momentum(basis)
-    eye = np.eye(basis.size)
-    h = (
-        np.kron(amat, eye)
-        + np.kron(symbol.x_coeff, xmat)
-        + np.kron(symbol.xi_coeff, ximat)
-    )
-    h = 0.5 * (h + h.conj().T)
-    return TruncatedOperator(matrix=h, basis=basis, dim=symbol.dim)
+    pieces = OperatorPieces(symbol, basis)
+    amat = pieces.const(mu)
+    matrix = pieces.block(np.arange(len(pieces.level))).assemble(amat)
+    return TruncatedOperator(matrix=np.asarray(matrix, dtype=complex), basis=basis,
+                            dim=symbol.dim)
 
 
 def spurious_weight(operator: TruncatedOperator, eigenvector: np.ndarray) -> float:

@@ -17,3 +17,32 @@ def grid64():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture(scope="session")
+def random_affine_symbol():
+    """Normal form plus a random complex Hermitian on each of A0, A1, B and C.
+
+    Every coefficient entry is nonzero and complex, so the level-parity
+    graph is connected (one block) and no level gauge makes it real.
+    """
+    from indexlab.hermite import AffineMatrixSymbol
+    from indexlab.models import normal_form_symbol
+
+    base = normal_form_symbol()
+    gen = np.random.default_rng(11)
+
+    def herm():
+        raw = gen.normal(size=(2, 2)) + 1j * gen.normal(size=(2, 2))
+        return 0.1 * (raw + raw.conj().T)
+
+    a0, a1, b, c = herm(), herm(), herm(), herm()
+    return AffineMatrixSymbol(
+        dim=2,
+        const_term=lambda mu: base.const_term(mu) + a0 + np.multiply.outer(mu, a1),
+        x_coeff=base.x_coeff + b,
+        xi_coeff=base.xi_coeff + c,
+        gap_band=1,
+        gap_constant=0.5,
+        name="random-affine",
+    )

@@ -271,6 +271,25 @@ def test_malformed_scenario_field_is_config_error(tmp_path, capsys, field_, valu
     assert "indexlab: scenario error:" in capsys.readouterr().err
 
 
+def test_unregistered_global_section_rejected_before_any_sweep(tmp_path, capsys, monkeypatch):
+    # normal-form has no registered global section for band 1, so the
+    # scenario itself is rejected and verify never starts the flow sweep
+    import indexlab.cli as cli
+
+    calls = []
+    real_sweep = cli.sweep
+    monkeypatch.setattr(cli, "sweep", lambda *a, **k: calls.append(a) or real_sweep(*a, **k))
+    path = write_scenario(tmp_path, "normal-form", clutch_refs={"1": "global-section"})
+    assert main(["verify", "--scenario", path, "--grid", "16"]) == 1
+    assert "indexlab: scenario error:" in capsys.readouterr().err
+    assert calls == []
+    # the spy does see the sweep of a valid scenario
+    path = write_scenario(tmp_path, "normal-form")
+    assert main(["verify", "--scenario", path, "--grid", "16",
+                 "--out", str(tmp_path / "verify.json")]) == 0
+    assert len(calls) == 1
+
+
 def test_flow_endpoint_in_spectrum_exit_code(tmp_path, capsys):
     # the normal-form ground branch sits on omega_ref = 0 at mu = 0
     path = write_scenario(tmp_path, "normal-form", mu_max=0.0)

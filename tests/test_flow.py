@@ -20,7 +20,14 @@ from indexlab.flow import (
     spectral_index,
     sweep,
 )
-from indexlab.hermite import TruncatedBasis
+import indexlab.flow as flow
+from indexlab.hermite import (
+    SPURIOUS_THRESHOLD,
+    OperatorPieces,
+    TruncatedBasis,
+    quantize,
+    spurious_weights,
+)
 from indexlab.models import (
     BranchLabel,
     constant_symbol,
@@ -28,6 +35,7 @@ from indexlab.models import (
     matsuno_symbol,
     mu_reflected,
     normal_form_symbol,
+    ts2_symbol,
 )
 
 WINDOW_NF = SpectralWindow(-0.9, 0.9, 0.0)
@@ -112,9 +120,13 @@ def test_spectral_index_matsuno_upper_gap():
     res = spectral_index(sw)
     assert res.N == 2
     assert res.method_counts == {"counting_function": 2, "tracked_crossings": 2}
-    mids = sorted(0.5 * (c.mu_lo + c.mu_hi) for c in res.crossings)
-    assert abs(mids[0] - 0.5308) < 1e-3  # yanai_plus hits 1.3
-    assert abs(mids[1] - 1.3) < 1e-3  # kelvin hits 1.3
+    # closed forms: yanai_plus (mu + sqrt(mu^2 + 4)) / 2 = 1.3 at
+    # mu = 1.3 - 1/1.3, and kelvin omega = mu = 1.3
+    yanai, kelvin = sorted(res.crossings, key=lambda c: c.mu_lo)
+    assert yanai.mu_lo < 1.3 - 1 / 1.3 < yanai.mu_hi
+    assert kelvin.mu_lo < 1.3 < kelvin.mu_hi
+    for c in res.crossings:
+        assert c.direction == 1 and c.mu_hi - c.mu_lo <= 1e-6
 
 
 def test_spectral_index_matsuno_lower_gap():
@@ -122,6 +134,12 @@ def test_spectral_index_matsuno_lower_gap():
     window = SpectralWindow(-1.5, -1.1, -1.3)
     res = spectral_index(sweep(matsuno_symbol(1), basis, window, -6.0, 6.0, 48))
     assert res.N == 2
+    # mirror images: kelvin at mu = -1.3, yanai_minus at -(1.3 - 1/1.3)
+    kelvin, yanai = sorted(res.crossings, key=lambda c: c.mu_lo)
+    assert kelvin.mu_lo < -1.3 < kelvin.mu_hi
+    assert yanai.mu_lo < -(1.3 - 1 / 1.3) < yanai.mu_hi
+    for c in res.crossings:
+        assert c.direction == 1 and c.mu_hi - c.mu_lo <= 1e-6
 
 
 def test_spectral_index_constant_zero():
@@ -301,3 +319,108 @@ def test_counting_and_crossing_disagreement_raises():
     )
     with pytest.raises(MethodDisagreementError):
         spectral_index(sw)
+
+
+#: Window eigenvalues closer than this to a window edge may fall on either
+#: side of it depending on rounding (e.g. kelvin omega = mu = -1.5 at the
+#: grid point mu = -1.5 in the lower matsuno gap at M = 60).
+EDGE_ROUNDING = 1e-12
+#: Eigenvalues closer than this form one degenerate cluster.
+DEGENERATE = 1e-9
+
+
+def assert_samples_match_dense_solve(sw, symbol, basis):
+    """Every sample against one complex ``eigh`` of the whole quantized operator.
+
+    Inside a degenerate cluster the eigenvectors of either solve are an
+    arbitrary basis of the cluster, so their guard weights, and whether
+    each passes the spurious filter, are too.  At a sample with such a
+    cluster, only the eigenvalues outside clusters are compared and
+    ``count_below_ref`` is held to the bounds the clusters allow.  Returns
+    the mu values of those samples.
+    """
+    window = sw.window
+    degenerate_mus = []
+    for s in sw.samples:
+        op = quantize(symbol, s.mu, basis)
+        omegas, vecs = np.linalg.eigh(op.matrix)
+        weights = spurious_weights(op, vecs)
+        keep = weights <= SPURIOUS_THRESHOLD
+        floor = window.omega_min - (omegas[-1] - omegas[0])
+        below = (omegas > floor) & (omegas < window.omega_ref)
+        in_window = (omegas > window.omega_min) & (omegas < window.omega_max)
+        clusters = np.split(np.arange(len(omegas)), np.flatnonzero(np.diff(omegas) > DEGENERATE) + 1)
+        shared = np.zeros(len(omegas), dtype=bool)
+        for c in clusters:
+            shared[c] = len(c) > 1
+        if np.any((below | in_window) & shared):
+            degenerate_mus.append(s.mu)
+        sure = int(np.sum(keep & below & ~shared))
+        assert sure <= s.count_below_ref <= sure + int(np.sum(below & shared))
+
+        def clear(w):
+            # off the window edges by more than rounding, and off every cluster
+            off_edges = np.minimum(w - window.omega_min, window.omega_max - w) > EDGE_ROUNDING
+            return off_edges & (np.abs(w[:, None] - omegas[shared][None, :]) > DEGENERATE).all(axis=1)
+
+        ref_w, ref_g = omegas[keep & in_window], weights[keep & in_window]
+        assert np.abs(s.omegas[clear(s.omegas)] - ref_w[clear(ref_w)]).max(initial=0) <= 1e-12
+        assert np.abs(s.guard_weights[clear(s.omegas)] - ref_g[clear(ref_w)]).max(initial=0) <= 1e-12
+        near = np.abs(omegas[:, None] - s.omegas[~clear(s.omegas)][None, :])
+        assert np.all(near.min(axis=0, initial=np.inf) <= 1e-12)
+    return degenerate_mus
+
+
+MATSUNO_BASIS = TruncatedBasis(max_level=40, guard_levels=5)
+
+#: symbol, basis, window, sweep over [-mu_max, mu_max], steps
+SWEEP_CASES = {
+    "normal-form": (normal_form_symbol(), nf_basis(16), WINDOW_NF, 2.0, 32),
+    "normal-form-reflected": (normal_form_symbol(reflected=True), nf_basis(16), WINDOW_NF,
+                              2.0, 32),
+    "matsuno-upper-gap": (matsuno_symbol(2), MATSUNO_BASIS, WINDOW_MAT, 6.0, 48),
+    "matsuno-lower-gap": (matsuno_symbol(1), MATSUNO_BASIS,
+                          SpectralWindow(-1.5, -1.1, -1.3), 6.0, 48),
+    "ts2": (ts2_symbol(), nf_basis(24), SpectralWindow(0.3, 0.7, 0.5), 2.0, 32),
+    "constant": (constant_symbol(5.0), nf_basis(16), WINDOW_NF, 2.0, 16),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_samples_match_dense_complex_solve(case):
+    symbol, basis, window, mu_max, steps = SWEEP_CASES[case]
+    sw = sweep(symbol, basis, window, -mu_max, mu_max, steps)
+    # the spectrum is degenerate only at the symmetric point mu = 0 (matsuno
+    # and ts2 zero modes, the normal-form ground and edge states)
+    assert assert_samples_match_dense_solve(sw, symbol, basis) in ([], [0.0])
+
+
+def test_sweep_samples_match_dense_solve_random_complex_symbol(random_affine_symbol):
+    basis = nf_basis(16)
+    pieces = OperatorPieces(random_affine_symbol, basis)
+    assert len(pieces.blocks(pieces.const(0.0))) == 1
+    sw = sweep(random_affine_symbol, basis, WINDOW_NF, -2.0, 2.0, 32)
+    assert assert_samples_match_dense_solve(sw, random_affine_symbol, basis) == []
+
+
+def test_sweep_samples_match_dense_solve_under_invariance_perturbation(monkeypatch):
+    # the bump term is a dense Hermitian for |mu| < 2 and exactly 0 beyond,
+    # so the two matsuno blocks merge into one inside and split outside
+    swept = []
+    real_sweep = flow.sweep
+
+    def recording_sweep(symbol, basis, *args):
+        swept.append((symbol, basis, real_sweep(symbol, basis, *args)))
+        return swept[-1][2]
+
+    monkeypatch.setattr(flow, "sweep", recording_sweep)
+    basis = TruncatedBasis(max_level=30, guard_levels=5)
+    report = flow_invariance_check(matsuno_symbol(), deltas=[0.05], basis=basis,
+                                   window=WINDOW_MAT, mu_min=-6.0, mu_max=6.0, steps=32)
+    assert report.all_valid_match and len(swept) == 2
+    symbol, basis, sw = swept[1]
+    pieces = OperatorPieces(symbol, basis)
+    n_blocks = {s.mu: len(pieces.blocks(pieces.const(s.mu))) for s in sw.samples}
+    assert {n for mu, n in n_blocks.items() if abs(mu) < 2} == {1}
+    assert {n for mu, n in n_blocks.items() if abs(mu) >= 2} == {2}
+    assert assert_samples_match_dense_solve(sw, symbol, basis) == []

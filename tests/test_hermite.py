@@ -6,6 +6,7 @@ import pytest
 from indexlab.errors import GapCertificateError, ModelError
 from indexlab.hermite import (
     AffineMatrixSymbol,
+    OperatorPieces,
     TruncatedBasis,
     ladder_matrices,
     position_momentum,
@@ -16,9 +17,12 @@ from indexlab.hermite import (
 )
 from indexlab.models import (
     BranchLabel,
+    constant_symbol,
     matsuno_symbol,
+    mu_reflected,
     normal_form_eigenvector,
     normal_form_symbol,
+    ts2_symbol,
 )
 
 
@@ -284,3 +288,107 @@ def test_gap_certificate_sampled_shell():
     cert = sampled_gap_certificate(sym, grid_points=30, shell=(1.0, 3.0), mu_max=2.0)
     assert cert.ok
     assert cert.lower_margin > 0 and cert.upper_margin > 0
+
+
+#: (symbol, number of level-parity blocks, whether every block has a real form)
+BLOCK_FAMILIES = {
+    "normal-form": (normal_form_symbol(), 2, True),
+    "normal-form-reflected": (normal_form_symbol(reflected=True), 2, True),
+    "normal-form-mu-reflected": (mu_reflected(normal_form_symbol()), 2, True),
+    "matsuno-upper": (matsuno_symbol(2), 2, True),
+    "matsuno-lower": (matsuno_symbol(1), 2, True),
+    "ts2": (ts2_symbol(), 2, False),
+    "constant": (constant_symbol(), 2, True),
+    "constant-dim3": (constant_symbol(2.0, 3), 6, True),
+}
+
+
+def assert_blocks_partition_and_decouple(symbol, basis, mus):
+    """Blocks cover every index once; quantize has exact zeros between blocks."""
+    pieces = OperatorPieces(symbol, basis)
+    for mu in mus:
+        h = quantize(symbol, mu, basis).matrix
+        blocks = pieces.blocks(pieces.const(mu))
+        label = np.full(len(h), -1)
+        for k, block in enumerate(blocks):
+            assert np.all(label[block.index] == -1)
+            label[block.index] = k
+        assert np.all(label >= 0)
+        assert np.all(h[label[:, None] != label[None, :]] == 0)
+        yield blocks
+
+
+@pytest.mark.parametrize("family", sorted(BLOCK_FAMILIES))
+def test_parity_blocks_partition_closed_form_families(family):
+    symbol, n_blocks, real = BLOCK_FAMILIES[family]
+    basis = TruncatedBasis(max_level=12, guard_levels=3)
+    for blocks in assert_blocks_partition_and_decouple(symbol, basis, (-2.0, 0.0, 0.7, 3.0)):
+        assert len(blocks) == n_blocks
+        assert all((b.static.dtype.kind == "f") == real for b in blocks)
+
+
+def test_parity_blocks_matsuno_sizes():
+    basis = TruncatedBasis(max_level=60, guard_levels=5)
+    pieces = OperatorPieces(matsuno_symbol(), basis)
+    sizes = [len(b.index) for b in pieces.blocks(pieces.const(0.7))]
+    assert sizes == [92, 91]
+
+
+def test_parity_blocks_random_complex_symbol_is_one_block(random_affine_symbol):
+    basis = TruncatedBasis(max_level=12, guard_levels=3)
+    for blocks in assert_blocks_partition_and_decouple(
+            random_affine_symbol, basis, (-2.0, 0.0, 0.7)):
+        assert len(blocks) == 1
+        assert blocks[0].static.dtype.kind == "c"
+
+
+def test_parity_blocks_follow_the_zero_pattern_of_each_const_term():
+    # A(mu) couples components 1 and 2 only for mu > 0, which joins the
+    # two matsuno blocks into one
+    base = matsuno_symbol()
+    link = np.zeros((3, 3), dtype=complex)
+    link[0, 2] = link[2, 0] = 1.0
+    sym = AffineMatrixSymbol(
+        dim=3,
+        const_term=lambda mu: base.const_term(mu)
+        + np.multiply.outer(np.maximum(mu, 0.0), link),
+        x_coeff=base.x_coeff, xi_coeff=base.xi_coeff,
+        gap_band=2, gap_constant=0.45, name="switched",
+    )
+    basis = TruncatedBasis(max_level=12, guard_levels=3)
+    counts = [len(blocks) for blocks in
+              assert_blocks_partition_and_decouple(sym, basis, (-1.0, 0.5, -0.5, 1.0))]
+    assert counts == [2, 1, 2, 1]
+
+
+@pytest.mark.parametrize("symbol,level_gauge", [(normal_form_symbol(), False),
+                                                (matsuno_symbol(), True)])
+def test_block_assembly_matches_quantize_in_real_gauge(symbol, level_gauge):
+    # each block is quantize's block conjugated by the identity (normal form)
+    # or by i^n on level n (matsuno); the phases are exact, so is the match
+    basis = TruncatedBasis(max_level=12, guard_levels=3)
+    pieces = OperatorPieces(symbol, basis)
+    amat = pieces.const(0.7)
+    h = quantize(symbol, 0.7, basis).matrix
+    for block in pieces.blocks(amat):
+        phase = np.array([1, 1j, -1, -1j])[block.level % 4] if level_gauge else 1.0
+        gauged = np.conj(phase)[..., None] * h[np.ix_(block.index, block.index)] * phase
+        assert not gauged.imag.any()
+        assert block.assemble(amat).dtype.kind == "f"
+        assert np.array_equal(block.assemble(amat), gauged.real)
+
+
+@pytest.mark.parametrize("family", sorted(BLOCK_FAMILIES))
+def test_quantize_equals_kron_formula(family):
+    # quantize goes through the block assembly; the written-out Kronecker
+    # sum must come out identical, dtype and component-major order included
+    symbol = BLOCK_FAMILIES[family][0]
+    basis = TruncatedBasis(max_level=12, guard_levels=3)
+    xmat, ximat = position_momentum(basis)
+    for mu in (-2.0, 0.0, 0.7, 3.0):
+        amat = symbol.const_term(np.array([mu]))[0]
+        h = (np.kron(amat, np.eye(basis.size)) + np.kron(symbol.x_coeff, xmat)
+             + np.kron(symbol.xi_coeff, ximat))
+        expected = 0.5 * (h + h.conj().T)
+        got = quantize(symbol, mu, basis).matrix
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
