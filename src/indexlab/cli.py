@@ -143,14 +143,17 @@ class Scenario:
         for key, value in self.model_params.items():
             if not _PARAM_CHECKS.get(key, lambda v: True)(value):
                 raise ModelError(f"model_params[{key!r}] has the wrong type: {value!r}")
+        dim = self.symbol().dim
         for band, pairs in self.zero_refs.items():
-            if not isinstance(pairs, (list, tuple)) or not all(
+            if not isinstance(pairs, (list, tuple)) or len(pairs) != dim or not all(
                 isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_is_number, p))
                 for p in pairs
             ):
-                raise ModelError(f"zero_refs[{band!r}] must be a list of [re, im] number pairs")
-        if not all(map(_is_int, self.chern_bands)):
-            raise ModelError(f"chern_bands must be integers, got {list(self.chern_bands)!r}")
+                raise ModelError(f"zero_refs[{band!r}] must be a list of {dim} "
+                                 "[re, im] number pairs")
+        if not all(_is_int(b) and 1 <= b <= dim for b in self.chern_bands):
+            raise ModelError(f"chern_bands must be integers in 1..{dim}, "
+                             f"got {list(self.chern_bands)!r}")
         for band, strategy in self.clutch_refs.items():
             if strategy not in ("poles", "global-section"):
                 raise ModelError(f"unknown clutching reference strategy {strategy!r} "

@@ -222,12 +222,6 @@ class BandProjectorField:
     ) -> "BandProjectorField":
         return SphereSpectrum.build(symbol, grid).field(bands)
 
-    def projector_at(self, point: Sequence[float]) -> np.ndarray:
-        """Spectral projector of the selected bands at an arbitrary point."""
-        _, vecs = point_eigensystem(self.symbol, point, bands=self.bands)
-        frame = vecs[:, self.bands[0] - 1 : self.bands[-1]]
-        return frame @ frame.conj().T
-
     def with_phase_field(self, phases: np.ndarray) -> "BandProjectorField":
         """Gauge transform: multiply every cached frame by a unit phase."""
         phases = np.asarray(phases, dtype=complex)
@@ -523,7 +517,10 @@ def chern_section_zeros(
     """Chern index as the sum of local winding indices at section zeros.
 
     The global section ``s(p) = P(p) u0`` is scanned for zeros on the grid
-    vertices, each candidate is polished until ``|s| < 1e-10``, and the
+    vertices.  A vertex seeds a Newton polish when ``|s| < 0.15 |u0|`` there
+    and it comes before every vertex it shares a cell with when ``argsort``
+    orders the vertices by ``|s|``.  Polished points with ``|s| < 1e-10``
+    are the zeros; one within 1e-6 of a zero already found is dropped.  The
     index of each zero is the winding of the section's complex coordinate
     (in the frame of the local band eigenvector) around a circle of
     ``probe_radius`` traversed positively.
@@ -535,23 +532,22 @@ def chern_section_zeros(
         raise ModelError("reference vector has wrong dimension")
 
     # coarse scan on cached vertices: rank-1 projector makes |s| = |<v|u0>|.
-    # Zeros are quadratic minima of |s|^2, so near one the closest vertex
-    # amplitude is O(grid spacing); sections bounded away from zero (min
-    # above the absolute floor) have no zeros and are accepted as is.
+    # |s| grows linearly away from a nondegenerate zero, so a vertex of
+    # locally lowest rank lies next to each zero (a cell winding would not
+    # do: on even grids the preset zeros are vertices).  Sections bounded
+    # away from zero (min above the floor) cost no polish.
     amps = np.abs(np.einsum("vd,d->v", field_.vectors[:, :, 0].conj(), u0))
     threshold = 0.15 * float(np.linalg.norm(u0))
     order = np.argsort(amps)
-    order = order[amps[order] < threshold]
+    rank = np.argsort(order)  # inverse permutation: rank[order[i]] == i
+    cells = field_.grid.cells
+    lowest = rank.copy()  # lowest rank among the vertices sharing a cell
+    np.minimum.at(lowest, cells, rank[cells].min(axis=1, keepdims=True))
+    seeds = order[(amps[order] < threshold) & (lowest[order] == rank[order])]
     zeros: list[tuple[np.ndarray, float]] = []
-    processed: list[np.ndarray] = []
-    for seed in field_.grid.vertices[order]:
-        if any(np.linalg.norm(seed - q) < 0.2 for q in processed):
-            continue
-        processed.append(seed)
+    for seed in field_.grid.vertices[seeds]:
         point, norm = _refine_zero(field_, u0, seed)
-        if norm < 1e-10:
-            if any(np.linalg.norm(point - z[0]) < 1e-6 for z in zeros):
-                continue
+        if norm < 1e-10 and not any(np.linalg.norm(point - z[0]) < 1e-6 for z in zeros):
             zeros.append((point, norm))
 
     for i in range(len(zeros)):

@@ -5,6 +5,12 @@ from indexlab.topology import SphereGrid
 
 
 @pytest.fixture(scope="session")
+def grid17():
+    # odd N: the cube-face centre lines run through cell centres, not vertices
+    return SphereGrid.build(17)
+
+
+@pytest.fixture(scope="session")
 def grid32():
     return SphereGrid.build(32)
 

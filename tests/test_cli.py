@@ -272,17 +272,24 @@ def test_malformed_scenario_field_is_config_error(tmp_path, capsys, field_, valu
 
 
 def test_unregistered_global_section_rejected_before_any_sweep(tmp_path, capsys, monkeypatch):
-    # normal-form has no registered global section for band 1, so the
-    # scenario itself is rejected and verify never starts the flow sweep
+    # normal-form has no registered global section for band 1, and its
+    # symbol is 2x2, so each of these scenarios is rejected when it loads
+    # and verify never starts the flow sweep
     import indexlab.cli as cli
 
     calls = []
     real_sweep = cli.sweep
     monkeypatch.setattr(cli, "sweep", lambda *a, **k: calls.append(a) or real_sweep(*a, **k))
-    path = write_scenario(tmp_path, "normal-form", clutch_refs={"1": "global-section"})
-    assert main(["verify", "--scenario", path, "--grid", "16"]) == 1
-    assert "indexlab: scenario error:" in capsys.readouterr().err
-    assert calls == []
+    for changes in (
+        {"clutch_refs": {"1": "global-section"}},
+        {"zero_refs": {"1": [[0, 0], [1, 0], [0, 0]]}},  # dim 3, not 2
+        {"chern_bands": [1, 3]},
+        {"chern_bands": [0]},
+    ):
+        path = write_scenario(tmp_path, "normal-form", **changes)
+        assert main(["verify", "--scenario", path, "--grid", "16"]) == 1, changes
+        assert "indexlab: scenario error:" in capsys.readouterr().err
+        assert calls == []
     # the spy does see the sweep of a valid scenario
     path = write_scenario(tmp_path, "normal-form")
     assert main(["verify", "--scenario", path, "--grid", "16",

@@ -366,7 +366,9 @@ def test_clutching_normal_form_transition_function(grid32):
     thetas = np.linspace(0, 2 * np.pi, 64, endpoint=False)
     for th in thetas:
         p = np.array([0.0, np.cos(th), np.sin(th)])
-        pi_ = fld.projector_at(p)
+        _, vecs = point_eigensystem(fld.symbol, p, bands=fld.bands)
+        frame = vecs[:, :1]  # band 1
+        pi_ = frame @ frame.conj().T
         s1 = pi_ @ np.array([1.0, 0.0])
         s2 = pi_ @ np.array([0.0, 1.0])
         f = np.vdot(s1, s2)
@@ -501,11 +503,59 @@ def test_zeros_probe_radius_overlap_rejected(grid32):
         chern_section_zeros(fld, [0.0, 0.0, 1.0], probe_radius=1.5)
 
 
+def close_pair_symbol():
+    # normal form with mu replaced by -g(mu); the Gaussian dip pulls g below
+    # -0.15 sqrt(1 - mu^2) on a short stretch, so besides the zero near
+    # mu = -0.148 a pair of zeros 0.074 apart appears near 0.252 and 0.326
+    base = normal_form_symbol()
+
+    def const_term(mu):
+        g = mu - 0.5 * np.exp(-(((mu - 0.3) / 0.1) ** 2))
+        return np.multiply.outer(g, np.diag([1.0, -1.0])).astype(complex)
+
+    return dataclasses.replace(base, const_term=const_term, name="close-pair")
+
+
+def test_zeros_close_pair_all_found(grid64):
+    # u0 is the upper eigenvector where (x, xi, g) points along
+    # (sin theta, 0, cos theta), cot theta = -0.15
+    theta = math.atan2(1.0, -0.15)
+    u0 = np.array([math.cos(theta / 2), math.sin(theta / 2)])
+    fld = BandProjectorField.build(close_pair_symbol(), [1], grid64)
+    rep = chern_section_zeros(fld, u0)
+    assert len(rep.zeros) == 3
+    assert sorted(z.index for z in rep.zeros) == [-1, -1, 1]
+    assert sorted(round(z.point[0], 3) for z in rep.zeros) == [-0.148, 0.252, 0.326]
+    assert all(abs(z.point[2]) < 1e-12 and z.section_norm < 1e-10 for z in rep.zeros)
+    assert rep.C == chern_curvature(fld).C == -1
+
+
+@pytest.mark.parametrize(
+    "symbol_fn,band,zero_ref,polishes",
+    [
+        (normal_form_symbol, 1, [0.0, 1.0], 1),
+        (matsuno_symbol, 1, [0.0, 0.0, 1.0], 2),
+        (matsuno_symbol, 2, np.array([1.0, 1.0, 0.0]) / math.sqrt(2), 2),
+        (matsuno_symbol, 3, [0.0, 0.0, 1.0], 2),
+    ],
+)
+def test_zeros_one_polish_per_zero(grid32, monkeypatch, symbol_fn, band, zero_ref, polishes):
+    import indexlab.topology as topology
+
+    calls = []
+    real_refine = topology._refine_zero
+    monkeypatch.setattr(
+        topology, "_refine_zero", lambda *a: calls.append(a) or real_refine(*a)
+    )
+    rep = chern_section_zeros(BandProjectorField.build(symbol_fn(), [band], grid32), zero_ref)
+    assert len(calls) == len(rep.zeros) == polishes
+
+
 # ---------------------------------------------------------------------------
 # cross-method agreement
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize(
+AGREEMENT_CASES = pytest.mark.parametrize(
     "symbol_fn,band,zero_ref,section_refs",
     [
         (normal_form_symbol, 1, [0.0, 1.0], None),
@@ -517,9 +567,23 @@ def test_zeros_probe_radius_overlap_rejected(grid32):
         (ts2_symbol, 3, [0.0, 0.0, 1.0], None),
     ],
 )
-def test_three_method_agreement(grid32, symbol_fn, band, zero_ref, section_refs):
-    fld = BandProjectorField.build(symbol_fn(), [band], grid32)
+
+
+def assert_three_methods_agree(grid, symbol_fn, band, zero_ref, section_refs):
+    fld = BandProjectorField.build(symbol_fn(), [band], grid)
     curv = chern_curvature(fld)
     clutch = chern_clutching(fld, north_ref=section_refs, south_ref=section_refs)
     zeros = chern_section_zeros(fld, zero_ref)
     assert curv.C == clutch.C == zeros.C
+
+
+@AGREEMENT_CASES
+def test_three_method_agreement(grid32, symbol_fn, band, zero_ref, section_refs):
+    assert_three_methods_agree(grid32, symbol_fn, band, zero_ref, section_refs)
+
+
+@AGREEMENT_CASES
+def test_three_method_agreement_odd_grid(grid17, symbol_fn, band, zero_ref, section_refs):
+    # at odd N a zero at a face centre sits at a cell centre, so its four
+    # corners tie in |s| up to rounding and the rank order picks the seed
+    assert_three_methods_agree(grid17, symbol_fn, band, zero_ref, section_refs)
