@@ -144,13 +144,16 @@ class Scenario:
             if not _PARAM_CHECKS.get(key, lambda v: True)(value):
                 raise ModelError(f"model_params[{key!r}] has the wrong type: {value!r}")
         dim = self.symbol().dim
+        for name in ("zero_refs", "clutch_refs"):
+            if stray := sorted(set(getattr(self, name)) - {str(b) for b in range(1, dim + 1)}):
+                raise ModelError(f"{name} keys must be bands '1'..'{dim}', got {stray!r}")
         for band, pairs in self.zero_refs.items():
             if not isinstance(pairs, (list, tuple)) or len(pairs) != dim or not all(
                 isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_is_number, p))
                 for p in pairs
-            ):
+            ) or not any(map(any, pairs)):
                 raise ModelError(f"zero_refs[{band!r}] must be a list of {dim} "
-                                 "[re, im] number pairs")
+                                 "[re, im] number pairs, not all zero")
         if not all(_is_int(b) and 1 <= b <= dim for b in self.chern_bands):
             raise ModelError(f"chern_bands must be integers in 1..{dim}, "
                              f"got {list(self.chern_bands)!r}")

@@ -2,12 +2,13 @@
 
 A sweep diagonalizes the quantized operator on an adaptively refined mu
 grid, discards truncation artifacts, and records the eigenvalues inside a
-spectral window.  Each sample solves the level-parity blocks of the operator
-(:class:`~indexlab.hermite.OperatorPieces`, built once per sweep) one
-``eigh`` each and merges their eigenvalues.  The flow count through the reference level is computed
-two independent ways -- a counting-function difference between the sweep
-endpoints and a signed tally of tracked branch crossings -- and the two
-must agree exactly.
+spectral window.  Each sample solves the charge blocks of the operator (the
+level-parity blocks where ``A(mu)`` breaks the charge symmetry fitted at the
+sweep ends; :class:`~indexlab.hermite.OperatorPieces`, built once per sweep),
+one batched ``eigh`` per stack of equal-size blocks.  The flow through the
+reference level is counted two independent ways -- a counting-function
+difference between the sweep endpoints and a signed tally of tracked branch
+crossings -- and the two must agree exactly.
 """
 
 from __future__ import annotations
@@ -120,12 +121,13 @@ class FlowResult:
 
 
 def _window_sample(pieces: OperatorPieces, window: SpectralWindow, mu: float) -> EigenSample:
-    """One ``eigh`` per level-parity block, merged, + spurious filter at one mu."""
+    """One batched ``eigh`` per block stack, merged, + spurious filter at one mu."""
     amat = pieces.const(mu)
     parts = []
-    for block in pieces.blocks(amat):
-        w, v = np.linalg.eigh(block.assemble(amat))
-        parts.append((w, (np.abs(v[block.guard]) ** 2).sum(axis=0)))
+    for stack in pieces.stacks(amat):
+        w, v = np.linalg.eigh(stack.assemble(amat))
+        guard = pieces.guard[stack.index][..., None]
+        parts.append((w.ravel(), (np.abs(v) ** 2 * guard).sum(axis=1).ravel()))
     omegas, weights = np.concatenate(parts, axis=1)
     order = np.argsort(omegas, kind="stable")
     omegas, weights = omegas[order], weights[order]
@@ -256,7 +258,7 @@ def sweep(
         raise ModelError("sweep needs steps >= 16")
     if not mu_min < mu_max:
         raise ModelError("sweep needs mu_min < mu_max")
-    pieces = OperatorPieces(symbol, basis)
+    pieces = OperatorPieces(symbol, basis, (mu_min, mu_max))
     samples = [
         _window_sample(pieces, window, mu)
         for mu in np.linspace(mu_min, mu_max, steps + 1)

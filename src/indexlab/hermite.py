@@ -8,9 +8,14 @@ low-lying modes have exact finite support and the hard cutoff at level M is
 exact for them; the top ``guard_levels`` levels are reserved for detecting
 the truncation-edge artifacts that the cutoff necessarily creates.
 
+The operator is ``A(mu) (x) 1 + s (K (x) a^dag + K^dag (x) a)``, ``K = B + iC``,
+``s = sqrt(eps/2)``.  A Hermitian ``D`` with ``[D, K] = -K`` and ``[D, A(mu)] =
+0`` makes ``Q = D (x) 1 + 1 (x) n`` commute with it, truncated or not
+(``[n, a^dag] = a^dag`` holds): its Q-eigenspaces are the charge blocks.
+
 All functions here are pure; returned arrays are freshly allocated and safe
-to share between threads.  An :class:`OperatorPieces` keeps the blocks it
-has built, one list per zero pattern of ``A(mu)``, for its own lifetime.
+to share between threads.  An :class:`OperatorPieces` keeps the blocks it has
+built (the charge blocks, and one list per zero pattern of ``A(mu)``).
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ __all__ = [
     "AffineMatrixSymbol",
     "TruncatedOperator",
     "OperatorBlock",
+    "BlockStack",
     "OperatorPieces",
     "ladder_matrices",
     "position_momentum",
@@ -203,29 +209,23 @@ _LEVEL_PHASES = np.array([1, 1j, -1, -1j])
 class OperatorBlock:
     """The quantized operator on one set of component-major indices.
 
+    Component k is column k of ``frame`` (the standard basis when None).
     ``static`` is ``B (x) xhat + C (x) xihat`` on ``index``, in the level
     gauge of :meth:`real_form` when one was applied.  ``A(mu)`` entry
-    ``components[0][k], components[1][k]`` lands at ``same_level[0][k],
-    same_level[1][k]``; ``guard`` flags the indices on the guard levels.
+    ``components[0][k], components[1][k]`` (in the frame) lands at
+    ``same_level[0][k], same_level[1][k]``.
     """
 
     index: np.ndarray
     level: np.ndarray
-    guard: np.ndarray
     static: np.ndarray
     same_level: tuple[np.ndarray, np.ndarray]
     components: tuple[np.ndarray, np.ndarray]
+    frame: np.ndarray | None = None
 
     def assemble(self, amat: np.ndarray) -> np.ndarray:
-        """``A(mu) (x) Id + static`` on the block, symmetrized to be exactly Hermitian.
-
-        The result is real when ``static`` and ``amat`` are.
-        """
-        if not amat.imag.any():
-            amat = amat.real
-        h = self.static.astype(np.result_type(self.static, amat))
-        h[self.same_level] += amat[self.components]
-        return 0.5 * (h + h.conj().T)
+        """:meth:`BlockStack.assemble` on the stack of this block alone."""
+        return BlockStack.of([self]).assemble(amat)[0]
 
     def real_form(self) -> "OperatorBlock":
         """The block in the first level gauge that makes ``static`` exactly real.
@@ -241,20 +241,69 @@ class OperatorBlock:
         return self
 
 
+@dataclass(frozen=True)
+class BlockStack:
+    """Equal-size :class:`OperatorBlock` s of one frame as ``(b, s, s)`` arrays, for one
+    batched ``eigh``; ``same_level`` gains a leading block index."""
+
+    index: np.ndarray
+    static: np.ndarray
+    same_level: tuple[np.ndarray, np.ndarray, np.ndarray]
+    components: tuple[np.ndarray, np.ndarray]
+    frame: np.ndarray | None
+
+    @classmethod
+    def of(cls, blocks: list[OperatorBlock]) -> "BlockStack":
+        cat = lambda pairs: tuple(map(np.concatenate, zip(*pairs)))  # noqa: E731
+        which = [np.full(len(b.same_level[0]), k) for k, b in enumerate(blocks)]
+        return cls(np.stack([b.index for b in blocks]), np.stack([b.static for b in blocks]),
+                   (np.concatenate(which), *cat(b.same_level for b in blocks)),
+                   cat(b.components for b in blocks), blocks[0].frame)
+
+    def assemble(self, amat: np.ndarray) -> np.ndarray:
+        """``A(mu) (x) Id + static`` on each block, symmetrized to be exactly Hermitian.
+
+        ``amat`` is in the standard frame; the result is real when ``static`` and ``amat`` are.
+        """
+        if self.frame is not None:
+            amat = self.frame.conj().T @ amat @ self.frame
+        if not amat.imag.any():
+            amat = amat.real
+        h = self.static.astype(np.result_type(self.static, amat))
+        h[self.same_level] += amat[self.components]
+        return 0.5 * (h + h.conj().swapaxes(-2, -1))
+
+
+def _charge_operator(symbol: AffineMatrixSymbol, amats: list[np.ndarray]) -> np.ndarray | None:
+    """Minimum-norm (so Hermitian) D with ``[D, K] = -K``, ``[D, K^dag] = K^dag``, ``[D, A] = 0``;
+    None when the least-squares residual exceeds 1e-12 of the largest entry (at least 1)."""
+    k = np.asarray(symbol.x_coeff + 1j * np.asarray(symbol.xi_coeff), dtype=complex)
+    eye, mats = np.eye(len(k)), [k, k.conj().T, *amats]
+    # row-major vec(D m - m D) = (1 (x) m^T - m (x) 1) vec(D)
+    lhs = np.concatenate([np.kron(eye, m.T) - np.kron(m, eye) for m in mats])
+    rhs = np.concatenate([-k.ravel(), k.conj().T.ravel(), np.zeros(k.size * len(amats))])
+    d = np.linalg.lstsq(lhs, rhs, rcond=None)[0].reshape(k.shape)
+    if np.abs(lhs @ d.ravel() - rhs).max() > 1e-12 * max(1.0, *(np.abs(m).max() for m in mats)):
+        return None
+    return 0.5 * (d + d.conj().T)
+
+
 class OperatorPieces:
     """The mu-independent parts of :func:`quantize` for one (symbol, basis).
 
-    ``B (x) xhat + C (x) xihat`` is built once; each ``A(mu)`` then only
-    adds its same-level entries.  With p the level parity, ``A(mu)``
-    couples (component i, p) to (j, p) and ``B``, ``C`` couple (i, p) to
-    (j, 1 - p); the connected components of that graph on 2d nodes split
-    the operator into decoupled blocks (:meth:`blocks`).
+    A block's ``B (x) xhat + C (x) xihat`` is built once; each ``A(mu)`` then
+    only adds its same-level entries.  ``charge`` is the module docstring's
+    ``D`` fitted at ``mu_ends`` (None without them or if none fits); in its
+    eigenbasis each eigenvalue of ``Q`` gives one charge block of at most d
+    indices.  The fallback: with p the level parity, ``A(mu)``
+    couples (i, p) to (j, p) and ``B``, ``C`` couple (i, p) to (j, 1 - p); the
+    connected components of that graph split off the level-parity blocks.
     """
 
-    def __init__(self, symbol: AffineMatrixSymbol, basis: TruncatedBasis):
-        xmat, ximat = position_momentum(basis)
+    def __init__(self, symbol: AffineMatrixSymbol, basis: TruncatedBasis,
+                 mu_ends: tuple[float, ...] = ()):
         self.symbol = symbol
-        self.static = np.kron(symbol.x_coeff, xmat) + np.kron(symbol.xi_coeff, ximat)
+        self._xmat, self._ximat = position_momentum(basis)
         self.component, self.level = np.divmod(np.arange(symbol.dim * basis.size), basis.size)
         self.guard = self.level >= basis.size - basis.guard_levels
         # node 2i + p is component i at level parity p
@@ -265,6 +314,18 @@ class OperatorPieces:
         flips = (flips | flips.T)[np.ix_(node_component, node_component)]
         self._flip_links = (flips & ~self._same_parity) | np.eye(2 * symbol.dim, dtype=bool)
         self._blocks: dict[bytes, list[OperatorBlock]] = {}
+        amats = [self.const(mu) for mu in mu_ends]
+        self.charge = _charge_operator(symbol, amats) if amats else None
+        self._charge_stacks: list[BlockStack] = []
+        if self.charge is not None:
+            delta, frame = np.linalg.eigh(self.charge)
+            # Q = delta + n; a tolerance that merged two values would only join blocks
+            q = delta[self.component] + self.level
+            order = np.argsort(q, kind="stable")
+            cuts = np.flatnonzero(np.diff(q[order]) > 1e-8) + 1
+            blocks = [self.block(np.sort(part), frame) for part in np.split(order, cuts)]
+            self._charge_stacks = [BlockStack.of([b for b in blocks if len(b.index) == n])
+                                   for n in sorted({len(b.index) for b in blocks})]
 
     def const(self, mu: float) -> np.ndarray:
         """``A(mu)``, checked Hermitian."""
@@ -273,13 +334,15 @@ class OperatorPieces:
             raise ModelError(f"const_term({mu}) is not Hermitian")
         return amat
 
-    def block(self, index: np.ndarray) -> OperatorBlock:
-        """The operator on the component-major indices ``index``, standard gauge."""
+    def block(self, index: np.ndarray, frame: np.ndarray | None = None) -> OperatorBlock:
+        """The operator on the component-major indices ``index`` of ``frame``, standard gauge."""
         level, comp = self.level[index], self.component[index]
+        coeffs = [np.asarray(c) if frame is None else frame.conj().T @ c @ frame
+                  for c in (self.symbol.x_coeff, self.symbol.xi_coeff)]
+        pair, levels = np.ix_(comp, comp), np.ix_(level, level)
+        static = coeffs[0][pair] * self._xmat[levels] + coeffs[1][pair] * self._ximat[levels]
         rows, cols = np.nonzero(level[:, None] == level[None, :])
-        return OperatorBlock(index, level, self.guard[index],
-                             self.static[np.ix_(index, index)], (rows, cols),
-                             (comp[rows], comp[cols]))
+        return OperatorBlock(index, level, static, (rows, cols), (comp[rows], comp[cols]), frame)
 
     def blocks(self, amat: np.ndarray) -> list[OperatorBlock]:
         """Level-parity blocks at ``A(mu) = amat``, each in its real form if it has one.
@@ -299,6 +362,15 @@ class OperatorPieces:
             self._blocks[key] = [self.block(np.flatnonzero(label == c)).real_form()
                                  for c in np.unique(label)]
         return self._blocks[key]
+
+    def stacks(self, amat: np.ndarray) -> list[BlockStack]:
+        """The charge blocks stacked by size when ``[charge, amat] = 0`` within
+        1e-12 of the entry scale, else each of :meth:`blocks` as a stack of one."""
+        if self._charge_stacks:
+            scale = max(1.0, np.abs(amat).max()) * max(1.0, np.abs(self.charge).max())
+            if np.abs(self.charge @ amat - amat @ self.charge).max() <= 1e-12 * scale:
+                return self._charge_stacks
+        return [BlockStack.of([b]) for b in self.blocks(amat)]
 
 
 def quantize(

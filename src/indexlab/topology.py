@@ -523,7 +523,8 @@ def chern_section_zeros(
     are the zeros; one within 1e-6 of a zero already found is dropped.  The
     index of each zero is the winding of the section's complex coordinate
     (in the frame of the local band eigenvector) around a circle of
-    ``probe_radius`` traversed positively.
+    ``probe_radius`` traversed positively.  ``s = 0`` at every vertex (``u0 = 0``
+    or orthogonal to the band) raises :class:`ModelError`.
     """
     if field_.rank != 1:
         raise ModelError("section-zero method requires a rank-1 band")
@@ -538,6 +539,8 @@ def chern_section_zeros(
     # away from zero (min above the floor) cost no polish.
     amps = np.abs(np.einsum("vd,d->v", field_.vectors[:, :, 0].conj(), u0))
     threshold = 0.15 * float(np.linalg.norm(u0))
+    if not amps.max() > 1e-10 * threshold:
+        raise ModelError("section P u0 vanishes at every vertex: u0 = 0 or orthogonal to the band")
     order = np.argsort(amps)
     rank = np.argsort(order)  # inverse permutation: rank[order[i]] == i
     cells = field_.grid.cells

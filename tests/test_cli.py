@@ -272,9 +272,10 @@ def test_malformed_scenario_field_is_config_error(tmp_path, capsys, field_, valu
 
 
 def test_unregistered_global_section_rejected_before_any_sweep(tmp_path, capsys, monkeypatch):
-    # normal-form has no registered global section for band 1, and its
-    # symbol is 2x2, so each of these scenarios is rejected when it loads
-    # and verify never starts the flow sweep
+    # normal-form has no registered global section for band 1, its symbol
+    # is 2x2 and has bands "1" and "2" only, and a zero reference vector has
+    # no section zeros to count, so each of these scenarios is rejected when
+    # it loads and verify never starts the flow sweep
     import indexlab.cli as cli
 
     calls = []
@@ -285,6 +286,11 @@ def test_unregistered_global_section_rejected_before_any_sweep(tmp_path, capsys,
         {"zero_refs": {"1": [[0, 0], [1, 0], [0, 0]]}},  # dim 3, not 2
         {"chern_bands": [1, 3]},
         {"chern_bands": [0]},
+        {"zero_refs": {"9": [[0, 0], [1, 0]]}},  # no band 9
+        {"zero_refs": {"1": [[1, 0], [0, 0]], "0": [[1, 0], [0, 0]]}},
+        {"clutch_refs": {"3": "poles"}},
+        {"clutch_refs": {"band1": "poles"}},
+        {"zero_refs": {"1": [[0, 0], [0, 0]]}},  # all-zero reference vector
     ):
         path = write_scenario(tmp_path, "normal-form", **changes)
         assert main(["verify", "--scenario", path, "--grid", "16"]) == 1, changes

@@ -424,3 +424,32 @@ def test_sweep_samples_match_dense_solve_under_invariance_perturbation(monkeypat
     assert {n for mu, n in n_blocks.items() if abs(mu) < 2} == {1}
     assert {n for mu, n in n_blocks.items() if abs(mu) >= 2} == {2}
     assert assert_samples_match_dense_solve(sw, symbol, basis) == []
+
+
+def test_invariance_sweep_solves_charge_blocks_outside_the_bump(monkeypatch):
+    # the charge operator is fitted at the sweep endpoints mu = +-6; the bump
+    # term vanishes for |mu| >= 2, where it still commutes with A(mu), and
+    # breaks the charge symmetry inside, where the parity blocks take over
+    sampled, charged = [], []
+    real_sample, real_stacks = flow._window_sample, OperatorPieces.stacks
+
+    def spy_sample(pieces, window, mu):
+        sampled.append((pieces.symbol.name, mu))
+        return real_sample(pieces, window, mu)
+
+    def spy_stacks(pieces, amat):
+        stacks = real_stacks(pieces, amat)
+        charged.append(all(s.frame is not None for s in stacks))
+        return stacks
+
+    monkeypatch.setattr(flow, "_window_sample", spy_sample)
+    monkeypatch.setattr(OperatorPieces, "stacks", spy_stacks)
+    basis = TruncatedBasis(max_level=30, guard_levels=5)
+    report = flow_invariance_check(matsuno_symbol(), deltas=[0.05], basis=basis,
+                                   window=WINDOW_MAT, mu_min=-6.0, mu_max=6.0, steps=32)
+    assert report.all_valid_match and len(sampled) == len(charged)
+    paths = {}
+    for (name, mu), used_charge in zip(sampled, charged):
+        paths.setdefault((name != "matsuno", abs(mu) < 2), set()).add(used_charge)
+    assert paths == {(False, False): {True}, (False, True): {True},
+                     (True, False): {True}, (True, True): {False}}

@@ -392,3 +392,62 @@ def test_quantize_equals_kron_formula(family):
         expected = 0.5 * (h + h.conj().T)
         got = quantize(symbol, mu, basis).matrix
         assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+#: eigenvalues of the charge operator D of each family in BLOCK_FAMILIES
+CHARGE_SPECTRA = {
+    "normal-form": [-0.5, 0.5],
+    "normal-form-reflected": [-0.5, 0.5],
+    "normal-form-mu-reflected": [-0.5, 0.5],
+    "matsuno-upper": [-1.0, 0.0, 1.0],
+    "matsuno-lower": [-1.0, 0.0, 1.0],
+    "ts2": [-1.0, 0.0, 1.0],
+    "constant": [0.0],
+    "constant-dim3": [0.0, 0.0, 0.0],
+}
+
+
+@pytest.mark.parametrize("family", sorted(BLOCK_FAMILIES))
+def test_charge_operator_spectrum(family):
+    symbol = BLOCK_FAMILIES[family][0]
+    pieces = OperatorPieces(symbol, TruncatedBasis(max_level=12, guard_levels=3), (-2.0, 3.0))
+    d, k = pieces.charge, symbol.x_coeff + 1j * symbol.xi_coeff
+    assert np.abs(np.linalg.eigvalsh(d) - CHARGE_SPECTRA[family]).max() <= 1e-12
+    assert np.abs(d @ k - k @ d + k).max() <= 1e-12
+    if family == "ts2":  # D = +-L1, the generator that A(mu) = mu L1 is made of
+        l1 = symbol.const_term(np.array([1.0]))[0]
+        assert min(np.abs(d - l1).max(), np.abs(d + l1).max()) <= 1e-12
+
+
+def test_charge_blocks_matsuno_sizes():
+    pieces = OperatorPieces(matsuno_symbol(), TruncatedBasis(max_level=60, guard_levels=5),
+                            (-6.0, 6.0))
+    shapes = [s.static.shape for s in pieces.stacks(pieces.const(0.7))]
+    assert shapes == [(2, 1, 1), (2, 2, 2), (59, 3, 3)]
+
+
+def test_no_charge_operator_without_endpoints_or_for_random_symbol(random_affine_symbol):
+    basis = TruncatedBasis(max_level=12, guard_levels=3)
+    assert OperatorPieces(matsuno_symbol(), basis).charge is None
+    pieces = OperatorPieces(random_affine_symbol, basis, (-2.0, 2.0))
+    assert pieces.charge is None
+    # the parity fallback: its one block, as a stack of one in the standard frame
+    (stack,) = pieces.stacks(pieces.const(0.7))
+    assert stack.frame is None and stack.static.shape == (1, 26, 26)
+
+
+@pytest.mark.parametrize("family", sorted(BLOCK_FAMILIES))
+def test_charge_blocks_partition_and_match_dense_spectrum(family):
+    symbol = BLOCK_FAMILIES[family][0]
+    basis = TruncatedBasis(max_level=12, guard_levels=3)
+    pieces = OperatorPieces(symbol, basis, (-2.0, 3.0))
+    for mu in (-2.0, 0.0, 0.7, 3.0):
+        amat = pieces.const(mu)
+        stacks = pieces.stacks(amat)
+        assert all(s.frame is not None for s in stacks)  # charge blocks, no fallback
+        assert max(s.index.shape[1] for s in stacks) <= symbol.dim
+        index = np.concatenate([s.index.ravel() for s in stacks])
+        assert np.array_equal(np.sort(index), np.arange(symbol.dim * basis.size))
+        merged = np.concatenate([np.linalg.eigvalsh(s.assemble(amat)).ravel() for s in stacks])
+        dense = np.linalg.eigvalsh(quantize(symbol, mu, basis).matrix)
+        assert np.abs(np.sort(merged) - dense).max() <= 1e-12

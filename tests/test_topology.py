@@ -487,6 +487,15 @@ def test_zeros_nonvanishing_section(grid32):
     assert rep.C == 0 and rep.zeros == ()
 
 
+@pytest.mark.parametrize("u0", [[0.0, 0.0], [0.0, 1.0]])
+def test_zeros_section_vanishing_everywhere_rejected(grid32, u0):
+    # u0 = 0, and u0 orthogonal to the constant symbol's band-1 vector
+    # (1, 0) at every vertex: the section has no isolated zeros to count
+    fld = BandProjectorField.build(two_level_constant(), [1], grid32)
+    with pytest.raises(ModelError, match="vanishes at every vertex"):
+        chern_section_zeros(fld, u0)
+
+
 def test_zeros_rank2_rejected(grid32):
     fld = BandProjectorField.build(matsuno_symbol(), [1, 2], grid32)
     with pytest.raises(ModelError):
