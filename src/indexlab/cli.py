@@ -127,6 +127,8 @@ class Scenario:
     def __post_init__(self):
         if self.schema != SCHEMA:
             raise ModelError(f"unsupported scenario schema {self.schema!r}")
+        if not isinstance(self.name, str):
+            raise ModelError(f"name must be a string, got {self.name!r}")
         if self.model not in ("normal-form", "matsuno", "ts2", "constant"):
             raise ModelError(f"unknown model {self.model!r}")
         if len(self.window) != 3 or not all(map(_is_number, self.window)):
@@ -220,6 +222,8 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        if not isinstance(data, dict):
+            raise ModelError("scenario must be a JSON object")
         data = dict(data)
         data["window"] = tuple(data.get("window", (-0.9, 0.9, 0.0)))
         data["chern_bands"] = tuple(data.get("chern_bands", ()))

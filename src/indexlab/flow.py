@@ -3,9 +3,9 @@
 A sweep diagonalizes the quantized operator on an adaptively refined mu
 grid, discards truncation artifacts, and records the eigenvalues inside a
 spectral window.  Each sample solves the charge blocks of the operator (the
-level-parity blocks where ``A(mu)`` breaks the charge symmetry fitted at the
-sweep ends; :class:`~indexlab.hermite.OperatorPieces`, built once per sweep),
-one batched ``eigh`` per stack of equal-size blocks.  The flow through the
+whole operator where ``A(mu)`` breaks the charge symmetry fitted at the sweep
+ends; :class:`~indexlab.hermite.OperatorPieces`, built once per sweep), one
+batched ``eigh`` per stack of equal-size blocks.  The flow through the
 reference level is counted two independent ways -- a counting-function
 difference between the sweep endpoints and a signed tally of tracked branch
 crossings -- and the two must agree exactly.

@@ -14,14 +14,15 @@ The operator is ``A(mu) (x) 1 + s (K (x) a^dag + K^dag (x) a)``, ``K = B + iC``,
 (``[n, a^dag] = a^dag`` holds): its Q-eigenspaces are the charge blocks.
 
 All functions here are pure; returned arrays are freshly allocated and safe
-to share between threads.  An :class:`OperatorPieces` keeps the blocks it has
-built (the charge blocks, and one list per zero pattern of ``A(mu)``).
+to share between threads.  An :class:`OperatorPieces` keeps the stacks it has
+built: the charge blocks, and the whole operator where ``D`` does not fit or
+does not commute with ``A(mu)``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -32,7 +33,6 @@ __all__ = [
     "TruncatedBasis",
     "AffineMatrixSymbol",
     "TruncatedOperator",
-    "OperatorBlock",
     "BlockStack",
     "OperatorPieces",
     "ladder_matrices",
@@ -201,50 +201,15 @@ def position_momentum(basis: TruncatedBasis) -> tuple[np.ndarray, np.ndarray]:
     return xmat, ximat
 
 
-#: Level gauge phase ``i^n`` of level n, indexed by ``n % 4``; exact in IEEE arithmetic.
-_LEVEL_PHASES = np.array([1, 1j, -1, -1j])
-
-
-@dataclass(frozen=True)
-class OperatorBlock:
-    """The quantized operator on one set of component-major indices.
-
-    Component k is column k of ``frame`` (the standard basis when None).
-    ``static`` is ``B (x) xhat + C (x) xihat`` on ``index``, in the level
-    gauge of :meth:`real_form` when one was applied.  ``A(mu)`` entry
-    ``components[0][k], components[1][k]`` (in the frame) lands at
-    ``same_level[0][k], same_level[1][k]``.
-    """
-
-    index: np.ndarray
-    level: np.ndarray
-    static: np.ndarray
-    same_level: tuple[np.ndarray, np.ndarray]
-    components: tuple[np.ndarray, np.ndarray]
-    frame: np.ndarray | None = None
-
-    def assemble(self, amat: np.ndarray) -> np.ndarray:
-        """:meth:`BlockStack.assemble` on the stack of this block alone."""
-        return BlockStack.of([self]).assemble(amat)[0]
-
-    def real_form(self) -> "OperatorBlock":
-        """The block in the first level gauge that makes ``static`` exactly real.
-
-        The gauges are the identity and ``i^n`` on level n of every
-        component.  ``A(mu) (x) Id``, the eigenvalues and ``|v|^2`` do not
-        depend on the gauge.  Returns ``self`` when neither gauge works.
-        """
-        for phase in (np.ones(len(self.level)), _LEVEL_PHASES[self.level % 4]):
-            gauged = phase.conj()[:, None] * self.static * phase
-            if not gauged.imag.any():
-                return dataclasses.replace(self, static=gauged.real.copy())
-        return self
-
-
 @dataclass(frozen=True)
 class BlockStack:
-    """Equal-size :class:`OperatorBlock` s of one frame as ``(b, s, s)`` arrays, for one
-    batched ``eigh``; ``same_level`` gains a leading block index."""
+    """The quantized operator on each row of a ``(b, s)`` index array, as ``(b, s, s)`` arrays.
+
+    Indices are component-major; component c is column c of ``frame`` (the
+    standard basis when None).  ``static`` is ``B (x) xhat + C (x) xihat`` on
+    each row; ``A(mu)`` entry ``components[0][t], components[1][t]`` (in the
+    frame) lands at block, row, column ``same_level[0..2][t]``.
+    """
 
     index: np.ndarray
     static: np.ndarray
@@ -252,24 +217,14 @@ class BlockStack:
     components: tuple[np.ndarray, np.ndarray]
     frame: np.ndarray | None
 
-    @classmethod
-    def of(cls, blocks: list[OperatorBlock]) -> "BlockStack":
-        cat = lambda pairs: tuple(map(np.concatenate, zip(*pairs)))  # noqa: E731
-        which = [np.full(len(b.same_level[0]), k) for k, b in enumerate(blocks)]
-        return cls(np.stack([b.index for b in blocks]), np.stack([b.static for b in blocks]),
-                   (np.concatenate(which), *cat(b.same_level for b in blocks)),
-                   cat(b.components for b in blocks), blocks[0].frame)
-
     def assemble(self, amat: np.ndarray) -> np.ndarray:
         """``A(mu) (x) Id + static`` on each block, symmetrized to be exactly Hermitian.
 
-        ``amat`` is in the standard frame; the result is real when ``static`` and ``amat`` are.
+        ``amat`` is in the standard frame.
         """
         if self.frame is not None:
             amat = self.frame.conj().T @ amat @ self.frame
-        if not amat.imag.any():
-            amat = amat.real
-        h = self.static.astype(np.result_type(self.static, amat))
+        h = self.static.copy()
         h[self.same_level] += amat[self.components]
         return 0.5 * (h + h.conj().swapaxes(-2, -1))
 
@@ -291,13 +246,11 @@ def _charge_operator(symbol: AffineMatrixSymbol, amats: list[np.ndarray]) -> np.
 class OperatorPieces:
     """The mu-independent parts of :func:`quantize` for one (symbol, basis).
 
-    A block's ``B (x) xhat + C (x) xihat`` is built once; each ``A(mu)`` then
+    A stack's ``B (x) xhat + C (x) xihat`` is built once; each ``A(mu)`` then
     only adds its same-level entries.  ``charge`` is the module docstring's
     ``D`` fitted at ``mu_ends`` (None without them or if none fits); in its
     eigenbasis each eigenvalue of ``Q`` gives one charge block of at most d
-    indices.  The fallback: with p the level parity, ``A(mu)``
-    couples (i, p) to (j, p) and ``B``, ``C`` couple (i, p) to (j, 1 - p); the
-    connected components of that graph split off the level-parity blocks.
+    indices.  Without charge blocks the one block is the whole operator.
     """
 
     def __init__(self, symbol: AffineMatrixSymbol, basis: TruncatedBasis,
@@ -306,14 +259,6 @@ class OperatorPieces:
         self._xmat, self._ximat = position_momentum(basis)
         self.component, self.level = np.divmod(np.arange(symbol.dim * basis.size), basis.size)
         self.guard = self.level >= basis.size - basis.guard_levels
-        # node 2i + p is component i at level parity p
-        node_component, node_parity = np.divmod(np.arange(2 * symbol.dim), 2)
-        self._node_component = node_component
-        self._same_parity = node_parity[:, None] == node_parity[None, :]
-        flips = (symbol.x_coeff != 0) | (symbol.xi_coeff != 0)
-        flips = (flips | flips.T)[np.ix_(node_component, node_component)]
-        self._flip_links = (flips & ~self._same_parity) | np.eye(2 * symbol.dim, dtype=bool)
-        self._blocks: dict[bytes, list[OperatorBlock]] = {}
         amats = [self.const(mu) for mu in mu_ends]
         self.charge = _charge_operator(symbol, amats) if amats else None
         self._charge_stacks: list[BlockStack] = []
@@ -323,9 +268,9 @@ class OperatorPieces:
             q = delta[self.component] + self.level
             order = np.argsort(q, kind="stable")
             cuts = np.flatnonzero(np.diff(q[order]) > 1e-8) + 1
-            blocks = [self.block(np.sort(part), frame) for part in np.split(order, cuts)]
-            self._charge_stacks = [BlockStack.of([b for b in blocks if len(b.index) == n])
-                                   for n in sorted({len(b.index) for b in blocks})]
+            parts = [np.sort(p) for p in np.split(order, cuts)]
+            self._charge_stacks = [self.stack(np.array([p for p in parts if len(p) == n]), frame)
+                                   for n in sorted({len(p) for p in parts})]
 
     def const(self, mu: float) -> np.ndarray:
         """``A(mu)``, checked Hermitian."""
@@ -334,43 +279,31 @@ class OperatorPieces:
             raise ModelError(f"const_term({mu}) is not Hermitian")
         return amat
 
-    def block(self, index: np.ndarray, frame: np.ndarray | None = None) -> OperatorBlock:
-        """The operator on the component-major indices ``index`` of ``frame``, standard gauge."""
+    def stack(self, index: np.ndarray, frame: np.ndarray | None = None) -> BlockStack:
+        """The operator on each row of the ``(b, s)`` component-major ``index`` of ``frame``."""
         level, comp = self.level[index], self.component[index]
         coeffs = [np.asarray(c) if frame is None else frame.conj().T @ c @ frame
                   for c in (self.symbol.x_coeff, self.symbol.xi_coeff)]
-        pair, levels = np.ix_(comp, comp), np.ix_(level, level)
+        pair = (comp[:, :, None], comp[:, None, :])
+        levels = (level[:, :, None], level[:, None, :])
         static = coeffs[0][pair] * self._xmat[levels] + coeffs[1][pair] * self._ximat[levels]
-        rows, cols = np.nonzero(level[:, None] == level[None, :])
-        return OperatorBlock(index, level, static, (rows, cols), (comp[rows], comp[cols]), frame)
+        which, rows, cols = np.nonzero(levels[0] == levels[1])
+        return BlockStack(index, static, (which, rows, cols),
+                          (comp[which, rows], comp[which, cols]), frame)
 
-    def blocks(self, amat: np.ndarray) -> list[OperatorBlock]:
-        """Level-parity blocks at ``A(mu) = amat``, each in its real form if it has one.
-
-        The partition follows the exact zero pattern of ``amat`` and is
-        built once per pattern.
-        """
-        same = (amat != 0) | (amat.T != 0)
-        nodes = self._node_component
-        reach = (same[np.ix_(nodes, nodes)] & self._same_parity) | self._flip_links
-        while not np.array_equal(grown := reach @ reach, reach):
-            reach = grown
-        first = reach.argmax(axis=1)  # lowest node of each node's component
-        key = first.tobytes()
-        if key not in self._blocks:
-            label = first[2 * self.component + self.level % 2]
-            self._blocks[key] = [self.block(np.flatnonzero(label == c)).real_form()
-                                 for c in np.unique(label)]
-        return self._blocks[key]
+    @cached_property
+    def whole(self) -> BlockStack:
+        """The whole operator as a stack of one, in the standard frame."""
+        return self.stack(np.arange(len(self.level))[None])
 
     def stacks(self, amat: np.ndarray) -> list[BlockStack]:
         """The charge blocks stacked by size when ``[charge, amat] = 0`` within
-        1e-12 of the entry scale, else each of :meth:`blocks` as a stack of one."""
+        1e-12 of the entry scale, else ``[whole]``."""
         if self._charge_stacks:
             scale = max(1.0, np.abs(amat).max()) * max(1.0, np.abs(self.charge).max())
             if np.abs(self.charge @ amat - amat @ self.charge).max() <= 1e-12 * scale:
                 return self._charge_stacks
-        return [BlockStack.of([b]) for b in self.blocks(amat)]
+        return [self.whole]
 
 
 def quantize(
@@ -383,10 +316,8 @@ def quantize(
     made exactly Hermitian by symmetrization (exact in IEEE arithmetic).
     """
     pieces = OperatorPieces(symbol, basis)
-    amat = pieces.const(mu)
-    matrix = pieces.block(np.arange(len(pieces.level))).assemble(amat)
-    return TruncatedOperator(matrix=np.asarray(matrix, dtype=complex), basis=basis,
-                            dim=symbol.dim)
+    matrix = pieces.whole.assemble(pieces.const(mu))[0]
+    return TruncatedOperator(matrix=matrix, basis=basis, dim=symbol.dim)
 
 
 def spurious_weight(operator: TruncatedOperator, eigenvector: np.ndarray) -> float:

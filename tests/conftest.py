@@ -29,8 +29,8 @@ def rng():
 def random_affine_symbol():
     """Normal form plus a random complex Hermitian on each of A0, A1, B and C.
 
-    Every coefficient entry is nonzero and complex, so the level-parity
-    graph is connected (one block) and no level gauge makes it real.
+    Every coefficient entry is nonzero and complex, so no charge operator
+    fits and the flow sweep solves the whole operator at every sample.
     """
     from indexlab.hermite import AffineMatrixSymbol
     from indexlab.models import normal_form_symbol

@@ -242,8 +242,8 @@ def test_run_verify_reflected_normal_form():
     assert result.passed
 
 
-def write_scenario(tmp_path, name, **changes):
-    data = {**load_preset(name).to_dict(), **changes}
+def write_scenario(tmp_path, preset, **changes):
+    data = {**load_preset(preset).to_dict(), **changes}
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(data))
     return str(path)
@@ -263,12 +263,21 @@ def write_scenario(tmp_path, name, **changes):
         ("zero_refs", [1]),
         ("clutch_refs", [1]),
         ("clutch_refs", {"2": 5}),
+        ("name", 5),
     ],
 )
 def test_malformed_scenario_field_is_config_error(tmp_path, capsys, field_, value):
     path = write_scenario(tmp_path, "normal-form", **{field_: value})
     assert main(["flow", "--scenario", path]) == 1
     assert "indexlab: scenario error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ['"ab"', "[1]", "5", "null"])
+def test_scenario_that_is_not_a_json_object_is_config_error(tmp_path, capsys, text):
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    assert main(["flow", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("indexlab: scenario error:")
 
 
 def test_unregistered_global_section_rejected_before_any_sweep(tmp_path, capsys, monkeypatch):

@@ -397,15 +397,16 @@ def test_sweep_samples_match_dense_complex_solve(case):
 
 def test_sweep_samples_match_dense_solve_random_complex_symbol(random_affine_symbol):
     basis = nf_basis(16)
-    pieces = OperatorPieces(random_affine_symbol, basis)
-    assert len(pieces.blocks(pieces.const(0.0))) == 1
+    pieces = OperatorPieces(random_affine_symbol, basis, (-2.0, 2.0))
+    (stack,) = pieces.stacks(pieces.const(0.0))
+    assert stack is pieces.whole and stack.frame is None
     sw = sweep(random_affine_symbol, basis, WINDOW_NF, -2.0, 2.0, 32)
     assert assert_samples_match_dense_solve(sw, random_affine_symbol, basis) == []
 
 
 def test_sweep_samples_match_dense_solve_under_invariance_perturbation(monkeypatch):
     # the bump term is a dense Hermitian for |mu| < 2 and exactly 0 beyond,
-    # so the two matsuno blocks merge into one inside and split outside
+    # so the sweep solves the whole operator inside and charge blocks outside
     swept = []
     real_sweep = flow.sweep
 
@@ -419,17 +420,18 @@ def test_sweep_samples_match_dense_solve_under_invariance_perturbation(monkeypat
                                    window=WINDOW_MAT, mu_min=-6.0, mu_max=6.0, steps=32)
     assert report.all_valid_match and len(swept) == 2
     symbol, basis, sw = swept[1]
-    pieces = OperatorPieces(symbol, basis)
-    n_blocks = {s.mu: len(pieces.blocks(pieces.const(s.mu))) for s in sw.samples}
-    assert {n for mu, n in n_blocks.items() if abs(mu) < 2} == {1}
-    assert {n for mu, n in n_blocks.items() if abs(mu) >= 2} == {2}
+    pieces = OperatorPieces(symbol, basis, (-6.0, 6.0))
+    stacks = {s.mu: pieces.stacks(pieces.const(s.mu)) for s in sw.samples}
+    assert all(len(st) == 1 and st[0] is pieces.whole and st[0].frame is None
+               for mu, st in stacks.items() if abs(mu) < 2)
+    assert all(all(s.frame is not None for s in st) for mu, st in stacks.items() if abs(mu) >= 2)
     assert assert_samples_match_dense_solve(sw, symbol, basis) == []
 
 
 def test_invariance_sweep_solves_charge_blocks_outside_the_bump(monkeypatch):
     # the charge operator is fitted at the sweep endpoints mu = +-6; the bump
     # term vanishes for |mu| >= 2, where it still commutes with A(mu), and
-    # breaks the charge symmetry inside, where the parity blocks take over
+    # breaks the charge symmetry inside, where the whole operator takes over
     sampled, charged = [], []
     real_sample, real_stacks = flow._window_sample, OperatorPieces.stacks
 

@@ -290,61 +290,28 @@ def test_gap_certificate_sampled_shell():
     assert cert.lower_margin > 0 and cert.upper_margin > 0
 
 
-#: (symbol, number of level-parity blocks, whether every block has a real form)
+#: closed-form families, by name, for the block and quantize tests
 BLOCK_FAMILIES = {
-    "normal-form": (normal_form_symbol(), 2, True),
-    "normal-form-reflected": (normal_form_symbol(reflected=True), 2, True),
-    "normal-form-mu-reflected": (mu_reflected(normal_form_symbol()), 2, True),
-    "matsuno-upper": (matsuno_symbol(2), 2, True),
-    "matsuno-lower": (matsuno_symbol(1), 2, True),
-    "ts2": (ts2_symbol(), 2, False),
-    "constant": (constant_symbol(), 2, True),
-    "constant-dim3": (constant_symbol(2.0, 3), 6, True),
+    "normal-form": normal_form_symbol(),
+    "normal-form-reflected": normal_form_symbol(reflected=True),
+    "normal-form-mu-reflected": mu_reflected(normal_form_symbol()),
+    "matsuno-upper": matsuno_symbol(2),
+    "matsuno-lower": matsuno_symbol(1),
+    "ts2": ts2_symbol(),
+    "constant": constant_symbol(),
+    "constant-dim3": constant_symbol(2.0, 3),
 }
 
 
-def assert_blocks_partition_and_decouple(symbol, basis, mus):
-    """Blocks cover every index once; quantize has exact zeros between blocks."""
-    pieces = OperatorPieces(symbol, basis)
-    for mu in mus:
-        h = quantize(symbol, mu, basis).matrix
-        blocks = pieces.blocks(pieces.const(mu))
-        label = np.full(len(h), -1)
-        for k, block in enumerate(blocks):
-            assert np.all(label[block.index] == -1)
-            label[block.index] = k
-        assert np.all(label >= 0)
-        assert np.all(h[label[:, None] != label[None, :]] == 0)
-        yield blocks
-
-
-@pytest.mark.parametrize("family", sorted(BLOCK_FAMILIES))
-def test_parity_blocks_partition_closed_form_families(family):
-    symbol, n_blocks, real = BLOCK_FAMILIES[family]
-    basis = TruncatedBasis(max_level=12, guard_levels=3)
-    for blocks in assert_blocks_partition_and_decouple(symbol, basis, (-2.0, 0.0, 0.7, 3.0)):
-        assert len(blocks) == n_blocks
-        assert all((b.static.dtype.kind == "f") == real for b in blocks)
-
-
-def test_parity_blocks_matsuno_sizes():
-    basis = TruncatedBasis(max_level=60, guard_levels=5)
-    pieces = OperatorPieces(matsuno_symbol(), basis)
-    sizes = [len(b.index) for b in pieces.blocks(pieces.const(0.7))]
-    assert sizes == [92, 91]
-
-
-def test_parity_blocks_random_complex_symbol_is_one_block(random_affine_symbol):
-    basis = TruncatedBasis(max_level=12, guard_levels=3)
-    for blocks in assert_blocks_partition_and_decouple(
-            random_affine_symbol, basis, (-2.0, 0.0, 0.7)):
-        assert len(blocks) == 1
-        assert blocks[0].static.dtype.kind == "c"
+def merged_eigenvalues(stacks, amat):
+    """Ascending eigenvalues of every block of ``stacks`` at ``A(mu) = amat``."""
+    return np.sort(np.concatenate([np.linalg.eigvalsh(s.assemble(amat)).ravel() for s in stacks]))
 
 
 def test_parity_blocks_follow_the_zero_pattern_of_each_const_term():
-    # A(mu) couples components 1 and 2 only for mu > 0, which joins the
-    # two matsuno blocks into one
+    # A(mu) couples components 0 and 2 only for mu > 0, which breaks the
+    # charge symmetry fitted at mu = -1 and -0.5, so for mu > 0 the one
+    # block is the whole operator
     base = matsuno_symbol()
     link = np.zeros((3, 3), dtype=complex)
     link[0, 2] = link[2, 0] = 1.0
@@ -356,33 +323,23 @@ def test_parity_blocks_follow_the_zero_pattern_of_each_const_term():
         gap_band=2, gap_constant=0.45, name="switched",
     )
     basis = TruncatedBasis(max_level=12, guard_levels=3)
-    counts = [len(blocks) for blocks in
-              assert_blocks_partition_and_decouple(sym, basis, (-1.0, 0.5, -0.5, 1.0))]
-    assert counts == [2, 1, 2, 1]
-
-
-@pytest.mark.parametrize("symbol,level_gauge", [(normal_form_symbol(), False),
-                                                (matsuno_symbol(), True)])
-def test_block_assembly_matches_quantize_in_real_gauge(symbol, level_gauge):
-    # each block is quantize's block conjugated by the identity (normal form)
-    # or by i^n on level n (matsuno); the phases are exact, so is the match
-    basis = TruncatedBasis(max_level=12, guard_levels=3)
-    pieces = OperatorPieces(symbol, basis)
-    amat = pieces.const(0.7)
-    h = quantize(symbol, 0.7, basis).matrix
-    for block in pieces.blocks(amat):
-        phase = np.array([1, 1j, -1, -1j])[block.level % 4] if level_gauge else 1.0
-        gauged = np.conj(phase)[..., None] * h[np.ix_(block.index, block.index)] * phase
-        assert not gauged.imag.any()
-        assert block.assemble(amat).dtype.kind == "f"
-        assert np.array_equal(block.assemble(amat), gauged.real)
+    pieces = OperatorPieces(sym, basis, (-1.0, -0.5))
+    for mu in (-1.0, 0.5, -0.5, 1.0):
+        amat = pieces.const(mu)
+        stacks = pieces.stacks(amat)
+        if mu < 0:
+            assert all(s.frame is not None for s in stacks)
+        else:
+            assert len(stacks) == 1 and stacks[0].frame is None
+        dense = np.linalg.eigvalsh(quantize(sym, mu, basis).matrix)
+        assert np.abs(merged_eigenvalues(stacks, amat) - dense).max() <= 1e-12
 
 
 @pytest.mark.parametrize("family", sorted(BLOCK_FAMILIES))
 def test_quantize_equals_kron_formula(family):
     # quantize goes through the block assembly; the written-out Kronecker
     # sum must come out identical, dtype and component-major order included
-    symbol = BLOCK_FAMILIES[family][0]
+    symbol = BLOCK_FAMILIES[family]
     basis = TruncatedBasis(max_level=12, guard_levels=3)
     xmat, ximat = position_momentum(basis)
     for mu in (-2.0, 0.0, 0.7, 3.0):
@@ -409,7 +366,7 @@ CHARGE_SPECTRA = {
 
 @pytest.mark.parametrize("family", sorted(BLOCK_FAMILIES))
 def test_charge_operator_spectrum(family):
-    symbol = BLOCK_FAMILIES[family][0]
+    symbol = BLOCK_FAMILIES[family]
     pieces = OperatorPieces(symbol, TruncatedBasis(max_level=12, guard_levels=3), (-2.0, 3.0))
     d, k = pieces.charge, symbol.x_coeff + 1j * symbol.xi_coeff
     assert np.abs(np.linalg.eigvalsh(d) - CHARGE_SPECTRA[family]).max() <= 1e-12
@@ -431,14 +388,17 @@ def test_no_charge_operator_without_endpoints_or_for_random_symbol(random_affine
     assert OperatorPieces(matsuno_symbol(), basis).charge is None
     pieces = OperatorPieces(random_affine_symbol, basis, (-2.0, 2.0))
     assert pieces.charge is None
-    # the parity fallback: its one block, as a stack of one in the standard frame
+    # the fallback: the whole operator, as a stack of one in the standard frame,
+    # assembled exactly as quantize assembles it
     (stack,) = pieces.stacks(pieces.const(0.7))
     assert stack.frame is None and stack.static.shape == (1, 26, 26)
+    assert (stack.assemble(pieces.const(0.7))[0].tobytes()
+            == quantize(random_affine_symbol, 0.7, basis).matrix.tobytes())
 
 
 @pytest.mark.parametrize("family", sorted(BLOCK_FAMILIES))
 def test_charge_blocks_partition_and_match_dense_spectrum(family):
-    symbol = BLOCK_FAMILIES[family][0]
+    symbol = BLOCK_FAMILIES[family]
     basis = TruncatedBasis(max_level=12, guard_levels=3)
     pieces = OperatorPieces(symbol, basis, (-2.0, 3.0))
     for mu in (-2.0, 0.0, 0.7, 3.0):
@@ -448,6 +408,5 @@ def test_charge_blocks_partition_and_match_dense_spectrum(family):
         assert max(s.index.shape[1] for s in stacks) <= symbol.dim
         index = np.concatenate([s.index.ravel() for s in stacks])
         assert np.array_equal(np.sort(index), np.arange(symbol.dim * basis.size))
-        merged = np.concatenate([np.linalg.eigvalsh(s.assemble(amat)).ravel() for s in stacks])
         dense = np.linalg.eigvalsh(quantize(symbol, mu, basis).matrix)
-        assert np.abs(np.sort(merged) - dense).max() <= 1e-12
+        assert np.abs(merged_eigenvalues(stacks, amat) - dense).max() <= 1e-12
