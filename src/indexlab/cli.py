@@ -145,6 +145,11 @@ class Scenario:
         for key, value in self.model_params.items():
             if not _PARAM_CHECKS.get(key, lambda v: True)(value):
                 raise ModelError(f"model_params[{key!r}] has the wrong type: {value!r}")
+        for name, least in (("branch_table_levels", 0), ("grid_n", 16),
+                            ("equator_samples", 16), ("steps", 16)):
+            if getattr(self, name) < least:
+                raise ModelError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
+        self.basis()
         dim = self.symbol().dim
         for name in ("zero_refs", "clutch_refs"):
             if stray := sorted(set(getattr(self, name)) - {str(b) for b in range(1, dim + 1)}):
@@ -485,10 +490,17 @@ def run_verify(scenario: Scenario) -> tuple[VerificationReport, dict]:
     """Compute the flow and the sub-gap bundle index; PASS iff they agree.
 
     The bundle below the tracked gap is bands ``1..gap_band``; its index is
-    computed with the determinant-overlap curvature method (rank >= 2 safe).
-    A scenario with no band below the gap has index 0 by convention.  The
-    sub-gap group and the ``chern_bands`` reports share one grid eigensolve,
-    made only if one of them needs it.
+    computed with the determinant-overlap curvature method (rank >= 2 safe)
+    on whichever of bands ``1..gap_band`` and ``gap_band+1..d`` has fewer
+    bands, the sub-gap group on a tie.  The two bundles sum to the trivial
+    ``C^d``, so the complement's index is minus the sub-gap one, and so is
+    each of its cell phases modulo 2 pi: the d x d frame overlap of a link
+    is unitary, so the determinant of its sub-gap block is its own
+    determinant times the conjugate of the complement block's, and the
+    full determinants multiply to 1 around every cell.  A scenario with no
+    band below the gap has index 0 by convention.  The sub-gap group and the
+    ``chern_bands`` reports share one grid eigensolve, made only if one of
+    them needs it.
     """
     t0 = time.monotonic()
     symbol = scenario.symbol()
@@ -498,7 +510,12 @@ def run_verify(scenario: Scenario) -> tuple[VerificationReport, dict]:
     subgap_bands = list(range(1, symbol.gap_band + 1))
     if subgap_bands or scenario.chern_bands:
         spectrum = SphereSpectrum.build(symbol, SphereGrid.build(scenario.grid_n))
-    if subgap_bands:
+    upper_bands = list(range(symbol.gap_band + 1, symbol.dim + 1))
+    if 0 < len(upper_bands) < len(subgap_bands):
+        upper_report = chern_curvature(spectrum.field(upper_bands))
+        # 0.0 - keeps a zero raw value +0.0
+        subgap_c, subgap_raw = -upper_report.C, 0.0 - upper_report.raw_value
+    elif subgap_bands:
         subgap_report = chern_curvature(spectrum.field(subgap_bands))
         subgap_c, subgap_raw = subgap_report.C, subgap_report.raw_value
     else:

@@ -229,6 +229,12 @@ class BlockStack:
         return 0.5 * (h + h.conj().swapaxes(-2, -1))
 
 
+def _commutes(charge: np.ndarray, amats: np.ndarray) -> np.ndarray:
+    """Per-matrix ``[charge, A] = 0`` of a ``(..., d, d)`` stack, within 1e-12 of the entry scale."""
+    scale = np.maximum(1.0, np.abs(amats).max(axis=(-2, -1))) * max(1.0, np.abs(charge).max())
+    return np.abs(charge @ amats - amats @ charge).max(axis=(-2, -1)) <= 1e-12 * scale
+
+
 def _charge_operator(symbol: AffineMatrixSymbol, amats: list[np.ndarray]) -> np.ndarray | None:
     """Minimum-norm (so Hermitian) D with ``[D, K] = -K``, ``[D, K^dag] = K^dag``, ``[D, A] = 0``;
     None when the least-squares residual exceeds 1e-12 of the largest entry (at least 1)."""
@@ -299,10 +305,8 @@ class OperatorPieces:
     def stacks(self, amat: np.ndarray) -> list[BlockStack]:
         """The charge blocks stacked by size when ``[charge, amat] = 0`` within
         1e-12 of the entry scale, else ``[whole]``."""
-        if self._charge_stacks:
-            scale = max(1.0, np.abs(amat).max()) * max(1.0, np.abs(self.charge).max())
-            if np.abs(self.charge @ amat - amat @ self.charge).max() <= 1e-12 * scale:
-                return self._charge_stacks
+        if self._charge_stacks and _commutes(self.charge, amat):
+            return self._charge_stacks
         return [self.whole]
 
 
@@ -363,6 +367,15 @@ def sampled_gap_certificate(
     at each, band ``gap_band`` must lie below ``gap_center - gap_constant``
     and band ``gap_band + 1`` above ``gap_center + gap_constant``.
 
+    The spectrum is solved once per charge orbit when it can be: if the
+    charge operator ``D`` of :class:`OperatorPieces`, fitted at the smallest
+    and largest sampled mu, commutes with ``A(mu)`` at every sampled mu, then
+    ``exp(i t D) H(mu, x, xi) exp(-i t D)`` is ``H`` with ``x + i xi``
+    turned by ``e^{it}``, so the eigenvalues depend on ``(mu, |x + i xi|)``
+    only.  Each distinct ``(mu, hypot(x, xi))`` is then solved at
+    ``(mu, hypot(x, xi), 0)`` and shared by its orbit; without a fitting
+    ``D``, or if some sampled ``A(mu)`` breaks it, every point is solved.
+
     With ``strict=True`` a violation raises :class:`GapCertificateError`.
     """
     lo, hi = shell
@@ -371,7 +384,16 @@ def sampled_gap_certificate(
     norms = np.linalg.norm(pts, axis=1)
     keep = (norms >= lo) & (norms <= hi) & (np.abs(pts[:, 0]) <= mu_max)
     pts = pts[keep]
-    eigs = np.linalg.eigvalsh(symbol.evaluate_many(pts))
+    # complex keys sort by mu first, so orbits[0] and orbits[-1] hold the end values of mu
+    orbits, inverse = np.unique(pts[:, 0] + 1j * np.hypot(pts[:, 1], pts[:, 2]),
+                                return_inverse=True)
+    amats = symbol._const_stack(orbits.real)
+    charge = _charge_operator(symbol, [amats[0], amats[-1]])
+    if charge is not None and _commutes(charge, amats).all():
+        radial = np.stack((orbits.real, orbits.imag, np.zeros(len(orbits))), axis=1)
+        eigs = np.linalg.eigvalsh(symbol.evaluate_many(radial))[inverse]
+    else:
+        eigs = np.linalg.eigvalsh(symbol.evaluate_many(pts))
     r = symbol.gap_band
     lower = np.full(len(pts), np.inf)
     upper = np.full(len(pts), np.inf)

@@ -75,21 +75,23 @@ class SphereGrid:
             raise ModelError("sphere grid needs N >= 16 cells per face edge")
         n = n_per_face
         ticks = np.linspace(-1.0, 1.0, n + 1)
-        cube = np.empty((6, n + 1, n + 1, 3))
+        # cube points as tick indices 0..n per axis; distinct ticks are distinct
+        # floats, so equal indices are exactly the equal points
+        cube = np.empty((6, n + 1, n + 1, 3), dtype=np.intp)
         for f, (k, s, au, av) in enumerate(_FACES):
-            cube[f, :, :, k] = float(s)
-            cube[f, :, :, au] = ticks[:, None]
-            cube[f, :, :, av] = ticks[None, :]
-        # "+ 0.0" maps -0.0 to 0.0 so that equal points compare equal
-        flat = cube.reshape(-1, 3) + 0.0
-        _, first, inverse = np.unique(flat, axis=0, return_index=True, return_inverse=True)
+            cube[f, :, :, k] = n if s > 0 else 0
+            cube[f, :, :, au] = np.arange(n + 1)[:, None]
+            cube[f, :, :, av] = np.arange(n + 1)[None, :]
+        index = cube.reshape(-1, 3)
+        keys = (index[:, 0] * (n + 1) + index[:, 1]) * (n + 1) + index[:, 2]
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         order = np.argsort(first)  # unique points in order of first occurrence
-        face = np.argsort(order)[inverse.reshape(-1)].reshape(6, n + 1, n + 1)
+        face = np.argsort(order)[inverse].reshape(6, n + 1, n + 1)
         cells = np.stack(
             (face[:, :-1, :-1], face[:, 1:, :-1], face[:, 1:, 1:], face[:, :-1, 1:]),
             axis=-1,
         ).reshape(-1, 4)
-        pts = flat[first[order]]
+        pts = ticks[index[first[order]]]
         pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
         return cls(n_per_face=n, vertices=pts, cells=cells)
 

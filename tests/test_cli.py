@@ -223,6 +223,26 @@ def test_run_verify_objects_directly():
     assert payload["verdict"] == "PASS"
 
 
+@pytest.mark.parametrize("preset", ["matsuno-upper-gap", "ts2"])
+def test_run_verify_takes_the_subgap_index_from_the_rank_1_complement(monkeypatch, preset):
+    # bands 1..2 lie below the gap and band 3 above: verify computes the
+    # curvature of band 3 alone and negates it
+    import indexlab.cli as cli
+    from indexlab.topology import SphereGrid, SphereSpectrum, chern_curvature
+
+    ranks = []
+    monkeypatch.setattr(cli, "chern_curvature",
+                        lambda fld, *a: ranks.append(fld.rank) or chern_curvature(fld, *a))
+    scenario = load_preset(preset)
+    result, payload = run_verify(scenario)
+    assert ranks and set(ranks) == {1}
+    direct = chern_curvature(
+        SphereSpectrum.build(scenario.symbol(), SphereGrid.build(scenario.grid_n)).field([1, 2]))
+    assert payload["chern"]["subgap_bands"] == [1, 2]
+    assert result.subgap_chern == direct.C and result.passed
+    assert abs(result.subgap_raw - direct.raw_value) <= 1e-12
+
+
 def test_run_verify_reflected_normal_form():
     scenario = Scenario(
         name="normal-form-reflected",
@@ -282,9 +302,10 @@ def test_scenario_that_is_not_a_json_object_is_config_error(tmp_path, capsys, te
 
 def test_unregistered_global_section_rejected_before_any_sweep(tmp_path, capsys, monkeypatch):
     # normal-form has no registered global section for band 1, its symbol
-    # is 2x2 and has bands "1" and "2" only, and a zero reference vector has
-    # no section zeros to count, so each of these scenarios is rejected when
-    # it loads and verify never starts the flow sweep
+    # is 2x2 and has bands "1" and "2" only, a zero reference vector has
+    # no section zeros to count, and the integer fields have lower bounds
+    # (the Hermite basis is built at load too), so each of these scenarios
+    # is rejected when it loads and verify never starts the flow sweep
     import indexlab.cli as cli
 
     calls = []
@@ -300,9 +321,21 @@ def test_unregistered_global_section_rejected_before_any_sweep(tmp_path, capsys,
         {"clutch_refs": {"3": "poles"}},
         {"clutch_refs": {"band1": "poles"}},
         {"zero_refs": {"1": [[0, 0], [0, 0]]}},  # all-zero reference vector
+        {"branch_table_levels": -1},
+        {"equator_samples": 4},
+        {"steps": 8},
+        {"max_level": 8},  # below 2 * guard_levels
+        {"guard_levels": 0},
     ):
         path = write_scenario(tmp_path, "normal-form", **changes)
         assert main(["verify", "--scenario", path, "--grid", "16"]) == 1, changes
+        assert "indexlab: scenario error:" in capsys.readouterr().err
+        assert calls == []
+    # the sphere grid size, from the file or from --grid, and --levels
+    for changes, overrides in (({"grid_n": 8}, []), ({}, ["--grid", "8"]),
+                               ({}, ["--levels", "4"])):
+        path = write_scenario(tmp_path, "normal-form", **changes)
+        assert main(["verify", "--scenario", path, *overrides]) == 1, (changes, overrides)
         assert "indexlab: scenario error:" in capsys.readouterr().err
         assert calls == []
     # the spy does see the sweep of a valid scenario

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from indexlab.hermite import (
     spurious_weight,
     spurious_weights,
 )
+from indexlab.flow import _bump as flow_bump
 from indexlab.models import (
     BranchLabel,
     constant_symbol,
@@ -410,3 +412,75 @@ def test_charge_blocks_partition_and_match_dense_spectrum(family):
         assert np.array_equal(np.sort(index), np.arange(symbol.dim * basis.size))
         dense = np.linalg.eigvalsh(quantize(symbol, mu, basis).matrix)
         assert np.abs(merged_eigenvalues(stacks, amat) - dense).max() <= 1e-12
+
+
+def all_points_margins(symbol, grid_points=30, shell=(1.0, 3.0), mu_max=2.0):
+    """Reference gap check: the certificate's sample, every point solved."""
+    axis = np.linspace(-shell[1], shell[1], grid_points)
+    pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    norms = np.linalg.norm(pts, axis=1)
+    pts = pts[(norms >= shell[0]) & (norms <= shell[1]) & (np.abs(pts[:, 0]) <= mu_max)]
+    eigs = np.linalg.eigvalsh(symbol.evaluate_many(pts))
+    r, none = symbol.gap_band, np.full(len(pts), np.inf)
+    lower = symbol.gap_center - symbol.gap_constant - eigs[:, r - 1] if r else none
+    upper = eigs[:, r] - (symbol.gap_center + symbol.gap_constant) if r < symbol.dim else none
+    return pts, lower, upper
+
+
+def bump_perturbed_matsuno():
+    """Matsuno plus a dense Hermitian times the flow-invariance bump: no charge symmetry for |mu| < 2."""
+    base = matsuno_symbol()
+    gen = np.random.default_rng(7)
+    raw = gen.normal(size=(3, 3)) + 1j * gen.normal(size=(3, 3))
+    pert = 0.05 * (raw + raw.conj().T) / np.linalg.norm(raw + raw.conj().T, ord=2)
+    return dataclasses.replace(
+        base, const_term=lambda mu: base.const_term(mu) + flow_bump(mu)[:, None, None] * pert,
+        name="matsuno+bump",
+    )
+
+
+def certificate_and_solved_points(monkeypatch, symbol):
+    solved = []
+    real = AffineMatrixSymbol.evaluate_many
+    monkeypatch.setattr(AffineMatrixSymbol, "evaluate_many",
+                        lambda self, pts: solved.append(len(pts)) or real(self, pts))
+    cert = sampled_gap_certificate(symbol)
+    monkeypatch.undo()
+    return cert, solved
+
+
+def assert_matches_all_points_reference(cert, symbol):
+    pts, lower, upper = all_points_margins(symbol)
+    margins = np.minimum(lower, upper)
+    assert cert.ok == bool(lower.min() > 0 and upper.min() > 0)
+    assert cert.points_checked == len(pts)
+    assert np.isclose(cert.lower_margin, lower.min(), rtol=0, atol=1e-12)
+    assert np.isclose(cert.upper_margin, upper.min(), rtol=0, atol=1e-12)
+    # the worst point is a sampled point of minimum margin; the orbit solve
+    # shares one margin along an orbit, so a tie may name another point
+    (row,) = np.flatnonzero((pts == cert.worst_point).all(axis=1))
+    assert margins[row] <= margins.min() + 1e-12
+
+
+@pytest.mark.parametrize("family", sorted(BLOCK_FAMILIES))
+def test_gap_certificate_solves_each_charge_orbit_once(monkeypatch, family):
+    # every closed-form family has a charge operator that commutes with
+    # A(mu), so its spectrum depends on (mu, |x + i xi|) only: the 10,600
+    # sampled points fall into 1,752 orbits, one solve each
+    symbol = BLOCK_FAMILIES[family]
+    cert, solved = certificate_and_solved_points(monkeypatch, symbol)
+    assert solved == [1752]
+    assert_matches_all_points_reference(cert, symbol)
+
+
+@pytest.mark.parametrize("symbol", ["random-affine", "matsuno+bump"])
+def test_gap_certificate_without_charge_symmetry_solves_every_point(
+        monkeypatch, random_affine_symbol, symbol):
+    # no charge operator fits the random symbol, and the bump breaks the
+    # charge symmetry of matsuno at every sampled mu (all inside |mu| < 2)
+    symbol = random_affine_symbol if symbol == "random-affine" else bump_perturbed_matsuno()
+    cert, solved = certificate_and_solved_points(monkeypatch, symbol)
+    assert solved == [10600]
+    assert_matches_all_points_reference(cert, symbol)
+    pts, lower, upper = all_points_margins(symbol)
+    assert (cert.lower_margin, cert.upper_margin) == (lower.min(), upper.min())

@@ -20,6 +20,7 @@ from indexlab.models import (
 )
 from indexlab.topology import (
     BandProjectorField,
+    _cell_phases,
     SphereGrid,
     SphereSpectrum,
     batch_eigensystem,
@@ -104,7 +105,7 @@ def dict_deduplicated_grid(n):
     return pts / np.linalg.norm(pts, axis=1, keepdims=True), np.asarray(cells)
 
 
-@pytest.mark.parametrize("n", [16, 17])
+@pytest.mark.parametrize("n", [16, 17, 64])
 def test_grid_matches_dict_deduplicated_loop(n):
     # vertex order matters: section-zero seeds are taken in vertex order
     vertices, cells = dict_deduplicated_grid(n)
@@ -284,6 +285,21 @@ def test_curvature_rank2_group(grid32):
     rep = chern_curvature(fld)
     assert rep.C == 2
     assert rep.residual < 1e-10
+
+
+@pytest.mark.parametrize("name", ["matsuno-upper", "matsuno-lower", "ts2", "normal-form",
+                                  "random-affine"])
+def test_complement_cell_phases_are_minus_the_subgap_ones(grid32, random_affine_symbol, name):
+    # bands 1..r and r+1..d sum to the trivial C^d: in every cell the
+    # determinant-overlap phase of one group is minus the other's, mod 2 pi
+    sym = {"matsuno-upper": matsuno_symbol(2), "matsuno-lower": matsuno_symbol(1),
+           "ts2": ts2_symbol(), "normal-form": normal_form_symbol(),
+           "random-affine": random_affine_symbol}[name]
+    spectrum = SphereSpectrum.build(sym, grid32)
+    r = sym.gap_band
+    below = _cell_phases(spectrum.field(range(1, r + 1)))
+    above = _cell_phases(spectrum.field(range(r + 1, sym.dim + 1)))
+    assert np.abs(np.angle(np.exp(1j * (below + above)))).max() <= 1e-12
 
 
 def test_curvature_ts2(grid32):
