@@ -500,7 +500,8 @@ def run_verify(scenario: Scenario) -> tuple[VerificationReport, dict]:
     full determinants multiply to 1 around every cell.  A scenario with no
     band below the gap has index 0 by convention.  The sub-gap group and the
     ``chern_bands`` reports share one grid eigensolve, made only if one of
-    them needs it.
+    them needs it; a group of one band listed in ``chern_bands`` takes that
+    band's curvature report instead of computing it again.
     """
     t0 = time.monotonic()
     symbol = scenario.symbol()
@@ -510,22 +511,25 @@ def run_verify(scenario: Scenario) -> tuple[VerificationReport, dict]:
     subgap_bands = list(range(1, symbol.gap_band + 1))
     if subgap_bands or scenario.chern_bands:
         spectrum = SphereSpectrum.build(symbol, SphereGrid.build(scenario.grid_n))
-    upper_bands = list(range(symbol.gap_band + 1, symbol.dim + 1))
-    if 0 < len(upper_bands) < len(subgap_bands):
-        upper_report = chern_curvature(spectrum.field(upper_bands))
-        # 0.0 - keeps a zero raw value +0.0
-        subgap_c, subgap_raw = -upper_report.C, 0.0 - upper_report.raw_value
-    elif subgap_bands:
-        subgap_report = chern_curvature(spectrum.field(subgap_bands))
-        subgap_c, subgap_raw = subgap_report.C, subgap_report.raw_value
-    else:
-        subgap_c, subgap_raw = 0, 0.0
-
     per_band, agreement = [], None
     if scenario.chern_bands:
         _, per_band, agreement = _band_reports(
             scenario, spectrum, scenario.chern_bands, "all"
         )
+    curvature = {(entry["band"],): entry["reports"]["curvature"] for entry in per_band}
+    upper_bands = list(range(symbol.gap_band + 1, symbol.dim + 1))
+    complement = 0 < len(upper_bands) < len(subgap_bands)
+    group = tuple(upper_bands if complement else subgap_bands)
+    subgap_c, subgap_raw = 0, 0.0
+    if group:
+        group_report = curvature.get(group)
+        if group_report is None:
+            group_report = _chern_report_dict(chern_curvature(spectrum.field(list(group))))
+        subgap_c, subgap_raw = group_report["C"], group_report["raw_value"]
+    if complement:
+        # 0.0 - keeps a zero raw value +0.0
+        subgap_c, subgap_raw = -subgap_c, 0.0 - subgap_raw
+
     verdict = "PASS" if flow_result.N == subgap_c else "FAIL"
     report = VerificationReport(
         scenario=scenario,

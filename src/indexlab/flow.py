@@ -2,10 +2,14 @@
 
 A sweep diagonalizes the quantized operator on an adaptively refined mu
 grid, discards truncation artifacts, and records the eigenvalues inside a
-spectral window.  Each sample solves the charge blocks of the operator (the
-whole operator where ``A(mu)`` breaks the charge symmetry fitted at the sweep
-ends; :class:`~indexlab.hermite.OperatorPieces`, built once per sweep), one
-batched ``eigh`` per stack of equal-size blocks.  The flow through the
+spectral window.  The grid is refined in rounds: each round bisects every
+interval whose end samples call for it and solves all the new midpoints
+together.  A batch of samples solves the charge blocks of the operator
+(:class:`~indexlab.hermite.OperatorPieces`, built once per sweep) with one
+batched ``eigh`` per stack of equal-size blocks, at most
+:data:`SOLVE_BATCH` samples at a time; a sample where ``A(mu)`` breaks the
+charge symmetry fitted at the sweep ends solves the whole operator on its
+own.  The flow through the
 reference level is counted two independent ways -- a counting-function
 difference between the sweep endpoints and a signed tally of tracked branch
 crossings -- and the two must agree exactly.
@@ -50,6 +54,9 @@ CROSSING_WIDTH = 1e-6
 MATCH_MIN_WIDTH = 1e-3
 #: Bisection rounds allowed per coarse interval for matching refinement.
 MAX_MATCH_ROUNDS = 12
+#: Samples per batched charge-block solve: larger batches save little call
+#: overhead and raise the peak memory of a sweep's initial grid.
+SOLVE_BATCH = 48
 
 
 @dataclass(frozen=True)
@@ -120,15 +127,39 @@ class FlowResult:
     crossings: tuple[Crossing, ...]
 
 
-def _window_sample(pieces: OperatorPieces, window: SpectralWindow, mu: float) -> EigenSample:
-    """One batched ``eigh`` per block stack, merged, + spurious filter at one mu."""
-    amat = pieces.const(mu)
-    parts = []
-    for stack in pieces.stacks(amat):
-        w, v = np.linalg.eigh(stack.assemble(amat))
-        guard = pieces.guard[stack.index][..., None]
-        parts.append((w.ravel(), (np.abs(v) ** 2 * guard).sum(axis=1).ravel()))
-    omegas, weights = np.concatenate(parts, axis=1)
+def _window_samples(pieces: OperatorPieces, window: SpectralWindow,
+                    mus: Sequence[float]) -> list[EigenSample]:
+    """Filtered window spectra at each of ``mus``, solved together.
+
+    One ``A(mu)`` evaluation and symmetry test for all of ``mus``; the samples
+    that keep the charge symmetry are solved :data:`SOLVE_BATCH` at a time, one
+    batched ``eigh`` per charge stack, and each other sample solves the whole
+    operator alone.
+    """
+    mus = np.asarray(mus, dtype=float)
+    amats = pieces.const(mus)
+    charged = pieces.charged(amats)
+    idx = np.flatnonzero(charged)
+    solves = [(idx[i:i + SOLVE_BATCH], pieces.charge_stacks)
+              for i in range(0, len(idx), SOLVE_BATCH)]
+    solves += [([i], [pieces.whole]) for i in np.flatnonzero(~charged)]
+    spectra = [None] * len(mus)
+    for batch, stacks in solves:
+        parts = []
+        for stack in stacks:
+            w, v = np.linalg.eigh(stack.assemble(amats[batch]))
+            guard = pieces.guard[stack.index][..., None]
+            weights = (np.abs(v) ** 2 * guard).sum(axis=-2)
+            parts.append((w.reshape(len(batch), -1), weights.reshape(len(batch), -1)))
+        omegas, weights = (np.concatenate(p, axis=1) for p in zip(*parts))
+        for i, w, g in zip(batch, omegas, weights):
+            spectra[i] = (w, g)
+    return [_filtered_sample(window, mu, w, g) for mu, (w, g) in zip(mus, spectra)]
+
+
+def _filtered_sample(window: SpectralWindow, mu: float, omegas: np.ndarray,
+                     weights: np.ndarray) -> EigenSample:
+    """Spurious filter and window cut of one sample's eigenvalues and guard weights."""
     order = np.argsort(omegas, kind="stable")
     omegas, weights = omegas[order], weights[order]
     keep = weights <= SPURIOUS_THRESHOLD
@@ -252,17 +283,20 @@ def sweep(
     neighbouring window spectra cannot be matched injectively within half
     the local level spacing (up to :data:`MAX_MATCH_ROUNDS` rounds) and
     whenever a matched branch straddles or touches the reference level,
-    until such brackets are narrower than :data:`CROSSING_WIDTH`.
+    until such brackets are narrower than :data:`CROSSING_WIDTH`.  Refinement
+    goes in rounds: each round bisects every interval that still calls for it
+    and solves all of their midpoints in one :func:`_window_samples` call.
+    Whether an interval is split depends only on its two end samples, so the
+    samples are those of bisecting one interval at a time.  Intervals at or
+    below :data:`MATCH_MIN_WIDTH` are checked for matchability last, left to
+    right.
     """
     if steps < 16:
         raise ModelError("sweep needs steps >= 16")
     if not mu_min < mu_max:
         raise ModelError("sweep needs mu_min < mu_max")
     pieces = OperatorPieces(symbol, basis, (mu_min, mu_max))
-    samples = [
-        _window_sample(pieces, window, mu)
-        for mu in np.linspace(mu_min, mu_max, steps + 1)
-    ]
+    samples = _window_samples(pieces, window, np.linspace(mu_min, mu_max, steps + 1))
 
     for s in (samples[0], samples[-1]):
         if len(s.omegas) and np.min(np.abs(s.omegas - window.omega_ref)) < CROSSING_WIDTH:
@@ -277,16 +311,28 @@ def sweep(
     base_step = (mu_max - mu_min) / steps
     if base_step / MATCH_MIN_WIDTH > 2**MAX_MATCH_ROUNDS:
         raise ModelError("mu grid too coarse for the matching-refinement budget")
-    i = 0
-    while i < len(samples) - 1:
-        a, b = samples[i], samples[i + 1]
-        width = b.mu - a.mu
-        if width > CROSSING_WIDTH and _needs_split(a, b, window):
-            samples.insert(i + 1, _window_sample(pieces, window, 0.5 * (a.mu + b.mu)))
-            continue
-        if width <= MATCH_MIN_WIDTH:
+    # an interval that was not split keeps its end samples, so only the
+    # halves of the last round's splits are tested again
+    fresh = [True] * (len(samples) - 1)
+    while True:
+        split = [
+            new and b.mu - a.mu > CROSSING_WIDTH and _needs_split(a, b, window)
+            for new, a, b in zip(fresh, samples, samples[1:])
+        ]
+        if not any(split):
+            break
+        mids = iter(_window_samples(pieces, window, [
+            0.5 * (a.mu + b.mu) for cut, a, b in zip(split, samples, samples[1:]) if cut
+        ]))
+        refined, fresh = [samples[0]], []
+        for cut, b in zip(split, samples[1:]):
+            refined += [next(mids), b] if cut else [b]
+            fresh += [True, True] if cut else [False]
+        samples = refined
+
+    for a, b in zip(samples, samples[1:]):
+        if b.mu - a.mu <= MATCH_MIN_WIDTH:
             _check_matchable_at_floor(a, b, window)
-        i += 1
 
     return SpectrumSweep(samples=tuple(samples), window=window)
 

@@ -16,14 +16,15 @@ The operator is ``A(mu) (x) 1 + s (K (x) a^dag + K^dag (x) a)``, ``K = B + iC``,
 All functions here are pure; returned arrays are freshly allocated and safe
 to share between threads.  An :class:`OperatorPieces` keeps the stacks it has
 built: the charge blocks, and the whole operator where ``D`` does not fit or
-does not commute with ``A(mu)``.
+does not commute with ``A(mu)``.  Each stack assembles a ``(k, d, d)`` stack
+of ``A(mu)`` at once, so many mu values share one batched solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -203,7 +204,8 @@ def position_momentum(basis: TruncatedBasis) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class BlockStack:
-    """The quantized operator on each row of a ``(b, s)`` index array, as ``(b, s, s)`` arrays.
+    """The quantized operator on each row of a ``(b, s)`` index array, as ``(b, s, s)`` arrays
+    per ``A(mu)``.
 
     Indices are component-major; component c is column c of ``frame`` (the
     standard basis when None).  ``static`` is ``B (x) xhat + C (x) xihat`` on
@@ -217,16 +219,20 @@ class BlockStack:
     components: tuple[np.ndarray, np.ndarray]
     frame: np.ndarray | None
 
-    def assemble(self, amat: np.ndarray) -> np.ndarray:
-        """``A(mu) (x) Id + static`` on each block, symmetrized to be exactly Hermitian.
+    def assemble(self, amats: np.ndarray) -> np.ndarray:
+        """``A(mu) (x) Id + static`` on each block for each of a ``(k, d, d)`` stack of
+        ``A(mu)``, as ``(k, b, s, s)``, symmetrized to be exactly Hermitian.
 
-        ``amat`` is in the standard frame.
+        ``amats`` is in the standard frame.
         """
         if self.frame is not None:
-            amat = self.frame.conj().T @ amat @ self.frame
-        h = self.static.copy()
-        h[self.same_level] += amat[self.components]
-        return 0.5 * (h + h.conj().swapaxes(-2, -1))
+            amats = self.frame.conj().T @ amats @ self.frame
+        which, rows, cols = self.same_level
+        h = np.repeat(self.static[None], len(amats), axis=0)
+        h[:, which, rows, cols] += amats[:, self.components[0], self.components[1]]
+        h += h.conj().swapaxes(-2, -1)
+        h *= 0.5
+        return h
 
 
 def _commutes(charge: np.ndarray, amats: np.ndarray) -> np.ndarray:
@@ -257,6 +263,8 @@ class OperatorPieces:
     ``D`` fitted at ``mu_ends`` (None without them or if none fits); in its
     eigenbasis each eigenvalue of ``Q`` gives one charge block of at most d
     indices.  Without charge blocks the one block is the whole operator.
+    ``charge_stacks`` are the charge blocks stacked by size (empty without
+    ``charge``); :meth:`charged` says for which ``A(mu)`` they apply.
     """
 
     def __init__(self, symbol: AffineMatrixSymbol, basis: TruncatedBasis,
@@ -265,9 +273,8 @@ class OperatorPieces:
         self._xmat, self._ximat = position_momentum(basis)
         self.component, self.level = np.divmod(np.arange(symbol.dim * basis.size), basis.size)
         self.guard = self.level >= basis.size - basis.guard_levels
-        amats = [self.const(mu) for mu in mu_ends]
-        self.charge = _charge_operator(symbol, amats) if amats else None
-        self._charge_stacks: list[BlockStack] = []
+        self.charge = _charge_operator(symbol, list(self.const(mu_ends))) if mu_ends else None
+        self.charge_stacks: list[BlockStack] = []
         if self.charge is not None:
             delta, frame = np.linalg.eigh(self.charge)
             # Q = delta + n; a tolerance that merged two values would only join blocks
@@ -275,15 +282,17 @@ class OperatorPieces:
             order = np.argsort(q, kind="stable")
             cuts = np.flatnonzero(np.diff(q[order]) > 1e-8) + 1
             parts = [np.sort(p) for p in np.split(order, cuts)]
-            self._charge_stacks = [self.stack(np.array([p for p in parts if len(p) == n]), frame)
-                                   for n in sorted({len(p) for p in parts})]
+            self.charge_stacks = [self.stack(np.array([p for p in parts if len(p) == n]), frame)
+                                  for n in sorted({len(p) for p in parts})]
 
-    def const(self, mu: float) -> np.ndarray:
-        """``A(mu)``, checked Hermitian."""
-        amat = self.symbol._const_stack(np.array([mu]))[0]
-        if not _is_hermitian(amat):
-            raise ModelError(f"const_term({mu}) is not Hermitian")
-        return amat
+    def const(self, mus: Sequence[float]) -> np.ndarray:
+        """The ``(k, d, d)`` stack ``A(mu)`` of a sequence of k mu values, each checked Hermitian."""
+        mus = np.asarray(mus, dtype=float)
+        amats = self.symbol._const_stack(mus)
+        hermitian = _is_hermitian(amats)
+        if not hermitian.all():
+            raise ModelError(f"const_term({mus[np.argmin(hermitian)]}) is not Hermitian")
+        return amats
 
     def stack(self, index: np.ndarray, frame: np.ndarray | None = None) -> BlockStack:
         """The operator on each row of the ``(b, s)`` component-major ``index`` of ``frame``."""
@@ -302,12 +311,12 @@ class OperatorPieces:
         """The whole operator as a stack of one, in the standard frame."""
         return self.stack(np.arange(len(self.level))[None])
 
-    def stacks(self, amat: np.ndarray) -> list[BlockStack]:
-        """The charge blocks stacked by size when ``[charge, amat] = 0`` within
-        1e-12 of the entry scale, else ``[whole]``."""
-        if self._charge_stacks and _commutes(self.charge, amat):
-            return self._charge_stacks
-        return [self.whole]
+    def charged(self, amats: np.ndarray) -> np.ndarray:
+        """Per matrix of a ``(k, d, d)`` stack: whether ``charge_stacks`` hold it, that is
+        ``[charge, A(mu)] = 0`` within 1e-12 of the entry scale; else the whole operator does."""
+        if not self.charge_stacks:
+            return np.zeros(len(amats), dtype=bool)
+        return _commutes(self.charge, amats)
 
 
 def quantize(
@@ -320,7 +329,7 @@ def quantize(
     made exactly Hermitian by symmetrization (exact in IEEE arithmetic).
     """
     pieces = OperatorPieces(symbol, basis)
-    matrix = pieces.whole.assemble(pieces.const(mu))[0]
+    matrix = pieces.whole.assemble(pieces.const([mu]))[0, 0]
     return TruncatedOperator(matrix=matrix, basis=basis, dim=symbol.dim)
 
 

@@ -243,6 +243,26 @@ def test_run_verify_takes_the_subgap_index_from_the_rank_1_complement(monkeypatc
     assert abs(result.subgap_raw - direct.raw_value) <= 1e-12
 
 
+@pytest.mark.parametrize("preset, bands", [
+    ("matsuno-upper-gap", [(1,), (2,), (3,)]),
+    ("ts2", [(3,)]),
+])
+def test_run_verify_computes_each_band_curvature_once(monkeypatch, preset, bands):
+    # the sub-gap index comes from band 3, which chern_bands also reports:
+    # its curvature is computed once and shared
+    import indexlab.cli as cli
+    from indexlab.topology import chern_curvature
+
+    computed = []
+    monkeypatch.setattr(cli, "chern_curvature",
+                        lambda fld, *a: computed.append(fld.bands) or chern_curvature(fld, *a))
+    result, payload = run_verify(load_preset(preset))
+    assert sorted(computed) == bands
+    band3 = next(e for e in payload["chern"]["per_band"] if e["band"] == 3)
+    assert result.subgap_chern == -band3["reports"]["curvature"]["C"] and result.passed
+    assert payload["chern"]["raw_value"] == 0.0 - band3["reports"]["curvature"]["raw_value"]
+
+
 def test_run_verify_reflected_normal_form():
     scenario = Scenario(
         name="normal-form-reflected",

@@ -23,6 +23,7 @@ from indexlab.flow import (
 import indexlab.flow as flow
 from indexlab.hermite import (
     SPURIOUS_THRESHOLD,
+    AffineMatrixSymbol,
     OperatorPieces,
     TruncatedBasis,
     quantize,
@@ -398,15 +399,17 @@ def test_sweep_samples_match_dense_complex_solve(case):
 def test_sweep_samples_match_dense_solve_random_complex_symbol(random_affine_symbol):
     basis = nf_basis(16)
     pieces = OperatorPieces(random_affine_symbol, basis, (-2.0, 2.0))
-    (stack,) = pieces.stacks(pieces.const(0.0))
-    assert stack is pieces.whole and stack.frame is None
+    assert not pieces.charge_stacks and not pieces.charged(pieces.const([0.0]))[0]
     sw = sweep(random_affine_symbol, basis, WINDOW_NF, -2.0, 2.0, 32)
     assert assert_samples_match_dense_solve(sw, random_affine_symbol, basis) == []
 
 
-def test_sweep_samples_match_dense_solve_under_invariance_perturbation(monkeypatch):
-    # the bump term is a dense Hermitian for |mu| < 2 and exactly 0 beyond,
-    # so the sweep solves the whole operator inside and charge blocks outside
+def bump_perturbed_matsuno_sweep(monkeypatch):
+    """The bump-perturbed matsuno symbol, basis and sweep of ``flow_invariance_check``.
+
+    The bump term is a dense Hermitian for |mu| < 2 and exactly 0 beyond, so
+    the sweep solves the whole operator inside and charge blocks outside.
+    """
     swept = []
     real_sweep = flow.sweep
 
@@ -418,13 +421,18 @@ def test_sweep_samples_match_dense_solve_under_invariance_perturbation(monkeypat
     basis = TruncatedBasis(max_level=30, guard_levels=5)
     report = flow_invariance_check(matsuno_symbol(), deltas=[0.05], basis=basis,
                                    window=WINDOW_MAT, mu_min=-6.0, mu_max=6.0, steps=32)
+    monkeypatch.setattr(flow, "sweep", real_sweep)
     assert report.all_valid_match and len(swept) == 2
-    symbol, basis, sw = swept[1]
+    return swept[1]
+
+
+def test_sweep_samples_match_dense_solve_under_invariance_perturbation(monkeypatch):
+    symbol, basis, sw = bump_perturbed_matsuno_sweep(monkeypatch)
     pieces = OperatorPieces(symbol, basis, (-6.0, 6.0))
-    stacks = {s.mu: pieces.stacks(pieces.const(s.mu)) for s in sw.samples}
-    assert all(len(st) == 1 and st[0] is pieces.whole and st[0].frame is None
-               for mu, st in stacks.items() if abs(mu) < 2)
-    assert all(all(s.frame is not None for s in st) for mu, st in stacks.items() if abs(mu) >= 2)
+    mus = np.array([s.mu for s in sw.samples])
+    charged = pieces.charged(pieces.const(mus))
+    assert pieces.charge_stacks and all(s.frame is not None for s in pieces.charge_stacks)
+    assert np.array_equal(charged, np.abs(mus) >= 2)
     assert assert_samples_match_dense_solve(sw, symbol, basis) == []
 
 
@@ -433,19 +441,20 @@ def test_invariance_sweep_solves_charge_blocks_outside_the_bump(monkeypatch):
     # term vanishes for |mu| >= 2, where it still commutes with A(mu), and
     # breaks the charge symmetry inside, where the whole operator takes over
     sampled, charged = [], []
-    real_sample, real_stacks = flow._window_sample, OperatorPieces.stacks
+    real_samples, real_charged = flow._window_samples, OperatorPieces.charged
 
-    def spy_sample(pieces, window, mu):
-        sampled.append((pieces.symbol.name, mu))
-        return real_sample(pieces, window, mu)
+    def spy_samples(pieces, window, mus):
+        sampled.extend((pieces.symbol.name, mu) for mu in mus)
+        return real_samples(pieces, window, mus)
 
-    def spy_stacks(pieces, amat):
-        stacks = real_stacks(pieces, amat)
-        charged.append(all(s.frame is not None for s in stacks))
-        return stacks
+    def spy_charged(pieces, amats):
+        mask = real_charged(pieces, amats)
+        charged.extend(bool(m) and all(s.frame is not None for s in pieces.charge_stacks)
+                       for m in mask)
+        return mask
 
-    monkeypatch.setattr(flow, "_window_sample", spy_sample)
-    monkeypatch.setattr(OperatorPieces, "stacks", spy_stacks)
+    monkeypatch.setattr(flow, "_window_samples", spy_samples)
+    monkeypatch.setattr(OperatorPieces, "charged", spy_charged)
     basis = TruncatedBasis(max_level=30, guard_levels=5)
     report = flow_invariance_check(matsuno_symbol(), deltas=[0.05], basis=basis,
                                    window=WINDOW_MAT, mu_min=-6.0, mu_max=6.0, steps=32)
@@ -455,3 +464,69 @@ def test_invariance_sweep_solves_charge_blocks_outside_the_bump(monkeypatch):
         paths.setdefault((name != "matsuno", abs(mu) < 2), set()).add(used_charge)
     assert paths == {(False, False): {True}, (False, True): {True},
                      (True, False): {True}, (True, True): {False}}
+
+
+def depth_first_samples(symbol, basis, window, mu_min, mu_max, steps):
+    """Reference refinement: bisect one interval at a time, left to right, one mu per solve."""
+    pieces = OperatorPieces(symbol, basis, (mu_min, mu_max))
+
+    def solve(mu):
+        return flow._window_samples(pieces, window, [mu])[0]
+
+    def between(a, b):
+        if b.mu - a.mu > flow.CROSSING_WIDTH and flow._needs_split(a, b, window):
+            mid = solve(0.5 * (a.mu + b.mu))
+            return between(a, mid) + [mid] + between(mid, b)
+        return []
+
+    grid = [solve(mu) for mu in np.linspace(mu_min, mu_max, steps + 1)]
+    samples = grid[:1]
+    for a, b in zip(grid, grid[1:]):
+        samples += between(a, b) + [b]
+    return samples
+
+
+def assert_same_samples(got, expected):
+    assert [s.mu for s in got] == [s.mu for s in expected]
+    for g, e in zip(got, expected):
+        assert np.array_equal(g.omegas, e.omegas)
+        assert np.array_equal(g.guard_weights, e.guard_weights)
+        assert g.count_below_ref == e.count_below_ref
+
+
+@pytest.mark.parametrize("case", ["matsuno-upper-gap", "normal-form", "bump-perturbed-matsuno"])
+def test_round_refinement_equals_depth_first_refinement(case, monkeypatch):
+    if case == "bump-perturbed-matsuno":
+        symbol, basis, _ = bump_perturbed_matsuno_sweep(monkeypatch)
+        window, mu_max, steps = WINDOW_MAT, 6.0, 32
+    else:
+        symbol, basis, window, mu_max, steps = SWEEP_CASES[case]
+    sw = sweep(symbol, basis, window, -mu_max, mu_max, steps)
+    assert len(sw.samples) > steps + 1
+    assert_same_samples(sw.samples,
+                        depth_first_samples(symbol, basis, window, -mu_max, mu_max, steps))
+
+
+def test_batched_window_samples_equal_one_mu_solves(monkeypatch):
+    # a mixed batch: whole-operator samples inside the bump, more charge
+    # samples outside it than one batched solve takes
+    symbol, basis, _ = bump_perturbed_matsuno_sweep(monkeypatch)
+    pieces = OperatorPieces(symbol, basis, (-6.0, 6.0))
+    mus = np.random.default_rng(3).permutation(np.linspace(-6.0, 6.0, 121))
+    charged = pieces.charged(pieces.const(mus))
+    assert charged.sum() > flow.SOLVE_BATCH and (~charged).any()
+    assert_same_samples(flow._window_samples(pieces, WINDOW_MAT, mus),
+                        [flow._window_samples(pieces, WINDOW_MAT, [mu])[0] for mu in mus])
+
+
+def test_batched_window_samples_name_a_non_hermitian_mu():
+    base = matsuno_symbol()
+    symbol = AffineMatrixSymbol(
+        dim=3,
+        const_term=lambda mu: base.const_term(mu) + 1j * np.multiply.outer(mu == 0.5, np.eye(3)),
+        x_coeff=base.x_coeff, xi_coeff=base.xi_coeff,
+        gap_band=2, gap_constant=0.45, name="broken",
+    )
+    pieces = OperatorPieces(symbol, TruncatedBasis(max_level=12, guard_levels=3), (-6.0, 6.0))
+    with pytest.raises(ModelError, match=r"const_term\(0\.5\) is not Hermitian"):
+        flow._window_samples(pieces, WINDOW_MAT, [-1.0, 0.25, 0.5, 1.0])
