@@ -9,15 +9,17 @@ together.  A batch of samples solves the charge blocks of the operator
 batched ``eigh`` per stack of equal-size blocks, at most
 :data:`SOLVE_BATCH` samples at a time; a sample where ``A(mu)`` breaks the
 charge symmetry fitted at the sweep ends solves the whole operator on its
-own.  The flow through the
-reference level is counted two independent ways -- a counting-function
-difference between the sweep endpoints and a signed tally of tracked branch
-crossings -- and the two must agree exactly.
+own.  Each interval's branches are matched once, when the interval
+appears, and the sweep records the matched branches that cross the
+reference level in its final intervals.  The flow through the reference
+level is counted two independent ways -- a counting-function difference
+between the sweep endpoints and the signed tally of those crossings -- and
+the two must agree exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -85,8 +87,7 @@ class EigenSample:
     ``omegas`` are the ascending non-spurious eigenvalues inside the window
     and ``guard_weights`` their squared amplitudes on the guard levels.
     ``count_below_ref`` counts every non-spurious eigenvalue under the
-    reference level (above a floor one full spectral span below the window
-    bottom, which in practice includes the whole retained spectrum).
+    reference level, inside the window or below it.
     """
 
     mu: float
@@ -96,26 +97,31 @@ class EigenSample:
 
 
 @dataclass(frozen=True)
-class SpectrumSweep:
-    """Eigenvalue branches inside a window over a refined mu grid."""
-
-    samples: tuple[EigenSample, ...]
-    window: SpectralWindow
-
-    def table_rows(self):
-        """(mu, ordinal, omega, spurious_weight) rows for export."""
-        for s in self.samples:
-            for i, w in enumerate(s.omegas):
-                yield (s.mu, i, float(w), float(s.guard_weights[i]))
-
-
-@dataclass(frozen=True)
 class Crossing:
     """One branch crossing of the reference level inside (mu_lo, mu_hi)."""
 
     mu_lo: float
     mu_hi: float
     direction: int
+
+
+@dataclass(frozen=True)
+class SpectrumSweep:
+    """Eigenvalue branches inside a window over a refined mu grid.
+
+    ``crossings``, left to right, are the matched branches that straddle the
+    reference level between adjacent samples, as :func:`sweep` matched them.
+    """
+
+    samples: tuple[EigenSample, ...]
+    window: SpectralWindow
+    crossings: tuple[Crossing, ...]
+
+    def table_rows(self):
+        """(mu, ordinal, omega, spurious_weight) rows for export."""
+        for s in self.samples:
+            for i, w in enumerate(s.omegas):
+                yield (s.mu, i, float(w), float(s.guard_weights[i]))
 
 
 @dataclass(frozen=True)
@@ -163,16 +169,12 @@ def _filtered_sample(window: SpectralWindow, mu: float, omegas: np.ndarray,
     order = np.argsort(omegas, kind="stable")
     omegas, weights = omegas[order], weights[order]
     keep = weights <= SPURIOUS_THRESHOLD
-    kept = omegas[keep]
-    span = float(omegas[-1] - omegas[0]) if len(omegas) else 0.0
-    floor = window.omega_min - span
-    count_below = int(np.sum((kept > floor) & (kept < window.omega_ref)))
     in_window = keep & (omegas > window.omega_min) & (omegas < window.omega_max)
     return EigenSample(
         mu=float(mu),
         omegas=omegas[in_window],
         guard_weights=weights[in_window],
-        count_below_ref=count_below,
+        count_below_ref=int(np.sum(keep & (omegas < window.omega_ref))),
     )
 
 
@@ -232,26 +234,28 @@ def _local_spacing(a: EigenSample, b: EigenSample, window: SpectralWindow) -> fl
     return spacing
 
 
-def _needs_split(a: EigenSample, b: EigenSample, window: SpectralWindow) -> bool:
-    width = b.mu - a.mu
-    pairs, un_a, un_b, worst = _match_windows(a, b)
-    if (un_a or un_b) and width > MATCH_MIN_WIDTH:
-        return True
-    if pairs and worst > 0.5 * _local_spacing(a, b, window) and width > MATCH_MIN_WIDTH:
+def _direction(wa: float, wb: float, ref: float) -> int:
+    """+1 for a branch from below ``ref`` to above it, -1 for the reverse, else 0."""
+    return int(wa < ref) - int(wb < ref)
+
+
+def _needs_split(a: EigenSample, b: EigenSample, match, window: SpectralWindow) -> bool:
+    """Whether (a, b), wider than :data:`CROSSING_WIDTH` and matched by ``match``, is bisected."""
+    pairs, un_a, un_b, worst = match
+    ambiguous = un_a or un_b or (pairs and worst > 0.5 * _local_spacing(a, b, window))
+    if ambiguous and b.mu - a.mu > MATCH_MIN_WIDTH:
         return True
     ref = window.omega_ref
     for i, j in pairs:
         wa, wb = a.omegas[i], b.omegas[j]
-        straddles = (wa < ref) != (wb < ref)
-        touches = min(abs(wa - ref), abs(wb - ref)) < CROSSING_WIDTH
-        if (straddles or touches) and width > CROSSING_WIDTH:
+        if _direction(wa, wb, ref) or min(abs(wa - ref), abs(wb - ref)) < CROSSING_WIDTH:
             return True
     return False
 
 
-def _check_matchable_at_floor(a: EigenSample, b: EigenSample, window: SpectralWindow):
-    """Raise when ambiguity survives at the minimum interval width."""
-    pairs, un_a, un_b, worst = _match_windows(a, b)
+def _check_matchable_at_floor(a: EigenSample, b: EigenSample, match, window: SpectralWindow):
+    """Raise when ambiguity in ``match`` survives at the minimum interval width."""
+    pairs, un_a, un_b, worst = match
     edge_tol = 0.05 * window.width
     for sample, unmatched in ((a, un_a), (b, un_b)):
         for i in unmatched:
@@ -277,7 +281,7 @@ def sweep(
     mu_max: float,
     steps: int,
 ) -> SpectrumSweep:
-    """Assemble the window spectrum over an adaptively refined mu grid.
+    """Window spectrum and reference-level crossings over an adaptively refined mu grid.
 
     Starts from ``steps + 1`` uniform samples.  Intervals are bisected when
     neighbouring window spectra cannot be matched injectively within half
@@ -287,9 +291,11 @@ def sweep(
     goes in rounds: each round bisects every interval that still calls for it
     and solves all of their midpoints in one :func:`_window_samples` call.
     Whether an interval is split depends only on its two end samples, so the
-    samples are those of bisecting one interval at a time.  Intervals at or
-    below :data:`MATCH_MIN_WIDTH` are checked for matchability last, left to
-    right.
+    samples are those of bisecting one interval at a time.  Each interval is
+    matched once, when it appears; intervals at or below
+    :data:`MATCH_MIN_WIDTH` are then checked for matchability, left to
+    right, and the matched branches that straddle the reference level in
+    the final intervals become the sweep's crossings.
     """
     if steps < 16:
         raise ModelError("sweep needs steps >= 16")
@@ -311,30 +317,37 @@ def sweep(
     base_step = (mu_max - mu_min) / steps
     if base_step / MATCH_MIN_WIDTH > 2**MAX_MATCH_ROUNDS:
         raise ModelError("mu grid too coarse for the matching-refinement budget")
-    # an interval that was not split keeps its end samples, so only the
-    # halves of the last round's splits are tested again
-    fresh = [True] * (len(samples) - 1)
+    # one match per interval; None marks an interval new this round, the
+    # only kind tested for a split (an unsplit one keeps its end samples)
+    matches = [None] * (len(samples) - 1)
     while True:
+        new = [m is None for m in matches]
+        matches = [m or _match_windows(a, b) for m, a, b in zip(matches, samples, samples[1:])]
         split = [
-            new and b.mu - a.mu > CROSSING_WIDTH and _needs_split(a, b, window)
-            for new, a, b in zip(fresh, samples, samples[1:])
+            fresh and b.mu - a.mu > CROSSING_WIDTH and _needs_split(a, b, m, window)
+            for fresh, m, a, b in zip(new, matches, samples, samples[1:])
         ]
         if not any(split):
             break
         mids = iter(_window_samples(pieces, window, [
             0.5 * (a.mu + b.mu) for cut, a, b in zip(split, samples, samples[1:]) if cut
         ]))
-        refined, fresh = [samples[0]], []
-        for cut, b in zip(split, samples[1:]):
+        refined, kept = [samples[0]], []
+        for cut, m, b in zip(split, matches, samples[1:]):
             refined += [next(mids), b] if cut else [b]
-            fresh += [True, True] if cut else [False]
-        samples = refined
+            kept += [None, None] if cut else [m]
+        samples, matches = refined, kept
 
-    for a, b in zip(samples, samples[1:]):
+    crossings = []
+    for m, a, b in zip(matches, samples, samples[1:]):
         if b.mu - a.mu <= MATCH_MIN_WIDTH:
-            _check_matchable_at_floor(a, b, window)
+            _check_matchable_at_floor(a, b, m, window)
+        for i, j in m[0]:
+            direction = _direction(a.omegas[i], b.omegas[j], window.omega_ref)
+            if direction:
+                crossings.append(Crossing(mu_lo=a.mu, mu_hi=b.mu, direction=direction))
 
-    return SpectrumSweep(samples=tuple(samples), window=window)
+    return SpectrumSweep(samples=tuple(samples), window=window, crossings=tuple(crossings))
 
 
 def spectral_index(sweep_: SpectrumSweep) -> FlowResult:
@@ -342,26 +355,12 @@ def spectral_index(sweep_: SpectrumSweep) -> FlowResult:
 
     Counting method: non-spurious eigenvalues below the reference level at
     the first sample minus the same count at the last.  Crossing method:
-    signed tally of matched-branch crossings (+1 upward).  A disagreement
-    raises :class:`MethodDisagreementError`.
+    signed tally of the crossings :func:`sweep` recorded (+1 upward).  A
+    disagreement raises :class:`MethodDisagreementError`.
     """
     samples = sweep_.samples
-    window = sweep_.window
     n_counting = samples[0].count_below_ref - samples[-1].count_below_ref
-
-    ref = window.omega_ref
-    n_crossing = 0
-    crossings = []
-    for a, b in zip(samples, samples[1:]):
-        pairs, _, _, _ = _match_windows(a, b)
-        for i, j in pairs:
-            below_a = a.omegas[i] < ref
-            below_b = b.omegas[j] < ref
-            if below_a != below_b:
-                direction = 1 if below_a else -1
-                n_crossing += direction
-                crossings.append(Crossing(mu_lo=a.mu, mu_hi=b.mu, direction=direction))
-
+    n_crossing = sum(c.direction for c in sweep_.crossings)
     if n_counting != n_crossing:
         raise MethodDisagreementError(
             f"counting-function flow {n_counting} != tracked crossings "
@@ -373,7 +372,7 @@ def spectral_index(sweep_: SpectrumSweep) -> FlowResult:
             "counting_function": n_counting,
             "tracked_crossings": n_crossing,
         },
-        crossings=tuple(crossings),
+        crossings=sweep_.crossings,
     )
 
 
@@ -432,15 +431,10 @@ def flow_invariance_check(
     entries = []
     base_const = symbol.const_term
     for delta in deltas:
-        shifted = AffineMatrixSymbol(
-            dim=symbol.dim,
+        shifted = replace(
+            symbol,
             const_term=lambda mu, dl=delta: base_const(mu)
             + (dl * _bump(mu))[:, None, None] * pert,
-            x_coeff=symbol.x_coeff,
-            xi_coeff=symbol.xi_coeff,
-            gap_band=symbol.gap_band,
-            gap_constant=symbol.gap_constant,
-            gap_center=symbol.gap_center,
             name=f"{symbol.name}+{delta}P",
         )
         cert = sampled_gap_certificate(shifted)

@@ -13,7 +13,7 @@ truncated operator whenever it fits under the cutoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -160,16 +160,8 @@ def constant_symbol(value: float = 5.0, dim: int = 1) -> AffineMatrixSymbol:
 def mu_reflected(symbol: AffineMatrixSymbol) -> AffineMatrixSymbol:
     """The family mu -> H(-mu), which negates flow and band indices."""
     base = symbol.const_term
-    return AffineMatrixSymbol(
-        dim=symbol.dim,
-        const_term=lambda mu: base(-mu),
-        x_coeff=symbol.x_coeff,
-        xi_coeff=symbol.xi_coeff,
-        gap_band=symbol.gap_band,
-        gap_constant=symbol.gap_constant,
-        gap_center=symbol.gap_center,
-        name=symbol.name + "-mu-reflected",
-    )
+    return replace(symbol, const_term=lambda mu: base(-mu),
+                   name=symbol.name + "-mu-reflected")
 
 
 # ---------------------------------------------------------------------------

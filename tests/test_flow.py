@@ -10,7 +10,10 @@ from indexlab.errors import (
     ModelError,
     RefinementError,
 )
+from indexlab.cli import PRESETS, run_flow
+import indexlab.cli as cli
 from indexlab.flow import (
+    Crossing,
     EigenSample,
     SpectralWindow,
     SpectrumSweep,
@@ -249,11 +252,62 @@ def test_flow_invariance_matsuno():
 
 
 def test_counting_floor_matches_spec_form():
-    # the floor (window bottom minus the full spectral span) lies below the
-    # whole spectrum, so the count equals a plain "below omega_ref" count
+    # the count is a plain "below omega_ref" count over every kept
+    # eigenvalue, the spectrum below the window included
     sw = sweep(normal_form_symbol(), nf_basis(16), WINDOW_NF, -2.0, 2.0, 32)
     first = sw.samples[0]
     assert first.count_below_ref > 0
+
+
+def test_count_below_ref_includes_the_spectrum_below_the_window():
+    # both branches, A = diag(-2, -1.5 + 0.1 mu), stay below the window and
+    # none crosses omega_ref = 0, while the spectral span grows with mu; every
+    # kept eigenvalue is counted (10 per branch after the 3 guard levels), so
+    # the count does not move and both methods give N = 0
+    def const_term(mu):
+        out = np.zeros((len(mu), 2, 2), dtype=complex)
+        out[:, 0, 0] = -2.0
+        out[:, 1, 1] = -1.5 + 0.1 * mu
+        return out
+
+    zero = np.zeros((2, 2), dtype=complex)
+    symbol = AffineMatrixSymbol(dim=2, const_term=const_term, x_coeff=zero, xi_coeff=zero,
+                                gap_band=2, gap_constant=0.5, name="below-window")
+    sw = sweep(symbol, TruncatedBasis(max_level=12, guard_levels=3), WINDOW_NF, -2.0, 2.0, 16)
+    assert [sw.samples[0].count_below_ref, sw.samples[-1].count_below_ref] == [20, 20]
+    res = spectral_index(sw)
+    assert res.N == 0 and res.crossings == ()
+    assert res.method_counts == {"counting_function": 0, "tracked_crossings": 0}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_run_flow_matches_each_interval_once(preset, monkeypatch):
+    # the initial grid has `steps` intervals and each bisection replaces one
+    # interval by two, so a sweep ending with n samples created
+    # steps + 2 (n - steps - 1) intervals; the sweep matches each of them
+    # once and spectral_index matches none
+    matched, indexed = [], []
+    real_match, real_index = flow._match_windows, cli.spectral_index
+
+    def spy_match(a, b):
+        matched.append((a.mu, b.mu))
+        return real_match(a, b)
+
+    def spy_index(sweep_):
+        before = len(matched)
+        result = real_index(sweep_)
+        indexed.append(len(matched) - before)
+        return result
+
+    monkeypatch.setattr(flow, "_match_windows", spy_match)
+    monkeypatch.setattr(cli, "spectral_index", spy_index)
+    scenario = PRESETS[preset]()
+    report = run_flow(scenario)
+    steps, samples = scenario.steps, report["samples"]
+    assert samples > steps + 1 or preset == "constant"
+    assert len(matched) == steps + 2 * (samples - steps - 1)
+    assert len(set(matched)) == len(matched)
+    assert indexed == [0]
 
 
 def test_table_rows_shape():
@@ -307,7 +361,7 @@ def test_eigenvalue_appearing_mid_window_at_floor_raises_refinement_error():
     a = window_sample([0.5], mu=0.0)
     b = window_sample([0.0, 0.5], mu=1e-4)
     with pytest.raises(RefinementError, match="deep inside the window"):
-        _check_matchable_at_floor(a, b, WINDOW_NF)
+        _check_matchable_at_floor(a, b, _match_windows(a, b), WINDOW_NF)
 
 
 def test_counting_and_crossing_disagreement_raises():
@@ -317,6 +371,7 @@ def test_counting_and_crossing_disagreement_raises():
         samples=(window_sample([-0.5], mu=-1.0, count_below_ref=3),
                  window_sample([0.5], mu=1.0, count_below_ref=3)),
         window=WINDOW_NF,
+        crossings=(Crossing(-1.0, 1.0, 1),),
     )
     with pytest.raises(MethodDisagreementError):
         spectral_index(sw)
@@ -347,8 +402,7 @@ def assert_samples_match_dense_solve(sw, symbol, basis):
         omegas, vecs = np.linalg.eigh(op.matrix)
         weights = spurious_weights(op, vecs)
         keep = weights <= SPURIOUS_THRESHOLD
-        floor = window.omega_min - (omegas[-1] - omegas[0])
-        below = (omegas > floor) & (omegas < window.omega_ref)
+        below = omegas < window.omega_ref
         in_window = (omegas > window.omega_min) & (omegas < window.omega_max)
         clusters = np.split(np.arange(len(omegas)), np.flatnonzero(np.diff(omegas) > DEGENERATE) + 1)
         shared = np.zeros(len(omegas), dtype=bool)
@@ -474,7 +528,7 @@ def depth_first_samples(symbol, basis, window, mu_min, mu_max, steps):
         return flow._window_samples(pieces, window, [mu])[0]
 
     def between(a, b):
-        if b.mu - a.mu > flow.CROSSING_WIDTH and flow._needs_split(a, b, window):
+        if b.mu - a.mu > flow.CROSSING_WIDTH and flow._needs_split(a, b, flow._match_windows(a, b), window):
             mid = solve(0.5 * (a.mu + b.mu))
             return between(a, mid) + [mid] + between(mid, b)
         return []
