@@ -41,6 +41,7 @@ __all__ = [
     "quantize",
     "spurious_weight",
     "spurious_weights",
+    "charge_orbits",
     "GapCertificate",
     "sampled_gap_certificate",
 ]
@@ -347,6 +348,33 @@ def spurious_weights(operator: TruncatedOperator, eigenvectors: np.ndarray) -> n
     return comps[:, -k:, :].sum(axis=(0, 1))
 
 
+def charge_orbits(
+    symbol: AffineMatrixSymbol, points: np.ndarray, charge: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The charge orbits of ``points`` (n, 3) as ``(charge, radial, inverse)``, or None.
+
+    If ``D`` (module docstring) commutes with ``A(mu)``, ``exp(i t D) H(mu,
+    x, xi) exp(-i t D)`` is ``H`` with ``x + i xi`` turned by ``e^{it}``:
+    the spectrum depends on ``(mu, |x + i xi|)`` only, and the eigenvectors
+    at ``(mu, r cos t, r sin t)`` are ``exp(i t D)`` times those at
+    ``(mu, r, 0)``.  ``radial`` (m, 3) holds each distinct ``(mu, hypot(x,
+    xi))`` once as the point ``(mu, hypot(x, xi), 0)``, sorted by mu, and
+    ``inverse`` (n,) each point's row in it.  ``charge`` is ``D``, fitted at
+    the smallest and largest mu of ``points`` when not given.  None when no
+    ``D`` fits or ``A(mu)`` breaks it at the mu of some orbit.
+    """
+    points = np.asarray(points, dtype=float)
+    # complex keys sort by mu first, so orbits[0] and orbits[-1] hold the end values of mu
+    orbits, inverse = np.unique(points[:, 0] + 1j * np.hypot(points[:, 1], points[:, 2]),
+                                return_inverse=True)
+    amats = symbol._const_stack(orbits.real)
+    if charge is None:
+        charge = _charge_operator(symbol, [amats[0], amats[-1]])
+    if charge is None or not _commutes(charge, amats).all():
+        return None
+    return charge, np.stack((orbits.real, orbits.imag, np.zeros(len(orbits))), axis=1), inverse
+
+
 @dataclass(frozen=True)
 class GapCertificate:
     """Result of sampling the spectral-gap assumption for a symbol family."""
@@ -376,14 +404,10 @@ def sampled_gap_certificate(
     at each, band ``gap_band`` must lie below ``gap_center - gap_constant``
     and band ``gap_band + 1`` above ``gap_center + gap_constant``.
 
-    The spectrum is solved once per charge orbit when it can be: if the
-    charge operator ``D`` of :class:`OperatorPieces`, fitted at the smallest
-    and largest sampled mu, commutes with ``A(mu)`` at every sampled mu, then
-    ``exp(i t D) H(mu, x, xi) exp(-i t D)`` is ``H`` with ``x + i xi``
-    turned by ``e^{it}``, so the eigenvalues depend on ``(mu, |x + i xi|)``
-    only.  Each distinct ``(mu, hypot(x, xi))`` is then solved at
-    ``(mu, hypot(x, xi), 0)`` and shared by its orbit; without a fitting
-    ``D``, or if some sampled ``A(mu)`` breaks it, every point is solved.
+    The spectrum is solved once per charge orbit (:func:`charge_orbits`,
+    with ``D`` fitted at the smallest and largest sampled mu) and shared by
+    the orbit's points; without a fitting ``D``, or if some sampled
+    ``A(mu)`` breaks it, every point is solved.
 
     With ``strict=True`` a violation raises :class:`GapCertificateError`.
     """
@@ -393,13 +417,9 @@ def sampled_gap_certificate(
     norms = np.linalg.norm(pts, axis=1)
     keep = (norms >= lo) & (norms <= hi) & (np.abs(pts[:, 0]) <= mu_max)
     pts = pts[keep]
-    # complex keys sort by mu first, so orbits[0] and orbits[-1] hold the end values of mu
-    orbits, inverse = np.unique(pts[:, 0] + 1j * np.hypot(pts[:, 1], pts[:, 2]),
-                                return_inverse=True)
-    amats = symbol._const_stack(orbits.real)
-    charge = _charge_operator(symbol, [amats[0], amats[-1]])
-    if charge is not None and _commutes(charge, amats).all():
-        radial = np.stack((orbits.real, orbits.imag, np.zeros(len(orbits))), axis=1)
+    orbits = charge_orbits(symbol, pts)
+    if orbits is not None:
+        _, radial, inverse = orbits
         eigs = np.linalg.eigvalsh(symbol.evaluate_many(radial))[inverse]
     else:
         eigs = np.linalg.eigvalsh(symbol.evaluate_many(pts))

@@ -10,6 +10,18 @@ over the unit sphere in (mu, x, xi) space:
 * ``chern_section_zeros`` -- local winding indices at the zeros of a global
   section obtained by projecting a fixed reference vector.
 
+One symmetry saves most of the eigensolves.  Every shipped family has a
+charge operator ``D`` (:mod:`indexlab.hermite`) with ``exp(i t D) H(mu, x,
+xi) exp(-i t D) = H`` turned by ``e^{it}`` in the (x, xi) plane, so the
+eigenvalues depend on ``(mu, hypot(x, xi))`` only and the eigenvectors at
+``(mu, r cos t, r sin t)`` are ``exp(i t D)`` times those at ``(mu, r, 0)``.
+:class:`SphereSpectrum` fits ``D`` at the poles ``mu = +-1`` and hands it to
+its band fields; their batched solves (the grid, the clutching hemispheres
+and equator, the section-zero Newton and probe batches) then solve each
+distinct ``(mu, hypot(x, xi))`` once and rotate its eigenvectors out to the
+orbit's points.  Where no ``D`` fits, or ``A(mu)`` breaks it at some solved
+mu, every point is solved on its own.
+
 Orientation convention: the ordered coordinates (mu, x, xi) are positively
 oriented, i.e. a tangent frame (t1, t2) at p is positive when
 det[p | t1 | t2] > 0 with p the outward normal.  Cubed-sphere cells are
@@ -30,7 +42,7 @@ from .errors import (
     ModelError,
     SectionVanishesError,
 )
-from .hermite import AffineMatrixSymbol
+from .hermite import AffineMatrixSymbol, charge_orbits
 
 __all__ = [
     "SphereGrid",
@@ -97,13 +109,28 @@ class SphereGrid:
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude component of each column real positive.
+    """Make the largest-magnitude component of each column real positive, in place.
 
     ``vecs`` holds eigenvectors as columns, optionally stacked: (..., d, k).
     """
     idx = np.abs(vecs).argmax(axis=-2)
     lead = np.take_along_axis(vecs, idx[..., np.newaxis, :], axis=-2)
-    return vecs * np.exp(-1j * np.angle(lead))
+    vecs *= np.exp(-1j * np.angle(lead))
+    return vecs
+
+
+def _rotated(vecs: np.ndarray, charge: np.ndarray, inverse: np.ndarray,
+             angles: np.ndarray) -> np.ndarray:
+    """``exp(i t D) v`` (n, d, d) for the orbit frames ``v = vecs[inverse]`` and angles t (n,).
+
+    With ``D = F diag(delta) F^dag``, ``exp(i t D) v = F diag(exp(i t delta)) F^dag v``.
+    """
+    delta, frame = np.linalg.eigh(charge)
+    # row j of rows[i] is column j of point i's orbit frame in D's eigenbasis
+    rows = (vecs.swapaxes(1, 2) @ frame.conj())[inverse]
+    rows *= np.exp(1j * np.multiply.outer(angles, delta))[:, None]
+    # one gemm takes every row back to the standard basis
+    return (rows.reshape(-1, len(delta)) @ frame.T).reshape(rows.shape).swapaxes(1, 2)
 
 
 def _band_gap(omegas: np.ndarray, bands: Sequence[int], points: np.ndarray) -> float:
@@ -130,17 +157,31 @@ def batch_eigensystem(
     symbol: AffineMatrixSymbol,
     points: np.ndarray,
     bands: Sequence[int] | None = None,
+    charge: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues (n, d) and phase-fixed eigenvector columns (n, d, d).
 
-    ``points`` (n, 3) are solved by one batched ``eigh``.  The phase of each
-    eigenvector is fixed by making its largest-magnitude component real
-    positive.  If ``bands`` (1-based, contiguous) is given, a gap below
-    :data:`BAND_GAP_TOL` between selected and unselected bands at any point
-    raises :class:`DegeneracyError`.
+    Without ``charge``, ``points`` (n, 3) are solved by one batched ``eigh``.
+    With the charge operator ``D`` of the symbol as ``charge``, and where it
+    commutes with ``A(mu)`` at every mu of ``points``, one batched ``eigh``
+    solves each orbit of :func:`~indexlab.hermite.charge_orbits` at ``(mu,
+    r, 0)``, and the point at angle ``t = atan2(xi, x)`` takes the orbit's
+    eigenvalues and its eigenvectors times ``exp(i t D) = F diag(exp(i t
+    delta)) F^dag`` (``D = F diag(delta) F^dag``); otherwise every point is
+    solved.  The phase of each eigenvector is then fixed by making its
+    largest-magnitude component real positive.  If ``bands`` (1-based,
+    contiguous) is given, a gap below :data:`BAND_GAP_TOL` between selected
+    and unselected bands at any point raises :class:`DegeneracyError`.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    omegas, vecs = np.linalg.eigh(symbol.evaluate_many(points))
+    orbits = None if charge is None else charge_orbits(symbol, points, charge)
+    if orbits is None:
+        omegas, vecs = np.linalg.eigh(symbol.evaluate_many(points))
+    else:
+        _, radial, inverse = orbits
+        omegas, vecs = np.linalg.eigh(symbol.evaluate_many(radial))
+        angles = np.arctan2(points[:, 2], points[:, 1])
+        omegas, vecs = omegas[inverse], _rotated(vecs, charge, inverse, angles)
     if bands is not None:
         _band_gap(omegas, bands, points)
     return omegas, _fix_phases(vecs)
@@ -161,18 +202,26 @@ class SphereSpectrum:
     """Eigensystem of a symbol at every vertex of a sphere grid.
 
     One batched eigensolve serves every band group: :meth:`field` slices
-    the frames of a contiguous group out of ``vectors``.
+    the frames of a contiguous group out of ``vectors``.  ``charge`` is the
+    symbol's charge operator ``D`` fitted at the poles (None if none fits
+    there); the build solves the grid once per charge orbit with it (the
+    64-grid's 24,578 vertices are 3,001 orbits), and the fields hand it on
+    to their own batched solves.  Where ``A(mu)`` breaks ``D`` at some
+    vertex mu, every vertex is solved.
     """
 
     symbol: AffineMatrixSymbol
     grid: SphereGrid
     omegas: np.ndarray  # (V, d) ascending
     vectors: np.ndarray  # (V, d, d) phase-fixed eigenvector columns
+    charge: np.ndarray | None = None
 
     @classmethod
     def build(cls, symbol: AffineMatrixSymbol, grid: SphereGrid) -> "SphereSpectrum":
-        omegas, vectors = batch_eigensystem(symbol, grid.vertices)
-        return cls(symbol=symbol, grid=grid, omegas=omegas, vectors=vectors)
+        orbits = charge_orbits(symbol, np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))  # D at the poles
+        charge = None if orbits is None else orbits[0]
+        omegas, vectors = batch_eigensystem(symbol, grid.vertices, charge=charge)
+        return cls(symbol=symbol, grid=grid, omegas=omegas, vectors=vectors, charge=charge)
 
     def field(self, bands: Sequence[int]) -> "BandProjectorField":
         """Frames of a contiguous band group, gap-checked at every vertex."""
@@ -190,6 +239,7 @@ class SphereSpectrum:
             grid=self.grid,
             vectors=self.vectors[:, :, bands[0] - 1 : bands[-1]],
             min_gap=min_gap,
+            charge=self.charge,
         )
 
 
@@ -202,7 +252,8 @@ class BandProjectorField:
     the number of selected bands everywhere because the build checks the
     gap to unselected bands at every vertex.  Fields of several band groups
     on one grid should be sliced from one :class:`SphereSpectrum`;
-    :meth:`build` solves the grid for a single group.
+    :meth:`build` solves the grid for a single group.  ``charge`` is the
+    spectrum's charge operator, which off-grid solves use.
     """
 
     symbol: AffineMatrixSymbol
@@ -210,6 +261,7 @@ class BandProjectorField:
     grid: SphereGrid
     vectors: np.ndarray  # (V, d, r)
     min_gap: float
+    charge: np.ndarray | None = None
 
     @property
     def rank(self) -> int:
@@ -357,8 +409,9 @@ RefSpec = np.ndarray | Callable[[np.ndarray], np.ndarray] | None
 
 
 def _band_frames(field_: BandProjectorField, points: np.ndarray) -> np.ndarray:
-    """Rank-1 band frames (n, d, 1) at ``points`` from one batched solve."""
-    _, vecs = batch_eigensystem(field_.symbol, points, field_.bands)
+    """Rank-1 band frames (n, d, 1) at ``points`` from one batched solve, per
+    charge orbit where the field's charge operator holds."""
+    _, vecs = batch_eigensystem(field_.symbol, points, field_.bands, field_.charge)
     lo = field_.bands[0] - 1
     return vecs[:, :, lo : lo + 1]
 
@@ -408,7 +461,10 @@ def chern_clutching(
     trivializing constant vector.  Both sections are verified to satisfy
     ``|s|^2 > 1e-6`` on a sample of their closed hemisphere; the transition
     phase is ``<s_north | s_south>`` on the equator and its winding is C.
-    Each hemisphere sample and the equator are solved as one batch each.
+    Each hemisphere sample and the equator are solved as one batch each,
+    once per charge orbit where the field carries a charge operator that
+    commutes with ``A(mu)`` there (a hemisphere's 1,153 points are 65
+    orbits, the equator's 2), and point by point otherwise.
     """
     if field_.rank != 1:
         raise ModelError("clutching method requires a rank-1 band")
@@ -521,11 +577,12 @@ def chern_section_zeros(
     The global section ``s(p) = P(p) u0`` is scanned for zeros on the grid
     vertices.  A vertex seeds a Newton polish when ``|s| < 0.15 |u0|`` there
     and it comes before every vertex it shares a cell with when ``argsort``
-    orders the vertices by ``|s|``.  Polished points with ``|s| < 1e-10``
-    are the zeros; one within 1e-6 of a zero already found is dropped.  The
-    index of each zero is the winding of the section's complex coordinate
-    (in the frame of the local band eigenvector) around a circle of
-    ``probe_radius`` traversed positively.  ``s = 0`` at every vertex (``u0 = 0``
+    orders the vertices by ``|s|``.  Seeds are polished in vertex order, so
+    the zeros are listed in grid order, whatever the last bits of ``|s|``.
+    Polished points with ``|s| < 1e-10`` are the zeros; one within 1e-6 of
+    a zero already found is dropped.  The index of each zero is the winding
+    of the section's complex coordinate (in the frame of the local band
+    eigenvector) around a circle of ``probe_radius`` traversed positively.  ``s = 0`` at every vertex (``u0 = 0``
     or orthogonal to the band) raises :class:`ModelError`.
     """
     if field_.rank != 1:
@@ -548,7 +605,7 @@ def chern_section_zeros(
     cells = field_.grid.cells
     lowest = rank.copy()  # lowest rank among the vertices sharing a cell
     np.minimum.at(lowest, cells, rank[cells].min(axis=1, keepdims=True))
-    seeds = order[(amps[order] < threshold) & (lowest[order] == rank[order])]
+    seeds = np.flatnonzero((amps < threshold) & (lowest == rank))
     zeros: list[tuple[np.ndarray, float]] = []
     for seed in field_.grid.vertices[seeds]:
         point, norm = _refine_zero(field_, u0, seed)

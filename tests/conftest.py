@@ -1,7 +1,23 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from indexlab.flow import _bump as flow_bump
+from indexlab.models import constant_symbol, matsuno_symbol, mu_reflected, normal_form_symbol, ts2_symbol
 from indexlab.topology import SphereGrid
+
+#: every closed-form family; each has a charge operator that commutes with A(mu)
+BLOCK_FAMILIES = {
+    "normal-form": normal_form_symbol(),
+    "normal-form-reflected": normal_form_symbol(reflected=True),
+    "normal-form-mu-reflected": mu_reflected(normal_form_symbol()),
+    "matsuno-upper": matsuno_symbol(2),
+    "matsuno-lower": matsuno_symbol(1),
+    "ts2": ts2_symbol(),
+    "constant": constant_symbol(),
+    "constant-dim3": constant_symbol(2.0, 3),
+}
 
 
 @pytest.fixture(scope="session")
@@ -51,4 +67,17 @@ def random_affine_symbol():
         gap_band=1,
         gap_constant=0.5,
         name="random-affine",
+    )
+
+
+@pytest.fixture(scope="session")
+def bump_perturbed_matsuno():
+    """Matsuno plus a dense Hermitian times the flow-invariance bump: no charge symmetry for |mu| < 2."""
+    base = matsuno_symbol()
+    gen = np.random.default_rng(7)
+    raw = gen.normal(size=(3, 3)) + 1j * gen.normal(size=(3, 3))
+    pert = 0.05 * (raw + raw.conj().T) / np.linalg.norm(raw + raw.conj().T, ord=2)
+    return dataclasses.replace(
+        base, const_term=lambda mu: base.const_term(mu) + flow_bump(mu)[:, None, None] * pert,
+        name="matsuno+bump",
     )

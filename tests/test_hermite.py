@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import BLOCK_FAMILIES
 
 from indexlab.errors import GapCertificateError, ModelError
 from indexlab.hermite import (
@@ -16,15 +17,11 @@ from indexlab.hermite import (
     spurious_weight,
     spurious_weights,
 )
-from indexlab.flow import _bump as flow_bump
 from indexlab.models import (
     BranchLabel,
-    constant_symbol,
     matsuno_symbol,
-    mu_reflected,
     normal_form_eigenvector,
     normal_form_symbol,
-    ts2_symbol,
 )
 
 
@@ -293,18 +290,6 @@ def test_gap_certificate_sampled_shell():
 
 
 #: closed-form families, by name, for the block and quantize tests
-BLOCK_FAMILIES = {
-    "normal-form": normal_form_symbol(),
-    "normal-form-reflected": normal_form_symbol(reflected=True),
-    "normal-form-mu-reflected": mu_reflected(normal_form_symbol()),
-    "matsuno-upper": matsuno_symbol(2),
-    "matsuno-lower": matsuno_symbol(1),
-    "ts2": ts2_symbol(),
-    "constant": constant_symbol(),
-    "constant-dim3": constant_symbol(2.0, 3),
-}
-
-
 def stacks_at(pieces, amat):
     """The stacks that solve the operator at ``A(mu) = amat``."""
     return pieces.charge_stacks if pieces.charged(amat[None])[0] else [pieces.whole]
@@ -433,18 +418,6 @@ def all_points_margins(symbol, grid_points=30, shell=(1.0, 3.0), mu_max=2.0):
     return pts, lower, upper
 
 
-def bump_perturbed_matsuno():
-    """Matsuno plus a dense Hermitian times the flow-invariance bump: no charge symmetry for |mu| < 2."""
-    base = matsuno_symbol()
-    gen = np.random.default_rng(7)
-    raw = gen.normal(size=(3, 3)) + 1j * gen.normal(size=(3, 3))
-    pert = 0.05 * (raw + raw.conj().T) / np.linalg.norm(raw + raw.conj().T, ord=2)
-    return dataclasses.replace(
-        base, const_term=lambda mu: base.const_term(mu) + flow_bump(mu)[:, None, None] * pert,
-        name="matsuno+bump",
-    )
-
-
 def certificate_and_solved_points(monkeypatch, symbol):
     solved = []
     real = AffineMatrixSymbol.evaluate_many
@@ -481,10 +454,10 @@ def test_gap_certificate_solves_each_charge_orbit_once(monkeypatch, family):
 
 @pytest.mark.parametrize("symbol", ["random-affine", "matsuno+bump"])
 def test_gap_certificate_without_charge_symmetry_solves_every_point(
-        monkeypatch, random_affine_symbol, symbol):
+        monkeypatch, random_affine_symbol, bump_perturbed_matsuno, symbol):
     # no charge operator fits the random symbol, and the bump breaks the
     # charge symmetry of matsuno at every sampled mu (all inside |mu| < 2)
-    symbol = random_affine_symbol if symbol == "random-affine" else bump_perturbed_matsuno()
+    symbol = random_affine_symbol if symbol == "random-affine" else bump_perturbed_matsuno
     cert, solved = certificate_and_solved_points(monkeypatch, symbol)
     assert solved == [10600]
     assert_matches_all_points_reference(cert, symbol)

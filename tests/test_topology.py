@@ -4,14 +4,16 @@ import re
 
 import numpy as np
 import pytest
+from conftest import BLOCK_FAMILIES
 
+from indexlab.cli import load_preset
 from indexlab.errors import (
     AliasingError,
     DegeneracyError,
     ModelError,
     SectionVanishesError,
 )
-from indexlab.hermite import AffineMatrixSymbol
+from indexlab.hermite import AffineMatrixSymbol, charge_orbits
 from indexlab.models import (
     matsuno_symbol,
     mu_reflected,
@@ -225,16 +227,126 @@ def per_band_reference(sym, bands, grid):
     return frames * np.exp(-1j * np.angle(lead)), min(float(g.min()) for g in gaps)
 
 
+def projectors(frames):
+    """``V V^dag`` of a stack of frames (n, d, r)."""
+    return frames @ frames.conj().swapaxes(1, 2)
+
+
 @pytest.mark.parametrize("bands", [[1], [2], [3], [1, 2], [2, 3]])
-def test_fields_sliced_from_one_spectrum_match_independent_builds(grid32, bands):
-    sym = matsuno_symbol()
-    sliced = SphereSpectrum.build(sym, grid32).field(bands)
-    built = BandProjectorField.build(sym, bands, grid32)
-    vectors, min_gap = per_band_reference(sym, bands, grid32)
-    assert sliced.bands == built.bands == tuple(bands)
-    for fld in (sliced, built):
-        assert np.array_equal(fld.vectors, vectors)
-        assert fld.min_gap == min_gap
+def test_fields_sliced_from_one_spectrum_match_independent_builds(
+        grid32, bump_perturbed_matsuno, bands):
+    # no charge operator fits the bump-perturbed symbol at the poles, so
+    # every vertex is solved: bit-identical to the per-point reference
+    for sym in (bump_perturbed_matsuno, matsuno_symbol()):
+        sliced = SphereSpectrum.build(sym, grid32).field(bands)
+        built = BandProjectorField.build(sym, bands, grid32)
+        vectors, min_gap = per_band_reference(sym, bands, grid32)
+        assert sliced.bands == built.bands == tuple(bands)
+        for fld in (sliced, built):
+            if sym is bump_perturbed_matsuno:
+                assert fld.charge is None
+                assert np.array_equal(fld.vectors, vectors)
+                assert fld.min_gap == min_gap
+            else:
+                # matsuno is solved once per charge orbit and rotated out to
+                # the vertices: the same projectors up to rounding, and frames
+                # up to a gauge (a unitary inside a rank-2 group)
+                assert fld.charge is not None
+                assert np.abs(projectors(fld.vectors) - projectors(vectors)).max() <= 1e-12
+                assert abs(fld.min_gap - min_gap) <= 1e-12
+
+
+def evaluated_points(monkeypatch):
+    """The number of points of each ``evaluate_many`` call from now on."""
+    seen = []
+    real = AffineMatrixSymbol.evaluate_many
+    monkeypatch.setattr(AffineMatrixSymbol, "evaluate_many",
+                        lambda self, pts: seen.append(len(pts)) or real(self, pts))
+    return seen
+
+
+def per_point_spectrum(sym, grid):
+    """The grid spectrum with every vertex solved on its own and no charge operator."""
+    return SphereSpectrum(sym, grid, *batch_eigensystem(sym, grid.vertices))
+
+
+def test_sphere_solves_each_charge_orbit_once(monkeypatch, grid64):
+    # the 64-grid's 24,578 vertices are 3,001 distinct (mu, hypot(x, xi));
+    # a clutching hemisphere's 1,153 points are 65, the equator's 512 are 2
+    seen = evaluated_points(monkeypatch)
+    spectrum = SphereSpectrum.build(matsuno_symbol(), grid64)
+    assert len(grid64.vertices) == 24578 and seen == [3001]
+    seen.clear()
+    assert chern_clutching(spectrum.field([1])).C == 2
+    assert seen == [65, 65, 2]
+
+
+@pytest.mark.parametrize("family", sorted(BLOCK_FAMILIES))
+def test_orbit_spectrum_matches_per_point_solve(grid32, family):
+    sym = BLOCK_FAMILIES[family]
+    spectrum = SphereSpectrum.build(sym, grid32)
+    omegas, vecs = np.linalg.eigh(sym.evaluate_many(grid32.vertices))
+    assert spectrum.charge is not None
+    assert np.abs(spectrum.omegas - omegas).max() <= 1e-12
+    for rank in (1, 2):
+        for lo in range(sym.dim - rank + 1):
+            group = slice(lo, lo + rank)
+            diff = projectors(spectrum.vectors[:, :, group]) - projectors(vecs[:, :, group])
+            assert np.abs(diff).max() <= 1e-12, (rank, lo)
+
+
+@pytest.mark.parametrize("name", ["random-affine", "matsuno+bump"])
+def test_sphere_without_charge_symmetry_solves_every_point(
+        monkeypatch, grid32, random_affine_symbol, bump_perturbed_matsuno, name):
+    sym = random_affine_symbol if name == "random-affine" else bump_perturbed_matsuno
+    seen = evaluated_points(monkeypatch)
+    spectrum = SphereSpectrum.build(sym, grid32)
+    assert seen == [len(grid32.vertices)] and spectrum.charge is None
+    omegas, vecs = np.linalg.eigh(np.array([sym.evaluate(*p) for p in grid32.vertices]))
+    lead = np.take_along_axis(vecs, np.abs(vecs).argmax(axis=1)[:, None, :], axis=1)
+    assert np.array_equal(spectrum.omegas, omegas)
+    assert np.array_equal(spectrum.vectors, vecs * np.exp(-1j * np.angle(lead)))
+    seen.clear()
+    chern_clutching(spectrum.field([1]))
+    assert seen == [1153, 1153, 512]
+
+
+def test_orbit_solve_falls_back_where_a_breaks_the_charge(monkeypatch, bump_perturbed_matsuno):
+    # matsuno's D still fits K, but the bump breaks [D, A(mu)] = 0 for
+    # |mu| < 2: a batch reaching inside solves every point, bit for bit as
+    # without D; a batch wholly outside is solved once per orbit
+    sym = bump_perturbed_matsuno
+    charge, _, _ = charge_orbits(matsuno_symbol(), np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+    th = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+    ring = np.stack((np.full_like(th, 0.5), np.cos(th), np.sin(th)), axis=1)
+    outside = ring + [2.0, 0.0, 0.0]
+    seen = evaluated_points(monkeypatch)
+    inside = batch_eigensystem(sym, ring, charge=charge)
+    plain = batch_eigensystem(sym, ring)
+    assert all(np.array_equal(a, b) for a, b in zip(inside, plain))
+    omegas, vecs = batch_eigensystem(sym, outside, charge=charge)
+    ref_omegas, ref_vecs = batch_eigensystem(sym, outside)
+    assert seen[:2] == [16, 16] and seen[2] < 16
+    assert np.abs(omegas - ref_omegas).max() <= 1e-12
+    assert np.abs(projectors(vecs[:, :, :1]) - projectors(ref_vecs[:, :, :1])).max() <= 1e-12
+
+
+PRESETS = ["normal-form", "matsuno", "matsuno-upper-gap", "matsuno-lower-gap", "ts2", "constant"]
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_preset_curvature_matches_per_point_path(preset):
+    scenario = load_preset(preset)
+    sym = scenario.symbol()
+    grid = SphereGrid.build(scenario.grid_n)
+    orbit, point = SphereSpectrum.build(sym, grid), per_point_spectrum(sym, grid)
+    subgap = list(range(1, sym.gap_band + 1))
+    for bands in [[b] for b in range(1, sym.dim + 1)] + ([subgap] if len(subgap) > 1 else []):
+        a, b = (chern_curvature(s.field(bands)) for s in (orbit, point))
+        assert a.C == b.C
+        assert abs(a.raw_value - b.raw_value) <= 1e-12
+        for key in ("max_cell_phase", "min_band_gap"):  # the gap is inf on one band
+            assert a.diagnostics[key] == pytest.approx(b.diagnostics[key], rel=0, abs=1e-12)
 
 
 def test_field_projector_idempotent(grid32):
@@ -494,6 +606,19 @@ def test_zeros_newton_polish_off_vertex(grid32):
     assert zero.section_norm < 1e-10
     assert np.min(np.linalg.norm(grid32.vertices - np.array(zero.point), axis=1)) > 1e-2
     assert np.linalg.norm(sym.evaluate(*zero.point) @ u0 - u0) < 1e-9
+
+
+def test_zero_order_follows_the_grid(grid64):
+    # ts2's two zeros at xi = +-1 tie in |s|; polished in vertex order, they
+    # come out in the same order whether the grid is solved per orbit or
+    # per point: (0, 0, 1) is a vertex of the fifth cube face, (0, 0, -1)
+    # of the sixth
+    sym = ts2_symbol()
+    orders = []
+    for spectrum in (SphereSpectrum.build(sym, grid64), per_point_spectrum(sym, grid64)):
+        rep = chern_section_zeros(spectrum.field([3]), [0.0, 0.0, 1.0])
+        orders.append([round(z.point[2]) for z in rep.zeros])
+    assert orders == [[1, -1], [1, -1]]
 
 
 def test_zeros_nonvanishing_section(grid32):
