@@ -6,15 +6,17 @@ spectral window.  The grid is refined in rounds: each round bisects every
 interval whose end samples call for it and solves all the new midpoints
 together.  A batch of samples solves the charge blocks of the operator
 (:class:`~indexlab.hermite.OperatorPieces`, built once per sweep) with one
-batched ``eigh`` per stack of equal-size blocks, at most
-:data:`SOLVE_BATCH` samples at a time; a sample where ``A(mu)`` breaks the
-charge symmetry fitted at the sweep ends solves the whole operator on its
-own.  Each interval's branches are matched once, when the interval
-appears, and the sweep records the matched branches that cross the
-reference level in its final intervals.  The flow through the reference
-level is counted two independent ways -- a counting-function difference
-between the sweep endpoints and the signed tally of those crossings -- and
-the two must agree exactly.
+batched solve per stack of equal-size blocks, at most :data:`SOLVE_BATCH`
+samples at a time; a sample where ``A(mu)`` breaks the charge symmetry
+fitted at the sweep ends solves the whole operator on its own.  Only the
+guard weights read eigenvectors, and a block with no index on a guard
+level has guard weight exactly 0, so the stacks of such blocks (most of
+them) are solved for eigenvalues only.  Each interval's branches are
+matched once, when the interval appears, and the sweep records the matched
+branches that cross the reference level in its final intervals.  The flow
+through the reference level is counted two independent ways -- a
+counting-function difference between the sweep endpoints and the signed
+tally of those crossings -- and the two must agree exactly.
 """
 
 from __future__ import annotations
@@ -139,8 +141,13 @@ def _window_samples(pieces: OperatorPieces, window: SpectralWindow,
 
     One ``A(mu)`` evaluation and symmetry test for all of ``mus``; the samples
     that keep the charge symmetry are solved :data:`SOLVE_BATCH` at a time, one
-    batched ``eigh`` per charge stack, and each other sample solves the whole
-    operator alone.
+    batched solve per charge stack, and each other sample solves the whole
+    operator alone.  A stack with guard rows (and the whole operator) is
+    solved by ``eigh`` and weighs its eigenvectors on the guard levels; a
+    stack without is solved by ``eigvalsh``, and its guard weights are 0.0,
+    the exact value of that sum over no guard index.  The whole batch is
+    then sorted (stably, per sample), filtered for spurious states, cut to
+    the window and counted at once.
     """
     mus = np.asarray(mus, dtype=float)
     amats = pieces.const(mus)
@@ -149,33 +156,33 @@ def _window_samples(pieces: OperatorPieces, window: SpectralWindow,
     solves = [(idx[i:i + SOLVE_BATCH], pieces.charge_stacks)
               for i in range(0, len(idx), SOLVE_BATCH)]
     solves += [([i], [pieces.whole]) for i in np.flatnonzero(~charged)]
-    spectra = [None] * len(mus)
+    omegas = np.empty((len(mus), len(pieces.level)))
+    weights = np.empty_like(omegas)
     for batch, stacks in solves:
         parts = []
         for stack in stacks:
-            w, v = np.linalg.eigh(stack.assemble(amats[batch]))
-            guard = pieces.guard[stack.index][..., None]
-            weights = (np.abs(v) ** 2 * guard).sum(axis=-2)
-            parts.append((w.reshape(len(batch), -1), weights.reshape(len(batch), -1)))
-        omegas, weights = (np.concatenate(p, axis=1) for p in zip(*parts))
-        for i, w, g in zip(batch, omegas, weights):
-            spectra[i] = (w, g)
-    return [_filtered_sample(window, mu, w, g) for mu, (w, g) in zip(mus, spectra)]
+            h = stack.assemble(amats[batch])
+            if stack.guard is None:
+                w = np.linalg.eigvalsh(h)
+                g = np.zeros_like(w)
+            else:
+                w, v = np.linalg.eigh(h)
+                g = (np.abs(v) ** 2 * stack.guard).sum(axis=-2)
+            parts.append((w.reshape(len(batch), -1), g.reshape(len(batch), -1)))
+        omegas[batch], weights[batch] = (np.concatenate(p, axis=1) for p in zip(*parts))
 
-
-def _filtered_sample(window: SpectralWindow, mu: float, omegas: np.ndarray,
-                     weights: np.ndarray) -> EigenSample:
-    """Spurious filter and window cut of one sample's eigenvalues and guard weights."""
-    order = np.argsort(omegas, kind="stable")
-    omegas, weights = omegas[order], weights[order]
+    order = np.argsort(omegas, axis=1, kind="stable")
+    omegas = np.take_along_axis(omegas, order, axis=1)
+    weights = np.take_along_axis(weights, order, axis=1)
     keep = weights <= SPURIOUS_THRESHOLD
     in_window = keep & (omegas > window.omega_min) & (omegas < window.omega_max)
-    return EigenSample(
-        mu=float(mu),
-        omegas=omegas[in_window],
-        guard_weights=weights[in_window],
-        count_below_ref=int(np.sum(keep & (omegas < window.omega_ref))),
-    )
+    below = np.count_nonzero(keep & (omegas < window.omega_ref), axis=1)
+    cuts = np.cumsum(np.count_nonzero(in_window, axis=1))[:-1]
+    return [
+        EigenSample(mu=float(mu), omegas=w, guard_weights=g, count_below_ref=int(n))
+        for mu, w, g, n in zip(mus, np.split(omegas[in_window], cuts),
+                               np.split(weights[in_window], cuts), below)
+    ]
 
 
 def _ordered_assignment(short: np.ndarray, long_: np.ndarray) -> list[int]:

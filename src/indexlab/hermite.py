@@ -17,7 +17,9 @@ All functions here are pure; returned arrays are freshly allocated and safe
 to share between threads.  An :class:`OperatorPieces` keeps the stacks it has
 built: the charge blocks, and the whole operator where ``D`` does not fit or
 does not commute with ``A(mu)``.  Each stack assembles a ``(k, d, d)`` stack
-of ``A(mu)`` at once, so many mu values share one batched solve.
+of ``A(mu)`` at once, so many mu values share one batched solve.  A stack
+whose blocks have no index on the top ``guard_levels`` levels has no guard
+weight to measure (it is exactly 0), so its solve needs eigenvalues only.
 """
 
 from __future__ import annotations
@@ -211,7 +213,9 @@ class BlockStack:
     Indices are component-major; component c is column c of ``frame`` (the
     standard basis when None).  ``static`` is ``B (x) xhat + C (x) xihat`` on
     each row; ``A(mu)`` entry ``components[0][t], components[1][t]`` (in the
-    frame) lands at block, row, column ``same_level[0..2][t]``.
+    frame) lands at block, row, column ``same_level[0..2][t]``.  ``guard``
+    marks the indices on the guard levels as a ``(b, s, 1)`` array, and is
+    None when no index of the stack is on one.
     """
 
     index: np.ndarray
@@ -219,6 +223,7 @@ class BlockStack:
     same_level: tuple[np.ndarray, np.ndarray, np.ndarray]
     components: tuple[np.ndarray, np.ndarray]
     frame: np.ndarray | None
+    guard: np.ndarray | None
 
     def assemble(self, amats: np.ndarray) -> np.ndarray:
         """``A(mu) (x) Id + static`` on each block for each of a ``(k, d, d)`` stack of
@@ -264,8 +269,12 @@ class OperatorPieces:
     ``D`` fitted at ``mu_ends`` (None without them or if none fits); in its
     eigenbasis each eigenvalue of ``Q`` gives one charge block of at most d
     indices.  Without charge blocks the one block is the whole operator.
-    ``charge_stacks`` are the charge blocks stacked by size (empty without
-    ``charge``); :meth:`charged` says for which ``A(mu)`` they apply.
+    ``charge_stacks`` are the charge blocks stacked by size and by whether
+    they reach a guard level, in that order (empty without ``charge``);
+    :meth:`charged` says for which ``A(mu)`` they apply.  An eigenvector of
+    a block lies in the span of the block's indices, so on a block that
+    reaches no guard level its guard weight is exactly 0: those stacks
+    (``guard`` None) need no eigenvectors.
     """
 
     def __init__(self, symbol: AffineMatrixSymbol, basis: TruncatedBasis,
@@ -283,8 +292,11 @@ class OperatorPieces:
             order = np.argsort(q, kind="stable")
             cuts = np.flatnonzero(np.diff(q[order]) > 1e-8) + 1
             parts = [np.sort(p) for p in np.split(order, cuts)]
-            self.charge_stacks = [self.stack(np.array([p for p in parts if len(p) == n]), frame)
-                                  for n in sorted({len(p) for p in parts})]
+            kinds = [(len(p), bool(self.guard[p].any())) for p in parts]
+            self.charge_stacks = [
+                self.stack(np.array([p for p, k in zip(parts, kinds) if k == kind]), frame)
+                for kind in sorted(set(kinds))
+            ]
 
     def const(self, mus: Sequence[float]) -> np.ndarray:
         """The ``(k, d, d)`` stack ``A(mu)`` of a sequence of k mu values, each checked Hermitian."""
@@ -304,8 +316,10 @@ class OperatorPieces:
         levels = (level[:, :, None], level[:, None, :])
         static = coeffs[0][pair] * self._xmat[levels] + coeffs[1][pair] * self._ximat[levels]
         which, rows, cols = np.nonzero(levels[0] == levels[1])
+        guard = self.guard[index][..., None]
         return BlockStack(index, static, (which, rows, cols),
-                          (comp[which, rows], comp[which, cols]), frame)
+                          (comp[which, rows], comp[which, cols]), frame,
+                          guard if guard.any() else None)
 
     @cached_property
     def whole(self) -> BlockStack:
@@ -361,13 +375,16 @@ def charge_orbits(
     xi))`` once as the point ``(mu, hypot(x, xi), 0)``, sorted by mu, and
     ``inverse`` (n,) each point's row in it.  ``charge`` is ``D``, fitted at
     the smallest and largest mu of ``points`` when not given.  None when no
-    ``D`` fits or ``A(mu)`` breaks it at the mu of some orbit.
+    ``D`` fits or ``A(mu)`` breaks it at some sampled mu; ``A(mu)`` is
+    evaluated and checked once per distinct mu, not once per orbit.
     """
     points = np.asarray(points, dtype=float)
-    # complex keys sort by mu first, so orbits[0] and orbits[-1] hold the end values of mu
+    # complex keys sort by mu first, so the distinct mu are where the sorted
+    # real parts change, with the end values of mu first and last
     orbits, inverse = np.unique(points[:, 0] + 1j * np.hypot(points[:, 1], points[:, 2]),
                                 return_inverse=True)
-    amats = symbol._const_stack(orbits.real)
+    mus = orbits.real
+    amats = symbol._const_stack(mus[np.flatnonzero(np.diff(mus, prepend=np.nan))])
     if charge is None:
         charge = _charge_operator(symbol, [amats[0], amats[-1]])
     if charge is None or not _commutes(charge, amats).all():

@@ -540,7 +540,9 @@ def _refine_zero(
     tangent-plane offset.  The seed is a grid vertex where the section is
     small; near a nondegenerate zero the iteration converges quadratically.
     Each step solves the point and its four finite-difference neighbours as
-    one batch.  Returns the point and the section norm there, which the
+    one batch.  The iteration stops once ``|z| < 1e-13`` at the current
+    point, before stepping, so a seed that is an exact zero comes back
+    unchanged.  Returns the point and the section norm there, which the
     caller tests.
     """
     p0 = seed_point / np.linalg.norm(seed_point)
@@ -551,6 +553,8 @@ def _refine_zero(
         q = p0 + offsets[:, :1] * t1 + offsets[:, 1:] * t2
         q /= np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]  # rounds as np.linalg.norm(row)
         z0, z1p, z1m, z2p, z2m = _section_coords(field_, u0, p0, q).tolist()
+        if abs(z0) < 1e-13:
+            break
         dz1 = (z1p - z1m) / (2 * h)
         dz2 = (z2p - z2m) / (2 * h)
         jac = np.array([[dz1.real, dz2.real], [dz1.imag, dz2.imag]])
@@ -560,8 +564,6 @@ def _refine_zero(
             break
         p0 = p0 + step[0] * t1 + step[1] * t2
         p0 /= np.linalg.norm(p0)
-        if abs(z0) < 1e-13:
-            break
     s = _sections(_band_frames(field_, p0), u0)
     return p0, float(np.linalg.norm(s))
 

@@ -27,6 +27,7 @@ import indexlab.flow as flow
 from indexlab.hermite import (
     SPURIOUS_THRESHOLD,
     AffineMatrixSymbol,
+    BlockStack,
     OperatorPieces,
     TruncatedBasis,
     quantize,
@@ -584,3 +585,97 @@ def test_batched_window_samples_name_a_non_hermitian_mu():
     pieces = OperatorPieces(symbol, TruncatedBasis(max_level=12, guard_levels=3), (-6.0, 6.0))
     with pytest.raises(ModelError, match=r"const_term\(0\.5\) is not Hermitian"):
         flow._window_samples(pieces, WINDOW_MAT, [-1.0, 0.25, 0.5, 1.0])
+
+
+def all_eigh_samples(pieces, window, mus):
+    """Reference: every stack solved by ``eigh`` and weighed on the guard levels, one mu at a time."""
+    out = []
+    for mu in mus:
+        amat = pieces.const([mu])
+        stacks = pieces.charge_stacks if pieces.charged(amat)[0] else [pieces.whole]
+        parts = []
+        for s in stacks:
+            w, v = np.linalg.eigh(s.assemble(amat))
+            g = (np.abs(v) ** 2 * pieces.guard[s.index][..., None]).sum(axis=-2)
+            parts.append((w.ravel(), g.ravel()))
+        omegas, weights = (np.concatenate(p) for p in zip(*parts))
+        order = np.argsort(omegas, kind="stable")
+        omegas, weights = omegas[order], weights[order]
+        keep = weights <= SPURIOUS_THRESHOLD
+        inside = keep & (omegas > window.omega_min) & (omegas < window.omega_max)
+        out.append(EigenSample(mu=float(mu), omegas=omegas[inside], guard_weights=weights[inside],
+                               count_below_ref=int(np.sum(keep & (omegas < window.omega_ref)))))
+    return out
+
+
+def preset_sweep(name):
+    scenario = PRESETS[name]()
+    symbol, basis, window = scenario.symbol(), scenario.basis(), scenario.spectral_window()
+    ends = (scenario.mu_min, scenario.mu_max)
+    return (OperatorPieces(symbol, basis, ends), window,
+            sweep(symbol, basis, window, *ends, scenario.steps))
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_eigenvalue_only_stacks_match_an_all_eigh_solve(preset):
+    # a block off the guard levels has guard weight exactly 0 either way;
+    # its eigenvalues from eigvalsh agree with eigh's to rounding
+    pieces, window, sw = preset_sweep(preset)
+    reference = all_eigh_samples(pieces, window, [s.mu for s in sw.samples])
+    for got, ref in zip(sw.samples, reference):
+        assert got.mu == ref.mu and got.count_below_ref == ref.count_below_ref
+        assert np.array_equal(got.guard_weights, ref.guard_weights)
+        assert len(got.omegas) == len(ref.omegas)
+        assert np.abs(got.omegas - ref.omegas).max(initial=0.0) <= 1e-13
+
+
+def test_samples_without_charge_blocks_equal_an_all_eigh_solve(monkeypatch, random_affine_symbol):
+    # no charge operator fits the random symbol, and the bump breaks the one
+    # fitted for matsuno for |mu| < 2: there every sample solves the whole
+    # operator by eigh, bit for bit as before
+    basis = nf_basis(16)
+    pieces = OperatorPieces(random_affine_symbol, basis, (-2.0, 2.0))
+    sw = sweep(random_affine_symbol, basis, WINDOW_NF, -2.0, 2.0, 32)
+    assert_same_samples(sw.samples, all_eigh_samples(pieces, WINDOW_NF, [s.mu for s in sw.samples]))
+    symbol, basis, sw = bump_perturbed_matsuno_sweep(monkeypatch)
+    pieces = OperatorPieces(symbol, basis, (-6.0, 6.0))
+    inside = [s for s in sw.samples if abs(s.mu) < 2]
+    assert inside and not pieces.charged(pieces.const([s.mu for s in inside])).any()
+    assert_same_samples(inside, all_eigh_samples(pieces, WINDOW_MAT, [s.mu for s in inside]))
+
+
+def test_matsuno_sweep_computes_eigenvectors_only_for_guard_stacks(monkeypatch):
+    # each stack solve (a 4-D (k, b, s, s) array; the 3x3 D of the
+    # pieces is solved too) is handed the stack assembled just before it
+    assembled, solved = [], {"eigh": [], "eigvalsh": []}
+    real_assemble = BlockStack.assemble
+    real_eigh, real_eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+
+    def spy_assemble(stack, amats):
+        assembled.append((stack, real_assemble(stack, amats)))
+        return assembled[-1][1]
+
+    def spy(name, real):
+        def solve(h):
+            if h.ndim != 4:
+                return real(h)
+            stack, last = assembled[-1]
+            assert h is last
+            solved[name].append(stack)
+            return real(h)
+        return solve
+
+    monkeypatch.setattr(BlockStack, "assemble", spy_assemble)
+    monkeypatch.setattr(np.linalg, "eigh", spy("eigh", real_eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", real_eigvalsh))
+    scenario = PRESETS["matsuno"]()
+    basis = scenario.basis()
+    sweep(scenario.symbol(), basis, scenario.spectral_window(), scenario.mu_min,
+          scenario.mu_max, scenario.steps)
+    on_guard = np.arange(3 * basis.size) % basis.size >= basis.size - basis.guard_levels
+    assert solved["eigh"] and solved["eigvalsh"]
+    assert all(s.guard is not None and on_guard[s.index].any(axis=1).all() for s in solved["eigh"])
+    assert all(s.guard is None and not on_guard[s.index].any() for s in solved["eigvalsh"])
+    # the 3x3 stack of 54 blocks is never solved for eigenvectors
+    assert {s.index.shape for s in solved["eigh"]} == {(1, 1), (1, 2), (5, 3)}
+    assert {s.index.shape for s in solved["eigvalsh"]} == {(1, 1), (1, 2), (54, 3)}

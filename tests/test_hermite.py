@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from conftest import BLOCK_FAMILIES
 
+from indexlab.cli import PRESETS
 from indexlab.errors import GapCertificateError, ModelError
 from indexlab.hermite import (
     AffineMatrixSymbol,
     OperatorPieces,
     TruncatedBasis,
+    charge_orbits,
     ladder_matrices,
     position_momentum,
     quantize,
@@ -372,8 +374,39 @@ def test_charge_operator_spectrum(family):
 def test_charge_blocks_matsuno_sizes():
     pieces = OperatorPieces(matsuno_symbol(), TruncatedBasis(max_level=60, guard_levels=5),
                             (-6.0, 6.0))
-    shapes = [s.static.shape for s in stacks_at(pieces, pieces.const([0.7])[0])]
-    assert shapes == [(2, 1, 1), (2, 2, 2), (59, 3, 3)]
+    stacks = stacks_at(pieces, pieces.const([0.7])[0])
+    sizes = {}
+    for s in stacks:
+        blocks, size, _ = s.static.shape
+        sizes[size] = sizes.get(size, 0) + blocks
+    assert sizes == {1: 2, 2: 2, 3: 59}
+    # the blocks that reach the top five levels: charge 61 (1x1), 60 (2x2) and 55..59 (3x3)
+    assert [s.static.shape for s in stacks if s.guard is not None] == [(1, 1, 1), (1, 2, 2),
+                                                                      (5, 3, 3)]
+
+
+@pytest.mark.parametrize("case", [f"family:{name}" for name in sorted(BLOCK_FAMILIES)]
+                         + [f"preset:{name}" for name in sorted(PRESETS)])
+def test_eigenvalue_only_stacks_hold_exactly_the_blocks_off_the_guard_levels(case):
+    kind, name = case.split(":")
+    if kind == "family":
+        symbol, basis, ends = BLOCK_FAMILIES[name], TruncatedBasis(max_level=12, guard_levels=3), (-2.0, 3.0)
+    else:
+        scenario = PRESETS[name]()
+        symbol, basis, ends = scenario.symbol(), scenario.basis(), (scenario.mu_min, scenario.mu_max)
+    pieces = OperatorPieces(symbol, basis, ends)
+    on_guard = pieces.level >= basis.size - basis.guard_levels
+    assert pieces.charge_stacks
+    for s in pieces.charge_stacks:
+        reaches = on_guard[s.index].any(axis=1)
+        if s.guard is None:  # eigenvalues only
+            assert not reaches.any()
+        else:
+            assert reaches.all() and np.array_equal(s.guard[..., 0], on_guard[s.index])
+    # one stack per (size, reaches a guard level), in that order
+    kinds = [(s.index.shape[1], s.guard is not None) for s in pieces.charge_stacks]
+    assert kinds == sorted(set(kinds))
+    assert pieces.whole.guard is not None
 
 
 def test_no_charge_operator_without_endpoints_or_for_random_symbol(random_affine_symbol):
@@ -450,6 +483,26 @@ def test_gap_certificate_solves_each_charge_orbit_once(monkeypatch, family):
     cert, solved = certificate_and_solved_points(monkeypatch, symbol)
     assert solved == [1752]
     assert_matches_all_points_reference(cert, symbol)
+
+
+def const_term_calls(symbol):
+    """``symbol`` with a ``const_term`` that records how many mu each call takes."""
+    seen, real = [], symbol.const_term
+    return dataclasses.replace(symbol, const_term=lambda mu: seen.append(len(mu)) or real(mu)), seen
+
+
+def test_charge_orbits_check_each_distinct_mu_once(grid64):
+    # the certificate's 1,752 orbits lie on 20 planes of mu, where A(mu) is
+    # evaluated and checked; the orbits themselves are then solved
+    symbol, seen = const_term_calls(matsuno_symbol())
+    cert = sampled_gap_certificate(symbol)
+    assert seen == [20, 1752] and cert.ok
+    seen.clear()
+    charge, _, _ = charge_orbits(symbol, np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+    seen.clear()
+    _, radial, _ = charge_orbits(symbol, grid64.vertices, charge)
+    assert seen == [2945] and len(radial) == 3001
+    assert np.unique(radial[:, 0]).size == 2945
 
 
 @pytest.mark.parametrize("symbol", ["random-affine", "matsuno+bump"])

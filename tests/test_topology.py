@@ -621,6 +621,15 @@ def test_zero_order_follows_the_grid(grid64):
     assert orders == [[1, -1], [1, -1]]
 
 
+def test_exact_zeros_come_back_unchanged(grid64):
+    # ts2 band 3's section vanishes exactly at the vertices (0, 0, +-1); the
+    # polish tests for convergence before each Newton step, so a step made
+    # of rounding noise does not move an exact zero off its vertex
+    rep = chern_section_zeros(SphereSpectrum.build(ts2_symbol(), grid64).field([3]),
+                              [0.0, 0.0, 1.0])
+    assert [list(z.point) for z in rep.zeros] == [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
+
+
 def test_zeros_nonvanishing_section(grid32):
     rep = chern_section_zeros(
         BandProjectorField.build(two_level_constant(), [1], grid32), [1.0, 0.0]
