@@ -85,7 +85,9 @@ _INT_FIELDS = ("max_level", "guard_levels", "steps", "grid_n", "equator_samples"
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int or float that fits a finite float: not JSON's NaN and +-Infinity, nor 10**400."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _is_int(value) -> bool:
@@ -132,10 +134,10 @@ class Scenario:
         if self.model not in ("normal-form", "matsuno", "ts2", "constant"):
             raise ModelError(f"unknown model {self.model!r}")
         if len(self.window) != 3 or not all(map(_is_number, self.window)):
-            raise ModelError(f"window must be three numbers, got {list(self.window)!r}")
+            raise ModelError(f"window must be three finite numbers, got {list(self.window)!r}")
         for name in ("mu_min", "mu_max"):
             if not _is_number(getattr(self, name)):
-                raise ModelError(f"{name} must be a number, got {getattr(self, name)!r}")
+                raise ModelError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         for name in _INT_FIELDS:
             if not _is_int(getattr(self, name)):
                 raise ModelError(f"{name} must be an integer, got {getattr(self, name)!r}")
@@ -144,7 +146,7 @@ class Scenario:
                 raise ModelError(f"{name} must be an object, got {getattr(self, name)!r}")
         for key, value in self.model_params.items():
             if not _PARAM_CHECKS.get(key, lambda v: True)(value):
-                raise ModelError(f"model_params[{key!r}] has the wrong type: {value!r}")
+                raise ModelError(f"model_params[{key!r}] has the wrong type or value: {value!r}")
         for name, least in (("branch_table_levels", 0), ("grid_n", 16),
                             ("equator_samples", 16), ("steps", 16)):
             if getattr(self, name) < least:
@@ -160,7 +162,7 @@ class Scenario:
                 for p in pairs
             ) or not any(map(any, pairs)):
                 raise ModelError(f"zero_refs[{band!r}] must be a list of {dim} "
-                                 "[re, im] number pairs, not all zero")
+                                 "[re, im] finite number pairs, not all zero")
         if not all(_is_int(b) and 1 <= b <= dim for b in self.chern_bands):
             raise ModelError(f"chern_bands must be integers in 1..{dim}, "
                              f"got {list(self.chern_bands)!r}")

@@ -11,7 +11,8 @@ samples at a time; a sample where ``A(mu)`` breaks the charge symmetry
 fitted at the sweep ends solves the whole operator on its own.  Only the
 guard weights read eigenvectors, and a block with no index on a guard
 level has guard weight exactly 0, so the stacks of such blocks (most of
-them) are solved for eigenvalues only.  Each interval's branches are
+them) are solved for eigenvalues only, and in real arithmetic where they
+have a :func:`~indexlab.hermite.real_form`.  Each interval's branches are
 matched once, when the interval appears, and the sweep records the matched
 branches that cross the reference level in its final intervals.  The flow
 through the reference level is counted two independent ways -- a
@@ -145,9 +146,10 @@ def _window_samples(pieces: OperatorPieces, window: SpectralWindow,
     operator alone.  A stack with guard rows (and the whole operator) is
     solved by ``eigh`` and weighs its eigenvectors on the guard levels; a
     stack without is solved by ``eigvalsh``, and its guard weights are 0.0,
-    the exact value of that sum over no guard index.  The whole batch is
-    then sorted (stably, per sample), filtered for spurious states, cut to
-    the window and counted at once.
+    the exact value of that sum over no guard index.  Real blocks (a stack in
+    real form) have the eigenvalues and guard weights of the complex ones.
+    The whole batch is then sorted (stably, per sample), filtered for
+    spurious states, cut to the window and counted at once.
     """
     mus = np.asarray(mus, dtype=float)
     amats = pieces.const(mus)

@@ -20,6 +20,15 @@ does not commute with ``A(mu)``.  Each stack assembles a ``(k, d, d)`` stack
 of ``A(mu)`` at once, so many mu values share one batched solve.  A stack
 whose blocks have no index on the top ``guard_levels`` levels has no guard
 weight to measure (it is exactly 0), so its solve needs eigenvalues only.
+
+A Hermitian ``h`` whose off-diagonal pattern is a forest is ``U^dag S U``, ``U``
+diagonal unitary, ``S`` real symmetric with ``Re h_ii`` on the diagonal and
+``|h_ij|`` off it: phases fixed down each tree from a root make its edges real
+and positive, and no cycle asks for a second choice (Parlett, *The Symmetric
+Eigenvalue Problem*, ch. 7).  So ``S`` has the eigenvalues of ``h`` and
+eigenvectors of the same moduli.  In D's eigenbasis ``B (x) xhat + C (x)
+xihat`` couples weight delta only to delta +- 1, so for a D with distinct
+eigenvalues (every shipped family's) each charge block is a path.
 """
 
 from __future__ import annotations
@@ -44,6 +53,7 @@ __all__ = [
     "spurious_weight",
     "spurious_weights",
     "charge_orbits",
+    "real_form",
     "GapCertificate",
     "sampled_gap_certificate",
 ]
@@ -68,8 +78,8 @@ class TruncatedBasis:
     def __post_init__(self):
         if self.max_level < 2:
             raise ModelError(f"max_level must be >= 2, got {self.max_level}")
-        if self.epsilon <= 0:
-            raise ModelError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < np.inf:
+            raise ModelError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.guard_levels < 1:
             raise ModelError("guard_levels must be >= 1")
         if self.max_level < 2 * self.guard_levels:
@@ -178,6 +188,30 @@ def _is_hermitian(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return defect <= tol * scale
 
 
+def real_form(h: np.ndarray) -> np.ndarray | None:
+    """The real symmetric ``S`` (module docstring) of a ``(..., s, s)`` Hermitian stack, or None.
+
+    Built from the lower triangle, the one ``eigh`` and ``eigvalsh`` read.
+    None when the entries nonzero in some matrix of the stack close a cycle
+    (a 2-core survives pruning the leaves); the test has no tolerance.
+    """
+    rows, cols = np.tril_indices(h.shape[-1], -1)
+    low = h[..., rows, cols]
+    lower = np.zeros(h.shape[-2:], dtype=bool)
+    lower[rows, cols] = (low != 0).any(axis=tuple(range(h.ndim - 2)))
+    adj, alive = lower | lower.T, np.ones(len(lower), dtype=bool)
+    while alive.any():
+        leaves = alive & (adj[:, alive].sum(axis=1) <= 1)
+        if not leaves.any():
+            return None
+        alive &= ~leaves
+    real = np.empty(h.shape)
+    real[..., rows, cols] = real[..., cols, rows] = np.abs(low)
+    diag = np.arange(len(lower))
+    real[..., diag, diag] = h[..., diag, diag].real
+    return real
+
+
 def ladder_matrices(basis: TruncatedBasis) -> tuple[np.ndarray, np.ndarray]:
     """Lowering and raising matrices on levels 0..M.
 
@@ -215,7 +249,8 @@ class BlockStack:
     each row; ``A(mu)`` entry ``components[0][t], components[1][t]`` (in the
     frame) lands at block, row, column ``same_level[0..2][t]``.  ``guard``
     marks the indices on the guard levels as a ``(b, s, 1)`` array, and is
-    None when no index of the stack is on one.
+    None when no index of the stack is on one.  A float ``static`` is a
+    :func:`real_form`, with ``A(mu)`` on the diagonal: blocks come out real.
     """
 
     index: np.ndarray
@@ -235,7 +270,11 @@ class BlockStack:
             amats = self.frame.conj().T @ amats @ self.frame
         which, rows, cols = self.same_level
         h = np.repeat(self.static[None], len(amats), axis=0)
-        h[:, which, rows, cols] += amats[:, self.components[0], self.components[1]]
+        entries = amats[:, self.components[0], self.components[1]]
+        if not np.iscomplexobj(h):
+            h[:, which, rows, cols] += entries.real
+            return h
+        h[:, which, rows, cols] += entries
         h += h.conj().swapaxes(-2, -1)
         h *= 0.5
         return h
@@ -274,7 +313,7 @@ class OperatorPieces:
     :meth:`charged` says for which ``A(mu)`` they apply.  An eigenvector of
     a block lies in the span of the block's indices, so on a block that
     reaches no guard level its guard weight is exactly 0: those stacks
-    (``guard`` None) need no eigenvectors.
+    (``guard`` None) need no eigenvectors.  The whole operator stays complex.
     """
 
     def __init__(self, symbol: AffineMatrixSymbol, basis: TruncatedBasis,
@@ -308,7 +347,9 @@ class OperatorPieces:
         return amats
 
     def stack(self, index: np.ndarray, frame: np.ndarray | None = None) -> BlockStack:
-        """The operator on each row of the ``(b, s)`` component-major ``index`` of ``frame``."""
+        """The operator on each row of the ``(b, s)`` component-major ``index`` of ``frame``;
+        real where a ``frame`` is given, ``A(mu)`` lands on the diagonal only and
+        :func:`real_form` exists."""
         level, comp = self.level[index], self.component[index]
         coeffs = [np.asarray(c) if frame is None else frame.conj().T @ c @ frame
                   for c in (self.symbol.x_coeff, self.symbol.xi_coeff)]
@@ -316,6 +357,9 @@ class OperatorPieces:
         levels = (level[:, :, None], level[:, None, :])
         static = coeffs[0][pair] * self._xmat[levels] + coeffs[1][pair] * self._ximat[levels]
         which, rows, cols = np.nonzero(levels[0] == levels[1])
+        if frame is not None and np.array_equal(rows, cols):
+            real = real_form(0.5 * (static + static.conj().swapaxes(-2, -1)))
+            static = static if real is None else real
         guard = self.guard[index][..., None]
         return BlockStack(index, static, (which, rows, cols),
                           (comp[which, rows], comp[which, cols]), frame,
@@ -423,8 +467,9 @@ def sampled_gap_certificate(
 
     The spectrum is solved once per charge orbit (:func:`charge_orbits`,
     with ``D`` fitted at the smallest and largest sampled mu) and shared by
-    the orbit's points; without a fitting ``D``, or if some sampled
-    ``A(mu)`` breaks it, every point is solved.
+    the orbit's points, in :func:`real_form` where the orbit stack has
+    one; without a fitting ``D``, or if some sampled ``A(mu)`` breaks it,
+    every point is solved.
 
     With ``strict=True`` a violation raises :class:`GapCertificateError`.
     """
@@ -437,7 +482,9 @@ def sampled_gap_certificate(
     orbits = charge_orbits(symbol, pts)
     if orbits is not None:
         _, radial, inverse = orbits
-        eigs = np.linalg.eigvalsh(symbol.evaluate_many(radial))[inverse]
+        h = symbol.evaluate_many(radial)
+        real = real_form(h)
+        eigs = np.linalg.eigvalsh(h if real is None else real)[inverse]
     else:
         eigs = np.linalg.eigvalsh(symbol.evaluate_many(pts))
     r = symbol.gap_band

@@ -539,10 +539,10 @@ def _refine_zero(
     the frame of the band eigenvector v0 at the current point, with t the
     tangent-plane offset.  The seed is a grid vertex where the section is
     small; near a nondegenerate zero the iteration converges quadratically.
-    Each step solves the point and its four finite-difference neighbours as
-    one batch.  The iteration stops once ``|z| < 1e-13`` at the current
-    point, before stepping, so a seed that is an exact zero comes back
-    unchanged.  Returns the point and the section norm there, which the
+    Each step solves the current point first and stops once ``|z| < 1e-13``
+    there, so a seed that is an exact zero comes back unchanged after one
+    small solve; only a step that moves solves the four finite-difference
+    neighbours.  Returns the point and the section norm there, which the
     caller tests.
     """
     p0 = seed_point / np.linalg.norm(seed_point)
@@ -552,9 +552,10 @@ def _refine_zero(
         t1, t2 = _tangent_frame(p0)
         q = p0 + offsets[:, :1] * t1 + offsets[:, 1:] * t2
         q /= np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]  # rounds as np.linalg.norm(row)
-        z0, z1p, z1m, z2p, z2m = _section_coords(field_, u0, p0, q).tolist()
+        z0 = _section_coords(field_, u0, p0, q[:1])[0]
         if abs(z0) < 1e-13:
             break
+        z1p, z1m, z2p, z2m = _section_coords(field_, u0, p0, q[1:]).tolist()
         dz1 = (z1p - z1m) / (2 * h)
         dz2 = (z2p - z2m) / (2 * h)
         jac = np.array([[dz1.real, dz2.real], [dz1.imag, dz2.imag]])

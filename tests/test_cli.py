@@ -304,6 +304,14 @@ def write_scenario(tmp_path, preset, **changes):
         ("clutch_refs", [1]),
         ("clutch_refs", {"2": 5}),
         ("name", 5),
+        # JSON's NaN, Infinity and -Infinity load as floats: not finite numbers
+        ("model_params", {"epsilon": math.nan}),
+        ("model_params", {"epsilon": 1.0, "value": math.inf}),
+        ("mu_min", -math.inf),
+        ("mu_max", math.nan),
+        ("window", [-0.9, math.inf, 0.0]),
+        ("zero_refs", {"1": [[1, 0], [-math.inf, 0]]}),
+        ("mu_min", -10**400),  # a JSON integer no float holds
     ],
 )
 def test_malformed_scenario_field_is_config_error(tmp_path, capsys, field_, value):

@@ -31,6 +31,7 @@ from indexlab.hermite import (
     OperatorPieces,
     TruncatedBasis,
     quantize,
+    real_form,
     spurious_weights,
 )
 from indexlab.models import (
@@ -679,3 +680,49 @@ def test_matsuno_sweep_computes_eigenvectors_only_for_guard_stacks(monkeypatch):
     # the 3x3 stack of 54 blocks is never solved for eigenvectors
     assert {s.index.shape for s in solved["eigh"]} == {(1, 1), (1, 2), (5, 3)}
     assert {s.index.shape for s in solved["eigvalsh"]} == {(1, 1), (1, 2), (54, 3)}
+
+
+def coupled_normal_forms():
+    """Two normal forms on components (0, 1) and (2, 3), coupled by ``A(mu)``
+    entries 0.3i between components 0 and 2 and 0.2 between 1 and 3.
+
+    ``D`` is degenerate (-1/2 twice, +1/2 twice), so each charge block holds
+    both copies at the same levels; x and xi couple 0-1 and 2-3, the
+    coupling 0-2 and 1-3, and the 4-cycle has a non-real product.
+    """
+    base = normal_form_symbol()
+
+    def pair(m):
+        out = np.zeros(m.shape[:-2] + (4, 4), dtype=complex)
+        out[..., :2, :2] = out[..., 2:, 2:] = m
+        return out
+
+    coupling = np.zeros((4, 4), dtype=complex)
+    coupling[0, 2], coupling[1, 3] = 0.3j, 0.2
+    coupling += coupling.conj().T
+    return AffineMatrixSymbol(
+        dim=4, const_term=lambda mu: pair(base.const_term(mu)) + coupling,
+        x_coeff=pair(base.x_coeff), xi_coeff=pair(base.xi_coeff),
+        gap_band=2, gap_constant=0.5, name="coupled-normal-forms",
+    )
+
+
+def test_cyclic_charge_blocks_keep_the_complex_path():
+    symbol, basis = coupled_normal_forms(), nf_basis(16)
+    pieces = OperatorPieces(symbol, basis, (-2.0, 2.0))
+    assert np.abs(np.linalg.eigvalsh(pieces.charge) - [-0.5, -0.5, 0.5, 0.5]).max() <= 1e-12
+    amats = pieces.const([-2.0, 0.5, 2.0])
+    assert pieces.charged(amats).all()
+    assert all(s.static.dtype == np.complex128 for s in pieces.charge_stacks)
+    # a 4x4 block has the 4-cycle, and its moduli would give other eigenvalues
+    (block,) = (s for s in pieces.charge_stacks if s.index.shape[1] == 4 and s.guard is None)
+    h = block.assemble(amats)
+    assert h.dtype == np.complex128 and real_form(h[1, 0]) is None
+    moduli = np.abs(h[1, 0])
+    moduli[range(4), range(4)] = h[1, 0].diagonal().real
+    assert np.abs(np.linalg.eigvalsh(moduli) - np.linalg.eigvalsh(h[1, 0])).max() > 1e-3
+    sw = sweep(symbol, basis, WINDOW_NF, -2.0, 2.0, 32)
+    assert spectral_index(sw).N == 2
+    # two branches of different charge blocks cross on the grid: mu - 0.2 and
+    # 0.3 - mu at mu = 0.25, and their mirror images at mu = -0.25
+    assert assert_samples_match_dense_solve(sw, symbol, basis) == [-0.25, 0.25]

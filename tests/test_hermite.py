@@ -15,6 +15,7 @@ from indexlab.hermite import (
     ladder_matrices,
     position_momentum,
     quantize,
+    real_form,
     sampled_gap_certificate,
     spurious_weight,
     spurious_weights,
@@ -32,6 +33,9 @@ def test_basis_validation():
         TruncatedBasis(max_level=1)
     with pytest.raises(ModelError):
         TruncatedBasis(max_level=10, epsilon=0.0)
+    for epsilon in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ModelError, match="finite and positive"):
+            TruncatedBasis(max_level=10, epsilon=epsilon)
     with pytest.raises(ModelError):
         TruncatedBasis(max_level=8, guard_levels=5)  # M < 2K
     assert TruncatedBasis(max_level=10, guard_levels=5).size == 11
@@ -516,3 +520,84 @@ def test_gap_certificate_without_charge_symmetry_solves_every_point(
     assert_matches_all_points_reference(cert, symbol)
     pts, lower, upper = all_points_margins(symbol)
     assert (cert.lower_margin, cert.upper_margin) == (lower.min(), upper.min())
+
+
+#: forest patterns on five indices as edge lists: no cycle, so a real form exists
+FORESTS = {
+    "path": [(0, 1), (1, 2), (2, 3), (3, 4)],
+    "star": [(0, 1), (0, 2), (0, 3), (0, 4)],
+    "tree": [(0, 1), (1, 2), (1, 3), (3, 4)],
+    "disconnected": [(0, 1), (2, 3)],
+    "diagonal": [],
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("pattern", sorted(FORESTS))
+def test_real_form_of_a_forest_keeps_eigenvalues_and_eigenvector_moduli(pattern, seed):
+    # 40 random complex Hermitian matrices on a relabelled forest pattern;
+    # some matrices lack some edges, so the pattern is the stack's union
+    gen = np.random.default_rng([seed, sorted(FORESTS).index(pattern)])
+    label = gen.permutation(5)
+    h = np.zeros((40, 5, 5), dtype=complex)
+    for i, j in FORESTS[pattern]:
+        entry = (gen.normal(size=40) + 1j * gen.normal(size=40)) * (gen.random(40) > 0.2)
+        h[:, label[i], label[j]] = entry
+        h[:, label[j], label[i]] = entry.conj()
+    h[:, range(5), range(5)] = 3.0 * gen.normal(size=(40, 5))
+    real = real_form(h)
+    assert real.dtype == np.float64 and np.array_equal(real, real.swapaxes(-2, -1))
+    scale = np.abs(h).max()
+    w, v = np.linalg.eigh(h)
+    w_real, v_real = np.linalg.eigh(real)
+    assert np.abs(w_real - w).max() <= 1e-12 * scale
+    assert np.abs(np.linalg.eigvalsh(real) - np.linalg.eigvalsh(h)).max() <= 1e-12 * scale
+    # each eigenvector of a simple eigenvalue is fixed up to a phase, so |v|^2
+    # is fixed; its rounding error grows as the eigenvalue gap shrinks
+    gaps = np.diff(w, axis=-1)
+    simple = np.minimum(np.pad(gaps, ((0, 0), (1, 0)), constant_values=np.inf),
+                        np.pad(gaps, ((0, 0), (0, 1)), constant_values=np.inf)) > 1e-3 * scale
+    assert simple.mean() > 0.9
+    moduli = np.abs(np.abs(v_real) ** 2 - np.abs(v) ** 2).max(axis=-2)
+    assert moduli[simple].max() <= 1e-12
+
+
+def test_real_form_refuses_a_cycle():
+    # a triangle with cycle product h01 h12 h20 = i: no diagonal unitary makes
+    # it real, and the moduli alone give other eigenvalues
+    h = np.array([[0, 1, -1j], [1, 0, 1], [1j, 1, 0]])
+    assert real_form(h) is None
+    assert np.abs(np.linalg.eigvalsh(h) - [-math.sqrt(3), 0.0, math.sqrt(3)]).max() <= 1e-12
+    assert np.abs(np.linalg.eigvalsh(np.abs(h)) - [-1.0, -1.0, 2.0]).max() <= 1e-12
+    # the test reads the zero pattern only, not the phases: a real triangle is
+    # refused too, and so is a stack of two forests whose union is a triangle
+    assert real_form(np.abs(h)) is None
+    path = h * [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
+    assert real_form(path) is not None
+    assert real_form(np.stack([path, np.abs(h) - path])) is None
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_every_charge_stack_of_the_presets_is_real(preset):
+    scenario = PRESETS[preset]()
+    symbol, basis = scenario.symbol(), scenario.basis()
+    pieces = OperatorPieces(symbol, basis, (scenario.mu_min, scenario.mu_max))
+    amats = pieces.const([scenario.mu_min, 0.0, 0.7, scenario.mu_max])
+    assert pieces.charge_stacks and pieces.charged(amats).all()
+    for s in pieces.charge_stacks:
+        assert s.static.dtype == np.float64 and s.assemble(amats).dtype == np.float64
+    # the whole operator, and so quantize, stays complex
+    assert pieces.whole.assemble(amats).dtype == np.complex128
+    assert quantize(symbol, 0.7, basis).matrix.dtype == np.complex128
+
+
+def test_gap_certificate_solves_the_orbit_stack_in_real_form(monkeypatch, random_affine_symbol):
+    solved = []
+    real_eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: solved.append(h.dtype) or real_eigvalsh(h))
+    for name in sorted(BLOCK_FAMILIES):
+        assert sampled_gap_certificate(BLOCK_FAMILIES[name]).points_checked == 10600
+    assert solved == [np.float64] * len(BLOCK_FAMILIES)
+    solved.clear()
+    sampled_gap_certificate(random_affine_symbol)  # no orbits: every point, complex
+    assert solved == [np.complex128]

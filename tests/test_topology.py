@@ -13,6 +13,7 @@ from indexlab.errors import (
     ModelError,
     SectionVanishesError,
 )
+import indexlab.topology as topology
 from indexlab.hermite import AffineMatrixSymbol, charge_orbits
 from indexlab.models import (
     matsuno_symbol,
@@ -630,6 +631,23 @@ def test_exact_zeros_come_back_unchanged(grid64):
     assert [list(z.point) for z in rep.zeros] == [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
 
 
+def test_zero_polish_solves_the_neighbours_only_for_a_step(grid64, monkeypatch):
+    # the current point is solved alone and tested first; the four
+    # finite-difference neighbours are solved only when a Newton step follows
+    fld = SphereSpectrum.build(ts2_symbol(), grid64).field([3])
+    u0, sizes = np.array([0.0, 0.0, 1.0], dtype=complex), []
+    real = topology._section_coords
+    monkeypatch.setattr(topology, "_section_coords",
+                        lambda f, u, c, p: sizes.append(len(p)) or real(f, u, c, p))
+    point, norm = topology._refine_zero(fld, u0, np.array([0.0, 0.0, 1.0]))
+    assert sizes == [1] and list(point) == [0.0, 0.0, 1.0] and norm < 1e-13
+    sizes.clear()
+    point, norm = topology._refine_zero(fld, u0, np.array([0.02, -0.01, 1.0]))
+    steps = len(sizes) // 2
+    assert steps >= 2 and sizes == [1, 4] * steps + [1]
+    assert norm < 1e-12 and np.abs(point - [0.0, 0.0, 1.0]).max() < 1e-12
+
+
 def test_zeros_nonvanishing_section(grid32):
     rep = chern_section_zeros(
         BandProjectorField.build(two_level_constant(), [1], grid32), [1.0, 0.0]
@@ -699,8 +717,6 @@ def test_zeros_close_pair_all_found(grid64):
     ],
 )
 def test_zeros_one_polish_per_zero(grid32, monkeypatch, symbol_fn, band, zero_ref, polishes):
-    import indexlab.topology as topology
-
     calls = []
     real_refine = topology._refine_zero
     monkeypatch.setattr(
