@@ -613,7 +613,8 @@ def _verify_csv(payload: dict) -> str:
 
 
 def _to_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """RFC 8259 JSON: a NaN or infinite value raises ValueError instead of being written."""
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _atomic_write(path: str, text: str):

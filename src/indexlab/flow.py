@@ -12,9 +12,12 @@ fitted at the sweep ends solves the whole operator on its own.  Only the
 guard weights read eigenvectors, and a block with no index on a guard
 level has guard weight exactly 0, so the stacks of such blocks (most of
 them) are solved for eigenvalues only, and in real arithmetic where they
-have a :func:`~indexlab.hermite.real_form`.  Each interval's branches are
-matched once, when the interval appears, and the sweep records the matched
-branches that cross the reference level in its final intervals.  The flow
+have a :func:`~indexlab.hermite.real_form`.  Where those real blocks are
+tridiagonal, eigenvalue counts (Sturm sequences) at the window edges
+settle every block with no eigenvalue near the window, and only the few
+others are solved.  Each interval's branches are matched once, when the
+interval appears, and the sweep records the matched branches that cross
+the reference level in its final intervals.  The flow
 through the reference level is counted two independent ways -- a
 counting-function difference between the sweep endpoints and the signed
 tally of those crossings -- and the two must agree exactly.
@@ -36,6 +39,7 @@ from .errors import (
 from .hermite import (
     SPURIOUS_THRESHOLD,
     AffineMatrixSymbol,
+    BlockStack,
     OperatorPieces,
     TruncatedBasis,
     sampled_gap_certificate,
@@ -62,6 +66,11 @@ MAX_MATCH_ROUNDS = 12
 #: Samples per batched charge-block solve: larger batches save little call
 #: overhead and raise the peak memory of a sweep's initial grid.
 SOLVE_BATCH = 48
+#: A tridiagonal block T is solved only if its Sturm counts below
+#: ``omega_min - tau`` and ``omega_max + tau`` differ, ``tau`` this times
+#: ``max(1, ||T||)``: far above the backward error of the count and of
+#: ``eigvalsh`` (a few ulps of ``||T||``).
+STURM_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -136,20 +145,81 @@ class FlowResult:
     crossings: tuple[Crossing, ...]
 
 
+def _sturm_count(diag: np.ndarray, off_sq: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Eigenvalues below ``shift`` of real symmetric tridiagonal matrices.
+
+    ``diag`` (s, ...) and ``off_sq`` (s - 1, ...) hold the diagonals and the
+    squared subdiagonals, entry by entry, broadcast against ``shift``.
+    Counts the negative pivots ``d_i = (a_i - shift) - b_{i-1}^2 / d_{i-1}``
+    of ``T - shift = L D L^T`` (Sylvester's law of inertia; Barth, Martin &
+    Wilkinson 1967).  A pivot of magnitude at most ``pivmin`` becomes
+    ``-pivmin``, as in LAPACK ``dstebz`` (here with the largest ``b^2`` of
+    all the matrices), so no division is by zero or overflows.  The count is
+    exact for a matrix within a few ulps of ``T`` (Demmel, Dhillon & Ren
+    1995).
+    """
+    pivmin = np.finfo(float).tiny * max(1.0, off_sq.max(initial=0.0))
+    count = 0
+    for i, a in enumerate(diag):
+        d = a - shift
+        if i:
+            d -= off_sq[i - 1] / pivot
+        pivot = np.where(np.abs(d) <= pivmin, -pivmin, d)
+        count = count + (pivot < 0)
+    return count
+
+
+def _tridiagonal_eigenvalues(stack: BlockStack, framed: np.ndarray,
+                             window: SpectralWindow) -> tuple[np.ndarray, np.ndarray]:
+    """The ``eigvalsh`` values of a ``tridiagonal`` stack's blocks that the window can
+    see, as ``(k, b * s)`` with ``+inf`` for the rest, and per sample the
+    eigenvalues below the window of the blocks not solved.
+
+    A block whose Sturm counts (:func:`_sturm_count`) below ``omega_min -
+    tau`` and ``omega_max + tau`` agree has no eigenvalue within ``tau / 2``
+    of the window, so its ``eigvalsh`` values are all outside it and as many
+    below it as that count: it is not solved.  ``tau`` is
+    :data:`STURM_MARGIN` times ``max(1, ||T||)``, with ``||T||`` bounded for
+    all of a sample's blocks at once.  The other blocks are solved by
+    ``eigvalsh`` as :meth:`~indexlab.hermite.BlockStack.assemble` builds
+    them.  A 1x1 block's eigenvalue is its entry, as LAPACK returns it.
+    """
+    diag = stack.diagonal(framed)
+    k, s, b = diag.shape
+    if s == 1:
+        return diag.reshape(k, b), 0
+    off_sq = stack.tridiagonal[1]
+    # Gershgorin: |a_i| + |b_{i-1}| + |b_i| bounds ||T||
+    norm = np.abs(diag).reshape(k, -1).max(axis=1) + 2.0 * np.sqrt(off_sq.max())
+    tau = STURM_MARGIN * np.maximum(1.0, norm)[:, None]
+    below, upto = _sturm_count(diag.swapaxes(0, 1), off_sq,
+                               np.stack([window.omega_min - tau, window.omega_max + tau]))
+    solve = below != upto
+    w = np.full((k, b, s), np.inf)
+    if solve.any():
+        w[solve] = np.linalg.eigvalsh(stack.blocks(diag.swapaxes(1, 2)[solve],
+                                                   np.nonzero(solve)[1]))
+    return w.reshape(k, -1), np.where(solve, 0, below).sum(axis=1)
+
+
 def _window_samples(pieces: OperatorPieces, window: SpectralWindow,
                     mus: Sequence[float]) -> list[EigenSample]:
     """Filtered window spectra at each of ``mus``, solved together.
 
     One ``A(mu)`` evaluation and symmetry test for all of ``mus``; the samples
-    that keep the charge symmetry are solved :data:`SOLVE_BATCH` at a time, one
-    batched solve per charge stack, and each other sample solves the whole
-    operator alone.  A stack with guard rows (and the whole operator) is
-    solved by ``eigh`` and weighs its eigenvectors on the guard levels; a
-    stack without is solved by ``eigvalsh``, and its guard weights are 0.0,
-    the exact value of that sum over no guard index.  Real blocks (a stack in
-    real form) have the eigenvalues and guard weights of the complex ones.
-    The whole batch is then sorted (stably, per sample), filtered for
-    spurious states, cut to the window and counted at once.
+    that keep the charge symmetry are solved :data:`SOLVE_BATCH` at a time,
+    turned into the charge frame once per batch and solved per charge stack,
+    and each other sample solves the whole operator alone.  A stack with
+    guard rows (and the whole operator) is solved by ``eigh`` and weighs its
+    eigenvectors on the guard levels.  A stack without has guard weights
+    0.0, the exact value of that sum over no guard index, and is solved for
+    eigenvalues only: by :func:`_tridiagonal_eigenvalues`, which leaves to
+    ``eigvalsh`` just the blocks that Sturm counts cannot settle, where it is
+    ``tridiagonal``, else by ``eigvalsh``.  Real blocks (a stack in real
+    form) have the eigenvalues and guard weights of the complex ones.  The
+    whole batch is then sorted (stably, per sample), filtered for spurious
+    states, cut to the window and counted at once; the window values and
+    the counts are bit for bit those of solving every block.
     """
     mus = np.asarray(mus, dtype=float)
     amats = pieces.const(mus)
@@ -160,15 +230,20 @@ def _window_samples(pieces: OperatorPieces, window: SpectralWindow,
     solves += [([i], [pieces.whole]) for i in np.flatnonzero(~charged)]
     omegas = np.empty((len(mus), len(pieces.level)))
     weights = np.empty_like(omegas)
+    settled = np.zeros(len(mus), dtype=int)
     for batch, stacks in solves:
+        framed = stacks[0].to_frame(amats[batch])  # the charge stacks share one frame
         parts = []
         for stack in stacks:
-            h = stack.assemble(amats[batch])
-            if stack.guard is None:
-                w = np.linalg.eigvalsh(h)
+            if stack.tridiagonal is not None:
+                w, below = _tridiagonal_eigenvalues(stack, framed, window)
+                settled[batch] += below
+                g = np.zeros_like(w)
+            elif stack.guard is None:
+                w = np.linalg.eigvalsh(stack.assemble(framed))
                 g = np.zeros_like(w)
             else:
-                w, v = np.linalg.eigh(h)
+                w, v = np.linalg.eigh(stack.assemble(framed))
                 g = (np.abs(v) ** 2 * stack.guard).sum(axis=-2)
             parts.append((w.reshape(len(batch), -1), g.reshape(len(batch), -1)))
         omegas[batch], weights[batch] = (np.concatenate(p, axis=1) for p in zip(*parts))
@@ -178,12 +253,13 @@ def _window_samples(pieces: OperatorPieces, window: SpectralWindow,
     weights = np.take_along_axis(weights, order, axis=1)
     keep = weights <= SPURIOUS_THRESHOLD
     in_window = keep & (omegas > window.omega_min) & (omegas < window.omega_max)
-    below = np.count_nonzero(keep & (omegas < window.omega_ref), axis=1)
-    cuts = np.cumsum(np.count_nonzero(in_window, axis=1))[:-1]
+    below = np.count_nonzero(keep & (omegas < window.omega_ref), axis=1) + settled
+    ends = np.cumsum(np.count_nonzero(in_window, axis=1)).tolist()
+    omegas, weights = omegas[in_window], weights[in_window]
     return [
-        EigenSample(mu=float(mu), omegas=w, guard_weights=g, count_below_ref=int(n))
-        for mu, w, g, n in zip(mus, np.split(omegas[in_window], cuts),
-                               np.split(weights[in_window], cuts), below)
+        EigenSample(mu=float(mu), omegas=omegas[a:b], guard_weights=weights[a:b],
+                    count_below_ref=int(n))
+        for mu, a, b, n in zip(mus, [0] + ends, ends, below)
     ]
 
 

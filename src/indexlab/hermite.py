@@ -19,7 +19,9 @@ built: the charge blocks, and the whole operator where ``D`` does not fit or
 does not commute with ``A(mu)``.  Each stack assembles a ``(k, d, d)`` stack
 of ``A(mu)`` at once, so many mu values share one batched solve.  A stack
 whose blocks have no index on the top ``guard_levels`` levels has no guard
-weight to measure (it is exactly 0), so its solve needs eigenvalues only.
+weight to measure (it is exactly 0), so its solve needs eigenvalues only;
+such a stack of real tridiagonal blocks also hands out their diagonals
+alone, for eigenvalue counts that need no solve.
 
 A Hermitian ``h`` whose off-diagonal pattern is a forest is ``U^dag S U``, ``U``
 diagonal unitary, ``S`` real symmetric with ``Re h_ii`` on the diagonal and
@@ -251,6 +253,10 @@ class BlockStack:
     marks the indices on the guard levels as a ``(b, s, 1)`` array, and is
     None when no index of the stack is on one.  A float ``static`` is a
     :func:`real_form`, with ``A(mu)`` on the diagonal: blocks come out real.
+    ``tridiagonal`` is ``static``'s diagonal ``(s, b)``, its squared
+    subdiagonal ``(s - 1, b)`` and the component of each diagonal entry
+    ``(s, b)`` when ``static`` is real and exactly zero beyond its first
+    off-diagonals and no index is on a guard level; else None.
     """
 
     index: np.ndarray
@@ -259,24 +265,42 @@ class BlockStack:
     components: tuple[np.ndarray, np.ndarray]
     frame: np.ndarray | None
     guard: np.ndarray | None
+    tridiagonal: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    def assemble(self, amats: np.ndarray) -> np.ndarray:
+    def to_frame(self, amats: np.ndarray) -> np.ndarray:
+        """A ``(k, d, d)`` stack of ``A(mu)`` in the standard frame, turned into ``frame``."""
+        return amats if self.frame is None else self.frame.conj().T @ amats @ self.frame
+
+    def assemble(self, framed: np.ndarray) -> np.ndarray:
         """``A(mu) (x) Id + static`` on each block for each of a ``(k, d, d)`` stack of
         ``A(mu)``, as ``(k, b, s, s)``, symmetrized to be exactly Hermitian.
 
-        ``amats`` is in the standard frame.
+        ``framed`` is in ``frame`` (:meth:`to_frame`); stacks that share a
+        frame share one transform.
         """
-        if self.frame is not None:
-            amats = self.frame.conj().T @ amats @ self.frame
         which, rows, cols = self.same_level
-        h = np.repeat(self.static[None], len(amats), axis=0)
-        entries = amats[:, self.components[0], self.components[1]]
+        h = np.repeat(self.static[None], len(framed), axis=0)
+        entries = framed[:, self.components[0], self.components[1]]
         if not np.iscomplexobj(h):
             h[:, which, rows, cols] += entries.real
             return h
         h[:, which, rows, cols] += entries
         h += h.conj().swapaxes(-2, -1)
         h *= 0.5
+        return h
+
+    def diagonal(self, framed: np.ndarray) -> np.ndarray:
+        """The diagonals of :meth:`assemble`'s blocks of a ``tridiagonal`` stack, bit for
+        bit, as ``(k, s, b)``; their off-diagonals are ``static``'s."""
+        diag, _, comp = self.tridiagonal
+        return diag + framed[:, comp, comp].real
+
+    def blocks(self, diag: np.ndarray, which: np.ndarray) -> np.ndarray:
+        """Blocks ``which`` (n,) of a ``tridiagonal`` stack with the diagonals ``diag``
+        (n, s) of :meth:`diagonal`: :meth:`assemble`'s blocks, bit for bit."""
+        h = self.static[which]
+        s = np.arange(h.shape[-1])
+        h[:, s, s] = diag
         return h
 
 
@@ -361,9 +385,13 @@ class OperatorPieces:
             real = real_form(0.5 * (static + static.conj().swapaxes(-2, -1)))
             static = static if real is None else real
         guard = self.guard[index][..., None]
+        tridiagonal = None
+        if static.dtype == float and not guard.any() and not np.triu(static, 2).any():
+            tridiagonal = (static.diagonal(0, -2, -1).T.copy(),
+                           static.diagonal(-1, -2, -1).T ** 2, comp.T.copy())
         return BlockStack(index, static, (which, rows, cols),
                           (comp[which, rows], comp[which, cols]), frame,
-                          guard if guard.any() else None)
+                          guard if guard.any() else None, tridiagonal)
 
     @cached_property
     def whole(self) -> BlockStack:

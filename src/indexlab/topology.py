@@ -396,7 +396,8 @@ def chern_curvature(field_: BandProjectorField, max_refinements: int = 2) -> Che
             "max_cell_phase": max_phase,
             "grid_n": field_.grid.n_per_face,
             "refinements": refinements,
-            "min_band_gap": field_.min_gap,
+            # null for a group with no neighbouring band (an infinite gap)
+            "min_band_gap": field_.min_gap if field_.min_gap < np.inf else None,
         },
     )
 
@@ -603,12 +604,12 @@ def chern_section_zeros(
     threshold = 0.15 * float(np.linalg.norm(u0))
     if not amps.max() > 1e-10 * threshold:
         raise ModelError("section P u0 vanishes at every vertex: u0 = 0 or orthogonal to the band")
-    order = np.argsort(amps)
-    rank = np.argsort(order)  # inverse permutation: rank[order[i]] == i
-    cells = field_.grid.cells
-    lowest = rank.copy()  # lowest rank among the vertices sharing a cell
-    np.minimum.at(lowest, cells, rank[cells].min(axis=1, keepdims=True))
-    seeds = np.flatnonzero((amps < threshold) & (lowest == rank))
+    rank = np.empty(len(amps), dtype=np.intp)
+    rank[np.argsort(amps)] = np.arange(len(amps))  # inverse permutation
+    ranks = rank[field_.grid.cells]
+    beaten = np.zeros(len(amps), dtype=bool)  # ranked after another vertex of some cell
+    beaten[field_.grid.cells[ranks > ranks.min(axis=1, keepdims=True)]] = True
+    seeds = np.flatnonzero((amps < threshold) & ~beaten)
     zeros: list[tuple[np.ndarray, float]] = []
     for seed in field_.grid.vertices[seeds]:
         point, norm = _refine_zero(field_, u0, seed)

@@ -86,6 +86,36 @@ def test_verify_corrupted_gap_band_exits_nonzero(tmp_path):
     assert rc == 1
 
 
+def strict_json(path):
+    """The report at ``path`` read by an RFC 8259 parser: NaN and Infinity are refused."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    with open(path) as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
+def test_band_group_without_a_neighbouring_band_reports_a_null_gap(tmp_path):
+    # the one band of a scalar symbol has no band beside it: its smallest
+    # band gap is no number, written as null rather than as Infinity
+    path = tmp_path / "c1.json"
+    path.write_text(json.dumps({"name": "c1", "model": "constant",
+                                "model_params": {"value": 5.0, "dim": 1}, "chern_bands": [1]}))
+    out = tmp_path / "chern.json"
+    assert main(["chern", "--scenario", str(path), "--method", "curvature", "--out", str(out)]) == 0
+    (band,) = strict_json(out)["bands"]
+    assert band["reports"]["curvature"]["diagnostics"]["min_band_gap"] is None
+    assert band["reports"]["curvature"]["C"] == 0
+
+
+def test_reports_refuse_non_finite_values():
+    import indexlab.cli as cli
+
+    with pytest.raises(ValueError):
+        cli._to_json({"value": math.inf})
+    with pytest.raises(ValueError):
+        cli._to_json({"value": [math.nan]})
+
+
 def test_usage_error_exit_code():
     assert main(["verify"]) == 2  # missing --preset/--scenario
     assert main(["no-such-command"]) == 2

@@ -588,16 +588,23 @@ def test_batched_window_samples_name_a_non_hermitian_mu():
         flow._window_samples(pieces, WINDOW_MAT, [-1.0, 0.25, 0.5, 1.0])
 
 
-def all_eigh_samples(pieces, window, mus):
-    """Reference: every stack solved by ``eigh`` and weighed on the guard levels, one mu at a time."""
+def all_eigh_samples(pieces, window, mus, vectors=True):
+    """Reference: every block solved by LAPACK, one mu at a time, by ``eigh`` and weighed
+    on the guard levels; with ``vectors`` False, a stack with no guard level by
+    ``eigvalsh``, with guard weights 0.0."""
     out = []
     for mu in mus:
         amat = pieces.const([mu])
         stacks = pieces.charge_stacks if pieces.charged(amat)[0] else [pieces.whole]
         parts = []
         for s in stacks:
-            w, v = np.linalg.eigh(s.assemble(amat))
-            g = (np.abs(v) ** 2 * pieces.guard[s.index][..., None]).sum(axis=-2)
+            h = s.assemble(s.to_frame(amat))
+            if vectors or s.guard is not None:
+                w, v = np.linalg.eigh(h)
+                g = (np.abs(v) ** 2 * pieces.guard[s.index][..., None]).sum(axis=-2)
+            else:
+                w = np.linalg.eigvalsh(h)
+                g = np.zeros_like(w)
             parts.append((w.ravel(), g.ravel()))
         omegas, weights = (np.concatenate(p) for p in zip(*parts))
         order = np.argsort(omegas, kind="stable")
@@ -630,6 +637,110 @@ def test_eigenvalue_only_stacks_match_an_all_eigh_solve(preset):
         assert np.abs(got.omegas - ref.omegas).max(initial=0.0) <= 1e-13
 
 
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_sturm_settled_samples_equal_the_lapack_only_path(preset):
+    # a block settled by its Sturm counts stands for the eigvalsh values it
+    # would have had: the window contents and the counts are bit for bit those
+    # of solving every block by LAPACK, at every sweep mu.  The window-edge
+    # samples mu = +-1.5 of the matsuno gaps (the Kelvin branch omega = mu on
+    # the edge) are among them; that branch is the 1x1 q = -1 block, whose
+    # eigenvalue is its entry
+    pieces, window, sw = preset_sweep(preset)
+    mus = [s.mu for s in sw.samples]
+    reference = all_eigh_samples(pieces, window, mus, vectors=False)
+    assert_same_samples(sw.samples, reference)
+    assert_same_samples(flow._window_samples(pieces, window, mus), reference)
+    if preset.startswith("matsuno-"):
+        edge = window.omega_max if preset == "matsuno-upper-gap" else window.omega_min
+        assert math.copysign(1.5, edge) in mus
+
+
+@pytest.mark.parametrize("preset", ["matsuno", "normal-form", "ts2"])
+def test_blocks_with_an_eigenvalue_ulps_from_a_window_edge_reach_lapack(preset):
+    # windows whose edges sit a few ulps either side of an eigvalsh value of a
+    # 2x2 or 3x3 eigenvalue-only block: only the margin tau decides, against
+    # rounding, whether that value is inside, so each such block must be solved
+    scenario = PRESETS[preset]()
+    symbol, basis = scenario.symbol(), scenario.basis()
+    pieces = OperatorPieces(symbol, basis, (scenario.mu_min, scenario.mu_max))
+    mus = np.linspace(scenario.mu_min, scenario.mu_max, 7)
+    amats = pieces.const(mus)
+    values = [np.linalg.eigvalsh(s.assemble(s.to_frame(amats)))[:, :12].ravel()
+              for s in pieces.charge_stacks if s.tridiagonal is not None and s.index.shape[1] > 1]
+    values = np.concatenate(values)
+    for value in values[:: max(1, len(values) // 8)]:
+        for ulps in (1, 2):
+            up, down = value, value
+            for _ in range(ulps):
+                up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+            for window in (SpectralWindow(value - 0.25, up, value - 0.125),
+                           SpectralWindow(down, value + 0.25, value + 0.125),
+                           SpectralWindow(up, value + 0.25, value + 0.125),
+                           SpectralWindow(value - 0.25, down, value - 0.125)):
+                assert_same_samples(flow._window_samples(pieces, window, mus),
+                                    all_eigh_samples(pieces, window, mus, vectors=False))
+
+
+def random_tridiagonals(rng, size, count, scale):
+    """Diagonals (size, count) and squared subdiagonals (size - 1, count), a third
+    of the subdiagonal entries exactly zero."""
+    diag = scale * rng.uniform(-1.0, 1.0, (size, count))
+    off = scale * rng.uniform(-1.0, 1.0, (size - 1, count))
+    off[rng.uniform(size=off.shape) < 1 / 3] = 0.0
+    return diag, off**2
+
+
+def tridiagonal_eigenvalues(diag, off_sq):
+    """eigvalsh of each (count,) matrix with subdiagonal +sqrt(off_sq)."""
+    size, count = diag.shape
+    t = np.zeros((count, size, size))
+    t[:, range(size), range(size)] = diag.T
+    t[:, range(1, size), range(size - 1)] = np.sqrt(off_sq).T
+    t[:, range(size - 1), range(1, size)] = np.sqrt(off_sq).T
+    return np.linalg.eigvalsh(t)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sturm_count_equals_the_eigvalsh_count(size, scale, seed):
+    rng = np.random.default_rng(seed)
+    diag, off_sq = random_tridiagonals(rng, size, 200, scale)
+    eigs = tridiagonal_eigenvalues(diag, off_sq)
+    # shifts: random, every diagonal entry (exact zero pivots), every
+    # eigenvalue, and the eigenvalues of the leading 1x1 and 2x2 blocks
+    # (a zero pivot further down)
+    leading = [diag[:1]] + ([tridiagonal_eigenvalues(diag[:2], off_sq[:1]).T] if size == 3 else [])
+    shifts = np.concatenate([scale * rng.uniform(-2.5, 2.5, (4, 200)), diag, eigs.T, *leading])
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        counts = flow._sturm_count(diag, off_sq, shifts)
+    assert counts.shape == shifts.shape
+    # both counts are exact for a matrix within rounding of T: between the
+    # eigenvalues farther than that below and the ones not farther above
+    rounding = 1e-13 * np.abs(eigs).max(axis=1)
+    below = (eigs[None] < shifts[..., None] - rounding[:, None]).sum(axis=-1)
+    upto = (eigs[None] <= shifts[..., None] + rounding[:, None]).sum(axis=-1)
+    assert np.all((below <= counts) & (counts <= upto))
+    clear = below == upto
+    assert clear[:4].all()  # the random shifts
+    assert np.array_equal(counts[clear], below[clear])
+
+
+def test_sturm_count_of_exact_zero_pivots():
+    # diag(1, 2, 3) shifted by 2: a zero pivot with a zero subdiagonal after
+    # it (0 / 0 without the pivmin guard), and one with a nonzero subdiagonal
+    # after it (division by zero)
+    diag = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+    off_sq = np.array([[0.0, 1.0], [0.0, 1.0]])
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        counts = flow._sturm_count(diag, off_sq, np.array([2.0, 0.0]))
+    # the second matrix is [[0, 1, 0], [1, 0, 1], [0, 1, 0]]: eigenvalues
+    # -sqrt(2), 0, sqrt(2), the shift 0 is one of them
+    assert counts[0] in (1, 2) and counts[1] in (1, 2)
+    assert np.array_equal(flow._sturm_count(diag, off_sq, np.array([[2.5, 0.5], [1.5, -0.5]])),
+                          [[2, 2], [1, 1]])
+
+
 def test_samples_without_charge_blocks_equal_an_all_eigh_solve(monkeypatch, random_affine_symbol):
     # no charge operator fits the random symbol, and the bump breaks the one
     # fitted for matsuno for |mu| < 2: there every sample solves the whole
@@ -646,40 +757,53 @@ def test_samples_without_charge_blocks_equal_an_all_eigh_solve(monkeypatch, rand
 
 
 def test_matsuno_sweep_computes_eigenvectors_only_for_guard_stacks(monkeypatch):
-    # each stack solve (a 4-D (k, b, s, s) array; the 3x3 D of the
-    # pieces is solved too) is handed the stack assembled just before it
-    assembled, solved = [], {"eigh": [], "eigvalsh": []}
-    real_assemble = BlockStack.assemble
+    # each stack solve (a (k, b, s, s) array from assemble, or the (n, s, s)
+    # blocks of an eigenvalue-only stack that its Sturm counts leave to
+    # LAPACK; the 3x3 D of the pieces is solved too) is handed the array
+    # built just before it
+    built, solved = [], {"eigh": [], "eigvalsh": []}
+    real_assemble, real_blocks = BlockStack.assemble, BlockStack.blocks
     real_eigh, real_eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
 
-    def spy_assemble(stack, amats):
-        assembled.append((stack, real_assemble(stack, amats)))
-        return assembled[-1][1]
+    def spy_assemble(stack, framed):
+        built.append((stack, real_assemble(stack, framed)))
+        return built[-1][1]
+
+    def spy_blocks(stack, diag, which):
+        built.append((stack, real_blocks(stack, diag, which)))
+        return built[-1][1]
 
     def spy(name, real):
         def solve(h):
-            if h.ndim != 4:
+            if h.ndim < 3:
                 return real(h)
-            stack, last = assembled[-1]
+            stack, last = built[-1]
             assert h is last
-            solved[name].append(stack)
+            solved[name].append((stack, h.shape))
             return real(h)
         return solve
 
     monkeypatch.setattr(BlockStack, "assemble", spy_assemble)
+    monkeypatch.setattr(BlockStack, "blocks", spy_blocks)
     monkeypatch.setattr(np.linalg, "eigh", spy("eigh", real_eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", real_eigvalsh))
     scenario = PRESETS["matsuno"]()
     basis = scenario.basis()
-    sweep(scenario.symbol(), basis, scenario.spectral_window(), scenario.mu_min,
-          scenario.mu_max, scenario.steps)
+    sw = sweep(scenario.symbol(), basis, scenario.spectral_window(), scenario.mu_min,
+               scenario.mu_max, scenario.steps)
     on_guard = np.arange(3 * basis.size) % basis.size >= basis.size - basis.guard_levels
     assert solved["eigh"] and solved["eigvalsh"]
-    assert all(s.guard is not None and on_guard[s.index].any(axis=1).all() for s in solved["eigh"])
-    assert all(s.guard is None and not on_guard[s.index].any() for s in solved["eigvalsh"])
+    assert all(s.guard is not None and on_guard[s.index].any(axis=1).all()
+               for s, _ in solved["eigh"])
+    assert all(s.guard is None and not on_guard[s.index].any() for s, _ in solved["eigvalsh"])
     # the 3x3 stack of 54 blocks is never solved for eigenvectors
-    assert {s.index.shape for s in solved["eigh"]} == {(1, 1), (1, 2), (5, 3)}
-    assert {s.index.shape for s in solved["eigvalsh"]} == {(1, 1), (1, 2), (54, 3)}
+    assert {s.index.shape for s, _ in solved["eigh"]} == {(1, 1), (1, 2), (5, 3)}
+    # of the eigenvalue-only blocks (56 per sample), only those whose Sturm
+    # counts leave an eigenvalue near the window reach LAPACK (here the 2x2
+    # q = 0 block alone); 1x1 blocks never do
+    assert {s.index.shape for s, _ in solved["eigvalsh"]} == {(1, 2)}
+    lapack_blocks = sum(shape[0] for _, shape in solved["eigvalsh"])
+    assert len(sw.samples) == 225 and 0 < lapack_blocks < 100
 
 
 def coupled_normal_forms():
@@ -716,7 +840,7 @@ def test_cyclic_charge_blocks_keep_the_complex_path():
     assert all(s.static.dtype == np.complex128 for s in pieces.charge_stacks)
     # a 4x4 block has the 4-cycle, and its moduli would give other eigenvalues
     (block,) = (s for s in pieces.charge_stacks if s.index.shape[1] == 4 and s.guard is None)
-    h = block.assemble(amats)
+    h = block.assemble(block.to_frame(amats))
     assert h.dtype == np.complex128 and real_form(h[1, 0]) is None
     moduli = np.abs(h[1, 0])
     moduli[range(4), range(4)] = h[1, 0].diagonal().real

@@ -303,7 +303,7 @@ def stacks_at(pieces, amat):
 
 def merged_eigenvalues(stacks, amat):
     """Ascending eigenvalues of every block of ``stacks`` at ``A(mu) = amat``."""
-    return np.sort(np.concatenate([np.linalg.eigvalsh(s.assemble(amat[None])).ravel()
+    return np.sort(np.concatenate([np.linalg.eigvalsh(s.assemble(s.to_frame(amat[None]))).ravel()
                                    for s in stacks]))
 
 
@@ -585,7 +585,7 @@ def test_every_charge_stack_of_the_presets_is_real(preset):
     amats = pieces.const([scenario.mu_min, 0.0, 0.7, scenario.mu_max])
     assert pieces.charge_stacks and pieces.charged(amats).all()
     for s in pieces.charge_stacks:
-        assert s.static.dtype == np.float64 and s.assemble(amats).dtype == np.float64
+        assert s.static.dtype == np.float64 and s.assemble(s.to_frame(amats)).dtype == np.float64
     # the whole operator, and so quantize, stays complex
     assert pieces.whole.assemble(amats).dtype == np.complex128
     assert quantize(symbol, 0.7, basis).matrix.dtype == np.complex128
