@@ -4,23 +4,22 @@ A sweep diagonalizes the quantized operator on an adaptively refined mu
 grid, discards truncation artifacts, and records the eigenvalues inside a
 spectral window.  The grid is refined in rounds: each round bisects every
 interval whose end samples call for it and solves all the new midpoints
-together.  A batch of samples solves the charge blocks of the operator
-(:class:`~indexlab.hermite.OperatorPieces`, built once per sweep) with one
-batched solve per stack of equal-size blocks, at most :data:`SOLVE_BATCH`
-samples at a time; a sample where ``A(mu)`` breaks the charge symmetry
-fitted at the sweep ends solves the whole operator on its own.  Only the
-guard weights read eigenvectors, and a block with no index on a guard
-level has guard weight exactly 0, so the stacks of such blocks (most of
-them) are solved for eigenvalues only, and in real arithmetic where they
-have a :func:`~indexlab.hermite.real_form`.  Where those real blocks are
-tridiagonal, eigenvalue counts (Sturm sequences) at the window edges
-settle every block with no eigenvalue near the window, and only the few
-others are solved.  Each interval's branches are matched once, when the
-interval appears, and the sweep records the matched branches that cross
-the reference level in its final intervals.  The flow
-through the reference level is counted two independent ways -- a
-counting-function difference between the sweep endpoints and the signed
-tally of those crossings -- and the two must agree exactly.
+together.  A batch of samples solves the complete charge blocks of the
+operator (:class:`~indexlab.hermite.OperatorPieces`, built once per sweep)
+for eigenvalues only, one batched solve per stack of equal-size blocks, at
+most :data:`SOLVE_BATCH` samples at a time; the incomplete top blocks, the
+only ones that can hold truncation artifacts, are left out.  Where the
+blocks are real and tridiagonal, eigenvalue counts (Sturm sequences) at the
+window edges settle every block with no eigenvalue near the window, and
+only the few others are solved.  A sample where ``A(mu)`` breaks the charge
+symmetry fitted at the sweep ends solves the whole operator on its own and
+drops the eigenvalues with weight on the guard levels.  Each interval's
+branches are matched once, when the interval appears, and the sweep
+records the matched branches that cross the reference level in its final
+intervals.  The flow through the reference level is counted two
+independent ways -- a counting-function difference between the sweep
+endpoints and the signed tally of those crossings -- and the two must agree
+exactly.
 """
 
 from __future__ import annotations
@@ -94,12 +93,13 @@ class SpectralWindow:
 
 @dataclass(frozen=True)
 class EigenSample:
-    """Filtered window spectrum of the operator at one mu value.
+    """Window spectrum of the operator at one mu value.
 
-    ``omegas`` are the ascending non-spurious eigenvalues inside the window
-    and ``guard_weights`` their squared amplitudes on the guard levels.
-    ``count_below_ref`` counts every non-spurious eigenvalue under the
-    reference level, inside the window or below it.
+    ``omegas`` are the ascending kept eigenvalues inside the window (those of
+    the complete charge blocks, or the whole operator's non-spurious ones)
+    and ``guard_weights`` their squared amplitudes on the guard levels,
+    exactly 0 for a charge block.  ``count_below_ref`` counts every kept
+    eigenvalue under the reference level, inside the window or below it.
     """
 
     mu: float
@@ -202,65 +202,63 @@ def _tridiagonal_eigenvalues(stack: BlockStack, framed: np.ndarray,
     return w.reshape(k, -1), np.where(solve, 0, below).sum(axis=1)
 
 
-def _window_samples(pieces: OperatorPieces, window: SpectralWindow,
-                    mus: Sequence[float]) -> list[EigenSample]:
-    """Filtered window spectra at each of ``mus``, solved together.
+def _samples(mus: np.ndarray, w: np.ndarray, g: np.ndarray, below: np.ndarray | int,
+             window: SpectralWindow) -> list[EigenSample]:
+    """Samples at ``mus`` (k,) from their kept values ``w`` (k, n), ``+inf`` where none,
+    with guard weights ``g`` and ``below`` eigenvalues below the window not in ``w``.
 
-    One ``A(mu)`` evaluation and symmetry test for all of ``mus``; the samples
-    that keep the charge symmetry are solved :data:`SOLVE_BATCH` at a time,
-    turned into the charge frame once per batch and solved per charge stack,
-    and each other sample solves the whole operator alone.  A stack with
-    guard rows (and the whole operator) is solved by ``eigh`` and weighs its
-    eigenvectors on the guard levels.  A stack without has guard weights
-    0.0, the exact value of that sum over no guard index, and is solved for
-    eigenvalues only: by :func:`_tridiagonal_eigenvalues`, which leaves to
-    ``eigvalsh`` just the blocks that Sturm counts cannot settle, where it is
-    ``tridiagonal``, else by ``eigvalsh``.  Real blocks (a stack in real
-    form) have the eigenvalues and guard weights of the complex ones.  The
-    whole batch is then sorted (stably, per sample), filtered for spurious
-    states, cut to the window and counted at once; the window values and
-    the counts are bit for bit those of solving every block.
+    Only the values inside the window are sorted (stably, per sample).
     """
-    mus = np.asarray(mus, dtype=float)
-    amats = pieces.const(mus)
-    charged = pieces.charged(amats)
-    idx = np.flatnonzero(charged)
-    solves = [(idx[i:i + SOLVE_BATCH], pieces.charge_stacks)
-              for i in range(0, len(idx), SOLVE_BATCH)]
-    solves += [([i], [pieces.whole]) for i in np.flatnonzero(~charged)]
-    omegas = np.empty((len(mus), len(pieces.level)))
-    weights = np.empty_like(omegas)
-    settled = np.zeros(len(mus), dtype=int)
-    for batch, stacks in solves:
-        framed = stacks[0].to_frame(amats[batch])  # the charge stacks share one frame
-        parts = []
-        for stack in stacks:
-            if stack.tridiagonal is not None:
-                w, below = _tridiagonal_eigenvalues(stack, framed, window)
-                settled[batch] += below
-                g = np.zeros_like(w)
-            elif stack.guard is None:
-                w = np.linalg.eigvalsh(stack.assemble(framed))
-                g = np.zeros_like(w)
-            else:
-                w, v = np.linalg.eigh(stack.assemble(framed))
-                g = (np.abs(v) ** 2 * stack.guard).sum(axis=-2)
-            parts.append((w.reshape(len(batch), -1), g.reshape(len(batch), -1)))
-        omegas[batch], weights[batch] = (np.concatenate(p, axis=1) for p in zip(*parts))
-
-    order = np.argsort(omegas, axis=1, kind="stable")
-    omegas = np.take_along_axis(omegas, order, axis=1)
-    weights = np.take_along_axis(weights, order, axis=1)
-    keep = weights <= SPURIOUS_THRESHOLD
-    in_window = keep & (omegas > window.omega_min) & (omegas < window.omega_max)
-    below = np.count_nonzero(keep & (omegas < window.omega_ref), axis=1) + settled
-    ends = np.cumsum(np.count_nonzero(in_window, axis=1)).tolist()
-    omegas, weights = omegas[in_window], weights[in_window]
+    rows, cols = np.nonzero((w > window.omega_min) & (w < window.omega_max))
+    order = np.lexsort((w[rows, cols], rows))
+    rows, cols = rows[order], cols[order]
+    omegas, weights = w[rows, cols], g[rows, cols]
+    below = below + np.count_nonzero(w < window.omega_ref, axis=1)
+    ends = np.cumsum(np.bincount(rows, minlength=len(w))).tolist()
     return [
         EigenSample(mu=float(mu), omegas=omegas[a:b], guard_weights=weights[a:b],
                     count_below_ref=int(n))
         for mu, a, b, n in zip(mus, [0] + ends, ends, below)
     ]
+
+
+def _window_samples(pieces: OperatorPieces, window: SpectralWindow,
+                    mus: Sequence[float]) -> list[EigenSample]:
+    """Window spectra at each of ``mus``, solved together.
+
+    One ``A(mu)`` evaluation and symmetry test for all of ``mus``.  The samples
+    that keep the charge symmetry are solved :data:`SOLVE_BATCH` at a time,
+    turned into the charge frame once per batch and solved per charge stack
+    for eigenvalues only, by :func:`_tridiagonal_eigenvalues` where the stack
+    is ``tridiagonal``, else by ``eigvalsh``; every value is kept, with guard
+    weight 0.0.  Each other sample solves the whole operator alone by
+    ``eigh`` and drops the values whose guard weight exceeds
+    :data:`~indexlab.hermite.SPURIOUS_THRESHOLD`.
+    """
+    mus = np.asarray(mus, dtype=float)
+    amats = pieces.const(mus)
+    charged = pieces.charged(amats)
+    idx = np.flatnonzero(charged)
+    samples = {}
+    for i in range(0, len(idx), SOLVE_BATCH):
+        batch = idx[i:i + SOLVE_BATCH]
+        framed = pieces.charge_stacks[0].to_frame(amats[batch])  # one frame for all
+        parts, below = [], 0
+        for stack in pieces.charge_stacks:
+            if stack.tridiagonal is None:
+                w, settled = np.linalg.eigvalsh(stack.assemble(framed)), 0
+            else:
+                w, settled = _tridiagonal_eigenvalues(stack, framed, window)
+            parts.append(w.reshape(len(batch), -1))
+            below = below + settled
+        w = np.concatenate(parts, axis=1)
+        samples.update(zip(batch.tolist(), _samples(mus[batch], w, np.zeros_like(w), below, window)))
+    for i in np.flatnonzero(~charged):
+        w, v = np.linalg.eigh(pieces.whole.assemble(amats[i:i + 1])[0])
+        g = (np.abs(v) ** 2 * pieces.guard[:, None]).sum(axis=-2)
+        w = np.where(g <= SPURIOUS_THRESHOLD, w, np.inf)
+        (samples[i],) = _samples(mus[i:i + 1], w, g, 0, window)
+    return [samples[i] for i in range(len(mus))]
 
 
 def _ordered_assignment(short: np.ndarray, long_: np.ndarray) -> list[int]:

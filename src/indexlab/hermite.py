@@ -13,15 +13,18 @@ The operator is ``A(mu) (x) 1 + s (K (x) a^dag + K^dag (x) a)``, ``K = B + iC``,
 0`` makes ``Q = D (x) 1 + 1 (x) n`` commute with it, truncated or not
 (``[n, a^dag] = a^dag`` holds): its Q-eigenspaces are the charge blocks.
 
+A charge block q is *complete* when every index ``(i, n = q - delta_i >= 0)``
+lies at a level ``n <= M``: it is then an exact block of the untruncated
+operator too, and its eigenvalues need no artifact filter.  Only the few
+incomplete top blocks can hold truncation artifacts.
+
 All functions here are pure; returned arrays are freshly allocated and safe
 to share between threads.  An :class:`OperatorPieces` keeps the stacks it has
-built: the charge blocks, and the whole operator where ``D`` does not fit or
-does not commute with ``A(mu)``.  Each stack assembles a ``(k, d, d)`` stack
-of ``A(mu)`` at once, so many mu values share one batched solve.  A stack
-whose blocks have no index on the top ``guard_levels`` levels has no guard
-weight to measure (it is exactly 0), so its solve needs eigenvalues only;
-such a stack of real tridiagonal blocks also hands out their diagonals
-alone, for eigenvalue counts that need no solve.
+built: the complete charge blocks, and the whole operator where ``D`` does
+not fit or does not commute with ``A(mu)``.  Each stack assembles a ``(k, d,
+d)`` stack of ``A(mu)`` at once, so many mu values share one batched solve;
+a stack of real tridiagonal blocks also hands out their diagonals alone,
+for eigenvalue counts that need no solve.
 
 A Hermitian ``h`` whose off-diagonal pattern is a forest is ``U^dag S U``, ``U``
 diagonal unitary, ``S`` real symmetric with ``Re h_ii`` on the diagonal and
@@ -60,8 +63,9 @@ __all__ = [
     "sampled_gap_certificate",
 ]
 
-#: Eigenpairs whose squared amplitude on the guard levels exceeds this are
-#: treated as truncation artifacts and excluded from spectral-flow counts.
+#: Eigenpairs of the whole operator whose squared amplitude on the guard
+#: levels exceeds this are treated as truncation artifacts and excluded from
+#: spectral-flow counts.
 SPURIOUS_THRESHOLD = 1e-8
 
 
@@ -249,14 +253,12 @@ class BlockStack:
     Indices are component-major; component c is column c of ``frame`` (the
     standard basis when None).  ``static`` is ``B (x) xhat + C (x) xihat`` on
     each row; ``A(mu)`` entry ``components[0][t], components[1][t]`` (in the
-    frame) lands at block, row, column ``same_level[0..2][t]``.  ``guard``
-    marks the indices on the guard levels as a ``(b, s, 1)`` array, and is
-    None when no index of the stack is on one.  A float ``static`` is a
-    :func:`real_form`, with ``A(mu)`` on the diagonal: blocks come out real.
-    ``tridiagonal`` is ``static``'s diagonal ``(s, b)``, its squared
-    subdiagonal ``(s - 1, b)`` and the component of each diagonal entry
-    ``(s, b)`` when ``static`` is real and exactly zero beyond its first
-    off-diagonals and no index is on a guard level; else None.
+    frame) lands at block, row, column ``same_level[0..2][t]``.  A float
+    ``static`` is a :func:`real_form`, with ``A(mu)`` on the diagonal: blocks
+    come out real.  ``tridiagonal`` is ``static``'s diagonal ``(s, b)``, its
+    squared subdiagonal ``(s - 1, b)`` and the component of each diagonal
+    entry ``(s, b)`` when ``static`` is real and exactly zero beyond its
+    first off-diagonals; else None.
     """
 
     index: np.ndarray
@@ -264,7 +266,6 @@ class BlockStack:
     same_level: tuple[np.ndarray, np.ndarray, np.ndarray]
     components: tuple[np.ndarray, np.ndarray]
     frame: np.ndarray | None
-    guard: np.ndarray | None
     tridiagonal: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def to_frame(self, amats: np.ndarray) -> np.ndarray:
@@ -332,12 +333,12 @@ class OperatorPieces:
     ``D`` fitted at ``mu_ends`` (None without them or if none fits); in its
     eigenbasis each eigenvalue of ``Q`` gives one charge block of at most d
     indices.  Without charge blocks the one block is the whole operator.
-    ``charge_stacks`` are the charge blocks stacked by size and by whether
-    they reach a guard level, in that order (empty without ``charge``);
-    :meth:`charged` says for which ``A(mu)`` they apply.  An eigenvector of
-    a block lies in the span of the block's indices, so on a block that
-    reaches no guard level its guard weight is exactly 0: those stacks
-    (``guard`` None) need no eigenvectors.  The whole operator stays complex.
+    ``charge_stacks`` are the complete charge blocks (module docstring)
+    stacked by size (empty without ``charge``); block q is complete when its
+    size is the number of components i with ``q - delta_i`` a non-negative
+    integer.  :meth:`charged` says for which ``A(mu)`` they apply.  ``guard``
+    marks the indices on the top ``guard_levels`` levels, for the whole
+    operator's artifact filter.  The whole operator stays complex.
     """
 
     def __init__(self, symbol: AffineMatrixSymbol, basis: TruncatedBasis,
@@ -355,11 +356,11 @@ class OperatorPieces:
             order = np.argsort(q, kind="stable")
             cuts = np.flatnonzero(np.diff(q[order]) > 1e-8) + 1
             parts = [np.sort(p) for p in np.split(order, cuts)]
-            kinds = [(len(p), bool(self.guard[p].any())) for p in parts]
-            self.charge_stacks = [
-                self.stack(np.array([p for p, k in zip(parts, kinds) if k == kind]), frame)
-                for kind in sorted(set(kinds))
-            ]
+            n = np.array([q[p[0]] for p in parts])[:, None] - delta
+            full = np.count_nonzero((np.abs(n - np.rint(n)) <= 1e-8) & (n > -0.5), axis=1)
+            parts = [p for p, f in zip(parts, full) if len(p) == f]
+            self.charge_stacks = [self.stack(np.array([p for p in parts if len(p) == size]), frame)
+                                  for size in sorted({len(p) for p in parts})]
 
     def const(self, mus: Sequence[float]) -> np.ndarray:
         """The ``(k, d, d)`` stack ``A(mu)`` of a sequence of k mu values, each checked Hermitian."""
@@ -384,14 +385,12 @@ class OperatorPieces:
         if frame is not None and np.array_equal(rows, cols):
             real = real_form(0.5 * (static + static.conj().swapaxes(-2, -1)))
             static = static if real is None else real
-        guard = self.guard[index][..., None]
         tridiagonal = None
-        if static.dtype == float and not guard.any() and not np.triu(static, 2).any():
+        if static.dtype == float and not np.triu(static, 2).any():
             tridiagonal = (static.diagonal(0, -2, -1).T.copy(),
                            static.diagonal(-1, -2, -1).T ** 2, comp.T.copy())
         return BlockStack(index, static, (which, rows, cols),
-                          (comp[which, rows], comp[which, cols]), frame,
-                          guard if guard.any() else None, tridiagonal)
+                          (comp[which, rows], comp[which, cols]), frame, tridiagonal)
 
     @cached_property
     def whole(self) -> BlockStack:

@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from conftest import charge_sectors
 
 from indexlab.errors import (
     EndpointInSpectrumError,
@@ -166,6 +168,13 @@ def test_truncation_stability_normal_form():
     for m in (16, 32):
         sw = sweep(normal_form_symbol(), nf_basis(m), WINDOW_NF, -2.0, 2.0, 32)
         assert spectral_index(sw).N == 1
+    # each M leaves out a different set of incomplete top blocks
+    for preset, n in (("normal-form", 1), ("matsuno-upper-gap", 2), ("ts2", -2)):
+        for m in (20, 30, 45, 60):
+            scenario = dataclasses.replace(PRESETS[preset](), max_level=m)
+            sw = sweep(scenario.symbol(), scenario.basis(), scenario.spectral_window(),
+                       scenario.mu_min, scenario.mu_max, scenario.steps)
+            assert spectral_index(sw).N == n
 
 
 def test_grid_robustness_step_doubling():
@@ -263,9 +272,10 @@ def test_counting_floor_matches_spec_form():
 
 def test_count_below_ref_includes_the_spectrum_below_the_window():
     # both branches, A = diag(-2, -1.5 + 0.1 mu), stay below the window and
-    # none crosses omega_ref = 0, while the spectral span grows with mu; every
-    # kept eigenvalue is counted (10 per branch after the 3 guard levels), so
-    # the count does not move and both methods give N = 0
+    # none crosses omega_ref = 0, while the spectral span grows with mu; with
+    # B = C = 0 the charge is the level, so every level is a complete block
+    # and every eigenvalue is counted (13 per branch), so the count does not
+    # move and both methods give N = 0
     def const_term(mu):
         out = np.zeros((len(mu), 2, 2), dtype=complex)
         out[:, 0, 0] = -2.0
@@ -276,7 +286,7 @@ def test_count_below_ref_includes_the_spectrum_below_the_window():
     symbol = AffineMatrixSymbol(dim=2, const_term=const_term, x_coeff=zero, xi_coeff=zero,
                                 gap_band=2, gap_constant=0.5, name="below-window")
     sw = sweep(symbol, TruncatedBasis(max_level=12, guard_levels=3), WINDOW_NF, -2.0, 2.0, 16)
-    assert [sw.samples[0].count_below_ref, sw.samples[-1].count_below_ref] == [20, 20]
+    assert [sw.samples[0].count_below_ref, sw.samples[-1].count_below_ref] == [26, 26]
     res = spectral_index(sw)
     assert res.N == 0 and res.crossings == ()
     assert res.method_counts == {"counting_function": 0, "tracked_crossings": 0}
@@ -379,30 +389,41 @@ def test_counting_and_crossing_disagreement_raises():
         spectral_index(sw)
 
 
-#: Window eigenvalues closer than this to a window edge may fall on either
-#: side of it depending on rounding (e.g. kelvin omega = mu = -1.5 at the
-#: grid point mu = -1.5 in the lower matsuno gap at M = 60).
+#: Window eigenvalues closer than this to a window edge or the reference
+#: level may fall on either side of it depending on rounding (e.g. kelvin
+#: omega = mu = -1.5 at the grid point mu = -1.5 in the lower matsuno gap at
+#: M = 60).
 EDGE_ROUNDING = 1e-12
 #: Eigenvalues closer than this form one degenerate cluster.
 DEGENERATE = 1e-9
 
 
 def assert_samples_match_dense_solve(sw, symbol, basis):
-    """Every sample against one complex ``eigh`` of the whole quantized operator.
+    """Every sample against one complex dense solve of the quantized operator.
 
-    Inside a degenerate cluster the eigenvectors of either solve are an
-    arbitrary basis of the cluster, so their guard weights, and whether
-    each passes the spurious filter, are too.  At a sample with such a
-    cluster, only the eigenvalues outside clusters are compared and
-    ``count_below_ref`` is held to the bounds the clusters allow.  Returns
-    the mu values of those samples.
+    A sample where the charge symmetry fitted at the sweep ends holds is
+    held to the dense operator restricted to its complete charge sectors:
+    no eigenvector enters, so ``count_below_ref`` equals that solve's count
+    and every window value matches.  Any other sample is held to ``eigh`` of
+    the whole operator; inside a degenerate cluster its eigenvectors are an
+    arbitrary basis of the cluster, so their guard weights, and whether each
+    passes the spurious filter, are too: only the eigenvalues outside
+    clusters are compared and ``count_below_ref`` is held to the bounds the
+    clusters allow.  Returns the mu values of the samples whose reference
+    spectrum has a degenerate cluster below or in the window.
     """
     window = sw.window
+    pieces = OperatorPieces(symbol, basis, (sw.samples[0].mu, sw.samples[-1].mu))
     degenerate_mus = []
     for s in sw.samples:
         op = quantize(symbol, s.mu, basis)
-        omegas, vecs = np.linalg.eigh(op.matrix)
-        weights = spurious_weights(op, vecs)
+        charged = pieces.charged(pieces.const([s.mu]))[0]
+        if charged:
+            omegas = np.linalg.eigvalsh(charge_sectors(op.matrix, pieces.charge, basis)[0])
+            weights = np.zeros_like(omegas)
+        else:
+            omegas, vecs = np.linalg.eigh(op.matrix)
+            weights = spurious_weights(op, vecs)
         keep = weights <= SPURIOUS_THRESHOLD
         below = omegas < window.omega_ref
         in_window = (omegas > window.omega_min) & (omegas < window.omega_max)
@@ -412,8 +433,16 @@ def assert_samples_match_dense_solve(sw, symbol, basis):
             shared[c] = len(c) > 1
         if np.any((below | in_window) & shared):
             degenerate_mus.append(s.mu)
-        sure = int(np.sum(keep & below & ~shared))
-        assert sure <= s.count_below_ref <= sure + int(np.sum(below & shared))
+        if charged:
+            # exact, up to a value within rounding of omega_ref (ts2's branch
+            # on the reference level at its grid point mu = 1.5)
+            on_ref = np.abs(omegas - window.omega_ref) <= EDGE_ROUNDING
+            assert int(np.sum(below & ~on_ref)) <= s.count_below_ref <= int(np.sum(below | on_ref))
+            assert not s.guard_weights.any()
+            shared[:] = False
+        else:
+            sure = int(np.sum(keep & below & ~shared))
+            assert sure <= s.count_below_ref <= sure + int(np.sum(below & shared))
 
         def clear(w):
             # off the window edges by more than rounding, and off every cluster
@@ -590,16 +619,17 @@ def test_batched_window_samples_name_a_non_hermitian_mu():
 
 def all_eigh_samples(pieces, window, mus, vectors=True):
     """Reference: every block solved by LAPACK, one mu at a time, by ``eigh`` and weighed
-    on the guard levels; with ``vectors`` False, a stack with no guard level by
-    ``eigvalsh``, with guard weights 0.0."""
+    on the guard levels (with ``vectors`` False, a charge block by ``eigvalsh``, with
+    guard weights 0.0).  Every value of a charge block is kept; the whole operator
+    drops its values with guard weight above the threshold."""
     out = []
     for mu in mus:
         amat = pieces.const([mu])
-        stacks = pieces.charge_stacks if pieces.charged(amat)[0] else [pieces.whole]
+        charged = pieces.charged(amat)[0]
         parts = []
-        for s in stacks:
+        for s in pieces.charge_stacks if charged else [pieces.whole]:
             h = s.assemble(s.to_frame(amat))
-            if vectors or s.guard is not None:
+            if vectors or not charged:
                 w, v = np.linalg.eigh(h)
                 g = (np.abs(v) ** 2 * pieces.guard[s.index][..., None]).sum(axis=-2)
             else:
@@ -609,7 +639,7 @@ def all_eigh_samples(pieces, window, mus, vectors=True):
         omegas, weights = (np.concatenate(p) for p in zip(*parts))
         order = np.argsort(omegas, kind="stable")
         omegas, weights = omegas[order], weights[order]
-        keep = weights <= SPURIOUS_THRESHOLD
+        keep = charged | (weights <= SPURIOUS_THRESHOLD)
         inside = keep & (omegas > window.omega_min) & (omegas < window.omega_max)
         out.append(EigenSample(mu=float(mu), omegas=omegas[inside], guard_weights=weights[inside],
                                count_below_ref=int(np.sum(keep & (omegas < window.omega_ref)))))
@@ -626,8 +656,9 @@ def preset_sweep(name):
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_eigenvalue_only_stacks_match_an_all_eigh_solve(preset):
-    # a block off the guard levels has guard weight exactly 0 either way;
-    # its eigenvalues from eigvalsh agree with eigh's to rounding
+    # every window value of the presets comes from a complete block off the
+    # guard levels, so its measured guard weight is exactly the 0.0 the
+    # sweep reports; eigenvalues from eigvalsh agree with eigh's to rounding
     pieces, window, sw = preset_sweep(preset)
     reference = all_eigh_samples(pieces, window, [s.mu for s in sw.samples])
     for got, ref in zip(sw.samples, reference):
@@ -756,11 +787,12 @@ def test_samples_without_charge_blocks_equal_an_all_eigh_solve(monkeypatch, rand
     assert_same_samples(inside, all_eigh_samples(pieces, WINDOW_MAT, [s.mu for s in inside]))
 
 
-def test_matsuno_sweep_computes_eigenvectors_only_for_guard_stacks(monkeypatch):
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_charge_sweep_calls_no_eigh(preset, monkeypatch):
     # each stack solve (a (k, b, s, s) array from assemble, or the (n, s, s)
-    # blocks of an eigenvalue-only stack that its Sturm counts leave to
-    # LAPACK; the 3x3 D of the pieces is solved too) is handed the array
-    # built just before it
+    # blocks of a tridiagonal stack that its Sturm counts leave to LAPACK; the
+    # d x d D of the pieces is solved too) is handed the array built just
+    # before it
     built, solved = [], {"eigh": [], "eigvalsh": []}
     real_assemble, real_blocks = BlockStack.assemble, BlockStack.blocks
     real_eigh, real_eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
@@ -787,23 +819,23 @@ def test_matsuno_sweep_computes_eigenvectors_only_for_guard_stacks(monkeypatch):
     monkeypatch.setattr(BlockStack, "blocks", spy_blocks)
     monkeypatch.setattr(np.linalg, "eigh", spy("eigh", real_eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", real_eigvalsh))
-    scenario = PRESETS["matsuno"]()
-    basis = scenario.basis()
-    sw = sweep(scenario.symbol(), basis, scenario.spectral_window(), scenario.mu_min,
-               scenario.mu_max, scenario.steps)
-    on_guard = np.arange(3 * basis.size) % basis.size >= basis.size - basis.guard_levels
-    assert solved["eigh"] and solved["eigvalsh"]
-    assert all(s.guard is not None and on_guard[s.index].any(axis=1).all()
-               for s, _ in solved["eigh"])
-    assert all(s.guard is None and not on_guard[s.index].any() for s, _ in solved["eigvalsh"])
-    # the 3x3 stack of 54 blocks is never solved for eigenvectors
-    assert {s.index.shape for s, _ in solved["eigh"]} == {(1, 1), (1, 2), (5, 3)}
-    # of the eigenvalue-only blocks (56 per sample), only those whose Sturm
-    # counts leave an eigenvalue near the window reach LAPACK (here the 2x2
-    # q = 0 block alone); 1x1 blocks never do
-    assert {s.index.shape for s, _ in solved["eigvalsh"]} == {(1, 2)}
-    lapack_blocks = sum(shape[0] for _, shape in solved["eigvalsh"])
-    assert len(sw.samples) == 225 and 0 < lapack_blocks < 100
+    scenario = PRESETS[preset]()
+    symbol, basis = scenario.symbol(), scenario.basis()
+    sw = sweep(symbol, basis, scenario.spectral_window(), scenario.mu_min, scenario.mu_max,
+               scenario.steps)
+    pieces = OperatorPieces(symbol, basis, (scenario.mu_min, scenario.mu_max))
+    assert pieces.charged(pieces.const([s.mu for s in sw.samples])).all()
+    # every charge block is complete, so none has a guard weight to measure:
+    # no stack is solved for eigenvectors, and only charge stacks for values
+    assert solved["eigh"] == []
+    assert all(s.frame is not None for s, _ in solved["eigvalsh"])
+    if preset == "matsuno":
+        # of the blocks (61 per sample), only those whose Sturm counts leave
+        # an eigenvalue near the window reach LAPACK (here the 2x2 q = 0
+        # block alone); 1x1 blocks never do
+        assert {s.index.shape for s, _ in solved["eigvalsh"]} == {(1, 2)}
+        lapack_blocks = sum(shape[0] for _, shape in solved["eigvalsh"])
+        assert len(sw.samples) == 225 and 0 < lapack_blocks < 100
 
 
 def coupled_normal_forms():
@@ -839,7 +871,7 @@ def test_cyclic_charge_blocks_keep_the_complex_path():
     assert pieces.charged(amats).all()
     assert all(s.static.dtype == np.complex128 for s in pieces.charge_stacks)
     # a 4x4 block has the 4-cycle, and its moduli would give other eigenvalues
-    (block,) = (s for s in pieces.charge_stacks if s.index.shape[1] == 4 and s.guard is None)
+    (block,) = (s for s in pieces.charge_stacks if s.index.shape[1] == 4)
     h = block.assemble(block.to_frame(amats))
     assert h.dtype == np.complex128 and real_form(h[1, 0]) is None
     moduli = np.abs(h[1, 0])
@@ -847,6 +879,12 @@ def test_cyclic_charge_blocks_keep_the_complex_path():
     assert np.abs(np.linalg.eigvalsh(moduli) - np.linalg.eigvalsh(h[1, 0])).max() > 1e-3
     sw = sweep(symbol, basis, WINDOW_NF, -2.0, 2.0, 32)
     assert spectral_index(sw).N == 2
-    # two branches of different charge blocks cross on the grid: mu - 0.2 and
-    # 0.3 - mu at mu = 0.25, and their mirror images at mu = -0.25
-    assert assert_samples_match_dense_solve(sw, symbol, basis) == [-0.25, 0.25]
+    # two branches of different charge blocks cross on the grid, mu - 0.2 and
+    # 0.3 - mu at mu = 0.25 and their mirror images at mu = -0.25; the second
+    # is a truncation artifact of an incomplete block, so the kept spectrum
+    # is not degenerate there
+    for mu in (-0.25, 0.25):
+        matrix = quantize(symbol, mu, basis).matrix
+        kept, artifacts = (np.linalg.eigvalsh(h) for h in charge_sectors(matrix, pieces.charge, basis))
+        assert np.abs(kept[:, None] - artifacts[None, :]).min() <= 1e-9
+    assert assert_samples_match_dense_solve(sw, symbol, basis) == []

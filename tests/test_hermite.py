@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import BLOCK_FAMILIES
+from conftest import BLOCK_FAMILIES, charge_sectors, incomplete_sectors
 
 from indexlab.cli import PRESETS
 from indexlab.errors import GapCertificateError, ModelError
@@ -310,7 +310,8 @@ def merged_eigenvalues(stacks, amat):
 def test_parity_blocks_follow_the_zero_pattern_of_each_const_term():
     # A(mu) couples components 0 and 2 only for mu > 0, which breaks the
     # charge symmetry fitted at mu = -1 and -0.5, so for mu > 0 the one
-    # block is the whole operator
+    # block is the whole operator; for mu < 0 the blocks are the complete
+    # charge sectors of the dense matrix
     base = matsuno_symbol()
     link = np.zeros((3, 3), dtype=complex)
     link[0, 2] = link[2, 0] = 1.0
@@ -326,12 +327,13 @@ def test_parity_blocks_follow_the_zero_pattern_of_each_const_term():
     for mu in (-1.0, 0.5, -0.5, 1.0):
         amat = pieces.const([mu])[0]
         stacks = stacks_at(pieces, amat)
+        dense = quantize(sym, mu, basis).matrix
         if mu < 0:
             assert all(s.frame is not None for s in stacks)
+            dense = charge_sectors(dense, pieces.charge, basis)[0]
         else:
             assert len(stacks) == 1 and stacks[0].frame is None
-        dense = np.linalg.eigvalsh(quantize(sym, mu, basis).matrix)
-        assert np.abs(merged_eigenvalues(stacks, amat) - dense).max() <= 1e-12
+        assert np.abs(merged_eigenvalues(stacks, amat) - np.linalg.eigvalsh(dense)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("family", sorted(BLOCK_FAMILIES))
@@ -376,22 +378,28 @@ def test_charge_operator_spectrum(family):
 
 
 def test_charge_blocks_matsuno_sizes():
-    pieces = OperatorPieces(matsuno_symbol(), TruncatedBasis(max_level=60, guard_levels=5),
-                            (-6.0, 6.0))
+    basis = TruncatedBasis(max_level=60, guard_levels=5)
+    pieces = OperatorPieces(matsuno_symbol(), basis, (-6.0, 6.0))
     stacks = stacks_at(pieces, pieces.const([0.7])[0])
     sizes = {}
     for s in stacks:
         blocks, size, _ = s.static.shape
         sizes[size] = sizes.get(size, 0) + blocks
-    assert sizes == {1: 2, 2: 2, 3: 59}
-    # the blocks that reach the top five levels: charge 61 (1x1), 60 (2x2) and 55..59 (3x3)
-    assert [s.static.shape for s in stacks if s.guard is not None] == [(1, 1, 1), (1, 2, 2),
-                                                                      (5, 3, 3)]
+    assert sizes == {1: 1, 2: 1, 3: 59}
+    # D = diag(-1, 0, 1) in its eigenbasis: the incomplete blocks are charge
+    # 60 (2x2, one index at level 61 missing) and 61 (1x1, two missing), left
+    # out; the complete 3x3 blocks of charge 55..59 reach the top five levels
+    # and are kept
+    index = np.concatenate([s.index.ravel() for s in stacks])
+    missing = np.setdiff1d(np.arange(3 * basis.size), index)
+    assert list(zip(pieces.component[missing], pieces.level[missing])) == [(1, 60), (2, 59), (2, 60)]
+    (triples,) = (s for s in stacks if s.index.shape[1] == 3)
+    assert (pieces.level[triples.index].max(axis=1) >= basis.size - basis.guard_levels).sum() == 5
 
 
 @pytest.mark.parametrize("case", [f"family:{name}" for name in sorted(BLOCK_FAMILIES)]
                          + [f"preset:{name}" for name in sorted(PRESETS)])
-def test_eigenvalue_only_stacks_hold_exactly_the_blocks_off_the_guard_levels(case):
+def test_charge_stacks_hold_exactly_the_complete_blocks(case):
     kind, name = case.split(":")
     if kind == "family":
         symbol, basis, ends = BLOCK_FAMILIES[name], TruncatedBasis(max_level=12, guard_levels=3), (-2.0, 3.0)
@@ -399,18 +407,20 @@ def test_eigenvalue_only_stacks_hold_exactly_the_blocks_off_the_guard_levels(cas
         scenario = PRESETS[name]()
         symbol, basis, ends = scenario.symbol(), scenario.basis(), (scenario.mu_min, scenario.mu_max)
     pieces = OperatorPieces(symbol, basis, ends)
-    on_guard = pieces.level >= basis.size - basis.guard_levels
     assert pieces.charge_stacks
+    # the stacks' indices are those of the complete blocks, each index once
+    index = np.concatenate([s.index.ravel() for s in pieces.charge_stacks])
+    assert np.array_equal(np.sort(index), np.flatnonzero(~incomplete_sectors(pieces.charge, basis)))
+    delta = np.linalg.eigvalsh(pieces.charge)
     for s in pieces.charge_stacks:
-        reaches = on_guard[s.index].any(axis=1)
-        if s.guard is None:  # eigenvalues only
-            assert not reaches.any()
-        else:
-            assert reaches.all() and np.array_equal(s.guard[..., 0], on_guard[s.index])
-    # one stack per (size, reaches a guard level), in that order
-    kinds = [(s.index.shape[1], s.guard is not None) for s in pieces.charge_stacks]
-    assert kinds == sorted(set(kinds))
-    assert pieces.whole.guard is not None
+        q = delta[pieces.component[s.index]] + pieces.level[s.index]
+        assert np.abs(q - q[:, :1]).max() <= 1e-8  # one charge per block
+    # one stack per block size, ascending; no guard mask on any stack, the
+    # whole operator's is the pieces'
+    sizes = [s.index.shape[1] for s in pieces.charge_stacks]
+    assert sizes == sorted(set(sizes))
+    assert not any(hasattr(s, "guard") for s in [*pieces.charge_stacks, pieces.whole])
+    assert np.array_equal(pieces.guard, pieces.level >= basis.size - basis.guard_levels)
 
 
 def test_no_charge_operator_without_endpoints_or_for_random_symbol(random_affine_symbol):
@@ -436,10 +446,19 @@ def test_charge_blocks_partition_and_match_dense_spectrum(family):
         stacks = stacks_at(pieces, amat)
         assert all(s.frame is not None for s in stacks)  # charge blocks, no fallback
         assert max(s.index.shape[1] for s in stacks) <= symbol.dim
+        # the complete blocks and the incomplete indices partition the basis
         index = np.concatenate([s.index.ravel() for s in stacks])
-        assert np.array_equal(np.sort(index), np.arange(symbol.dim * basis.size))
-        dense = np.linalg.eigvalsh(quantize(symbol, mu, basis).matrix)
-        assert np.abs(merged_eigenvalues(stacks, amat) - dense).max() <= 1e-12
+        apart = np.flatnonzero(incomplete_sectors(pieces.charge, basis))
+        assert np.array_equal(np.sort(np.concatenate([index, apart])),
+                              np.arange(symbol.dim * basis.size))
+        # the blocks hold the dense spectrum on their indices; with the
+        # incomplete sectors, all of it
+        matrix = quantize(symbol, mu, basis).matrix
+        complete, incomplete = charge_sectors(matrix, pieces.charge, basis)
+        blocks = merged_eigenvalues(stacks, amat)
+        assert np.abs(blocks - np.linalg.eigvalsh(complete)).max() <= 1e-12
+        merged = np.sort(np.concatenate([blocks, np.linalg.eigvalsh(incomplete)]))
+        assert np.abs(merged - np.linalg.eigvalsh(matrix)).max() <= 1e-12
 
 
 def all_points_margins(symbol, grid_points=30, shell=(1.0, 3.0), mu_max=2.0):
