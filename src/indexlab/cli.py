@@ -152,6 +152,9 @@ class Scenario:
             if getattr(self, name) < least:
                 raise ModelError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
         self.basis()
+        self.spectral_window()
+        if not self.mu_min < self.mu_max:
+            raise ModelError(f"mu_min must be below mu_max, got {self.mu_min!r}, {self.mu_max!r}")
         dim = self.symbol().dim
         for name in ("zero_refs", "clutch_refs"):
             if stray := sorted(set(getattr(self, name)) - {str(b) for b in range(1, dim + 1)}):

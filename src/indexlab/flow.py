@@ -6,14 +6,14 @@ spectral window.  The grid is refined in rounds: each round bisects every
 interval whose end samples call for it and solves all the new midpoints
 together.  A batch of samples solves the complete charge blocks of the
 operator (:class:`~indexlab.hermite.OperatorPieces`, built once per sweep)
-for eigenvalues only, one batched solve per stack of equal-size blocks, at
-most :data:`SOLVE_BATCH` samples at a time; the incomplete top blocks, the
-only ones that can hold truncation artifacts, are left out.  Where the
-blocks are real and tridiagonal, eigenvalue counts (Sturm sequences) at the
-window edges settle every block with no eigenvalue near the window, and
-only the few others are solved.  A sample where ``A(mu)`` breaks the charge
-symmetry fitted at the sweep ends solves the whole operator on its own and
-drops the eigenvalues with weight on the guard levels.  Each interval's
+for eigenvalues only, one batched solve per stack of equal-size blocks; the
+incomplete top blocks, the only ones that can hold truncation artifacts, are
+left out.  Where the blocks are tridiagonal, eigenvalue counts (Sturm
+sequences) of their real forms at the window edges settle every block with
+no eigenvalue near the window, and only the few others are solved.  A
+sample where ``A(mu)`` breaks the charge symmetry fitted at the sweep ends
+solves the whole operator on its own and drops the eigenvalues with weight
+on the guard levels.  Each interval's
 branches are matched once, when the interval appears, and the sweep
 records the matched branches that cross the reference level in its final
 intervals.  The flow through the reference level is counted two
@@ -62,9 +62,6 @@ CROSSING_WIDTH = 1e-6
 MATCH_MIN_WIDTH = 1e-3
 #: Bisection rounds allowed per coarse interval for matching refinement.
 MAX_MATCH_ROUNDS = 12
-#: Samples per batched charge-block solve: larger batches save little call
-#: overhead and raise the peak memory of a sweep's initial grid.
-SOLVE_BATCH = 48
 #: A tridiagonal block T is solved only if its Sturm counts below
 #: ``omega_min - tau`` and ``omega_max + tau`` differ, ``tau`` this times
 #: ``max(1, ||T||)``: far above the backward error of the count and of
@@ -181,18 +178,18 @@ def _tridiagonal_eigenvalues(stack: BlockStack, framed: np.ndarray,
     below it as that count: it is not solved.  ``tau`` is
     :data:`STURM_MARGIN` times ``max(1, ||T||)``, with ``||T||`` bounded for
     all of a sample's blocks at once.  The other blocks are solved by
-    ``eigvalsh`` as :meth:`~indexlab.hermite.BlockStack.assemble` builds
-    them.  A 1x1 block's eigenvalue is its entry, as LAPACK returns it.
+    ``eigvalsh`` in the real form that :meth:`~indexlab.hermite.BlockStack.blocks`
+    builds.  A 1x1 block's eigenvalue is its entry, as LAPACK returns it.
     """
     diag = stack.diagonal(framed)
     k, s, b = diag.shape
     if s == 1:
         return diag.reshape(k, b), 0
-    off_sq = stack.tridiagonal[1]
+    moduli = stack.tridiagonal[1]
     # Gershgorin: |a_i| + |b_{i-1}| + |b_i| bounds ||T||
-    norm = np.abs(diag).reshape(k, -1).max(axis=1) + 2.0 * np.sqrt(off_sq.max())
+    norm = np.abs(diag).reshape(k, -1).max(axis=1) + 2.0 * moduli.max()
     tau = STURM_MARGIN * np.maximum(1.0, norm)[:, None]
-    below, upto = _sturm_count(diag.swapaxes(0, 1), off_sq,
+    below, upto = _sturm_count(diag.swapaxes(0, 1), moduli ** 2,
                                np.stack([window.omega_min - tau, window.omega_max + tau]))
     solve = below != upto
     w = np.full((k, b, s), np.inf)
@@ -227,21 +224,19 @@ def _window_samples(pieces: OperatorPieces, window: SpectralWindow,
     """Window spectra at each of ``mus``, solved together.
 
     One ``A(mu)`` evaluation and symmetry test for all of ``mus``.  The samples
-    that keep the charge symmetry are solved :data:`SOLVE_BATCH` at a time,
-    turned into the charge frame once per batch and solved per charge stack
-    for eigenvalues only, by :func:`_tridiagonal_eigenvalues` where the stack
-    is ``tridiagonal``, else by ``eigvalsh``; every value is kept, with guard
-    weight 0.0.  Each other sample solves the whole operator alone by
-    ``eigh`` and drops the values whose guard weight exceeds
-    :data:`~indexlab.hermite.SPURIOUS_THRESHOLD`.
+    that keep the charge symmetry are solved as one batch, turned into the
+    charge frame once and solved per charge stack for eigenvalues only, by
+    :func:`_tridiagonal_eigenvalues` where the stack is ``tridiagonal``, else
+    by ``eigvalsh``; every value is kept, with guard weight 0.0.  Each other
+    sample solves the whole operator alone by ``eigh`` and drops the values
+    whose guard weight exceeds :data:`~indexlab.hermite.SPURIOUS_THRESHOLD`.
     """
     mus = np.asarray(mus, dtype=float)
     amats = pieces.const(mus)
     charged = pieces.charged(amats)
-    idx = np.flatnonzero(charged)
+    batch = np.flatnonzero(charged)
     samples = {}
-    for i in range(0, len(idx), SOLVE_BATCH):
-        batch = idx[i:i + SOLVE_BATCH]
+    if len(batch):
         framed = pieces.charge_stacks[0].to_frame(amats[batch])  # one frame for all
         parts, below = [], 0
         for stack in pieces.charge_stacks:

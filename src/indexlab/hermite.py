@@ -23,17 +23,14 @@ to share between threads.  An :class:`OperatorPieces` keeps the stacks it has
 built: the complete charge blocks, and the whole operator where ``D`` does
 not fit or does not commute with ``A(mu)``.  Each stack assembles a ``(k, d,
 d)`` stack of ``A(mu)`` at once, so many mu values share one batched solve;
-a stack of real tridiagonal blocks also hands out their diagonals alone,
+a stack of tridiagonal blocks also hands out their real diagonals alone,
 for eigenvalue counts that need no solve.
 
-A Hermitian ``h`` whose off-diagonal pattern is a forest is ``U^dag S U``, ``U``
-diagonal unitary, ``S`` real symmetric with ``Re h_ii`` on the diagonal and
-``|h_ij|`` off it: phases fixed down each tree from a root make its edges real
-and positive, and no cycle asks for a second choice (Parlett, *The Symmetric
-Eigenvalue Problem*, ch. 7).  So ``S`` has the eigenvalues of ``h`` and
-eigenvectors of the same moduli.  In D's eigenbasis ``B (x) xhat + C (x)
-xihat`` couples weight delta only to delta +- 1, so for a D with distinct
-eigenvalues (every shipped family's) each charge block is a path.
+In D's eigenbasis ``B (x) xhat + C (x) xihat`` couples weight delta only to
+delta +- 1, so for a D with distinct eigenvalues (every shipped family's) each
+charge block is a Hermitian tridiagonal ``h``, similar through a diagonal
+unitary to the real ``S`` with ``Re h_ii`` on the diagonal and ``|h_{i+1,i}|``
+beside it (Parlett, *The Symmetric Eigenvalue Problem*, ch. 7).
 """
 
 from __future__ import annotations
@@ -58,7 +55,6 @@ __all__ = [
     "spurious_weight",
     "spurious_weights",
     "charge_orbits",
-    "real_form",
     "GapCertificate",
     "sampled_gap_certificate",
 ]
@@ -194,30 +190,6 @@ def _is_hermitian(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return defect <= tol * scale
 
 
-def real_form(h: np.ndarray) -> np.ndarray | None:
-    """The real symmetric ``S`` (module docstring) of a ``(..., s, s)`` Hermitian stack, or None.
-
-    Built from the lower triangle, the one ``eigh`` and ``eigvalsh`` read.
-    None when the entries nonzero in some matrix of the stack close a cycle
-    (a 2-core survives pruning the leaves); the test has no tolerance.
-    """
-    rows, cols = np.tril_indices(h.shape[-1], -1)
-    low = h[..., rows, cols]
-    lower = np.zeros(h.shape[-2:], dtype=bool)
-    lower[rows, cols] = (low != 0).any(axis=tuple(range(h.ndim - 2)))
-    adj, alive = lower | lower.T, np.ones(len(lower), dtype=bool)
-    while alive.any():
-        leaves = alive & (adj[:, alive].sum(axis=1) <= 1)
-        if not leaves.any():
-            return None
-        alive &= ~leaves
-    real = np.empty(h.shape)
-    real[..., rows, cols] = real[..., cols, rows] = np.abs(low)
-    diag = np.arange(len(lower))
-    real[..., diag, diag] = h[..., diag, diag].real
-    return real
-
-
 def ladder_matrices(basis: TruncatedBasis) -> tuple[np.ndarray, np.ndarray]:
     """Lowering and raising matrices on levels 0..M.
 
@@ -253,12 +225,12 @@ class BlockStack:
     Indices are component-major; component c is column c of ``frame`` (the
     standard basis when None).  ``static`` is ``B (x) xhat + C (x) xihat`` on
     each row; ``A(mu)`` entry ``components[0][t], components[1][t]`` (in the
-    frame) lands at block, row, column ``same_level[0..2][t]``.  A float
-    ``static`` is a :func:`real_form`, with ``A(mu)`` on the diagonal: blocks
-    come out real.  ``tridiagonal`` is ``static``'s diagonal ``(s, b)``, its
-    squared subdiagonal ``(s - 1, b)`` and the component of each diagonal
-    entry ``(s, b)`` when ``static`` is real and exactly zero beyond its
-    first off-diagonals; else None.
+    frame) lands at block, row, column ``same_level[0..2][t]``.  When
+    ``A(mu)`` lands on the diagonal only and the symmetrized ``static`` is
+    exactly zero beyond its first off-diagonals, ``tridiagonal`` is that
+    matrix's real diagonal ``(s, b)``, the moduli of its subdiagonal ``(s - 1,
+    b)`` and the component of each diagonal entry ``(s, b)``: the real form
+    (module docstring) of every block.  Else it is None.
     """
 
     index: np.ndarray
@@ -281,27 +253,24 @@ class BlockStack:
         """
         which, rows, cols = self.same_level
         h = np.repeat(self.static[None], len(framed), axis=0)
-        entries = framed[:, self.components[0], self.components[1]]
-        if not np.iscomplexobj(h):
-            h[:, which, rows, cols] += entries.real
-            return h
-        h[:, which, rows, cols] += entries
+        h[:, which, rows, cols] += framed[:, self.components[0], self.components[1]]
         h += h.conj().swapaxes(-2, -1)
         h *= 0.5
         return h
 
     def diagonal(self, framed: np.ndarray) -> np.ndarray:
-        """The diagonals of :meth:`assemble`'s blocks of a ``tridiagonal`` stack, bit for
-        bit, as ``(k, s, b)``; their off-diagonals are ``static``'s."""
+        """The real diagonals of :meth:`assemble`'s blocks of a ``tridiagonal`` stack, bit
+        for bit, as ``(k, s, b)``."""
         diag, _, comp = self.tridiagonal
         return diag + framed[:, comp, comp].real
 
     def blocks(self, diag: np.ndarray, which: np.ndarray) -> np.ndarray:
-        """Blocks ``which`` (n,) of a ``tridiagonal`` stack with the diagonals ``diag``
-        (n, s) of :meth:`diagonal`: :meth:`assemble`'s blocks, bit for bit."""
-        h = self.static[which]
-        s = np.arange(h.shape[-1])
-        h[:, s, s] = diag
+        """The real forms of blocks ``which`` (n,) of a ``tridiagonal`` stack, with the
+        diagonals ``diag`` (n, s) of :meth:`diagonal`, as ``(n, s, s)`` float arrays."""
+        n, s = diag.shape
+        h, i = np.zeros((n, s, s)), np.arange(s)
+        h[:, i, i] = diag
+        h[:, i[1:], i[:-1]] = h[:, i[:-1], i[1:]] = self.tridiagonal[1][:, which].T
         return h
 
 
@@ -338,7 +307,7 @@ class OperatorPieces:
     size is the number of components i with ``q - delta_i`` a non-negative
     integer.  :meth:`charged` says for which ``A(mu)`` they apply.  ``guard``
     marks the indices on the top ``guard_levels`` levels, for the whole
-    operator's artifact filter.  The whole operator stays complex.
+    operator's artifact filter.
     """
 
     def __init__(self, symbol: AffineMatrixSymbol, basis: TruncatedBasis,
@@ -373,8 +342,7 @@ class OperatorPieces:
 
     def stack(self, index: np.ndarray, frame: np.ndarray | None = None) -> BlockStack:
         """The operator on each row of the ``(b, s)`` component-major ``index`` of ``frame``;
-        real where a ``frame`` is given, ``A(mu)`` lands on the diagonal only and
-        :func:`real_form` exists."""
+        ``tridiagonal`` (:class:`BlockStack`) only where a ``frame`` is given."""
         level, comp = self.level[index], self.component[index]
         coeffs = [np.asarray(c) if frame is None else frame.conj().T @ c @ frame
                   for c in (self.symbol.x_coeff, self.symbol.xi_coeff)]
@@ -382,13 +350,12 @@ class OperatorPieces:
         levels = (level[:, :, None], level[:, None, :])
         static = coeffs[0][pair] * self._xmat[levels] + coeffs[1][pair] * self._ximat[levels]
         which, rows, cols = np.nonzero(levels[0] == levels[1])
-        if frame is not None and np.array_equal(rows, cols):
-            real = real_form(0.5 * (static + static.conj().swapaxes(-2, -1)))
-            static = static if real is None else real
         tridiagonal = None
-        if static.dtype == float and not np.triu(static, 2).any():
-            tridiagonal = (static.diagonal(0, -2, -1).T.copy(),
-                           static.diagonal(-1, -2, -1).T ** 2, comp.T.copy())
+        if frame is not None and np.array_equal(rows, cols):
+            h = 0.5 * (static + static.conj().swapaxes(-2, -1))
+            if not np.tril(h, -2).any():
+                tridiagonal = (h.diagonal(0, -2, -1).real.T.copy(),
+                               np.abs(h.diagonal(-1, -2, -1)).T, comp.T.copy())
         return BlockStack(index, static, (which, rows, cols),
                           (comp[which, rows], comp[which, cols]), frame, tridiagonal)
 
@@ -494,9 +461,8 @@ def sampled_gap_certificate(
 
     The spectrum is solved once per charge orbit (:func:`charge_orbits`,
     with ``D`` fitted at the smallest and largest sampled mu) and shared by
-    the orbit's points, in :func:`real_form` where the orbit stack has
-    one; without a fitting ``D``, or if some sampled ``A(mu)`` breaks it,
-    every point is solved.
+    the orbit's points; without a fitting ``D``, or if some sampled
+    ``A(mu)`` breaks it, every point is solved.
 
     With ``strict=True`` a violation raises :class:`GapCertificateError`.
     """
@@ -509,9 +475,7 @@ def sampled_gap_certificate(
     orbits = charge_orbits(symbol, pts)
     if orbits is not None:
         _, radial, inverse = orbits
-        h = symbol.evaluate_many(radial)
-        real = real_form(h)
-        eigs = np.linalg.eigvalsh(h if real is None else real)[inverse]
+        eigs = np.linalg.eigvalsh(symbol.evaluate_many(radial))[inverse]
     else:
         eigs = np.linalg.eigvalsh(symbol.evaluate_many(pts))
     r = symbol.gap_band

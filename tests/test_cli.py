@@ -361,9 +361,10 @@ def test_scenario_that_is_not_a_json_object_is_config_error(tmp_path, capsys, te
 def test_unregistered_global_section_rejected_before_any_sweep(tmp_path, capsys, monkeypatch):
     # normal-form has no registered global section for band 1, its symbol
     # is 2x2 and has bands "1" and "2" only, a zero reference vector has
-    # no section zeros to count, and the integer fields have lower bounds
-    # (the Hermite basis is built at load too), so each of these scenarios
-    # is rejected when it loads and verify never starts the flow sweep
+    # no section zeros to count, the integer fields have lower bounds (the
+    # Hermite basis is built at load too), and so do the spectral window and
+    # the mu range, so each of these scenarios is rejected when it loads and
+    # verify never starts the flow sweep
     import indexlab.cli as cli
 
     calls = []
@@ -384,6 +385,9 @@ def test_unregistered_global_section_rejected_before_any_sweep(tmp_path, capsys,
         {"steps": 8},
         {"max_level": 8},  # below 2 * guard_levels
         {"guard_levels": 0},
+        {"window": [0.9, -0.9, 0.0]},
+        {"window": [-0.9, 0.9, 2.0]},  # reference level outside the window
+        {"mu_min": 2.0, "mu_max": -2.0},
     ):
         path = write_scenario(tmp_path, "normal-form", **changes)
         assert main(["verify", "--scenario", path, "--grid", "16"]) == 1, changes
@@ -401,6 +405,17 @@ def test_unregistered_global_section_rejected_before_any_sweep(tmp_path, capsys,
     assert main(["verify", "--scenario", path, "--grid", "16",
                  "--out", str(tmp_path / "verify.json")]) == 0
     assert len(calls) == 1
+
+
+def test_chern_rejects_a_bad_window_at_load(tmp_path, capsys):
+    # chern builds no spectral window, so only the load check can refuse it,
+    # before a report with the reversed window is written
+    path = write_scenario(tmp_path, "normal-form", window=[0.9, -0.9, 0.0])
+    out = tmp_path / "chern.json"
+    assert main(["chern", "--scenario", path, "--method", "curvature", "--grid", "16",
+                 "--out", str(out)]) == 1
+    assert "indexlab: scenario error: window requires" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_flow_endpoint_in_spectrum_exit_code(tmp_path, capsys):

@@ -15,7 +15,6 @@ from indexlab.hermite import (
     ladder_matrices,
     position_momentum,
     quantize,
-    real_form,
     sampled_gap_certificate,
     spurious_weight,
     spurious_weights,
@@ -541,82 +540,68 @@ def test_gap_certificate_without_charge_symmetry_solves_every_point(
     assert (cert.lower_margin, cert.upper_margin) == (lower.min(), upper.min())
 
 
-#: forest patterns on five indices as edge lists: no cycle, so a real form exists
-FORESTS = {
-    "path": [(0, 1), (1, 2), (2, 3), (3, 4)],
-    "star": [(0, 1), (0, 2), (0, 3), (0, 4)],
-    "tree": [(0, 1), (1, 2), (1, 3), (3, 4)],
-    "disconnected": [(0, 1), (2, 3)],
-    "diagonal": [],
-}
+def random_tridiagonal_symbol(dim=4, seed=5):
+    """Weights ``delta_i = i``, ``K`` with random complex entries from component i to
+    i + 1 only and a random real diagonal ``A(mu)``, all turned by a random unitary:
+    charge blocks that are tridiagonal with random phases in ``D``'s eigenbasis."""
+    gen = np.random.default_rng(seed)
+    k = np.zeros((dim, dim), dtype=complex)
+    i = np.arange(dim - 1)
+    k[i, i + 1] = gen.normal(size=dim - 1) + 1j * gen.normal(size=dim - 1)
+    u = np.linalg.qr(gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim)))[0]
+    a0, a1 = np.diag(gen.normal(size=dim)), np.diag(gen.normal(size=dim))
+    return AffineMatrixSymbol(
+        dim=dim,
+        const_term=lambda mu: u @ (a0 + np.multiply.outer(mu, a1)) @ u.conj().T,
+        x_coeff=u @ (0.5 * (k + k.conj().T)) @ u.conj().T,
+        xi_coeff=u @ (0.5j * (k.conj().T - k)) @ u.conj().T,
+        gap_band=1,
+        gap_constant=0.1,
+        name="random-tridiagonal",
+    )
 
 
-@pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("pattern", sorted(FORESTS))
-def test_real_form_of_a_forest_keeps_eigenvalues_and_eigenvector_moduli(pattern, seed):
-    # 40 random complex Hermitian matrices on a relabelled forest pattern;
-    # some matrices lack some edges, so the pattern is the stack's union
-    gen = np.random.default_rng([seed, sorted(FORESTS).index(pattern)])
-    label = gen.permutation(5)
-    h = np.zeros((40, 5, 5), dtype=complex)
-    for i, j in FORESTS[pattern]:
-        entry = (gen.normal(size=40) + 1j * gen.normal(size=40)) * (gen.random(40) > 0.2)
-        h[:, label[i], label[j]] = entry
-        h[:, label[j], label[i]] = entry.conj()
-    h[:, range(5), range(5)] = 3.0 * gen.normal(size=(40, 5))
-    real = real_form(h)
-    assert real.dtype == np.float64 and np.array_equal(real, real.swapaxes(-2, -1))
-    scale = np.abs(h).max()
-    w, v = np.linalg.eigh(h)
-    w_real, v_real = np.linalg.eigh(real)
-    assert np.abs(w_real - w).max() <= 1e-12 * scale
-    assert np.abs(np.linalg.eigvalsh(real) - np.linalg.eigvalsh(h)).max() <= 1e-12 * scale
-    # each eigenvector of a simple eigenvalue is fixed up to a phase, so |v|^2
-    # is fixed; its rounding error grows as the eigenvalue gap shrinks
-    gaps = np.diff(w, axis=-1)
-    simple = np.minimum(np.pad(gaps, ((0, 0), (1, 0)), constant_values=np.inf),
-                        np.pad(gaps, ((0, 0), (0, 1)), constant_values=np.inf)) > 1e-3 * scale
-    assert simple.mean() > 0.9
-    moduli = np.abs(np.abs(v_real) ** 2 - np.abs(v) ** 2).max(axis=-2)
-    assert moduli[simple].max() <= 1e-12
-
-
-def test_real_form_refuses_a_cycle():
-    # a triangle with cycle product h01 h12 h20 = i: no diagonal unitary makes
-    # it real, and the moduli alone give other eigenvalues
-    h = np.array([[0, 1, -1j], [1, 0, 1], [1j, 1, 0]])
-    assert real_form(h) is None
-    assert np.abs(np.linalg.eigvalsh(h) - [-math.sqrt(3), 0.0, math.sqrt(3)]).max() <= 1e-12
-    assert np.abs(np.linalg.eigvalsh(np.abs(h)) - [-1.0, -1.0, 2.0]).max() <= 1e-12
-    # the test reads the zero pattern only, not the phases: a real triangle is
-    # refused too, and so is a stack of two forests whose union is a triangle
-    assert real_form(np.abs(h)) is None
-    path = h * [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
-    assert real_form(path) is not None
-    assert real_form(np.stack([path, np.abs(h) - path])) is None
+@pytest.mark.parametrize("family", sorted(BLOCK_FAMILIES) + ["random-tridiagonal"])
+def test_tridiagonal_real_form_keeps_the_eigenvalues(family):
+    # the real form has assemble's real diagonal and the moduli of its
+    # subdiagonal, bit for bit, and so its eigenvalues; constant-dim3 has
+    # D = 0, so its three components share each block's level and A(mu)
+    # lands off the diagonal: its one stack keeps the complex path
+    symbol = random_tridiagonal_symbol() if family == "random-tridiagonal" else BLOCK_FAMILIES[family]
+    pieces = OperatorPieces(symbol, TruncatedBasis(max_level=12, guard_levels=3), (-2.0, 3.0))
+    amats = pieces.const([-2.0, -0.4, 0.7, 3.0])
+    assert pieces.charge_stacks and pieces.charged(amats).all()
+    stacks = [s for s in pieces.charge_stacks if s.tridiagonal is not None]
+    assert (len(stacks) == len(pieces.charge_stacks)) == (family != "constant-dim3")
+    if family == "random-tridiagonal":
+        assert [s.index.shape[1] for s in stacks] == [1, 2, 3, 4]
+    for s in stacks:
+        framed = s.to_frame(amats)
+        h = s.assemble(framed)
+        k, b, size, _ = h.shape
+        diag = s.diagonal(framed).swapaxes(1, 2).reshape(k * b, size)
+        real = s.blocks(diag, np.tile(np.arange(b), k)).reshape(h.shape)
+        assert s.static.dtype == h.dtype == np.complex128 and real.dtype == np.float64
+        assert np.array_equal(real, real.swapaxes(-2, -1)) and not np.triu(real, 2).any()
+        assert np.array_equal(real.diagonal(0, -2, -1), h.diagonal(0, -2, -1).real)
+        assert np.array_equal(real.diagonal(-1, -2, -1), np.abs(h.diagonal(-1, -2, -1)))
+        scale = np.abs(h).max()
+        assert np.abs(np.linalg.eigvalsh(real) - np.linalg.eigvalsh(h)).max() <= 1e-12 * scale
+        if family == "random-tridiagonal" and size > 1:  # the phases are far from real
+            assert np.abs(h.diagonal(-1, -2, -1).imag).max() > 0.1 * scale
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
-def test_every_charge_stack_of_the_presets_is_real(preset):
+def test_every_charge_stack_of_the_presets_is_tridiagonal(preset):
     scenario = PRESETS[preset]()
     symbol, basis = scenario.symbol(), scenario.basis()
     pieces = OperatorPieces(symbol, basis, (scenario.mu_min, scenario.mu_max))
     amats = pieces.const([scenario.mu_min, 0.0, 0.7, scenario.mu_max])
     assert pieces.charge_stacks and pieces.charged(amats).all()
     for s in pieces.charge_stacks:
-        assert s.static.dtype == np.float64 and s.assemble(s.to_frame(amats)).dtype == np.float64
+        assert s.tridiagonal is not None
+        diag = s.diagonal(s.to_frame(amats))[1].T
+        assert s.blocks(diag, np.arange(len(diag))).dtype == np.float64
     # the whole operator, and so quantize, stays complex
     assert pieces.whole.assemble(amats).dtype == np.complex128
     assert quantize(symbol, 0.7, basis).matrix.dtype == np.complex128
-
-
-def test_gap_certificate_solves_the_orbit_stack_in_real_form(monkeypatch, random_affine_symbol):
-    solved = []
-    real_eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: solved.append(h.dtype) or real_eigvalsh(h))
-    for name in sorted(BLOCK_FAMILIES):
-        assert sampled_gap_certificate(BLOCK_FAMILIES[name]).points_checked == 10600
-    assert solved == [np.float64] * len(BLOCK_FAMILIES)
-    solved.clear()
-    sampled_gap_certificate(random_affine_symbol)  # no orbits: every point, complex
-    assert solved == [np.complex128]
