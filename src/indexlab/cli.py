@@ -104,6 +104,15 @@ _PARAM_CHECKS: dict[str, Callable] = {
     "gap_band_override": lambda v: v is None or _is_int(v),  # null: no override
 }
 
+#: Each model's symbol constructor and the ``model_params`` keys it reads (its keyword
+#: arguments); every model also reads ``gap_band_override``, and any other key is refused.
+_MODELS: dict[str, tuple[Callable[..., AffineMatrixSymbol], tuple[str, ...]]] = {
+    "normal-form": (normal_form_symbol, ("epsilon", "reflected")),
+    "matsuno": (matsuno_symbol, ("gap_band",)),
+    "ts2": (ts2_symbol, ("gap_band",)),
+    "constant": (constant_symbol, ("value", "dim")),
+}
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -131,7 +140,7 @@ class Scenario:
             raise ModelError(f"unsupported scenario schema {self.schema!r}")
         if not isinstance(self.name, str):
             raise ModelError(f"name must be a string, got {self.name!r}")
-        if self.model not in ("normal-form", "matsuno", "ts2", "constant"):
+        if not isinstance(self.model, str) or self.model not in _MODELS:
             raise ModelError(f"unknown model {self.model!r}")
         if len(self.window) != 3 or not all(map(_is_number, self.window)):
             raise ModelError(f"window must be three finite numbers, got {list(self.window)!r}")
@@ -145,7 +154,9 @@ class Scenario:
             if not isinstance(getattr(self, name), dict):
                 raise ModelError(f"{name} must be an object, got {getattr(self, name)!r}")
         for key, value in self.model_params.items():
-            if not _PARAM_CHECKS.get(key, lambda v: True)(value):
+            if key not in (*_MODELS[self.model][1], "gap_band_override"):
+                raise ModelError(f"model_params[{key!r}] is not read by the {self.model} model")
+            if not _PARAM_CHECKS[key](value):
                 raise ModelError(f"model_params[{key!r}] has the wrong type or value: {value!r}")
         for name, least in (("branch_table_levels", 0), ("grid_n", 16),
                             ("equator_samples", 16), ("steps", 16)):
@@ -179,30 +190,16 @@ class Scenario:
 
     # -- construction of live objects -------------------------------------
     def symbol(self) -> AffineMatrixSymbol:
-        params = self.model_params
-        if self.model == "normal-form":
-            sym = normal_form_symbol(
-                epsilon=params.get("epsilon", 1.0),
-                reflected=bool(params.get("reflected", False)),
-            )
-        elif self.model == "matsuno":
-            sym = matsuno_symbol(gap_band=int(params.get("gap_band", 2)))
-        elif self.model == "ts2":
-            sym = ts2_symbol(gap_band=int(params.get("gap_band", 2)))
-        else:
-            sym = constant_symbol(
-                value=float(params.get("value", 5.0)),
-                dim=int(params.get("dim", 1)),
-            )
-        override = params.get("gap_band_override")
+        make, keys = _MODELS[self.model]
+        sym = make(**{key: self.model_params[key] for key in keys if key in self.model_params})
+        override = self.model_params.get("gap_band_override")
         if override is not None:
             sym = dataclasses.replace(sym, gap_band=int(override))
         return sym
 
     def basis(self) -> TruncatedBasis:
-        eps = self.model_params.get("epsilon", 1.0) if self.model == "normal-form" else 1.0
         return TruncatedBasis(
-            max_level=self.max_level, epsilon=float(eps),
+            max_level=self.max_level, epsilon=float(self.model_params.get("epsilon", 1.0)),
             guard_levels=self.guard_levels,
         )
 

@@ -226,8 +226,8 @@ class BlockStack:
     standard basis when None).  ``static`` is ``B (x) xhat + C (x) xihat`` on
     each row; ``A(mu)`` entry ``components[0][t], components[1][t]`` (in the
     frame) lands at block, row, column ``same_level[0..2][t]``.  When
-    ``A(mu)`` lands on the diagonal only and the symmetrized ``static`` is
-    exactly zero beyond its first off-diagonals, ``tridiagonal`` is that
+    ``A(mu)`` lands on the diagonal only, the symmetrized ``static`` is exactly
+    zero beyond its first off-diagonals and ``tridiagonal`` is that
     matrix's real diagonal ``(s, b)``, the moduli of its subdiagonal ``(s - 1,
     b)`` and the component of each diagonal entry ``(s, b)``: the real form
     (module docstring) of every block.  Else it is None.
@@ -352,10 +352,12 @@ class OperatorPieces:
         which, rows, cols = np.nonzero(levels[0] == levels[1])
         tridiagonal = None
         if frame is not None and np.array_equal(rows, cols):
+            # A(mu) lands on the diagonal, so a block's weights delta are distinct, sorted and
+            # whole numbers apart: entries two or more positions apart join levels two or more
+            # apart, where the ladder matrices are exactly 0, so the block is tridiagonal
             h = 0.5 * (static + static.conj().swapaxes(-2, -1))
-            if not np.tril(h, -2).any():
-                tridiagonal = (h.diagonal(0, -2, -1).real.T.copy(),
-                               np.abs(h.diagonal(-1, -2, -1)).T, comp.T.copy())
+            tridiagonal = (h.diagonal(0, -2, -1).real.T.copy(),
+                           np.abs(h.diagonal(-1, -2, -1)).T, comp.T.copy())
         return BlockStack(index, static, (which, rows, cols),
                           (comp[which, rows], comp[which, cols]), frame, tridiagonal)
 

@@ -16,11 +16,17 @@ xi) exp(-i t D) = H`` turned by ``e^{it}`` in the (x, xi) plane, so the
 eigenvalues depend on ``(mu, hypot(x, xi))`` only and the eigenvectors at
 ``(mu, r cos t, r sin t)`` are ``exp(i t D)`` times those at ``(mu, r, 0)``.
 :class:`SphereSpectrum` fits ``D`` at the poles ``mu = +-1`` and hands it to
-its band fields; their batched solves (the grid, the clutching hemispheres
-and equator, the section-zero Newton and probe batches) then solve each
-distinct ``(mu, hypot(x, xi))`` once and rotate its eigenvectors out to the
-orbit's points.  Where no ``D`` fits, or ``A(mu)`` breaks it at some solved
-mu, every point is solved on its own.
+its band fields; the grid and the clutching hemispheres and equator then
+solve each distinct ``(mu, hypot(x, xi))`` once and rotate its eigenvectors
+out to the orbit's points.  Where no ``D`` fits, or ``A(mu)`` breaks it at
+some solved mu, every point is solved on its own, and so are the small
+section-zero batches.
+
+A frame is any orthonormal eigenbasis, with no phase fixed: each method
+reads only loop products of link overlaps, band projections, or windings in
+one local frame per batch.  Within a run a frame depends only on its point
+(LAPACK gives the same vectors for the same matrix), which the Newton
+polish needs: it solves its centre point in two batches.
 
 Orientation convention: the ordered coordinates (mu, x, xi) are positively
 oriented, i.e. a tangent frame (t1, t2) at p is positive when
@@ -108,17 +114,6 @@ class SphereGrid:
         return cls(n_per_face=n, vertices=pts, cells=cells)
 
 
-def _fix_phases(vecs: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude component of each column real positive, in place.
-
-    ``vecs`` holds eigenvectors as columns, optionally stacked: (..., d, k).
-    """
-    idx = np.abs(vecs).argmax(axis=-2)
-    lead = np.take_along_axis(vecs, idx[..., np.newaxis, :], axis=-2)
-    vecs *= np.exp(-1j * np.angle(lead))
-    return vecs
-
-
 def _rotated(vecs: np.ndarray, charge: np.ndarray, inverse: np.ndarray,
              angles: np.ndarray) -> np.ndarray:
     """``exp(i t D) v`` (n, d, d) for the orbit frames ``v = vecs[inverse]`` and angles t (n,).
@@ -159,7 +154,7 @@ def batch_eigensystem(
     bands: Sequence[int] | None = None,
     charge: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues (n, d) and phase-fixed eigenvector columns (n, d, d).
+    """Ascending eigenvalues (n, d) and orthonormal eigenvector columns (n, d, d).
 
     Without ``charge``, ``points`` (n, 3) are solved by one batched ``eigh``.
     With the charge operator ``D`` of the symbol as ``charge``, and where it
@@ -168,8 +163,8 @@ def batch_eigensystem(
     r, 0)``, and the point at angle ``t = atan2(xi, x)`` takes the orbit's
     eigenvalues and its eigenvectors times ``exp(i t D) = F diag(exp(i t
     delta)) F^dag`` (``D = F diag(delta) F^dag``); otherwise every point is
-    solved.  The phase of each eigenvector is then fixed by making its
-    largest-magnitude component real positive.  If ``bands`` (1-based,
+    solved.  The eigenvector phases are those ``eigh`` and the rotation give
+    (the module's gauge contract).  If ``bands`` (1-based,
     contiguous) is given, a gap below :data:`BAND_GAP_TOL` between selected
     and unselected bands at any point raises :class:`DegeneracyError`.
     """
@@ -184,7 +179,7 @@ def batch_eigensystem(
         omegas, vecs = omegas[inverse], _rotated(vecs, charge, inverse, angles)
     if bands is not None:
         _band_gap(omegas, bands, points)
-    return omegas, _fix_phases(vecs)
+    return omegas, vecs
 
 
 def point_eigensystem(
@@ -192,7 +187,7 @@ def point_eigensystem(
     point: Sequence[float],
     bands: Sequence[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`batch_eigensystem` at a single point: (d,) and (d, d)."""
+    """:func:`batch_eigensystem` at a single point: (d,) and (d, d), one frame per point."""
     omegas, vecs = batch_eigensystem(symbol, point, bands)
     return omegas[0], vecs[0]
 
@@ -213,7 +208,7 @@ class SphereSpectrum:
     symbol: AffineMatrixSymbol
     grid: SphereGrid
     omegas: np.ndarray  # (V, d) ascending
-    vectors: np.ndarray  # (V, d, d) phase-fixed eigenvector columns
+    vectors: np.ndarray  # (V, d, d) orthonormal eigenvector columns, any phase
     charge: np.ndarray | None = None
 
     @classmethod
@@ -253,7 +248,7 @@ class BandProjectorField:
     gap to unselected bands at every vertex.  Fields of several band groups
     on one grid should be sliced from one :class:`SphereSpectrum`;
     :meth:`build` solves the grid for a single group.  ``charge`` is the
-    spectrum's charge operator, which off-grid solves use.
+    spectrum's charge operator, which clutching's solves use.
     """
 
     symbol: AffineMatrixSymbol
@@ -409,10 +404,11 @@ def chern_curvature(field_: BandProjectorField, max_refinements: int = 2) -> Che
 RefSpec = np.ndarray | Callable[[np.ndarray], np.ndarray] | None
 
 
-def _band_frames(field_: BandProjectorField, points: np.ndarray) -> np.ndarray:
-    """Rank-1 band frames (n, d, 1) at ``points`` from one batched solve, per
-    charge orbit where the field's charge operator holds."""
-    _, vecs = batch_eigensystem(field_.symbol, points, field_.bands, field_.charge)
+def _band_frames(field_: BandProjectorField, points: np.ndarray, charge=None) -> np.ndarray:
+    """Rank-1 band frames (n, d, 1) at ``points`` from one batched solve, per orbit of
+    ``charge`` where it holds.  Clutching passes the field's; the section-zero batches
+    (1 to 65 points) pass none, as rotating so few orbits costs more than it saves."""
+    _, vecs = batch_eigensystem(field_.symbol, points, field_.bands, charge)
     lo = field_.bands[0] - 1
     return vecs[:, :, lo : lo + 1]
 
@@ -477,7 +473,7 @@ def chern_clutching(
     min_norms = []
     for sign, ref, name in ((+1.0, north_ref, "north"), (-1.0, south_ref, "south")):
         pts = _hemisphere_points(sign)
-        frames = _band_frames(field_, pts)
+        frames = _band_frames(field_, pts, field_.charge)
         if ref is None:
             ref = frames[0, :, 0]  # the band eigenvector at the pole
         s = _sections(frames, _ref_values(ref, pts, dim))
@@ -492,7 +488,7 @@ def chern_clutching(
 
     thetas = np.linspace(0.0, 2.0 * np.pi, equator_samples, endpoint=False)
     pts = np.stack((np.zeros_like(thetas), np.cos(thetas), np.sin(thetas)), axis=1)
-    frames = _band_frames(field_, pts)
+    frames = _band_frames(field_, pts, field_.charge)
     s1, s2 = (_sections(frames, _ref_values(ref, pts, dim)) for ref in refs)
     w = winding_number(_inner(s1, s2))
     return ChernReport(

@@ -350,6 +350,21 @@ def test_malformed_scenario_field_is_config_error(tmp_path, capsys, field_, valu
     assert "indexlab: scenario error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "preset,params",
+    [
+        ("normal-form", {"epsilom": 4.0}),  # a misspelt key
+        ("matsuno", {"epsilon": 4.0, "value": 3.0}),  # keys of other models
+        ("ts2", {"gap_band": 2, "dim": 3}),
+        ("constant", {"value": math.inf}),  # a key the model reads, not a finite number
+    ],
+)
+def test_model_params_the_model_cannot_take_are_config_errors(tmp_path, capsys, preset, params):
+    path = write_scenario(tmp_path, preset, model_params=params)
+    assert main(["flow", "--scenario", path]) == 1
+    assert "indexlab: scenario error: model_params[" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", ['"ab"', "[1]", "5", "null"])
 def test_scenario_that_is_not_a_json_object_is_config_error(tmp_path, capsys, text):
     path = tmp_path / "scenario.json"
