@@ -1,11 +1,14 @@
-"""Compare the JSON reports of two source trees, preset by preset.
+"""Compare the JSON and CSV reports of two source trees, preset by preset.
 
 Runs ``flow``, ``spectrum``, ``verify`` and ``chern --method all`` for every
-built-in preset, each in its own process, once with the ``src/`` of the base
-tree and once with the ``src/`` of the head tree, and prints one markdown
-table row per report: ``identical`` when the two reports agree apart from
-their ``timings``, else the largest difference between matching floats and
-the first path where it occurs, or the first path where the structure
+built-in preset, with ``--format json`` and with ``--format csv``, each in
+its own process, once with the ``src/`` of the base tree and once with the
+``src/`` of the head tree, and prints one markdown table row per report.
+A JSON report reads ``identical`` when the two agree apart from their
+``timings``, else the largest difference between matching floats and the
+first path where it occurs, or the first path where the structure differs.
+A CSV report, spectrum's ``_branches`` table included, reads ``identical``
+when the two files are equal line for line, else the first line that
 differs.  A differing exit code is reported too.  The script only reports:
 it exits 0 whatever it finds.
 
@@ -18,6 +21,7 @@ with ``git archive <commit> src | tar -x -C BASE_TREE``.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -30,19 +34,44 @@ PRESETS = ("normal-form", "matsuno", "matsuno-upper-gap", "matsuno-lower-gap", "
 COMMANDS = (("flow",), ("spectrum",), ("verify",), ("chern", "--method", "all"))
 
 
-def run_report(tree: Path, command: tuple[str, ...], preset: str, out: Path) -> tuple[int, dict | None]:
-    """Exit code and report (timings removed, None if none was written) of one CLI run."""
+def run_cli(tree: Path, command: tuple[str, ...], preset: str, fmt: str, out: Path) -> int:
+    """Exit code of one CLI run that writes its report to ``out``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    code = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", "from indexlab.cli import entry; entry()",
-         command[0], "--preset", preset, *command[1:], "--out", str(out)],
+         command[0], "--preset", preset, *command[1:], "--format", fmt, "--out", str(out)],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     ).returncode
+
+
+def run_report(tree: Path, command: tuple[str, ...], preset: str, out: Path) -> tuple[int, dict | None]:
+    """Exit code and JSON report (timings removed, None if none was written) of one CLI run."""
+    code = run_cli(tree, command, preset, "json", out)
     if not out.exists():
         return code, None
     report = json.loads(out.read_text())
     report.pop("timings", None)
     return code, report
+
+
+def run_csv(tree: Path, command: tuple[str, ...], preset: str, out: Path) -> tuple[int, dict]:
+    """Exit code and the lines of each CSV file of one CLI run: the report, and the
+    ``_branches`` table that spectrum writes beside it."""
+    code = run_cli(tree, command, preset, "csv", out)
+    files = {"report": out, "_branches": out.with_name(f"{out.stem}_branches{out.suffix}")}
+    return code, {name: path.read_text().splitlines()
+                  for name, path in files.items() if path.exists()}
+
+
+def first_line_difference(a: dict, b: dict) -> str | None:
+    """The first differing line of two ``{file: lines}`` maps, None if they are equal."""
+    if a.keys() != b.keys():
+        return f"files {sorted(a)} != {sorted(b)}"
+    for name in a:
+        for i, (x, y) in enumerate(itertools.zip_longest(a[name], b[name]), start=1):
+            if x != y:
+                return f"{name} line {i}: {x!r} != {y!r}"
+    return None
 
 
 def difference(a, b, path: str = "$") -> tuple[float, str, str | None]:
@@ -56,8 +85,8 @@ def difference(a, b, path: str = "$") -> tuple[float, str, str | None]:
             return 0.0, path, f"{path} length {len(a)} != {len(b)}"
         parts = [difference(x, y, f"{path}[{i}]") for i, (x, y) in enumerate(zip(a, b))]
     elif isinstance(a, float) and isinstance(b, float):
-        if a == b or (math.isnan(a) and math.isnan(b)):
-            return 0.0, path, None
+        if math.isnan(a) or math.isnan(b):
+            return 0.0, path, None if math.isnan(a) and math.isnan(b) else f"{path}: {a!r} != {b!r}"
         return abs(a - b), path, None
     else:
         return 0.0, path, None if a == b and type(a) is type(b) else f"{path}: {a!r} != {b!r}"
@@ -89,6 +118,16 @@ def compare(base: Path, head: Path, out_dir: Path) -> list[str]:
                 verdict = (f"differs: {mismatch}" if mismatch else
                            f"max float difference {worst:.3g} at `{where}`")
             rows.append(f"| {name} | {preset} | {verdict} |")
+            code_a, a = run_csv(base, command, preset, out_dir / f"base-{stem}.csv")
+            code_b, b = run_csv(head, command, preset, out_dir / f"head-{stem}.csv")
+            if code_a != code_b:
+                verdict = f"exit code {code_a} != {code_b}"
+            elif not a and not b:
+                verdict = "no report"
+            else:
+                mismatch = first_line_difference(a, b)
+                verdict = f"differs: {mismatch}" if mismatch else "identical"
+            rows.append(f"| {name} --format csv | {preset} | {verdict} |")
     return rows
 
 

@@ -33,17 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .errors import (
-    AliasingError,
-    DegenerateZeroError,
-    DegeneracyError,
-    EndpointInSpectrumError,
-    IndexLabError,
-    MethodDisagreementError,
-    ModelError,
-    RefinementError,
-    SectionVanishesError,
-)
+from .errors import ChernError, FlowError, IndexLabError, ModelError
 from .flow import FlowResult, SpectralWindow, spectral_index, sweep
 from .hermite import AffineMatrixSymbol, TruncatedBasis, sampled_gap_certificate
 from .models import (
@@ -56,6 +46,7 @@ from .models import (
     BranchLabel,
 )
 from .topology import (
+    BandProjectorField,
     ChernReport,
     SphereGrid,
     SphereSpectrum,
@@ -75,10 +66,6 @@ EXIT_USAGE = 2
 EXIT_FLOW = 3
 EXIT_CHERN = 4
 EXIT_VERDICT = 5
-
-_FLOW_ERRORS = (EndpointInSpectrumError, RefinementError, MethodDisagreementError)
-_CHERN_ERRORS = (DegeneracyError, SectionVanishesError, AliasingError,
-                 DegenerateZeroError)
 
 _INT_FIELDS = ("max_level", "guard_levels", "steps", "grid_n", "equator_samples",
                "branch_table_levels")
@@ -103,16 +90,6 @@ _PARAM_CHECKS: dict[str, Callable] = {
     "dim": _is_int,
     "gap_band_override": lambda v: v is None or _is_int(v),  # null: no override
 }
-
-#: Each model's symbol constructor and the ``model_params`` keys it reads (its keyword
-#: arguments); every model also reads ``gap_band_override``, and any other key is refused.
-_MODELS: dict[str, tuple[Callable[..., AffineMatrixSymbol], tuple[str, ...]]] = {
-    "normal-form": (normal_form_symbol, ("epsilon", "reflected")),
-    "matsuno": (matsuno_symbol, ("gap_band",)),
-    "ts2": (ts2_symbol, ("gap_band",)),
-    "constant": (constant_symbol, ("value", "dim")),
-}
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -154,7 +131,7 @@ class Scenario:
             if not isinstance(getattr(self, name), dict):
                 raise ModelError(f"{name} must be an object, got {getattr(self, name)!r}")
         for key, value in self.model_params.items():
-            if key not in (*_MODELS[self.model][1], "gap_band_override"):
+            if key not in (*_MODELS[self.model].keys, "gap_band_override"):
                 raise ModelError(f"model_params[{key!r}] is not read by the {self.model} model")
             if not _PARAM_CHECKS[key](value):
                 raise ModelError(f"model_params[{key!r}] has the wrong type or value: {value!r}")
@@ -184,14 +161,13 @@ class Scenario:
             if strategy not in ("poles", "global-section"):
                 raise ModelError(f"unknown clutching reference strategy {strategy!r} "
                                  f"for band {band!r}")
-            if strategy == "global-section" and not any(
-                    (model, str(b)) == (self.model, str(band)) for model, b in _GLOBAL_SECTIONS):
+            if strategy == "global-section" and int(band) not in _MODELS[self.model].sections:
                 raise ModelError(f"no registered global section for {self.model} band {band}")
 
     # -- construction of live objects -------------------------------------
     def symbol(self) -> AffineMatrixSymbol:
-        make, keys = _MODELS[self.model]
-        sym = make(**{key: self.model_params[key] for key in keys if key in self.model_params})
+        model = _MODELS[self.model]
+        sym = model.make(**{k: v for k, v in self.model_params.items() if k in model.keys})
         override = self.model_params.get("gap_band_override")
         if override is not None:
             sym = dataclasses.replace(sym, gap_band=int(override))
@@ -211,13 +187,13 @@ class Scenario:
         stored = self.zero_refs.get(str(band))
         if stored is not None:
             return np.array([complex(re, im) for re, im in stored])
-        return _default_zero_ref(self.model, band, self.symbol().dim)
+        return _MODELS[self.model].zero_ref(band, self.symbol().dim)
 
     def clutch_refs_for(self, band: int):
         strategy = self.clutch_refs.get(str(band), "poles")
         if strategy == "poles":
             return None, None
-        fn = _GLOBAL_SECTIONS[(self.model, band)]  # checked in __post_init__
+        fn = _MODELS[self.model].sections[band]  # checked in __post_init__
         return fn, fn
 
     # -- serialization ------------------------------------------------------
@@ -241,16 +217,6 @@ class Scenario:
         return cls(**data)
 
 
-def _default_zero_ref(model: str, band: int, dim: int) -> np.ndarray:
-    if model == "matsuno" and band == 2:
-        return np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
-    if model in ("matsuno", "ts2"):
-        return np.array([0.0, 0.0, 1.0], dtype=complex)
-    if model == "normal-form":
-        return np.array([0.0, 1.0], dtype=complex) if band == 1 else np.array([1.0, 0.0], dtype=complex)
-    return np.eye(dim, dtype=complex)[0]
-
-
 def _matsuno_band2_section(p: np.ndarray) -> np.ndarray:
     """Tautological nonvanishing section of the flat middle band."""
     mu, x, xi = p
@@ -262,9 +228,50 @@ def _ts2_band2_section(p: np.ndarray) -> np.ndarray:
     return np.asarray(p, dtype=complex)
 
 
-_GLOBAL_SECTIONS: dict[tuple[str, int], Callable] = {
-    ("matsuno", 2): _matsuno_band2_section,
-    ("ts2", 2): _ts2_band2_section,
+def _matsuno_rows(scenario: Scenario, mus: np.ndarray) -> list[tuple[float, str, int, float]]:
+    return [(float(mu), label.family, label.level, omega) for mu in mus
+            for label, omega in matsuno_branch_table(float(mu), scenario.branch_table_levels)]
+
+
+def _normal_form_rows(scenario: Scenario, mus: np.ndarray) -> list[tuple[float, str, int, float]]:
+    eps = float(scenario.model_params.get("epsilon", 1.0))
+    sign = -1.0 if scenario.model_params.get("reflected") else 1.0
+    rows = []
+    for mu in mus:
+        m = sign * float(mu)
+        rows.append((float(mu), "normal_zero", 0, normal_form_eigenvalue(BranchLabel("normal_zero"), m, eps)))
+        for n in range(1, scenario.branch_table_levels + 1):
+            for fam in ("normal_minus", "normal_plus"):
+                rows.append((float(mu), fam, n, normal_form_eigenvalue(BranchLabel(fam, n), m, eps)))
+    return rows
+
+
+class _Model:
+    """What the CLI knows of one model (a plain class: a NamedTuple costs import time)."""
+
+    def __init__(self, make, keys, zero_ref, sections, branch_rows):
+        self.make = make  # the symbol constructor
+        self.keys = keys  # the model_params keys (keyword arguments) make reads
+        self.zero_ref = zero_ref  # (band, dim) -> default section-zero reference
+        self.sections = sections  # band -> registered global section, for clutching
+        self.branch_rows = branch_rows  # (scenario, mus) -> closed-form branch rows, or None
+
+
+_MODELS: dict[str, _Model] = {
+    "normal-form": _Model(
+        normal_form_symbol, ("epsilon", "reflected"),
+        lambda band, dim: np.array([0.0, 1.0] if band == 1 else [1.0, 0.0], dtype=complex),
+        {}, _normal_form_rows),
+    "matsuno": _Model(
+        matsuno_symbol, ("gap_band",),
+        lambda band, dim: (np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0) if band == 2
+                           else np.array([0.0, 0.0, 1.0], dtype=complex)),
+        {2: _matsuno_band2_section}, _matsuno_rows),
+    "ts2": _Model(ts2_symbol, ("gap_band",),
+                  lambda band, dim: np.array([0.0, 0.0, 1.0], dtype=complex),
+                  {2: _ts2_band2_section}, None),
+    "constant": _Model(constant_symbol, ("value", "dim"),
+                       lambda band, dim: np.eye(dim, dtype=complex)[0], {}, None),
 }
 
 
@@ -331,48 +338,20 @@ def load_preset(name: str) -> Scenario:
 # runners
 # ---------------------------------------------------------------------------
 
-def _closed_form_rows(scenario: Scenario) -> list[tuple[float, str, int, float]]:
-    """Labeled branch values on the requested mu grid for the named models."""
-    rows: list[tuple[float, str, int, float]] = []
-    mus = np.linspace(scenario.mu_min, scenario.mu_max, scenario.steps + 1)
-    if scenario.model == "matsuno":
-        for mu in mus:
-            for label, omega in matsuno_branch_table(float(mu), scenario.branch_table_levels):
-                rows.append((float(mu), label.family, label.level, omega))
-    elif scenario.model == "normal-form":
-        eps = float(scenario.model_params.get("epsilon", 1.0))
-        sign = -1.0 if scenario.model_params.get("reflected") else 1.0
-        for mu in mus:
-            m = sign * float(mu)
-            rows.append((float(mu), "normal_zero", 0, normal_form_eigenvalue(BranchLabel("normal_zero"), m, eps)))
-            for n in range(1, scenario.branch_table_levels + 1):
-                for fam in ("normal_minus", "normal_plus"):
-                    rows.append((float(mu), fam, n, normal_form_eigenvalue(BranchLabel(fam, n), m, eps)))
-    return rows
-
-
-def _sweep(scenario: Scenario, symbol: AffineMatrixSymbol):
-    return sweep(
-        symbol,
-        scenario.basis(),
-        scenario.spectral_window(),
-        scenario.mu_min,
-        scenario.mu_max,
-        scenario.steps,
-    )
-
-
 def run_spectrum(scenario: Scenario) -> dict:
     """Sweep and export (mu, ordinal, omega, spurious_weight) records."""
     t0 = time.monotonic()
     symbol = scenario.symbol()
     symbol.validate()
-    sw = _sweep(scenario, symbol)
+    sw = sweep(symbol, scenario.basis(), scenario.spectral_window(),
+               scenario.mu_min, scenario.mu_max, scenario.steps)
+    branch_rows = _MODELS[scenario.model].branch_rows
+    mus = np.linspace(scenario.mu_min, scenario.mu_max, scenario.steps + 1)
     return {
         "schema": "indexlab.spectrum/1",
         "scenario": scenario.to_dict(),
         "rows": [list(r) for r in sw.table_rows()],
-        "closed_form_rows": [list(r) for r in _closed_form_rows(scenario)],
+        "closed_form_rows": [list(r) for r in branch_rows(scenario, mus)] if branch_rows else [],
         "timings": {"seconds": time.monotonic() - t0},
     }
 
@@ -381,7 +360,8 @@ def _flow(scenario: Scenario, symbol: AffineMatrixSymbol) -> tuple[FlowResult, d
     """Validate, certify the gap, sweep and count: result, report fields, samples."""
     symbol.validate()
     sampled_gap_certificate(symbol, strict=True)
-    sw = _sweep(scenario, symbol)
+    sw = sweep(symbol, scenario.basis(), scenario.spectral_window(),
+               scenario.mu_min, scenario.mu_max, scenario.steps)
     result = spectral_index(sw)
     fields = {
         "N": result.N,
@@ -422,6 +402,17 @@ def _chern_report_dict(report: ChernReport) -> dict:
     return out
 
 
+#: Each Chern method by name, in report order: (scenario, field, band) -> report.  The
+#: entries look the ``chern_*`` functions up when called, so a rebinding of one on this
+#: module reaches them.
+_CHERN_METHODS: dict[str, Callable[[Scenario, BandProjectorField, int], ChernReport]] = {
+    "curvature": lambda scenario, fld, band: chern_curvature(fld),
+    "clutching": lambda scenario, fld, band: chern_clutching(
+        fld, scenario.equator_samples, *scenario.clutch_refs_for(band)),
+    "zeros": lambda scenario, fld, band: chern_section_zeros(fld, scenario.zero_ref_for(band)),
+}
+
+
 def _band_reports(
     scenario: Scenario, spectrum: SphereSpectrum, bands: Sequence[int], method: str
 ) -> tuple[list[int], list[dict], bool]:
@@ -429,18 +420,10 @@ def _band_reports(
     per_band = []
     c_values = []
     agreement = True
+    names = _CHERN_METHODS if method == "all" else (method,)
     for band in bands:
         fld = spectrum.field([band])
-        reports: dict[str, ChernReport] = {}
-        if method in ("curvature", "all"):
-            reports["curvature"] = chern_curvature(fld)
-        if method in ("clutching", "all"):
-            north, south = scenario.clutch_refs_for(band)
-            reports["clutching"] = chern_clutching(
-                fld, scenario.equator_samples, north_ref=north, south_ref=south
-            )
-        if method in ("zeros", "all"):
-            reports["zeros"] = chern_section_zeros(fld, scenario.zero_ref_for(band))
+        reports = {name: _CHERN_METHODS[name](scenario, fld, band) for name in names}
         values = {r.C for r in reports.values()}
         agreement = agreement and len(values) == 1
         c_values.append(next(iter(reports.values())).C)
@@ -452,7 +435,7 @@ def _band_reports(
 
 def run_chern(scenario: Scenario, method: str = "all") -> dict:
     """Per-band Chern indices by the requested method(s)."""
-    if method not in ("curvature", "clutching", "zeros", "all"):
+    if method not in (*_CHERN_METHODS, "all"):
         raise ModelError(f"unknown chern method {method!r}")
     t0 = time.monotonic()
     symbol = scenario.symbol()
@@ -612,6 +595,12 @@ def _verify_csv(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: Each command's CSV table of its report.
+_CSV: dict[str, Callable[[dict], str]] = {
+    "spectrum": _spectrum_csv, "flow": _flow_csv, "chern": _chern_csv, "verify": _verify_csv,
+}
+
+
 def _to_json(payload: dict) -> str:
     """RFC 8259 JSON: a NaN or infinite value raises ValueError instead of being written."""
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
@@ -679,11 +668,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", type=int, help="override sphere grid size N")
         p.add_argument("--levels", type=int, help="override Hermite cutoff M")
         if name == "chern":
-            p.add_argument(
-                "--method",
-                choices=("curvature", "clutching", "zeros", "all"),
-                default="all",
-            )
+            p.add_argument("--method", choices=(*_CHERN_METHODS, "all"), default="all")
     return parser
 
 
@@ -696,54 +681,25 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         scenario = _load_scenario(args)
-    except (OSError, json.JSONDecodeError, IndexLabError, TypeError) as exc:
+    except (OSError, ValueError, RecursionError, IndexLabError, TypeError) as exc:
         print(f"indexlab: scenario error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
-        if args.command == "spectrum":
-            report = run_spectrum(scenario)
-            if args.format == "csv":
-                _emit(_spectrum_csv(report), args.out)
-                if args.out and report["closed_form_rows"]:
-                    stem, ext = os.path.splitext(args.out)
-                    _atomic_write(stem + "_branches" + ext, _branches_csv(report))
-            else:
-                _emit(_to_json(report), args.out)
-            return EXIT_OK
-
-        if args.command == "flow":
-            report = run_flow(scenario)
-            _emit(_flow_csv(report) if args.format == "csv" else _to_json(report), args.out)
-            return EXIT_OK
-
-        if args.command == "chern":
-            report = run_chern(scenario, args.method)
-            _emit(_chern_csv(report) if args.format == "csv" else _to_json(report), args.out)
-            if args.method == "all" and not report["agreement"]:
-                print("indexlab: chern methods disagree", file=sys.stderr)
-                return EXIT_CHERN
-            return EXIT_OK
-
-        # verify
-        result, payload = run_verify(scenario)
-        _emit(_verify_csv(payload) if args.format == "csv" else _to_json(payload), args.out)
-        if payload["chern"].get("agreement") is False:
-            print("indexlab: chern methods disagree", file=sys.stderr)
-            return EXIT_CHERN
-        if not result.passed:
-            print(
-                f"indexlab: FAIL: spectral flow {result.flow.N} != "
-                f"Chern index {result.subgap_chern}",
-                file=sys.stderr,
-            )
-            return EXIT_VERDICT
-        return EXIT_OK
-
-    except _FLOW_ERRORS as exc:
+        report = {
+            "spectrum": lambda: run_spectrum(scenario),
+            "flow": lambda: run_flow(scenario),
+            "chern": lambda: run_chern(scenario, args.method),
+            "verify": lambda: run_verify(scenario)[1],
+        }[args.command]()
+        _emit(_CSV[args.command](report) if args.format == "csv" else _to_json(report), args.out)
+        if args.format == "csv" and args.out and report.get("closed_form_rows"):
+            stem, ext = os.path.splitext(args.out)
+            _atomic_write(stem + "_branches" + ext, _branches_csv(report))
+    except FlowError as exc:
         print(f"indexlab: flow error: {exc}", file=sys.stderr)
         return EXIT_FLOW
-    except _CHERN_ERRORS as exc:
+    except ChernError as exc:
         print(f"indexlab: chern error: {exc}", file=sys.stderr)
         return EXIT_CHERN
     except (IndexLabError, np.linalg.LinAlgError) as exc:
@@ -752,6 +708,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"indexlab: i/o error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+
+    if report.get("agreement") is False or report.get("chern", {}).get("agreement") is False:
+        print("indexlab: chern methods disagree", file=sys.stderr)
+        return EXIT_CHERN
+    if report.get("verdict") == "FAIL":
+        print(f"indexlab: FAIL: spectral flow {report['flow']['N']} != "
+              f"Chern index {report['chern']['C']}", file=sys.stderr)
+        return EXIT_VERDICT
+    return EXIT_OK
 
 
 def entry():

@@ -468,3 +468,44 @@ def test_cli_import_leaves_out_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000],
+                         ids=["not-utf8", "nested"])
+def test_scenario_not_utf8_or_nested_too_deeply_is_config_error(tmp_path, capsys, content):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(content)
+    assert main(["flow", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("indexlab: scenario error:")
+
+
+@pytest.mark.parametrize("command", [["chern", "--method", "all"], ["verify"]])
+def test_chern_methods_disagreeing_exit_code(tmp_path, capsys, monkeypatch, command):
+    # a section-zero count one above the other methods' index
+    import indexlab.cli as cli
+
+    real = cli.chern_section_zeros
+
+    def one_above(*args):
+        report = real(*args)
+        return dataclasses.replace(report, C=report.C + 1)
+
+    monkeypatch.setattr(cli, "chern_section_zeros", one_above)
+    out = tmp_path / "report.json"
+    assert main([*command, "--preset", "normal-form", "--levels", "16", "--grid", "16",
+                 "--out", str(out)]) == 4
+    assert "indexlab: chern methods disagree" in capsys.readouterr().err
+    report = read_json(out)
+    assert report.get("chern", report)["agreement"] is False
+
+
+@pytest.mark.parametrize("command, lines", [
+    ("flow", ["key,value", "N,1", "counting_function,1", "tracked_crossings,1",
+              "crossing,-9.5367431640625e-07:0:1"]),
+    ("verify", ["key,value", "N,1", "C,1", "verdict,PASS"]),
+])
+def test_key_value_csv_reports(tmp_path, command, lines):
+    out = tmp_path / "report.csv"
+    assert main([command, "--preset", "normal-form", "--levels", "16", "--grid", "16",
+                 "--format", "csv", "--out", str(out)]) == 0
+    assert out.read_text() == "\n".join(lines) + "\n"

@@ -8,11 +8,16 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_reports.py"
 
 
 @pytest.fixture(scope="module")
-def difference():
+def script():
     spec = importlib.util.spec_from_file_location("compare_reports", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.difference
+    return module
+
+
+@pytest.fixture(scope="module")
+def difference(script):
+    return script.difference
 
 
 def report(**changes):
@@ -49,3 +54,22 @@ def test_int_against_float_is_a_mismatch(difference):
 def test_nan_against_nan_is_no_difference(difference):
     a, b = report(min_band_gap=math.nan), report(min_band_gap=math.nan)
     assert difference(a, b) == (0.0, "$", None)
+
+
+@pytest.mark.parametrize("a, b, mismatch", [
+    (math.nan, 1.0, "$.min_band_gap: nan != 1.0"),
+    (1.0, math.nan, "$.min_band_gap: 1.0 != nan"),
+])
+def test_nan_against_a_number_is_a_mismatch(difference, a, b, mismatch):
+    assert difference(report(min_band_gap=a), report(min_band_gap=b))[2] == mismatch
+
+
+def test_csv_files_compare_line_by_line(script):
+    a = {"report": ["key,value", "N,1"], "_branches": ["mu,family,level,omega"]}
+    assert script.first_line_difference(a, dict(a)) is None
+    assert (script.first_line_difference(a, {**a, "report": ["key,value", "N,2"]})
+            == "report line 2: 'N,1' != 'N,2'")
+    assert (script.first_line_difference(a, {**a, "report": ["key,value"]})
+            == "report line 2: 'N,1' != None")
+    assert (script.first_line_difference(a, {"report": a["report"]})
+            == "files ['_branches', 'report'] != ['report']")
