@@ -268,7 +268,8 @@ _MODELS: dict[str, _Model] = {
                            else np.array([0.0, 0.0, 1.0], dtype=complex)),
         {2: _matsuno_band2_section}, _matsuno_rows),
     "ts2": _Model(ts2_symbol, ("gap_band",),
-                  lambda band, dim: np.array([0.0, 0.0, 1.0], dtype=complex),
+                  lambda band, dim: (np.array([1.0, 1j, 0.0]) / np.sqrt(2.0) if band == 2
+                                     else np.array([0.0, 0.0, 1.0], dtype=complex)),
                   {2: _ts2_band2_section}, None),
     "constant": _Model(constant_symbol, ("value", "dim"),
                        lambda band, dim: np.eye(dim, dtype=complex)[0], {}, None),
@@ -341,9 +342,7 @@ def load_preset(name: str) -> Scenario:
 def run_spectrum(scenario: Scenario) -> dict:
     """Sweep and export (mu, ordinal, omega, spurious_weight) records."""
     t0 = time.monotonic()
-    symbol = scenario.symbol()
-    symbol.validate()
-    sw = sweep(symbol, scenario.basis(), scenario.spectral_window(),
+    sw = sweep(scenario.symbol(), scenario.basis(), scenario.spectral_window(),
                scenario.mu_min, scenario.mu_max, scenario.steps)
     branch_rows = _MODELS[scenario.model].branch_rows
     mus = np.linspace(scenario.mu_min, scenario.mu_max, scenario.steps + 1)
@@ -357,8 +356,7 @@ def run_spectrum(scenario: Scenario) -> dict:
 
 
 def _flow(scenario: Scenario, symbol: AffineMatrixSymbol) -> tuple[FlowResult, dict, int]:
-    """Validate, certify the gap, sweep and count: result, report fields, samples."""
-    symbol.validate()
+    """Certify the gap, sweep and count: result, report fields, samples."""
     sampled_gap_certificate(symbol, strict=True)
     sw = sweep(symbol, scenario.basis(), scenario.spectral_window(),
                scenario.mu_min, scenario.mu_max, scenario.steps)
@@ -439,7 +437,6 @@ def run_chern(scenario: Scenario, method: str = "all") -> dict:
         raise ModelError(f"unknown chern method {method!r}")
     t0 = time.monotonic()
     symbol = scenario.symbol()
-    symbol.validate()
     bands = scenario.chern_bands or tuple(range(1, symbol.dim + 1))
     spectrum = SphereSpectrum.build(symbol, SphereGrid.build(scenario.grid_n))
     c_values, per_band, agreement = _band_reports(scenario, spectrum, bands, method)

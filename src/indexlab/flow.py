@@ -232,7 +232,7 @@ def _window_samples(pieces: OperatorPieces, window: SpectralWindow,
     whose guard weight exceeds :data:`~indexlab.hermite.SPURIOUS_THRESHOLD`.
     """
     mus = np.asarray(mus, dtype=float)
-    amats = pieces.const(mus)
+    amats = pieces.symbol.const_stack(mus)
     charged = pieces.charged(amats)
     batch = np.flatnonzero(charged)
     samples = {}

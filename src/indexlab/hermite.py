@@ -18,13 +18,14 @@ lies at a level ``n <= M``: it is then an exact block of the untruncated
 operator too, and its eigenvalues need no artifact filter.  Only the few
 incomplete top blocks can hold truncation artifacts.
 
-All functions here are pure; returned arrays are freshly allocated and safe
-to share between threads.  An :class:`OperatorPieces` keeps the stacks it has
-built: the complete charge blocks, and the whole operator where ``D`` does
-not fit or does not commute with ``A(mu)``.  Each stack assembles a ``(k, d,
-d)`` stack of ``A(mu)`` at once, so many mu values share one batched solve;
-a stack of tridiagonal blocks also hands out their real diagonals alone,
-for eigenvalue counts that need no solve.
+Every ``A(mu)`` is evaluated and checked by :meth:`AffineMatrixSymbol.const_stack`,
+and ``D`` is fitted by :func:`charge_operator` alone.  All functions here are pure;
+returned arrays are freshly allocated and safe to share between threads.  An
+:class:`OperatorPieces` keeps the stacks it has built: the complete charge blocks,
+and the whole operator where ``D`` does not fit or does not commute with
+``A(mu)``.  Each stack assembles a ``(k, d, d)`` stack of ``A(mu)`` at once, so
+many mu values share one batched solve; a stack of tridiagonal blocks also
+hands out their real diagonals alone, for eigenvalue counts that need no solve.
 
 In D's eigenbasis ``B (x) xhat + C (x) xihat`` couples weight delta only to
 delta +- 1, so for a D with distinct eigenvalues (every shipped family's) each
@@ -54,6 +55,7 @@ __all__ = [
     "quantize",
     "spurious_weight",
     "spurious_weights",
+    "charge_operator",
     "charge_orbits",
     "GapCertificate",
     "sampled_gap_certificate",
@@ -101,12 +103,13 @@ class AffineMatrixSymbol:
 
     ``const_term`` is a callback so the mu-dependence may be nonlinear.  It
     takes a 1-D float array of n values of mu and returns the ``(n, d, d)``
-    complex stack ``A(mu)``; any other shape raises :class:`ModelError`.
-    ``gap_band`` is the number of bands below the tracked spectral gap
-    (0 is allowed for scalar controls with no band below the gap) and
-    ``gap_center``/``gap_constant`` certify that, away from the origin,
-    band ``gap_band`` stays below ``gap_center - gap_constant`` while band
-    ``gap_band + 1`` stays above ``gap_center + gap_constant``.
+    complex stack ``A(mu)``; :meth:`const_stack` raises :class:`ModelError`
+    for any other shape or a non-Hermitian ``A(mu)``.  ``gap_band`` is the
+    number of bands below the tracked spectral gap (0 is allowed for scalar
+    controls with no band below the gap) and ``gap_center``/``gap_constant``
+    certify that, away from the origin, band ``gap_band`` stays below
+    ``gap_center - gap_constant`` while band ``gap_band + 1`` stays above
+    ``gap_center + gap_constant``.
     """
 
     dim: int
@@ -134,8 +137,9 @@ class AffineMatrixSymbol:
             if not _is_hermitian(coeff):
                 raise ModelError(f"{label} must be Hermitian")
 
-    def _const_stack(self, mu: np.ndarray) -> np.ndarray:
-        """``A(mu)`` for a 1-D array of mu: one ``const_term`` call, shape-checked."""
+    def const_stack(self, mu: Sequence[float]) -> np.ndarray:
+        """``A(mu)`` of k mu values as a ``(k, d, d)`` stack: one ``const_term`` call, checked
+        for shape and Hermiticity."""
         mu = np.asarray(mu, dtype=float)
         amats = np.asarray(self.const_term(mu), dtype=complex)
         if amats.shape != (len(mu), self.dim, self.dim):
@@ -143,30 +147,26 @@ class AffineMatrixSymbol:
                 f"const_term of {len(mu)} mu values has shape {amats.shape}, "
                 f"expected ({len(mu)}, {self.dim}, {self.dim})"
             )
+        hermitian = _is_hermitian(amats)
+        if not hermitian.all():
+            raise ModelError(f"const_term({mu[np.argmin(hermitian)]}) is not Hermitian")
         return amats
 
     def evaluate(self, mu: float, x: float, xi: float) -> np.ndarray:
-        """Symbol matrix at one phase-space point (no Hermiticity re-check)."""
+        """Symbol matrix at one phase-space point."""
         return self.evaluate_many(np.array([[mu, x, xi]]))[0]
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         """Stack of symbol matrices at ``points`` of shape (n, 3) = (mu, x, xi)."""
         points = np.asarray(points, dtype=float)
-        out = self._const_stack(points[:, 0]) + points[:, 1, None, None] * self.x_coeff
+        out = self.const_stack(points[:, 0]) + points[:, 1, None, None] * self.x_coeff
         out += points[:, 2, None, None] * self.xi_coeff
         return out
 
-    def validate(self, rng: np.random.Generator | None = None, samples: int = 32):
-        """Assert Hermiticity of the family on a random sample of (mu, x, xi)."""
-        rng = rng or np.random.default_rng(2026)
-        pts = rng.uniform(-2.0, 2.0, size=(samples, 3))
-        hermitian = _is_hermitian(self.evaluate_many(pts))
-        if not hermitian.all():
-            mu, x, xi = pts[np.argmin(hermitian)]
-            raise ModelError(
-                f"symbol {self.name!r} is not Hermitian at "
-                f"(mu, x, xi)=({mu:.3f}, {x:.3f}, {xi:.3f})"
-            )
+    def validate(self, rng: np.random.Generator | None = None):
+        """:meth:`const_stack` at 32 random mu in [-2, 2] (``B`` and ``C`` are checked at
+        construction)."""
+        self.const_stack((rng or np.random.default_rng(2026)).uniform(-2.0, 2.0, 32))
 
 
 @dataclass(frozen=True)
@@ -280,14 +280,15 @@ def _commutes(charge: np.ndarray, amats: np.ndarray) -> np.ndarray:
     return np.abs(charge @ amats - amats @ charge).max(axis=(-2, -1)) <= 1e-12 * scale
 
 
-def _charge_operator(symbol: AffineMatrixSymbol, amats: list[np.ndarray]) -> np.ndarray | None:
-    """Minimum-norm (so Hermitian) D with ``[D, K] = -K``, ``[D, K^dag] = K^dag``, ``[D, A] = 0``;
-    None when the least-squares residual exceeds 1e-12 of the largest entry (at least 1)."""
+def charge_operator(symbol: AffineMatrixSymbol, mus: Sequence[float]) -> np.ndarray | None:
+    """Minimum-norm (so Hermitian) D with ``[D, K] = -K``, ``[D, K^dag] = K^dag`` and ``[D, A(mu)]
+    = 0`` at each of ``mus``; None when the least-squares residual exceeds 1e-12 of the largest
+    entry (at least 1)."""
     k = np.asarray(symbol.x_coeff + 1j * np.asarray(symbol.xi_coeff), dtype=complex)
-    eye, mats = np.eye(len(k)), [k, k.conj().T, *amats]
+    eye, mats = np.eye(len(k)), [k, k.conj().T, *symbol.const_stack(mus)]
     # row-major vec(D m - m D) = (1 (x) m^T - m (x) 1) vec(D)
     lhs = np.concatenate([np.kron(eye, m.T) - np.kron(m, eye) for m in mats])
-    rhs = np.concatenate([-k.ravel(), k.conj().T.ravel(), np.zeros(k.size * len(amats))])
+    rhs = np.concatenate([-k.ravel(), k.conj().T.ravel(), np.zeros(k.size * (len(mats) - 2))])
     d = np.linalg.lstsq(lhs, rhs, rcond=None)[0].reshape(k.shape)
     if np.abs(lhs @ d.ravel() - rhs).max() > 1e-12 * max(1.0, *(np.abs(m).max() for m in mats)):
         return None
@@ -298,8 +299,8 @@ class OperatorPieces:
     """The mu-independent parts of :func:`quantize` for one (symbol, basis).
 
     A stack's ``B (x) xhat + C (x) xihat`` is built once; each ``A(mu)`` then
-    only adds its same-level entries.  ``charge`` is the module docstring's
-    ``D`` fitted at ``mu_ends`` (None without them or if none fits); in its
+    only adds its same-level entries.  ``charge`` is :func:`charge_operator`
+    at ``mu_ends`` (None without them or if none fits); in its
     eigenbasis each eigenvalue of ``Q`` gives one charge block of at most d
     indices.  Without charge blocks the one block is the whole operator.
     ``charge_stacks`` are the complete charge blocks (module docstring)
@@ -316,7 +317,7 @@ class OperatorPieces:
         self._xmat, self._ximat = position_momentum(basis)
         self.component, self.level = np.divmod(np.arange(symbol.dim * basis.size), basis.size)
         self.guard = self.level >= basis.size - basis.guard_levels
-        self.charge = _charge_operator(symbol, list(self.const(mu_ends))) if mu_ends else None
+        self.charge = charge_operator(symbol, mu_ends) if mu_ends else None
         self.charge_stacks: list[BlockStack] = []
         if self.charge is not None:
             delta, frame = np.linalg.eigh(self.charge)
@@ -330,15 +331,6 @@ class OperatorPieces:
             parts = [p for p, f in zip(parts, full) if len(p) == f]
             self.charge_stacks = [self.stack(np.array([p for p in parts if len(p) == size]), frame)
                                   for size in sorted({len(p) for p in parts})]
-
-    def const(self, mus: Sequence[float]) -> np.ndarray:
-        """The ``(k, d, d)`` stack ``A(mu)`` of a sequence of k mu values, each checked Hermitian."""
-        mus = np.asarray(mus, dtype=float)
-        amats = self.symbol._const_stack(mus)
-        hermitian = _is_hermitian(amats)
-        if not hermitian.all():
-            raise ModelError(f"const_term({mus[np.argmin(hermitian)]}) is not Hermitian")
-        return amats
 
     def stack(self, index: np.ndarray, frame: np.ndarray | None = None) -> BlockStack:
         """The operator on each row of the ``(b, s)`` component-major ``index`` of ``frame``;
@@ -384,7 +376,7 @@ def quantize(
     made exactly Hermitian by symmetrization (exact in IEEE arithmetic).
     """
     pieces = OperatorPieces(symbol, basis)
-    matrix = pieces.whole.assemble(pieces.const([mu]))[0, 0]
+    matrix = pieces.whole.assemble(symbol.const_stack([mu]))[0, 0]
     return TruncatedOperator(matrix=matrix, basis=basis, dim=symbol.dim)
 
 
@@ -403,9 +395,9 @@ def spurious_weights(operator: TruncatedOperator, eigenvectors: np.ndarray) -> n
 
 
 def charge_orbits(
-    symbol: AffineMatrixSymbol, points: np.ndarray, charge: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The charge orbits of ``points`` (n, 3) as ``(charge, radial, inverse)``, or None.
+    symbol: AffineMatrixSymbol, points: np.ndarray, charge: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The orbits of ``points`` (n, 3) under ``charge`` as ``(radial, inverse)``, or None.
 
     If ``D`` (module docstring) commutes with ``A(mu)``, ``exp(i t D) H(mu,
     x, xi) exp(-i t D)`` is ``H`` with ``x + i xi`` turned by ``e^{it}``:
@@ -413,10 +405,10 @@ def charge_orbits(
     at ``(mu, r cos t, r sin t)`` are ``exp(i t D)`` times those at
     ``(mu, r, 0)``.  ``radial`` (m, 3) holds each distinct ``(mu, hypot(x,
     xi))`` once as the point ``(mu, hypot(x, xi), 0)``, sorted by mu, and
-    ``inverse`` (n,) each point's row in it.  ``charge`` is ``D``, fitted at
-    the smallest and largest mu of ``points`` when not given.  None when no
-    ``D`` fits or ``A(mu)`` breaks it at some sampled mu; ``A(mu)`` is
-    evaluated and checked once per distinct mu, not once per orbit.
+    ``inverse`` (n,) each point's row in it.  ``charge`` is ``D``, from
+    :func:`charge_operator`.  None when ``A(mu)`` breaks it at some sampled
+    mu; ``A(mu)`` is evaluated and checked once per distinct mu, not once per
+    orbit.
     """
     points = np.asarray(points, dtype=float)
     # complex keys sort by mu first, so the distinct mu are where the sorted
@@ -424,12 +416,10 @@ def charge_orbits(
     orbits, inverse = np.unique(points[:, 0] + 1j * np.hypot(points[:, 1], points[:, 2]),
                                 return_inverse=True)
     mus = orbits.real
-    amats = symbol._const_stack(mus[np.flatnonzero(np.diff(mus, prepend=np.nan))])
-    if charge is None:
-        charge = _charge_operator(symbol, [amats[0], amats[-1]])
-    if charge is None or not _commutes(charge, amats).all():
+    amats = symbol.const_stack(mus[np.flatnonzero(np.diff(mus, prepend=np.nan))])
+    if not _commutes(charge, amats).all():
         return None
-    return charge, np.stack((orbits.real, orbits.imag, np.zeros(len(orbits))), axis=1), inverse
+    return np.stack((orbits.real, orbits.imag, np.zeros(len(orbits))), axis=1), inverse
 
 
 @dataclass(frozen=True)
@@ -447,36 +437,29 @@ class GapCertificate:
         return min(self.lower_margin, self.upper_margin)
 
 
-def sampled_gap_certificate(
-    symbol: AffineMatrixSymbol,
-    grid_points: int = 30,
-    shell: tuple[float, float] = (1.0, 3.0),
-    mu_max: float = 2.0,
-    strict: bool = False,
-) -> GapCertificate:
+def sampled_gap_certificate(symbol: AffineMatrixSymbol, strict: bool = False) -> GapCertificate:
     """Check the gap assumption on a Cartesian sample of the shell.
 
-    Points of a ``grid_points**3`` grid of ``[-shell[1], shell[1]]^3`` with
-    ``shell[0] <= |(mu,x,xi)| <= shell[1]`` and ``|mu| <= mu_max`` are kept;
-    at each, band ``gap_band`` must lie below ``gap_center - gap_constant``
-    and band ``gap_band + 1`` above ``gap_center + gap_constant``.
+    Points of a ``30**3`` grid of ``[-3, 3]^3`` with ``1 <= |(mu,x,xi)| <=
+    3`` and ``|mu| <= 2`` are kept; at each, band ``gap_band`` must lie below
+    ``gap_center - gap_constant`` and band ``gap_band + 1`` above
+    ``gap_center + gap_constant``.
 
     The spectrum is solved once per charge orbit (:func:`charge_orbits`,
-    with ``D`` fitted at the smallest and largest sampled mu) and shared by
-    the orbit's points; without a fitting ``D``, or if some sampled
-    ``A(mu)`` breaks it, every point is solved.
+    with :func:`charge_operator` fitted at the smallest and largest sampled
+    mu) and shared by the orbit's points; without a fitting ``D``, or if
+    some sampled ``A(mu)`` breaks it, every point is solved.
 
     With ``strict=True`` a violation raises :class:`GapCertificateError`.
     """
-    lo, hi = shell
-    axis = np.linspace(-hi, hi, grid_points)
+    axis = np.linspace(-3.0, 3.0, 30)
     pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     norms = np.linalg.norm(pts, axis=1)
-    keep = (norms >= lo) & (norms <= hi) & (np.abs(pts[:, 0]) <= mu_max)
-    pts = pts[keep]
-    orbits = charge_orbits(symbol, pts)
+    pts = pts[(norms >= 1.0) & (norms <= 3.0) & (np.abs(pts[:, 0]) <= 2.0)]
+    charge = charge_operator(symbol, (pts[:, 0].min(), pts[:, 0].max()))
+    orbits = None if charge is None else charge_orbits(symbol, pts, charge)
     if orbits is not None:
-        _, radial, inverse = orbits
+        radial, inverse = orbits
         eigs = np.linalg.eigvalsh(symbol.evaluate_many(radial))[inverse]
     else:
         eigs = np.linalg.eigvalsh(symbol.evaluate_many(pts))
@@ -487,7 +470,7 @@ def sampled_gap_certificate(
         lower = symbol.gap_center - symbol.gap_constant - eigs[:, r - 1]
     if r <= symbol.dim - 1:
         upper = eigs[:, r] - (symbol.gap_center + symbol.gap_constant)
-    worst = pts[int(np.argmin(np.minimum(lower, upper)))] if len(pts) else np.zeros(3)
+    worst = pts[int(np.argmin(np.minimum(lower, upper)))]
     cert = GapCertificate(
         ok=bool(lower.min() > 0 and upper.min() > 0),
         lower_margin=float(lower.min()),

@@ -48,7 +48,7 @@ from .errors import (
     ModelError,
     SectionVanishesError,
 )
-from .hermite import AffineMatrixSymbol, charge_orbits
+from .hermite import AffineMatrixSymbol, charge_operator, charge_orbits
 
 __all__ = [
     "SphereGrid",
@@ -173,7 +173,7 @@ def batch_eigensystem(
     if orbits is None:
         omegas, vecs = np.linalg.eigh(symbol.evaluate_many(points))
     else:
-        _, radial, inverse = orbits
+        radial, inverse = orbits
         omegas, vecs = np.linalg.eigh(symbol.evaluate_many(radial))
         angles = np.arctan2(points[:, 2], points[:, 1])
         omegas, vecs = omegas[inverse], _rotated(vecs, charge, inverse, angles)
@@ -213,8 +213,7 @@ class SphereSpectrum:
 
     @classmethod
     def build(cls, symbol: AffineMatrixSymbol, grid: SphereGrid) -> "SphereSpectrum":
-        orbits = charge_orbits(symbol, np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))  # D at the poles
-        charge = None if orbits is None else orbits[0]
+        charge = charge_operator(symbol, (-1.0, 1.0))  # D at the poles
         omegas, vectors = batch_eigensystem(symbol, grid.vertices, charge=charge)
         return cls(symbol=symbol, grid=grid, omegas=omegas, vectors=vectors, charge=charge)
 
@@ -357,14 +356,14 @@ def _cell_phases(field_: BandProjectorField) -> np.ndarray:
     return -np.angle(prod)
 
 
-def chern_curvature(field_: BandProjectorField, max_refinements: int = 2) -> ChernReport:
+def chern_curvature(field_: BandProjectorField) -> ChernReport:
     """Chern index as the summed cell Berry phases over 2 pi.
 
     The sum is exactly an integer multiple of 2 pi up to roundoff because
     every interior edge is traversed twice in opposite directions.  A cell
     phase of magnitude >= pi/2 indicates an unresolved curvature spike; the
-    grid is refined (doubled) up to ``max_refinements`` times before the
-    spike is reported as a degeneracy on or near the sphere.
+    grid is refined (doubled) up to twice before the spike is reported as a
+    degeneracy on or near the sphere.
     """
     refinements = 0
     while True:
@@ -372,7 +371,7 @@ def chern_curvature(field_: BandProjectorField, max_refinements: int = 2) -> Che
         max_phase = float(np.abs(phases).max())
         if max_phase < np.pi / 2:
             break
-        if refinements >= max_refinements:
+        if refinements >= 2:
             raise DegeneracyError(
                 f"cell phase {max_phase:.3f} >= pi/2 persists after "
                 f"{refinements} refinements; degeneracy on or near the sphere"
@@ -434,10 +433,11 @@ def _ref_values(ref: RefSpec, points: np.ndarray, dim: int) -> np.ndarray:
     return vec
 
 
-def _hemisphere_points(sign: float, rings: int = 24, per_ring: int = 48) -> np.ndarray:
-    """Sample of a closed hemisphere {sign * mu >= 0}, pole first, equator included."""
-    mu = sign * np.repeat(np.linspace(0.0, 1.0, rings + 1)[:-1], per_ring)
-    th = np.tile(np.linspace(0.0, 2.0 * np.pi, per_ring, endpoint=False), rings)
+def _hemisphere_points(sign: float) -> np.ndarray:
+    """The pole of the closed hemisphere {sign * mu >= 0}, then 24 rings of 48 points upward
+    from the equator."""
+    mu = sign * np.repeat(np.linspace(0.0, 1.0, 25)[:-1], 48)
+    th = np.tile(np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False), 24)
     r = np.sqrt(1.0 - mu * mu)
     ring_pts = np.stack((mu, r * np.cos(th), r * np.sin(th)), axis=1)
     return np.vstack(([sign, 0.0, 0.0], ring_pts))
@@ -566,12 +566,8 @@ def _refine_zero(
     return p0, float(np.linalg.norm(s))
 
 
-def chern_section_zeros(
-    field_: BandProjectorField,
-    reference_vector: Sequence[complex],
-    probe_radius: float = 1e-3,
-    circle_samples: int = 64,
-) -> ChernReport:
+def chern_section_zeros(field_: BandProjectorField, reference_vector: Sequence[complex],
+                        probe_radius: float = 1e-3) -> ChernReport:
     """Chern index as the sum of local winding indices at section zeros.
 
     The global section ``s(p) = P(p) u0`` is scanned for zeros on the grid
@@ -582,8 +578,11 @@ def chern_section_zeros(
     Polished points with ``|s| < 1e-10`` are the zeros; one within 1e-6 of
     a zero already found is dropped.  The index of each zero is the winding
     of the section's complex coordinate (in the frame of the local band
-    eigenvector) around a circle of ``probe_radius`` traversed positively.  ``s = 0`` at every vertex (``u0 = 0``
-    or orthogonal to the band) raises :class:`ModelError`.
+    eigenvector) at 64 points of a circle of ``probe_radius`` traversed
+    positively; a winding that fails there (a zero or a phase jump of pi on
+    the circle: the zero is not isolated) or is 0 raises
+    :class:`DegenerateZeroError`.  ``s = 0`` at every vertex (``u0 = 0`` or
+    orthogonal to the band) raises :class:`ModelError`.
     """
     if field_.rank != 1:
         raise ModelError("section-zero method requires a rank-1 band")
@@ -622,16 +621,23 @@ def chern_section_zeros(
 
     found: list[SectionZero] = []
     total = 0
-    phis = np.linspace(0.0, 2.0 * np.pi, circle_samples, endpoint=False)
+    phis = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     for point, norm in zeros:
         t1, t2 = _tangent_frame(point)
         offsets = np.cos(phis)[:, None] * t1 + np.sin(phis)[:, None] * t2
         circle = point + probe_radius * offsets
         circle /= np.linalg.norm(circle, axis=1, keepdims=True)
-        idx = winding_number(_section_coords(field_, u0, point, circle))
+        coords = _section_coords(field_, u0, point, circle)
+        try:
+            idx = winding_number(coords)
+        except (AliasingError, ModelError):
+            raise DegenerateZeroError(
+                f"zero at {tuple(point.tolist())} is not isolated: the section vanishes or "
+                "turns by pi on the probe circle; choose another reference vector"
+            ) from None
         if idx == 0:
             raise DegenerateZeroError(
-                f"zero at {tuple(point)} has vanishing winding; refine the "
+                f"zero at {tuple(point.tolist())} has vanishing winding; refine the "
                 "probe radius"
             )
         total += idx

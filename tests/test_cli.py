@@ -460,6 +460,28 @@ def test_chern_degenerate_band_exit_code(tmp_path, capsys):
     assert "indexlab: chern error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", [32, 64])
+def test_section_zero_that_is_not_isolated_exit_code(tmp_path, capsys, grid):
+    # with u0 = e3 the ts2 band-2 section (p.e3) p vanishes on the whole circle
+    # xi = 0, so the winding around a polished zero fails at every grid
+    path = write_scenario(tmp_path, "ts2", chern_bands=[2], clutch_refs={"2": "global-section"},
+                          zero_refs={"2": [[0, 0], [0, 0], [1, 0]]})
+    assert main(["chern", "--scenario", path, "--method", "all", "--grid", str(grid)]) == 4
+    assert "is not isolated" in capsys.readouterr().err
+
+
+def test_verify_ts2_every_band_with_the_default_zero_references(tmp_path):
+    # band 2's default reference (1, i, 0)/sqrt(2) has isolated zeros at the
+    # poles xi = +-1, of winding +1 and -1
+    path = write_scenario(tmp_path, "ts2", chern_bands=[1, 2, 3],
+                          clutch_refs={"2": "global-section"})
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--scenario", path, "--out", str(out)]) == 0
+    report = read_json(out)
+    assert (report["verdict"], report["flow"]["N"], report["chern"]["agreement"]) == ("PASS", -2, True)
+    assert [entry["reports"]["zeros"]["C"] for entry in report["chern"]["per_band"]] == [-2, 0, 2]
+
+
 def test_cli_import_leaves_out_scipy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(indexlab.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

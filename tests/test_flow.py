@@ -416,7 +416,7 @@ def assert_samples_match_dense_solve(sw, symbol, basis):
     degenerate_mus = []
     for s in sw.samples:
         op = quantize(symbol, s.mu, basis)
-        charged = pieces.charged(pieces.const([s.mu]))[0]
+        charged = pieces.charged(pieces.symbol.const_stack([s.mu]))[0]
         if charged:
             omegas = np.linalg.eigvalsh(charge_sectors(op.matrix, pieces.charge, basis)[0])
             weights = np.zeros_like(omegas)
@@ -483,7 +483,7 @@ def test_sweep_samples_match_dense_complex_solve(case):
 def test_sweep_samples_match_dense_solve_random_complex_symbol(random_affine_symbol):
     basis = nf_basis(16)
     pieces = OperatorPieces(random_affine_symbol, basis, (-2.0, 2.0))
-    assert not pieces.charge_stacks and not pieces.charged(pieces.const([0.0]))[0]
+    assert not pieces.charge_stacks and not pieces.charged(pieces.symbol.const_stack([0.0]))[0]
     sw = sweep(random_affine_symbol, basis, WINDOW_NF, -2.0, 2.0, 32)
     assert assert_samples_match_dense_solve(sw, random_affine_symbol, basis) == []
 
@@ -530,7 +530,7 @@ def test_sweep_samples_match_dense_solve_under_invariance_perturbation(monkeypat
     symbol, basis, sw = bump_perturbed_matsuno_sweep(monkeypatch)
     pieces = OperatorPieces(symbol, basis, (-6.0, 6.0))
     mus = np.array([s.mu for s in sw.samples])
-    charged = pieces.charged(pieces.const(mus))
+    charged = pieces.charged(pieces.symbol.const_stack(mus))
     assert pieces.charge_stacks and all(s.frame is not None for s in pieces.charge_stacks)
     assert np.array_equal(charged, np.abs(mus) >= 2)
     assert assert_samples_match_dense_solve(sw, symbol, basis) == []
@@ -613,7 +613,7 @@ def test_batched_window_samples_equal_one_mu_solves(monkeypatch):
     symbol, basis, _ = bump_perturbed_matsuno_sweep(monkeypatch)
     pieces = OperatorPieces(symbol, basis, (-6.0, 6.0))
     mus = np.random.default_rng(3).permutation(np.linspace(-6.0, 6.0, 121))
-    charged = pieces.charged(pieces.const(mus))
+    charged = pieces.charged(pieces.symbol.const_stack(mus))
     assert charged.any() and (~charged).any()
     assert_same_samples(flow._window_samples(pieces, WINDOW_MAT, mus),
                         [flow._window_samples(pieces, WINDOW_MAT, [mu])[0] for mu in mus])
@@ -648,7 +648,7 @@ def all_eigh_samples(pieces, window, mus, vectors=True):
     above the threshold."""
     out = []
     for mu in mus:
-        amat = pieces.const([mu])
+        amat = pieces.symbol.const_stack([mu])
         charged = pieces.charged(amat)[0]
         parts = []
         for s in pieces.charge_stacks if charged else [pieces.whole]:
@@ -719,7 +719,7 @@ def test_blocks_with_an_eigenvalue_ulps_from_a_window_edge_reach_lapack(preset):
     symbol, basis = scenario.symbol(), scenario.basis()
     pieces = OperatorPieces(symbol, basis, (scenario.mu_min, scenario.mu_max))
     mus = np.linspace(scenario.mu_min, scenario.mu_max, 7)
-    amats = pieces.const(mus)
+    amats = pieces.symbol.const_stack(mus)
     values = [np.linalg.eigvalsh(real_forms(s, amats))[:, :12].ravel()
               for s in pieces.charge_stacks if s.tridiagonal is not None and s.index.shape[1] > 1]
     values = np.concatenate(values)
@@ -807,7 +807,7 @@ def test_samples_without_charge_blocks_equal_an_all_eigh_solve(monkeypatch, rand
     symbol, basis, sw = bump_perturbed_matsuno_sweep(monkeypatch)
     pieces = OperatorPieces(symbol, basis, (-6.0, 6.0))
     inside = [s for s in sw.samples if abs(s.mu) < 2]
-    assert inside and not pieces.charged(pieces.const([s.mu for s in inside])).any()
+    assert inside and not pieces.charged(pieces.symbol.const_stack([s.mu for s in inside])).any()
     assert_same_samples(inside, all_eigh_samples(pieces, WINDOW_MAT, [s.mu for s in inside]))
 
 
@@ -848,7 +848,7 @@ def test_charge_sweep_calls_no_eigh(preset, monkeypatch):
     sw = sweep(symbol, basis, scenario.spectral_window(), scenario.mu_min, scenario.mu_max,
                scenario.steps)
     pieces = OperatorPieces(symbol, basis, (scenario.mu_min, scenario.mu_max))
-    assert pieces.charged(pieces.const([s.mu for s in sw.samples])).all()
+    assert pieces.charged(pieces.symbol.const_stack([s.mu for s in sw.samples])).all()
     # every charge block is complete, so none has a guard weight to measure:
     # no stack is solved for eigenvectors, and only charge stacks for values
     assert solved["eigh"] == []
@@ -891,7 +891,7 @@ def test_cyclic_charge_blocks_keep_the_complex_path():
     symbol, basis = coupled_normal_forms(), nf_basis(16)
     pieces = OperatorPieces(symbol, basis, (-2.0, 2.0))
     assert np.abs(np.linalg.eigvalsh(pieces.charge) - [-0.5, -0.5, 0.5, 0.5]).max() <= 1e-12
-    amats = pieces.const([-2.0, 0.5, 2.0])
+    amats = pieces.symbol.const_stack([-2.0, 0.5, 2.0])
     assert pieces.charged(amats).all()
     assert all(s.tridiagonal is None for s in pieces.charge_stacks)
     # a 4x4 block has the 4-cycle, and its moduli would give other eigenvalues

@@ -11,6 +11,7 @@ from indexlab.hermite import (
     AffineMatrixSymbol,
     OperatorPieces,
     TruncatedBasis,
+    charge_operator,
     charge_orbits,
     ladder_matrices,
     position_momentum,
@@ -18,6 +19,13 @@ from indexlab.hermite import (
     sampled_gap_certificate,
     spurious_weight,
     spurious_weights,
+)
+from indexlab.topology import (
+    BandProjectorField,
+    SphereGrid,
+    SphereSpectrum,
+    batch_eigensystem,
+    point_eigensystem,
 )
 from indexlab.models import (
     BranchLabel,
@@ -144,18 +152,43 @@ def test_quantize_exactly_hermitian():
             assert np.all(h - h.conj().T == 0.0)
 
 
-def test_quantize_rejects_non_hermitian_const():
-    bad = AffineMatrixSymbol(
-        dim=2,
-        const_term=lambda mu: np.array([[0.0, 1.0], [0.0, 0.0]]) * np.ones((len(mu), 1, 1), dtype=complex),
-        x_coeff=np.zeros((2, 2), dtype=complex),
-        xi_coeff=np.zeros((2, 2), dtype=complex),
-        gap_band=1,
-        gap_constant=0.5,
-        name="bad",
-    )
-    with pytest.raises(ModelError):
-        quantize(bad, 0.0, TruncatedBasis(max_level=4, guard_levels=2))
+def non_hermitian_symbol(outer: bool = False) -> AffineMatrixSymbol:
+    """A symbol whose A(mu) is not Hermitian at any mu, or, with ``outer``, the normal form
+    with an unmirrored entry below the diagonal of A(mu) for |mu| > 0.5 only."""
+    if not outer:
+        return AffineMatrixSymbol(
+            dim=2,
+            const_term=lambda mu: np.array([[0.0, 1.0], [0.0, 0.0]]) * np.ones((len(mu), 1, 1), dtype=complex),
+            x_coeff=np.zeros((2, 2), dtype=complex),
+            xi_coeff=np.zeros((2, 2), dtype=complex),
+            gap_band=1,
+            gap_constant=0.5,
+            name="bad",
+        )
+    base = normal_form_symbol()
+
+    def const_term(mu):
+        amats = base.const_term(mu)
+        amats[:, 1, 0] += np.abs(mu) > 0.5
+        return amats
+
+    return dataclasses.replace(base, const_term=const_term, name="outer-non-hermitian")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: quantize(non_hermitian_symbol(), 0.0, TruncatedBasis(max_level=4, guard_levels=2)),
+    lambda: sampled_gap_certificate(non_hermitian_symbol(outer=True)),
+    lambda: SphereSpectrum.build(non_hermitian_symbol(outer=True), SphereGrid.build(16)),
+    lambda: BandProjectorField.build(non_hermitian_symbol(outer=True), [1], SphereGrid.build(16)),
+    lambda: batch_eigensystem(non_hermitian_symbol(outer=True), [[0.0, 0.3, 0.0], [0.9, 0.0, 0.1]]),
+    lambda: point_eigensystem(non_hermitian_symbol(outer=True), [-0.6, 0.0, 0.8]),
+], ids=["quantize", "gap-certificate", "sphere-spectrum", "band-field", "batch-eigensystem",
+        "point-eigensystem"])
+def test_quantize_rejects_non_hermitian_const(call):
+    # every A(mu) is checked where it is evaluated, so the gap certificate and
+    # the Chern layer's solves refuse it as the sweep does, naming a bad mu
+    with pytest.raises(ModelError, match=r"const_term\(\S+\) is not Hermitian"):
+        call()
 
 
 def test_symbol_validate_catches_non_hermitian_family():
@@ -289,7 +322,7 @@ def test_gap_certificate_sampled_shell():
     # on the sampled shell with |mu| <= 2, band 1 stays below -0.9 and
     # band 2 above +0.9
     sym = normal_form_symbol()
-    cert = sampled_gap_certificate(sym, grid_points=30, shell=(1.0, 3.0), mu_max=2.0)
+    cert = sampled_gap_certificate(sym)
     assert cert.ok
     assert cert.lower_margin > 0 and cert.upper_margin > 0
 
@@ -324,7 +357,7 @@ def test_parity_blocks_follow_the_zero_pattern_of_each_const_term():
     basis = TruncatedBasis(max_level=12, guard_levels=3)
     pieces = OperatorPieces(sym, basis, (-1.0, -0.5))
     for mu in (-1.0, 0.5, -0.5, 1.0):
-        amat = pieces.const([mu])[0]
+        amat = pieces.symbol.const_stack([mu])[0]
         stacks = stacks_at(pieces, amat)
         dense = quantize(sym, mu, basis).matrix
         if mu < 0:
@@ -379,7 +412,7 @@ def test_charge_operator_spectrum(family):
 def test_charge_blocks_matsuno_sizes():
     basis = TruncatedBasis(max_level=60, guard_levels=5)
     pieces = OperatorPieces(matsuno_symbol(), basis, (-6.0, 6.0))
-    stacks = stacks_at(pieces, pieces.const([0.7])[0])
+    stacks = stacks_at(pieces, pieces.symbol.const_stack([0.7])[0])
     sizes = {}
     for s in stacks:
         blocks, size, _ = s.static.shape
@@ -429,9 +462,9 @@ def test_no_charge_operator_without_endpoints_or_for_random_symbol(random_affine
     assert pieces.charge is None
     # the fallback: the whole operator, as a stack of one in the standard frame,
     # assembled exactly as quantize assembles it
-    (stack,) = stacks_at(pieces, pieces.const([0.7])[0])
+    (stack,) = stacks_at(pieces, pieces.symbol.const_stack([0.7])[0])
     assert stack.frame is None and stack.static.shape == (1, 26, 26)
-    assert (stack.assemble(pieces.const([0.7]))[0, 0].tobytes()
+    assert (stack.assemble(pieces.symbol.const_stack([0.7]))[0, 0].tobytes()
             == quantize(random_affine_symbol, 0.7, basis).matrix.tobytes())
 
 
@@ -441,7 +474,7 @@ def test_charge_blocks_partition_and_match_dense_spectrum(family):
     basis = TruncatedBasis(max_level=12, guard_levels=3)
     pieces = OperatorPieces(symbol, basis, (-2.0, 3.0))
     for mu in (-2.0, 0.0, 0.7, 3.0):
-        amat = pieces.const([mu])[0]
+        amat = pieces.symbol.const_stack([mu])[0]
         stacks = stacks_at(pieces, amat)
         assert all(s.frame is not None for s in stacks)  # charge blocks, no fallback
         assert max(s.index.shape[1] for s in stacks) <= symbol.dim
@@ -514,15 +547,16 @@ def const_term_calls(symbol):
 
 
 def test_charge_orbits_check_each_distinct_mu_once(grid64):
-    # the certificate's 1,752 orbits lie on 20 planes of mu, where A(mu) is
-    # evaluated and checked; the orbits themselves are then solved
+    # the certificate fits D at its two extreme mu; its 1,752 orbits lie on
+    # 20 planes of mu, where A(mu) is evaluated and checked; the orbits
+    # themselves are then solved
     symbol, seen = const_term_calls(matsuno_symbol())
     cert = sampled_gap_certificate(symbol)
-    assert seen == [20, 1752] and cert.ok
+    assert seen == [2, 20, 1752] and cert.ok
     seen.clear()
-    charge, _, _ = charge_orbits(symbol, np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+    charge = charge_operator(symbol, (-1.0, 1.0))
     seen.clear()
-    _, radial, _ = charge_orbits(symbol, grid64.vertices, charge)
+    radial, _ = charge_orbits(symbol, grid64.vertices, charge)
     assert seen == [2945] and len(radial) == 3001
     assert np.unique(radial[:, 0]).size == 2945
 
@@ -569,7 +603,7 @@ def test_tridiagonal_real_form_keeps_the_eigenvalues(family):
     # lands off the diagonal: its one stack keeps the complex path
     symbol = random_tridiagonal_symbol() if family == "random-tridiagonal" else BLOCK_FAMILIES[family]
     pieces = OperatorPieces(symbol, TruncatedBasis(max_level=12, guard_levels=3), (-2.0, 3.0))
-    amats = pieces.const([-2.0, -0.4, 0.7, 3.0])
+    amats = pieces.symbol.const_stack([-2.0, -0.4, 0.7, 3.0])
     assert pieces.charge_stacks and pieces.charged(amats).all()
     stacks = [s for s in pieces.charge_stacks if s.tridiagonal is not None]
     assert (len(stacks) == len(pieces.charge_stacks)) == (family != "constant-dim3")
@@ -596,7 +630,7 @@ def test_every_charge_stack_of_the_presets_is_tridiagonal(preset):
     scenario = PRESETS[preset]()
     symbol, basis = scenario.symbol(), scenario.basis()
     pieces = OperatorPieces(symbol, basis, (scenario.mu_min, scenario.mu_max))
-    amats = pieces.const([scenario.mu_min, 0.0, 0.7, scenario.mu_max])
+    amats = pieces.symbol.const_stack([scenario.mu_min, 0.0, 0.7, scenario.mu_max])
     assert pieces.charge_stacks and pieces.charged(amats).all()
     for s in pieces.charge_stacks:
         assert s.tridiagonal is not None

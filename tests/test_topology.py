@@ -14,7 +14,7 @@ from indexlab.errors import (
     SectionVanishesError,
 )
 import indexlab.topology as topology
-from indexlab.hermite import AffineMatrixSymbol, charge_orbits
+from indexlab.hermite import AffineMatrixSymbol, charge_operator
 from indexlab.models import (
     matsuno_symbol,
     mu_reflected,
@@ -312,7 +312,7 @@ def test_orbit_solve_falls_back_where_a_breaks_the_charge(monkeypatch, bump_pert
     # |mu| < 2: a batch reaching inside solves every point, bit for bit as
     # without D; a batch wholly outside is solved once per orbit
     sym = bump_perturbed_matsuno
-    charge, _, _ = charge_orbits(matsuno_symbol(), np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+    charge = charge_operator(matsuno_symbol(), (-1.0, 1.0))
     th = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
     ring = np.stack((np.full_like(th, 0.5), np.cos(th), np.sin(th)), axis=1)
     outside = ring + [2.0, 0.0, 0.0]
