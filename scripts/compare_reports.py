@@ -8,8 +8,10 @@ A JSON report reads ``identical`` when the two agree apart from their
 ``timings``, else the largest difference between matching floats and the
 first path where it occurs, or the first path where the structure differs.
 A CSV report, spectrum's ``_branches`` table included, reads ``identical``
-when the two files are equal line for line, else the first line that
-differs.  A differing exit code is reported too.  The script only reports:
+when the two files are equal line for line.  Files of equal line counts
+that differ only in numeric fields read as the largest difference between
+matching fields and its file, line and column; any other difference reads
+as the first line that differs.  A differing exit code is reported too.  The script only reports:
 it exits 0 whatever it finds.
 
     python scripts/compare_reports.py BASE_TREE [HEAD_TREE] [--out-dir DIR]
@@ -21,6 +23,7 @@ with ``git archive <commit> src | tar -x -C BASE_TREE``.
 from __future__ import annotations
 
 import argparse
+import csv
 import itertools
 import json
 import math
@@ -74,6 +77,36 @@ def first_line_difference(a: dict, b: dict) -> str | None:
     return None
 
 
+def numeric_difference(a: dict, b: dict) -> tuple[float, str] | None:
+    """(largest difference between matching numeric fields, its file, line and column) of
+    two ``{file: lines}`` maps of equal line counts that differ only in numeric fields;
+    None when they differ otherwise."""
+    if a.keys() != b.keys():
+        return None
+    worst, where = 0.0, None
+    for name in a:
+        if len(a[name]) != len(b[name]):
+            return None
+        for i, (x, y) in enumerate(zip(a[name], b[name]), start=1):
+            if x == y:
+                continue
+            fx, fy = next(csv.reader([x])), next(csv.reader([y]))
+            if len(fx) != len(fy):
+                return None
+            for j, (u, v) in enumerate(zip(fx, fy), start=1):
+                if u == v:
+                    continue
+                try:
+                    d = abs(float(u) - float(v))
+                except ValueError:
+                    return None
+                if math.isnan(d):
+                    return None
+                if where is None or d > worst:
+                    worst, where = d, f"{name} line {i} column {j}"
+    return None if where is None else (worst, where)
+
+
 def difference(a, b, path: str = "$") -> tuple[float, str, str | None]:
     """(largest float difference, its path, first structural mismatch or None)."""
     if isinstance(a, dict) and isinstance(b, dict):
@@ -125,8 +158,10 @@ def compare(base: Path, head: Path, out_dir: Path) -> list[str]:
             elif not a and not b:
                 verdict = "no report"
             else:
-                mismatch = first_line_difference(a, b)
-                verdict = f"differs: {mismatch}" if mismatch else "identical"
+                mismatch, numeric = first_line_difference(a, b), numeric_difference(a, b)
+                verdict = ("identical" if mismatch is None else
+                           f"max numeric difference {numeric[0]:.3g} at {numeric[1]}" if numeric
+                           else f"differs: {mismatch}")
             rows.append(f"| {name} --format csv | {preset} | {verdict} |")
     return rows
 

@@ -10,6 +10,7 @@ two integers agree.
 from .errors import IndexLabError
 from .hermite import (
     AffineMatrixSymbol,
+    LinearTerm,
     TruncatedBasis,
     TruncatedOperator,
     ladder_matrices,
@@ -55,6 +56,7 @@ __version__ = "0.1.0"
 __all__ = [
     "IndexLabError",
     "AffineMatrixSymbol",
+    "LinearTerm",
     "TruncatedBasis",
     "TruncatedOperator",
     "ladder_matrices",

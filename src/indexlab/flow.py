@@ -11,12 +11,12 @@ incomplete top blocks, the only ones that can hold truncation artifacts, are
 left out.  Where the blocks are tridiagonal, eigenvalue counts (Sturm
 sequences) of their real forms at the window edges settle every block with
 no eigenvalue near the window, and only the few others are solved.  A
-sample where ``A(mu)`` breaks the charge symmetry fitted at the sweep ends
-solves the whole operator on its own and drops the eigenvalues with weight
-on the guard levels.  Each interval's
-branches are matched once, when the interval appears, and the sweep
-records the matched branches that cross the reference level in its final
-intervals.  The flow through the reference level is counted two
+symbol without a charge operator (one whose ``const_term`` is not a
+:class:`~indexlab.hermite.LinearTerm`) solves the whole operator at each
+sample and drops the eigenvalues with weight on the guard levels.  Each
+interval's branches are matched once, when the interval appears, and the
+sweep records the matched branches that cross the reference level in its
+final intervals.  The flow through the reference level is counted two
 independent ways -- a counting-function difference between the sweep
 endpoints and the signed tally of those crossings -- and the two must agree
 exactly.
@@ -221,39 +221,38 @@ def _samples(mus: np.ndarray, w: np.ndarray, g: np.ndarray, below: np.ndarray | 
 
 def _window_samples(pieces: OperatorPieces, window: SpectralWindow,
                     mus: Sequence[float]) -> list[EigenSample]:
-    """Window spectra at each of ``mus``, solved together.
+    """Window spectra at each of ``mus``.
 
-    One ``A(mu)`` evaluation and symmetry test for all of ``mus``.  The samples
-    that keep the charge symmetry are solved as one batch, turned into the
-    charge frame once and solved per charge stack for eigenvalues only, by
+    One ``A(mu)`` evaluation for all of ``mus``.  With charge stacks the
+    samples are solved as one batch, turned into the charge frame once and
+    solved per charge stack for eigenvalues only, by
     :func:`_tridiagonal_eigenvalues` where the stack is ``tridiagonal``, else
-    by ``eigvalsh``; every value is kept, with guard weight 0.0.  Each other
-    sample solves the whole operator alone by ``eigh`` and drops the values
-    whose guard weight exceeds :data:`~indexlab.hermite.SPURIOUS_THRESHOLD`.
+    by ``eigvalsh``; every value is kept, with guard weight 0.0.  Without
+    them each sample solves the whole operator alone by ``eigh`` and drops
+    the values whose guard weight exceeds
+    :data:`~indexlab.hermite.SPURIOUS_THRESHOLD`.
     """
     mus = np.asarray(mus, dtype=float)
     amats = pieces.symbol.const_stack(mus)
-    charged = pieces.charged(amats)
-    batch = np.flatnonzero(charged)
-    samples = {}
-    if len(batch):
-        framed = pieces.charge_stacks[0].to_frame(amats[batch])  # one frame for all
+    if pieces.charge_stacks:
+        framed = pieces.charge_stacks[0].to_frame(amats)  # one frame for all
         parts, below = [], 0
         for stack in pieces.charge_stacks:
             if stack.tridiagonal is None:
                 w, settled = np.linalg.eigvalsh(stack.assemble(framed)), 0
             else:
                 w, settled = _tridiagonal_eigenvalues(stack, framed, window)
-            parts.append(w.reshape(len(batch), -1))
+            parts.append(w.reshape(len(mus), -1))
             below = below + settled
         w = np.concatenate(parts, axis=1)
-        samples.update(zip(batch.tolist(), _samples(mus[batch], w, np.zeros_like(w), below, window)))
-    for i in np.flatnonzero(~charged):
+        return _samples(mus, w, np.zeros_like(w), below, window)
+    samples = []
+    for i in range(len(mus)):
         w, v = np.linalg.eigh(pieces.whole.assemble(amats[i:i + 1])[0])
         g = (np.abs(v) ** 2 * pieces.guard[:, None]).sum(axis=-2)
         w = np.where(g <= SPURIOUS_THRESHOLD, w, np.inf)
-        (samples[i],) = _samples(mus[i:i + 1], w, g, 0, window)
-    return [samples[i] for i in range(len(mus))]
+        samples += _samples(mus[i:i + 1], w, g, 0, window)
+    return samples
 
 
 def _ordered_assignment(short: np.ndarray, long_: np.ndarray) -> list[int]:
@@ -379,7 +378,7 @@ def sweep(
         raise ModelError("sweep needs steps >= 16")
     if not mu_min < mu_max:
         raise ModelError("sweep needs mu_min < mu_max")
-    pieces = OperatorPieces(symbol, basis, (mu_min, mu_max))
+    pieces = OperatorPieces(symbol, basis)
     samples = _window_samples(pieces, window, np.linspace(mu_min, mu_max, steps + 1))
 
     for s in (samples[0], samples[-1]):
@@ -495,10 +494,13 @@ def flow_invariance_check(
 
     For each delta, ``A(mu) + delta * g(mu) * P`` is swept, with P a fixed
     random Hermitian of unit spectral norm and g a smooth bump vanishing
-    for |mu| >= 2, so the operator at the sweep endpoints is untouched and
-    only the crossing region is deformed.  Perturbations that break the
-    sampled gap certificate are reported as skipped rather than failures.
+    for |mu| >= 2; the sweep range must contain [-2, 2] (else :class:`ModelError`),
+    so the operator at the sweep endpoints is untouched and only the crossing
+    region is deformed.  Perturbations that break the sampled gap certificate
+    are reported as skipped rather than failures.
     """
+    if mu_min > -2.0 or mu_max < 2.0:
+        raise ModelError(f"invariance sweep [{mu_min}, {mu_max}] must contain the bump's [-2, 2]")
     rng = np.random.default_rng(seed)
     d = symbol.dim
     raw = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))

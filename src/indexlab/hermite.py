@@ -18,14 +18,15 @@ lies at a level ``n <= M``: it is then an exact block of the untruncated
 operator too, and its eigenvalues need no artifact filter.  Only the few
 incomplete top blocks can hold truncation artifacts.
 
-Every ``A(mu)`` is evaluated and checked by :meth:`AffineMatrixSymbol.const_stack`,
-and ``D`` is fitted by :func:`charge_operator` alone.  All functions here are pure;
-returned arrays are freshly allocated and safe to share between threads.  An
-:class:`OperatorPieces` keeps the stacks it has built: the complete charge blocks,
-and the whole operator where ``D`` does not fit or does not commute with
-``A(mu)``.  Each stack assembles a ``(k, d, d)`` stack of ``A(mu)`` at once, so
-many mu values share one batched solve; a stack of tridiagonal blocks also
-hands out their real diagonals alone, for eigenvalue counts that need no solve.
+Every ``A(mu)`` is evaluated and checked by :meth:`AffineMatrixSymbol.const_stack`.
+Only a :class:`LinearTerm` ``A(mu) = A0 + mu A1`` has a ``D``: :func:`charge_operator`
+fits ``[D, A0] = [D, A1] = 0`` once, which holds at every mu, so nothing re-checks it.
+All functions here are pure; returned arrays are freshly allocated and safe to share
+between threads.  An :class:`OperatorPieces` keeps the stacks it has built: the
+complete charge blocks, or else the whole operator.  Each stack assembles a ``(k, d,
+d)`` stack of ``A(mu)`` at once, so many mu values share one batched solve; a stack
+of tridiagonal blocks also hands out their real diagonals alone, for eigenvalue
+counts that need no solve.
 
 In D's eigenbasis ``B (x) xhat + C (x) xihat`` couples weight delta only to
 delta +- 1, so for a D with distinct eigenvalues (every shipped family's) each
@@ -50,6 +51,7 @@ __all__ = [
     "TruncatedOperator",
     "BlockStack",
     "OperatorPieces",
+    "LinearTerm",
     "ladder_matrices",
     "position_momentum",
     "quantize",
@@ -104,7 +106,8 @@ class AffineMatrixSymbol:
     ``const_term`` is a callback so the mu-dependence may be nonlinear.  It
     takes a 1-D float array of n values of mu and returns the ``(n, d, d)``
     complex stack ``A(mu)``; :meth:`const_stack` raises :class:`ModelError`
-    for any other shape or a non-Hermitian ``A(mu)``.  ``gap_band`` is the
+    for any other shape or a non-Hermitian ``A(mu)``; only a :class:`LinearTerm`
+    can have a charge operator (:func:`charge_operator`).  ``gap_band`` is the
     number of bands below the tracked spectral gap (0 is allowed for scalar
     controls with no band below the gap) and ``gap_center``/``gap_constant``
     certify that, away from the origin, band ``gap_band`` stays below
@@ -274,21 +277,30 @@ class BlockStack:
         return h
 
 
-def _commutes(charge: np.ndarray, amats: np.ndarray) -> np.ndarray:
-    """Per-matrix ``[charge, A] = 0`` of a ``(..., d, d)`` stack, within 1e-12 of the entry scale."""
-    scale = np.maximum(1.0, np.abs(amats).max(axis=(-2, -1))) * max(1.0, np.abs(charge).max())
-    return np.abs(charge @ amats - amats @ charge).max(axis=(-2, -1)) <= 1e-12 * scale
+class LinearTerm:
+    """The ``const_term`` ``A(mu) = a0 + mu * a1``: an ``(n, d, d)`` stack per n values of mu.
+
+    ``a1`` is a ``(d, d)`` array and ``a0`` one too, or a scalar such as 0.0."""
+
+    def __init__(self, a0: np.ndarray | float, a1: np.ndarray):
+        self.a0, self.a1 = a0, a1
+
+    def __call__(self, mu: np.ndarray) -> np.ndarray:
+        return self.a0 + np.multiply.outer(mu, self.a1)
 
 
-def charge_operator(symbol: AffineMatrixSymbol, mus: Sequence[float]) -> np.ndarray | None:
-    """Minimum-norm (so Hermitian) D with ``[D, K] = -K``, ``[D, K^dag] = K^dag`` and ``[D, A(mu)]
-    = 0`` at each of ``mus``; None when the least-squares residual exceeds 1e-12 of the largest
-    entry (at least 1)."""
+def charge_operator(symbol: AffineMatrixSymbol) -> np.ndarray | None:
+    """Minimum-norm (so Hermitian) D with ``[D, K] = -K``, ``[D, K^dag] = K^dag`` and ``[D, A0] =
+    [D, A0 + A1] = 0`` for a :class:`LinearTerm` ``const_term``, so ``[D, A(mu)] = 0`` at every
+    mu; None for any other callback, or when the least-squares residual exceeds 1e-12 of the
+    largest entry (at least 1)."""
+    if not isinstance(symbol.const_term, LinearTerm):
+        return None
     k = np.asarray(symbol.x_coeff + 1j * np.asarray(symbol.xi_coeff), dtype=complex)
-    eye, mats = np.eye(len(k)), [k, k.conj().T, *symbol.const_stack(mus)]
+    eye, mats = np.eye(len(k)), [k, k.conj().T, *symbol.const_stack((0.0, 1.0))]
     # row-major vec(D m - m D) = (1 (x) m^T - m (x) 1) vec(D)
     lhs = np.concatenate([np.kron(eye, m.T) - np.kron(m, eye) for m in mats])
-    rhs = np.concatenate([-k.ravel(), k.conj().T.ravel(), np.zeros(k.size * (len(mats) - 2))])
+    rhs = np.concatenate([-k.ravel(), k.conj().T.ravel(), np.zeros(2 * k.size)])
     d = np.linalg.lstsq(lhs, rhs, rcond=None)[0].reshape(k.shape)
     if np.abs(lhs @ d.ravel() - rhs).max() > 1e-12 * max(1.0, *(np.abs(m).max() for m in mats)):
         return None
@@ -300,37 +312,41 @@ class OperatorPieces:
 
     A stack's ``B (x) xhat + C (x) xihat`` is built once; each ``A(mu)`` then
     only adds its same-level entries.  ``charge`` is :func:`charge_operator`
-    at ``mu_ends`` (None without them or if none fits); in its
-    eigenbasis each eigenvalue of ``Q`` gives one charge block of at most d
-    indices.  Without charge blocks the one block is the whole operator.
-    ``charge_stacks`` are the complete charge blocks (module docstring)
-    stacked by size (empty without ``charge``); block q is complete when its
-    size is the number of components i with ``q - delta_i`` a non-negative
-    integer.  :meth:`charged` says for which ``A(mu)`` they apply.  ``guard``
-    marks the indices on the top ``guard_levels`` levels, for the whole
-    operator's artifact filter.
+    (None without one); in its eigenbasis each eigenvalue of ``Q`` gives one
+    charge block of at most d indices.  ``charge_stacks`` are the complete
+    charge blocks (module docstring) stacked by size, empty without
+    ``charge``; block q is complete when its size is the number of
+    components i with ``q - delta_i`` a non-negative integer.  Both are built
+    on first use, as is ``whole``, the whole operator as one block.
+    ``guard`` marks the indices on the top ``guard_levels`` levels, for the
+    whole operator's artifact filter.
     """
 
-    def __init__(self, symbol: AffineMatrixSymbol, basis: TruncatedBasis,
-                 mu_ends: tuple[float, ...] = ()):
+    def __init__(self, symbol: AffineMatrixSymbol, basis: TruncatedBasis):
         self.symbol = symbol
         self._xmat, self._ximat = position_momentum(basis)
         self.component, self.level = np.divmod(np.arange(symbol.dim * basis.size), basis.size)
         self.guard = self.level >= basis.size - basis.guard_levels
-        self.charge = charge_operator(symbol, mu_ends) if mu_ends else None
-        self.charge_stacks: list[BlockStack] = []
-        if self.charge is not None:
-            delta, frame = np.linalg.eigh(self.charge)
-            # Q = delta + n; a tolerance that merged two values would only join blocks
-            q = delta[self.component] + self.level
-            order = np.argsort(q, kind="stable")
-            cuts = np.flatnonzero(np.diff(q[order]) > 1e-8) + 1
-            parts = [np.sort(p) for p in np.split(order, cuts)]
-            n = np.array([q[p[0]] for p in parts])[:, None] - delta
-            full = np.count_nonzero((np.abs(n - np.rint(n)) <= 1e-8) & (n > -0.5), axis=1)
-            parts = [p for p, f in zip(parts, full) if len(p) == f]
-            self.charge_stacks = [self.stack(np.array([p for p in parts if len(p) == size]), frame)
-                                  for size in sorted({len(p) for p in parts})]
+
+    @cached_property
+    def charge(self) -> np.ndarray | None:
+        return charge_operator(self.symbol)
+
+    @cached_property
+    def charge_stacks(self) -> list[BlockStack]:
+        if self.charge is None:
+            return []
+        delta, frame = np.linalg.eigh(self.charge)
+        # Q = delta + n; a tolerance that merged two values would only join blocks
+        q = delta[self.component] + self.level
+        order = np.argsort(q, kind="stable")
+        cuts = np.flatnonzero(np.diff(q[order]) > 1e-8) + 1
+        parts = [np.sort(p) for p in np.split(order, cuts)]
+        n = np.array([q[p[0]] for p in parts])[:, None] - delta
+        full = np.count_nonzero((np.abs(n - np.rint(n)) <= 1e-8) & (n > -0.5), axis=1)
+        parts = [p for p, f in zip(parts, full) if len(p) == f]
+        return [self.stack(np.array([p for p in parts if len(p) == size]), frame)
+                for size in sorted({len(p) for p in parts})]
 
     def stack(self, index: np.ndarray, frame: np.ndarray | None = None) -> BlockStack:
         """The operator on each row of the ``(b, s)`` component-major ``index`` of ``frame``;
@@ -357,13 +373,6 @@ class OperatorPieces:
     def whole(self) -> BlockStack:
         """The whole operator as a stack of one, in the standard frame."""
         return self.stack(np.arange(len(self.level))[None])
-
-    def charged(self, amats: np.ndarray) -> np.ndarray:
-        """Per matrix of a ``(k, d, d)`` stack: whether ``charge_stacks`` hold it, that is
-        ``[charge, A(mu)] = 0`` within 1e-12 of the entry scale; else the whole operator does."""
-        if not self.charge_stacks:
-            return np.zeros(len(amats), dtype=bool)
-        return _commutes(self.charge, amats)
 
 
 def quantize(
@@ -394,31 +403,20 @@ def spurious_weights(operator: TruncatedOperator, eigenvectors: np.ndarray) -> n
     return comps[:, -k:, :].sum(axis=(0, 1))
 
 
-def charge_orbits(
-    symbol: AffineMatrixSymbol, points: np.ndarray, charge: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The orbits of ``points`` (n, 3) under ``charge`` as ``(radial, inverse)``, or None.
+def charge_orbits(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The charge orbits of ``points`` (n, 3) as ``(radial, inverse)``.
 
-    If ``D`` (module docstring) commutes with ``A(mu)``, ``exp(i t D) H(mu,
-    x, xi) exp(-i t D)`` is ``H`` with ``x + i xi`` turned by ``e^{it}``:
-    the spectrum depends on ``(mu, |x + i xi|)`` only, and the eigenvectors
-    at ``(mu, r cos t, r sin t)`` are ``exp(i t D)`` times those at
-    ``(mu, r, 0)``.  ``radial`` (m, 3) holds each distinct ``(mu, hypot(x,
-    xi))`` once as the point ``(mu, hypot(x, xi), 0)``, sorted by mu, and
-    ``inverse`` (n,) each point's row in it.  ``charge`` is ``D``, from
-    :func:`charge_operator`.  None when ``A(mu)`` breaks it at some sampled
-    mu; ``A(mu)`` is evaluated and checked once per distinct mu, not once per
-    orbit.
+    For a symbol with a charge operator ``D`` (:func:`charge_operator`),
+    ``exp(i t D) H(mu, x, xi) exp(-i t D)`` is ``H`` with ``x + i xi``
+    turned by ``e^{it}``: the spectrum depends on ``(mu, |x + i xi|)`` only,
+    and the eigenvectors at ``(mu, r cos t, r sin t)`` are ``exp(i t D)``
+    times those at ``(mu, r, 0)``.  ``radial`` (m, 3) holds each distinct
+    ``(mu, hypot(x, xi))`` once as the point ``(mu, hypot(x, xi), 0)``,
+    sorted by mu, and ``inverse`` (n,) each point's row in it.
     """
     points = np.asarray(points, dtype=float)
-    # complex keys sort by mu first, so the distinct mu are where the sorted
-    # real parts change, with the end values of mu first and last
     orbits, inverse = np.unique(points[:, 0] + 1j * np.hypot(points[:, 1], points[:, 2]),
                                 return_inverse=True)
-    mus = orbits.real
-    amats = symbol.const_stack(mus[np.flatnonzero(np.diff(mus, prepend=np.nan))])
-    if not _commutes(charge, amats).all():
-        return None
     return np.stack((orbits.real, orbits.imag, np.zeros(len(orbits))), axis=1), inverse
 
 
@@ -445,10 +443,9 @@ def sampled_gap_certificate(symbol: AffineMatrixSymbol, strict: bool = False) ->
     ``gap_center - gap_constant`` and band ``gap_band + 1`` above
     ``gap_center + gap_constant``.
 
-    The spectrum is solved once per charge orbit (:func:`charge_orbits`,
-    with :func:`charge_operator` fitted at the smallest and largest sampled
-    mu) and shared by the orbit's points; without a fitting ``D``, or if
-    some sampled ``A(mu)`` breaks it, every point is solved.
+    With a charge operator (:func:`charge_operator`) the spectrum is solved
+    once per charge orbit (:func:`charge_orbits`) and shared by the orbit's
+    points; without one every point is solved.
 
     With ``strict=True`` a violation raises :class:`GapCertificateError`.
     """
@@ -456,13 +453,11 @@ def sampled_gap_certificate(symbol: AffineMatrixSymbol, strict: bool = False) ->
     pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     norms = np.linalg.norm(pts, axis=1)
     pts = pts[(norms >= 1.0) & (norms <= 3.0) & (np.abs(pts[:, 0]) <= 2.0)]
-    charge = charge_operator(symbol, (pts[:, 0].min(), pts[:, 0].max()))
-    orbits = None if charge is None else charge_orbits(symbol, pts, charge)
-    if orbits is not None:
-        radial, inverse = orbits
-        eigs = np.linalg.eigvalsh(symbol.evaluate_many(radial))[inverse]
-    else:
+    if charge_operator(symbol) is None:
         eigs = np.linalg.eigvalsh(symbol.evaluate_many(pts))
+    else:
+        radial, inverse = charge_orbits(pts)
+        eigs = np.linalg.eigvalsh(symbol.evaluate_many(radial))[inverse]
     r = symbol.gap_band
     lower = np.full(len(pts), np.inf)
     upper = np.full(len(pts), np.inf)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ModelError, ResonanceError, TruncationError
-from .hermite import AffineMatrixSymbol, TruncatedBasis
+from .hermite import AffineMatrixSymbol, LinearTerm, TruncatedBasis
 
 __all__ = [
     "BranchLabel",
@@ -65,11 +65,6 @@ class BranchLabel:
             raise ModelError(f"{self.family} carries no excitation level")
 
 
-def _linear_const(a1: np.ndarray, a0: np.ndarray | float = 0.0):
-    """``const_term`` of ``A(mu) = a0 + mu * a1``: an (n, d, d) stack per n values."""
-    return lambda mu: a0 + np.multiply.outer(mu, a1)
-
-
 def normal_form_symbol(epsilon: float = 1.0, reflected: bool = False) -> AffineMatrixSymbol:
     """Two-band symbol ``[[-mu, x+i xi], [x-i xi, mu]]``.
 
@@ -83,7 +78,7 @@ def normal_form_symbol(epsilon: float = 1.0, reflected: bool = False) -> AffineM
     sign = -1.0 if reflected else 1.0
     return AffineMatrixSymbol(
         dim=2,
-        const_term=_linear_const(np.diag([-sign, sign]).astype(complex)),
+        const_term=LinearTerm(0.0, np.diag([-sign, sign]).astype(complex)),
         x_coeff=np.array([[0, 1], [1, 0]], dtype=complex),
         xi_coeff=np.array([[0, 1j], [-1j, 0]], dtype=complex),
         gap_band=1,
@@ -105,7 +100,7 @@ def matsuno_symbol(gap_band: int = 2) -> AffineMatrixSymbol:
         raise ModelError("matsuno gap_band must be 1 or 2")
     return AffineMatrixSymbol(
         dim=3,
-        const_term=_linear_const(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)),
+        const_term=LinearTerm(0.0, np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)),
         x_coeff=np.array([[0, 0, 0], [0, 0, 1j], [0, -1j, 0]], dtype=complex),
         xi_coeff=np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]], dtype=complex),
         gap_band=gap_band,
@@ -132,7 +127,7 @@ def ts2_symbol(gap_band: int = 2) -> AffineMatrixSymbol:
 
     return AffineMatrixSymbol(
         dim=3,
-        const_term=_linear_const(-1j * cross(np.array([1.0, 0.0, 0.0]))),
+        const_term=LinearTerm(0.0, -1j * cross(np.array([1.0, 0.0, 0.0]))),
         x_coeff=-1j * cross(np.array([0.0, 1.0, 0.0])),
         xi_coeff=-1j * cross(np.array([0.0, 0.0, 1.0])),
         gap_band=gap_band,
@@ -146,8 +141,8 @@ def constant_symbol(value: float = 5.0, dim: int = 1) -> AffineMatrixSymbol:
     """Constant scalar control ``H = value * Id`` with no band below the gap."""
     return AffineMatrixSymbol(
         dim=dim,
-        const_term=_linear_const(np.zeros((dim, dim), dtype=complex),
-                                 value * np.eye(dim, dtype=complex)),
+        const_term=LinearTerm(value * np.eye(dim, dtype=complex),
+                              np.zeros((dim, dim), dtype=complex)),
         x_coeff=np.zeros((dim, dim), dtype=complex),
         xi_coeff=np.zeros((dim, dim), dtype=complex),
         gap_band=0,
@@ -158,10 +153,12 @@ def constant_symbol(value: float = 5.0, dim: int = 1) -> AffineMatrixSymbol:
 
 
 def mu_reflected(symbol: AffineMatrixSymbol) -> AffineMatrixSymbol:
-    """The family mu -> H(-mu), which negates flow and band indices."""
+    """The family mu -> H(-mu), which negates flow and band indices; a :class:`LinearTerm`
+    stays one."""
     base = symbol.const_term
-    return replace(symbol, const_term=lambda mu: base(-mu),
-                   name=symbol.name + "-mu-reflected")
+    const = (LinearTerm(base.a0, -base.a1) if isinstance(base, LinearTerm)
+             else lambda mu: base(-mu))
+    return replace(symbol, const_term=const, name=symbol.name + "-mu-reflected")
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,13 @@ charge operator ``D`` (:mod:`indexlab.hermite`) with ``exp(i t D) H(mu, x,
 xi) exp(-i t D) = H`` turned by ``e^{it}`` in the (x, xi) plane, so the
 eigenvalues depend on ``(mu, hypot(x, xi))`` only and the eigenvectors at
 ``(mu, r cos t, r sin t)`` are ``exp(i t D)`` times those at ``(mu, r, 0)``.
-:class:`SphereSpectrum` fits ``D`` at the poles ``mu = +-1`` and hands it to
-its band fields; the grid and the clutching hemispheres and equator then
-solve each distinct ``(mu, hypot(x, xi))`` once and rotate its eigenvectors
-out to the orbit's points.  Where no ``D`` fits, or ``A(mu)`` breaks it at
-some solved mu, every point is solved on its own, and so are the small
-section-zero batches.
+:class:`SphereSpectrum` takes ``D`` from
+:func:`~indexlab.hermite.charge_operator` and hands it to its band fields;
+the grid and the clutching hemispheres and equator then solve each distinct
+``(mu, hypot(x, xi))`` once and rotate its eigenvectors out to the orbit's
+points.  A symbol without ``D`` (a ``const_term`` that is not a
+:class:`~indexlab.hermite.LinearTerm`) has every point solved on its own, and
+so are the small section-zero batches.
 
 A frame is any orthonormal eigenbasis, with no phase fixed: each method
 reads only loop products of link overlaps, band projections, or windings in
@@ -157,23 +158,21 @@ def batch_eigensystem(
     """Ascending eigenvalues (n, d) and orthonormal eigenvector columns (n, d, d).
 
     Without ``charge``, ``points`` (n, 3) are solved by one batched ``eigh``.
-    With the charge operator ``D`` of the symbol as ``charge``, and where it
-    commutes with ``A(mu)`` at every mu of ``points``, one batched ``eigh``
-    solves each orbit of :func:`~indexlab.hermite.charge_orbits` at ``(mu,
-    r, 0)``, and the point at angle ``t = atan2(xi, x)`` takes the orbit's
-    eigenvalues and its eigenvectors times ``exp(i t D) = F diag(exp(i t
-    delta)) F^dag`` (``D = F diag(delta) F^dag``); otherwise every point is
-    solved.  The eigenvector phases are those ``eigh`` and the rotation give
-    (the module's gauge contract).  If ``bands`` (1-based,
-    contiguous) is given, a gap below :data:`BAND_GAP_TOL` between selected
-    and unselected bands at any point raises :class:`DegeneracyError`.
+    With the symbol's charge operator ``D`` (:func:`~indexlab.hermite.charge_operator`)
+    as ``charge``, one batched ``eigh`` solves each orbit of
+    :func:`~indexlab.hermite.charge_orbits` at ``(mu, r, 0)``, and the point at angle
+    ``t = atan2(xi, x)`` takes the orbit's eigenvalues and its eigenvectors times
+    ``exp(i t D) = F diag(exp(i t delta)) F^dag`` (``D = F diag(delta) F^dag``).  The
+    eigenvector phases are those ``eigh`` and the rotation give (the module's gauge
+    contract).  If ``bands`` (1-based, contiguous) is given, a gap below
+    :data:`BAND_GAP_TOL` between selected and unselected bands at any point raises
+    :class:`DegeneracyError`.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    orbits = None if charge is None else charge_orbits(symbol, points, charge)
-    if orbits is None:
+    if charge is None:
         omegas, vecs = np.linalg.eigh(symbol.evaluate_many(points))
     else:
-        radial, inverse = orbits
+        radial, inverse = charge_orbits(points)
         omegas, vecs = np.linalg.eigh(symbol.evaluate_many(radial))
         angles = np.arctan2(points[:, 2], points[:, 1])
         omegas, vecs = omegas[inverse], _rotated(vecs, charge, inverse, angles)
@@ -198,11 +197,10 @@ class SphereSpectrum:
 
     One batched eigensolve serves every band group: :meth:`field` slices
     the frames of a contiguous group out of ``vectors``.  ``charge`` is the
-    symbol's charge operator ``D`` fitted at the poles (None if none fits
-    there); the build solves the grid once per charge orbit with it (the
-    64-grid's 24,578 vertices are 3,001 orbits), and the fields hand it on
-    to their own batched solves.  Where ``A(mu)`` breaks ``D`` at some
-    vertex mu, every vertex is solved.
+    symbol's charge operator ``D`` (:func:`~indexlab.hermite.charge_operator`,
+    None without one); the build solves the grid once per charge orbit with
+    it (the 64-grid's 24,578 vertices are 3,001 orbits), and the fields hand
+    it on to their own batched solves.  Without it every vertex is solved.
     """
 
     symbol: AffineMatrixSymbol
@@ -213,7 +211,7 @@ class SphereSpectrum:
 
     @classmethod
     def build(cls, symbol: AffineMatrixSymbol, grid: SphereGrid) -> "SphereSpectrum":
-        charge = charge_operator(symbol, (-1.0, 1.0))  # D at the poles
+        charge = charge_operator(symbol)
         omegas, vectors = batch_eigensystem(symbol, grid.vertices, charge=charge)
         return cls(symbol=symbol, grid=grid, omegas=omegas, vectors=vectors, charge=charge)
 
@@ -405,7 +403,7 @@ RefSpec = np.ndarray | Callable[[np.ndarray], np.ndarray] | None
 
 def _band_frames(field_: BandProjectorField, points: np.ndarray, charge=None) -> np.ndarray:
     """Rank-1 band frames (n, d, 1) at ``points`` from one batched solve, per orbit of
-    ``charge`` where it holds.  Clutching passes the field's; the section-zero batches
+    ``charge`` if given.  Clutching passes the field's; the section-zero batches
     (1 to 65 points) pass none, as rotating so few orbits costs more than it saves."""
     _, vecs = batch_eigensystem(field_.symbol, points, field_.bands, charge)
     lo = field_.bands[0] - 1
@@ -459,9 +457,9 @@ def chern_clutching(
     ``|s|^2 > 1e-6`` on a sample of their closed hemisphere; the transition
     phase is ``<s_north | s_south>`` on the equator and its winding is C.
     Each hemisphere sample and the equator are solved as one batch each,
-    once per charge orbit where the field carries a charge operator that
-    commutes with ``A(mu)`` there (a hemisphere's 1,153 points are 65
-    orbits, the equator's 2), and point by point otherwise.
+    once per charge orbit where the field carries a charge operator (a
+    hemisphere's 1,153 points are 65 orbits, the equator's 2), and point by
+    point otherwise.
     """
     if field_.rank != 1:
         raise ModelError("clutching method requires a rank-1 band")

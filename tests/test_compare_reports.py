@@ -73,3 +73,24 @@ def test_csv_files_compare_line_by_line(script):
             == "report line 2: 'N,1' != None")
     assert (script.first_line_difference(a, {"report": a["report"]})
             == "files ['_branches', 'report'] != ['report']")
+
+
+def test_csv_files_that_differ_only_in_numbers_give_the_largest_difference(script):
+    a = {"report": ["band,method,C,raw_value,residual", "1,curvature,2,2,0", "2,curvature,0,0,0"],
+         "_branches": ["mu,family,level,omega", "-2.0,kelvin,0,-2.0"]}
+    b = {"report": ["band,method,C,raw_value,residual",
+                    "1,curvature,2,2.0000000000000004,1e-16", "2,curvature,0,1e-16,1e-16"],
+         "_branches": ["mu,family,level,omega", "-2.0,kelvin,0,-2.0000000000000004"]}
+    assert script.numeric_difference(a, dict(a)) is None
+    assert script.numeric_difference(a, b) == (2**-51, "report line 2 column 4")
+    # a text field, a field count, a line count or a file set that differs is
+    # no numeric difference: the first differing line reports it
+    for other in ({**b, "report": ["band,method,C,raw_value,residual", "1,clutching,2,2,0",
+                                   "2,curvature,0,0,0"]},
+                  {**b, "report": ["band,method,C,raw_value,residual", "1,curvature,2,2",
+                                   "2,curvature,0,0,0"]},
+                  {**b, "report": b["report"][:2]},
+                  {"report": b["report"]},
+                  {**b, "report": ["band,method,C,raw_value,residual", "1,curvature,2,nan,0",
+                                   "2,curvature,0,0,0"]}):
+        assert script.numeric_difference(a, other) is None

@@ -30,6 +30,7 @@ from indexlab.hermite import (
     SPURIOUS_THRESHOLD,
     AffineMatrixSymbol,
     BlockStack,
+    LinearTerm,
     OperatorPieces,
     TruncatedBasis,
     quantize,
@@ -261,6 +262,30 @@ def test_flow_invariance_matsuno():
     assert all(e.gap_ok for e in report.entries)
 
 
+@pytest.mark.parametrize("mu_min, mu_max", [(-1.5, 2.0), (-2.0, 1.9), (-1.0, 1.0)])
+def test_flow_invariance_range_must_contain_the_bump(mu_min, mu_max):
+    # the bump is supported on [-2, 2]: a sweep end inside it is perturbed, so a
+    # changed N would not show a failure of invariance
+    with pytest.raises(ModelError, match=r"must contain the bump's \[-2, 2\]"):
+        flow_invariance_check(normal_form_symbol(), deltas=[0.1], basis=nf_basis(16),
+                              window=WINDOW_NF, mu_min=mu_min, mu_max=mu_max, steps=32)
+
+
+@pytest.mark.parametrize("preset, n", [("normal-form", 1), ("ts2", -2)])
+def test_plain_callback_sweep_keeps_the_preset_flow(preset, n):
+    # the preset's own A(mu) behind a plain callback has no charge operator:
+    # the sweep solves the whole operator and still gives the shipped N and
+    # crossing directions
+    scenario = PRESETS[preset]()
+    symbol, basis, window = scenario.symbol(), scenario.basis(), scenario.spectral_window()
+    plain = dataclasses.replace(symbol, const_term=lambda mu: symbol.const_term(mu))
+    assert OperatorPieces(plain, basis).charge is None
+    results = [spectral_index(sweep(s, basis, window, scenario.mu_min, scenario.mu_max,
+                                    scenario.steps)) for s in (symbol, plain)]
+    assert [r.N for r in results] == [n, n]
+    assert [c.direction for c in results[0].crossings] == [c.direction for c in results[1].crossings]
+
+
 def test_counting_floor_matches_spec_form():
     # the count is a plain "below omega_ref" count over every kept
     # eigenvalue, the spectrum below the window included
@@ -275,12 +300,8 @@ def test_count_below_ref_includes_the_spectrum_below_the_window():
     # B = C = 0 the charge is the level, so every level is a complete block
     # and every eigenvalue is counted (13 per branch), so the count does not
     # move and both methods give N = 0
-    def const_term(mu):
-        out = np.zeros((len(mu), 2, 2), dtype=complex)
-        out[:, 0, 0] = -2.0
-        out[:, 1, 1] = -1.5 + 0.1 * mu
-        return out
-
+    const_term = LinearTerm(np.diag([-2.0, -1.5]).astype(complex),
+                            np.diag([0.0, 0.1]).astype(complex))
     zero = np.zeros((2, 2), dtype=complex)
     symbol = AffineMatrixSymbol(dim=2, const_term=const_term, x_coeff=zero, xi_coeff=zero,
                                 gap_band=2, gap_constant=0.5, name="below-window")
@@ -400,8 +421,8 @@ DEGENERATE = 1e-9
 def assert_samples_match_dense_solve(sw, symbol, basis):
     """Every sample against one complex dense solve of the quantized operator.
 
-    A sample where the charge symmetry fitted at the sweep ends holds is
-    held to the dense operator restricted to its complete charge sectors:
+    A sample of a symbol with a charge operator is held to the dense
+    operator restricted to its complete charge sectors:
     no eigenvector enters, so ``count_below_ref`` equals that solve's count
     and every window value matches.  Any other sample is held to ``eigh`` of
     the whole operator; inside a degenerate cluster its eigenvectors are an
@@ -412,11 +433,11 @@ def assert_samples_match_dense_solve(sw, symbol, basis):
     spectrum has a degenerate cluster below or in the window.
     """
     window = sw.window
-    pieces = OperatorPieces(symbol, basis, (sw.samples[0].mu, sw.samples[-1].mu))
+    pieces = OperatorPieces(symbol, basis)
+    charged = pieces.charge is not None
     degenerate_mus = []
     for s in sw.samples:
         op = quantize(symbol, s.mu, basis)
-        charged = pieces.charged(pieces.symbol.const_stack([s.mu]))[0]
         if charged:
             omegas = np.linalg.eigvalsh(charge_sectors(op.matrix, pieces.charge, basis)[0])
             weights = np.zeros_like(omegas)
@@ -482,8 +503,8 @@ def test_sweep_samples_match_dense_complex_solve(case):
 
 def test_sweep_samples_match_dense_solve_random_complex_symbol(random_affine_symbol):
     basis = nf_basis(16)
-    pieces = OperatorPieces(random_affine_symbol, basis, (-2.0, 2.0))
-    assert not pieces.charge_stacks and not pieces.charged(pieces.symbol.const_stack([0.0]))[0]
+    pieces = OperatorPieces(random_affine_symbol, basis)
+    assert pieces.charge is None and not pieces.charge_stacks
     sw = sweep(random_affine_symbol, basis, WINDOW_NF, -2.0, 2.0, 32)
     assert assert_samples_match_dense_solve(sw, random_affine_symbol, basis) == []
 
@@ -507,8 +528,9 @@ def test_generic_symbol_flow_is_one_at_every_cutoff(random_affine_symbol, m):
 def bump_perturbed_matsuno_sweep(monkeypatch):
     """The bump-perturbed matsuno symbol, basis and sweep of ``flow_invariance_check``.
 
-    The bump term is a dense Hermitian for |mu| < 2 and exactly 0 beyond, so
-    the sweep solves the whole operator inside and charge blocks outside.
+    The bump term is a dense Hermitian for |mu| < 2 and exactly 0 beyond; the
+    perturbed ``const_term`` is a plain callback, so the sweep solves the
+    whole operator at every sample.
     """
     swept = []
     real_sweep = flow.sweep
@@ -528,47 +550,33 @@ def bump_perturbed_matsuno_sweep(monkeypatch):
 
 def test_sweep_samples_match_dense_solve_under_invariance_perturbation(monkeypatch):
     symbol, basis, sw = bump_perturbed_matsuno_sweep(monkeypatch)
-    pieces = OperatorPieces(symbol, basis, (-6.0, 6.0))
-    mus = np.array([s.mu for s in sw.samples])
-    charged = pieces.charged(pieces.symbol.const_stack(mus))
-    assert pieces.charge_stacks and all(s.frame is not None for s in pieces.charge_stacks)
-    assert np.array_equal(charged, np.abs(mus) >= 2)
+    assert OperatorPieces(symbol, basis).charge is None
+    assert any(abs(s.mu) >= 2 for s in sw.samples) and any(abs(s.mu) < 2 for s in sw.samples)
     assert assert_samples_match_dense_solve(sw, symbol, basis) == []
 
 
-def test_invariance_sweep_solves_charge_blocks_outside_the_bump(monkeypatch):
-    # the charge operator is fitted at the sweep endpoints mu = +-6; the bump
-    # term vanishes for |mu| >= 2, where it still commutes with A(mu), and
-    # breaks the charge symmetry inside, where the whole operator takes over
-    sampled, charged = [], []
-    real_samples, real_charged = flow._window_samples, OperatorPieces.charged
+def test_invariance_sweep_solves_the_whole_operator_of_the_perturbed_symbol(monkeypatch):
+    # matsuno's LinearTerm has a charge operator, so its baseline sweep solves
+    # charge blocks; the bump-perturbed const_term is a plain callback, so
+    # every sample of its sweep, inside the bump or not, solves the whole operator
+    paths = {}
+    real_samples = flow._window_samples
 
     def spy_samples(pieces, window, mus):
-        sampled.extend((pieces.symbol.name, mu) for mu in mus)
+        paths.setdefault(pieces.symbol.name, set()).add(bool(pieces.charge_stacks))
         return real_samples(pieces, window, mus)
 
-    def spy_charged(pieces, amats):
-        mask = real_charged(pieces, amats)
-        charged.extend(bool(m) and all(s.frame is not None for s in pieces.charge_stacks)
-                       for m in mask)
-        return mask
-
     monkeypatch.setattr(flow, "_window_samples", spy_samples)
-    monkeypatch.setattr(OperatorPieces, "charged", spy_charged)
     basis = TruncatedBasis(max_level=30, guard_levels=5)
     report = flow_invariance_check(matsuno_symbol(), deltas=[0.05], basis=basis,
                                    window=WINDOW_MAT, mu_min=-6.0, mu_max=6.0, steps=32)
-    assert report.all_valid_match and len(sampled) == len(charged)
-    paths = {}
-    for (name, mu), used_charge in zip(sampled, charged):
-        paths.setdefault((name != "matsuno", abs(mu) < 2), set()).add(used_charge)
-    assert paths == {(False, False): {True}, (False, True): {True},
-                     (True, False): {True}, (True, True): {False}}
+    assert report.all_valid_match
+    assert paths == {"matsuno": {True}, "matsuno+0.05P": {False}}
 
 
 def depth_first_samples(symbol, basis, window, mu_min, mu_max, steps):
     """Reference refinement: bisect one interval at a time, left to right, one mu per solve."""
-    pieces = OperatorPieces(symbol, basis, (mu_min, mu_max))
+    pieces = OperatorPieces(symbol, basis)
 
     def solve(mu):
         return flow._window_samples(pieces, window, [mu])[0]
@@ -608,15 +616,15 @@ def test_round_refinement_equals_depth_first_refinement(case, monkeypatch):
 
 
 def test_batched_window_samples_equal_one_mu_solves(monkeypatch):
-    # a mixed batch: whole-operator samples inside the bump, charge samples
-    # outside it
+    # a batch of charge samples (matsuno) and one of whole-operator samples
+    # (the bump-perturbed matsuno), each against its one-mu solves
     symbol, basis, _ = bump_perturbed_matsuno_sweep(monkeypatch)
-    pieces = OperatorPieces(symbol, basis, (-6.0, 6.0))
     mus = np.random.default_rng(3).permutation(np.linspace(-6.0, 6.0, 121))
-    charged = pieces.charged(pieces.symbol.const_stack(mus))
-    assert charged.any() and (~charged).any()
-    assert_same_samples(flow._window_samples(pieces, WINDOW_MAT, mus),
-                        [flow._window_samples(pieces, WINDOW_MAT, [mu])[0] for mu in mus])
+    for pieces, charged in ((OperatorPieces(matsuno_symbol(), basis), True),
+                            (OperatorPieces(symbol, basis), False)):
+        assert bool(pieces.charge_stacks) == charged
+        assert_same_samples(flow._window_samples(pieces, WINDOW_MAT, mus),
+                            [flow._window_samples(pieces, WINDOW_MAT, [mu])[0] for mu in mus])
 
 
 def test_batched_window_samples_name_a_non_hermitian_mu():
@@ -627,7 +635,7 @@ def test_batched_window_samples_name_a_non_hermitian_mu():
         x_coeff=base.x_coeff, xi_coeff=base.xi_coeff,
         gap_band=2, gap_constant=0.45, name="broken",
     )
-    pieces = OperatorPieces(symbol, TruncatedBasis(max_level=12, guard_levels=3), (-6.0, 6.0))
+    pieces = OperatorPieces(symbol, TruncatedBasis(max_level=12, guard_levels=3))
     with pytest.raises(ModelError, match=r"const_term\(0\.5\) is not Hermitian"):
         flow._window_samples(pieces, WINDOW_MAT, [-1.0, 0.25, 0.5, 1.0])
 
@@ -646,10 +654,9 @@ def all_eigh_samples(pieces, window, mus, vectors=True):
     real form where its stack is ``tridiagonal``, with guard weights 0.0).  Every value
     of a charge block is kept; the whole operator drops its values with guard weight
     above the threshold."""
-    out = []
+    out, charged = [], bool(pieces.charge_stacks)
     for mu in mus:
         amat = pieces.symbol.const_stack([mu])
-        charged = pieces.charged(amat)[0]
         parts = []
         for s in pieces.charge_stacks if charged else [pieces.whole]:
             h = s.assemble(s.to_frame(amat))
@@ -674,7 +681,7 @@ def preset_sweep(name):
     scenario = PRESETS[name]()
     symbol, basis, window = scenario.symbol(), scenario.basis(), scenario.spectral_window()
     ends = (scenario.mu_min, scenario.mu_max)
-    return (OperatorPieces(symbol, basis, ends), window,
+    return (OperatorPieces(symbol, basis), window,
             sweep(symbol, basis, window, *ends, scenario.steps))
 
 
@@ -717,7 +724,7 @@ def test_blocks_with_an_eigenvalue_ulps_from_a_window_edge_reach_lapack(preset):
     # rounding, whether that value is inside, so each such block must be solved
     scenario = PRESETS[preset]()
     symbol, basis = scenario.symbol(), scenario.basis()
-    pieces = OperatorPieces(symbol, basis, (scenario.mu_min, scenario.mu_max))
+    pieces = OperatorPieces(symbol, basis)
     mus = np.linspace(scenario.mu_min, scenario.mu_max, 7)
     amats = pieces.symbol.const_stack(mus)
     values = [np.linalg.eigvalsh(real_forms(s, amats))[:, :12].ravel()
@@ -797,18 +804,17 @@ def test_sturm_count_of_exact_zero_pivots():
 
 
 def test_samples_without_charge_blocks_equal_an_all_eigh_solve(monkeypatch, random_affine_symbol):
-    # no charge operator fits the random symbol, and the bump breaks the one
-    # fitted for matsuno for |mu| < 2: there every sample solves the whole
+    # no charge operator fits the random symbol, and the bump-perturbed
+    # matsuno is a plain callback with none: every sample solves the whole
     # operator by eigh, bit for bit as before
     basis = nf_basis(16)
-    pieces = OperatorPieces(random_affine_symbol, basis, (-2.0, 2.0))
+    pieces = OperatorPieces(random_affine_symbol, basis)
     sw = sweep(random_affine_symbol, basis, WINDOW_NF, -2.0, 2.0, 32)
     assert_same_samples(sw.samples, all_eigh_samples(pieces, WINDOW_NF, [s.mu for s in sw.samples]))
     symbol, basis, sw = bump_perturbed_matsuno_sweep(monkeypatch)
-    pieces = OperatorPieces(symbol, basis, (-6.0, 6.0))
-    inside = [s for s in sw.samples if abs(s.mu) < 2]
-    assert inside and not pieces.charged(pieces.symbol.const_stack([s.mu for s in inside])).any()
-    assert_same_samples(inside, all_eigh_samples(pieces, WINDOW_MAT, [s.mu for s in inside]))
+    pieces = OperatorPieces(symbol, basis)
+    assert not pieces.charge_stacks
+    assert_same_samples(sw.samples, all_eigh_samples(pieces, WINDOW_MAT, [s.mu for s in sw.samples]))
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -847,8 +853,8 @@ def test_charge_sweep_calls_no_eigh(preset, monkeypatch):
     symbol, basis = scenario.symbol(), scenario.basis()
     sw = sweep(symbol, basis, scenario.spectral_window(), scenario.mu_min, scenario.mu_max,
                scenario.steps)
-    pieces = OperatorPieces(symbol, basis, (scenario.mu_min, scenario.mu_max))
-    assert pieces.charged(pieces.symbol.const_stack([s.mu for s in sw.samples])).all()
+    pieces = OperatorPieces(symbol, basis)
+    assert pieces.charge_stacks
     # every charge block is complete, so none has a guard weight to measure:
     # no stack is solved for eigenvectors, and only charge stacks for values
     assert solved["eigh"] == []
@@ -870,7 +876,7 @@ def coupled_normal_forms():
     both copies at the same levels; x and xi couple 0-1 and 2-3, the
     coupling 0-2 and 1-3, and the 4-cycle has a non-real product.
     """
-    base = normal_form_symbol()
+    base = normal_form_symbol().const_term
 
     def pair(m):
         out = np.zeros(m.shape[:-2] + (4, 4), dtype=complex)
@@ -881,18 +887,17 @@ def coupled_normal_forms():
     coupling[0, 2], coupling[1, 3] = 0.3j, 0.2
     coupling += coupling.conj().T
     return AffineMatrixSymbol(
-        dim=4, const_term=lambda mu: pair(base.const_term(mu)) + coupling,
-        x_coeff=pair(base.x_coeff), xi_coeff=pair(base.xi_coeff),
+        dim=4, const_term=LinearTerm(coupling, pair(base.a1)),
+        x_coeff=pair(normal_form_symbol().x_coeff), xi_coeff=pair(normal_form_symbol().xi_coeff),
         gap_band=2, gap_constant=0.5, name="coupled-normal-forms",
     )
 
 
 def test_cyclic_charge_blocks_keep_the_complex_path():
     symbol, basis = coupled_normal_forms(), nf_basis(16)
-    pieces = OperatorPieces(symbol, basis, (-2.0, 2.0))
+    pieces = OperatorPieces(symbol, basis)
     assert np.abs(np.linalg.eigvalsh(pieces.charge) - [-0.5, -0.5, 0.5, 0.5]).max() <= 1e-12
     amats = pieces.symbol.const_stack([-2.0, 0.5, 2.0])
-    assert pieces.charged(amats).all()
     assert all(s.tridiagonal is None for s in pieces.charge_stacks)
     # a 4x4 block has the 4-cycle, and its moduli would give other eigenvalues
     (block,) = (s for s in pieces.charge_stacks if s.index.shape[1] == 4)

@@ -9,6 +9,7 @@ from indexlab.cli import PRESETS
 from indexlab.errors import GapCertificateError, ModelError
 from indexlab.hermite import (
     AffineMatrixSymbol,
+    LinearTerm,
     OperatorPieces,
     TruncatedBasis,
     charge_operator,
@@ -30,6 +31,7 @@ from indexlab.topology import (
 from indexlab.models import (
     BranchLabel,
     matsuno_symbol,
+    mu_reflected,
     normal_form_eigenvector,
     normal_form_symbol,
 )
@@ -330,7 +332,7 @@ def test_gap_certificate_sampled_shell():
 #: closed-form families, by name, for the block and quantize tests
 def stacks_at(pieces, amat):
     """The stacks that solve the operator at ``A(mu) = amat``."""
-    return pieces.charge_stacks if pieces.charged(amat[None])[0] else [pieces.whole]
+    return pieces.charge_stacks or [pieces.whole]
 
 
 def merged_eigenvalues(stacks, amat):
@@ -340,32 +342,26 @@ def merged_eigenvalues(stacks, amat):
 
 
 def test_parity_blocks_follow_the_zero_pattern_of_each_const_term():
-    # A(mu) couples components 0 and 2 only for mu > 0, which breaks the
-    # charge symmetry fitted at mu = -1 and -0.5, so for mu > 0 the one
-    # block is the whole operator; for mu < 0 the blocks are the complete
-    # charge sectors of the dense matrix
+    # an A0 that couples components 0 and 2 breaks matsuno's charge symmetry,
+    # so no D commutes with it and the one block is the whole operator;
+    # without it the blocks are the complete charge sectors of the dense matrix
     base = matsuno_symbol()
     link = np.zeros((3, 3), dtype=complex)
     link[0, 2] = link[2, 0] = 1.0
-    sym = AffineMatrixSymbol(
-        dim=3,
-        const_term=lambda mu: base.const_term(mu)
-        + np.multiply.outer(np.maximum(mu, 0.0), link),
-        x_coeff=base.x_coeff, xi_coeff=base.xi_coeff,
-        gap_band=2, gap_constant=0.45, name="switched",
-    )
+    linked = dataclasses.replace(base, const_term=LinearTerm(link, base.const_term.a1), name="linked")
     basis = TruncatedBasis(max_level=12, guard_levels=3)
-    pieces = OperatorPieces(sym, basis, (-1.0, -0.5))
-    for mu in (-1.0, 0.5, -0.5, 1.0):
-        amat = pieces.symbol.const_stack([mu])[0]
-        stacks = stacks_at(pieces, amat)
-        dense = quantize(sym, mu, basis).matrix
-        if mu < 0:
-            assert all(s.frame is not None for s in stacks)
-            dense = charge_sectors(dense, pieces.charge, basis)[0]
-        else:
-            assert len(stacks) == 1 and stacks[0].frame is None
-        assert np.abs(merged_eigenvalues(stacks, amat) - np.linalg.eigvalsh(dense)).max() <= 1e-12
+    for sym in (base, linked):
+        pieces = OperatorPieces(sym, basis)
+        for mu in (-1.0, 0.5, -0.5, 1.0):
+            amat = pieces.symbol.const_stack([mu])[0]
+            stacks = stacks_at(pieces, amat)
+            dense = quantize(sym, mu, basis).matrix
+            if sym is base:
+                assert all(s.frame is not None for s in stacks)
+                dense = charge_sectors(dense, pieces.charge, basis)[0]
+            else:
+                assert pieces.charge is None and len(stacks) == 1 and stacks[0].frame is None
+            assert np.abs(merged_eigenvalues(stacks, amat) - np.linalg.eigvalsh(dense)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("family", sorted(BLOCK_FAMILIES))
@@ -400,7 +396,7 @@ CHARGE_SPECTRA = {
 @pytest.mark.parametrize("family", sorted(BLOCK_FAMILIES))
 def test_charge_operator_spectrum(family):
     symbol = BLOCK_FAMILIES[family]
-    pieces = OperatorPieces(symbol, TruncatedBasis(max_level=12, guard_levels=3), (-2.0, 3.0))
+    pieces = OperatorPieces(symbol, TruncatedBasis(max_level=12, guard_levels=3))
     d, k = pieces.charge, symbol.x_coeff + 1j * symbol.xi_coeff
     assert np.abs(np.linalg.eigvalsh(d) - CHARGE_SPECTRA[family]).max() <= 1e-12
     assert np.abs(d @ k - k @ d + k).max() <= 1e-12
@@ -411,7 +407,7 @@ def test_charge_operator_spectrum(family):
 
 def test_charge_blocks_matsuno_sizes():
     basis = TruncatedBasis(max_level=60, guard_levels=5)
-    pieces = OperatorPieces(matsuno_symbol(), basis, (-6.0, 6.0))
+    pieces = OperatorPieces(matsuno_symbol(), basis)
     stacks = stacks_at(pieces, pieces.symbol.const_stack([0.7])[0])
     sizes = {}
     for s in stacks:
@@ -434,11 +430,11 @@ def test_charge_blocks_matsuno_sizes():
 def test_charge_stacks_hold_exactly_the_complete_blocks(case):
     kind, name = case.split(":")
     if kind == "family":
-        symbol, basis, ends = BLOCK_FAMILIES[name], TruncatedBasis(max_level=12, guard_levels=3), (-2.0, 3.0)
+        symbol, basis = BLOCK_FAMILIES[name], TruncatedBasis(max_level=12, guard_levels=3)
     else:
         scenario = PRESETS[name]()
-        symbol, basis, ends = scenario.symbol(), scenario.basis(), (scenario.mu_min, scenario.mu_max)
-    pieces = OperatorPieces(symbol, basis, ends)
+        symbol, basis = scenario.symbol(), scenario.basis()
+    pieces = OperatorPieces(symbol, basis)
     assert pieces.charge_stacks
     # the stacks' indices are those of the complete blocks, each index once
     index = np.concatenate([s.index.ravel() for s in pieces.charge_stacks])
@@ -455,11 +451,16 @@ def test_charge_stacks_hold_exactly_the_complete_blocks(case):
     assert np.array_equal(pieces.guard, pieces.level >= basis.size - basis.guard_levels)
 
 
-def test_no_charge_operator_without_endpoints_or_for_random_symbol(random_affine_symbol):
+def test_no_charge_operator_for_a_plain_callback_or_a_random_symbol(random_affine_symbol):
+    # matsuno's own A(mu) behind a plain callback has no D, the safe default,
+    # and no D fits the random symbol's coefficients
     basis = TruncatedBasis(max_level=12, guard_levels=3)
-    assert OperatorPieces(matsuno_symbol(), basis).charge is None
-    pieces = OperatorPieces(random_affine_symbol, basis, (-2.0, 2.0))
-    assert pieces.charge is None
+    base = matsuno_symbol()
+    plain = dataclasses.replace(base, const_term=lambda mu: base.const_term(mu))
+    assert charge_operator(base) is not None
+    assert charge_operator(plain) is None and OperatorPieces(plain, basis).charge is None
+    pieces = OperatorPieces(random_affine_symbol, basis)
+    assert pieces.charge is None and not pieces.charge_stacks
     # the fallback: the whole operator, as a stack of one in the standard frame,
     # assembled exactly as quantize assembles it
     (stack,) = stacks_at(pieces, pieces.symbol.const_stack([0.7])[0])
@@ -468,11 +469,34 @@ def test_no_charge_operator_without_endpoints_or_for_random_symbol(random_affine
             == quantize(random_affine_symbol, 0.7, basis).matrix.tobytes())
 
 
+def test_no_charge_operator_for_a_linear_term_that_breaks_the_symmetry():
+    # matsuno's A1 with a random Hermitian A0: D still fits K and A1, but no D
+    # commutes with A0 as well
+    base = matsuno_symbol()
+    raw = np.random.default_rng(4).normal(size=(3, 3, 2)) @ [1.0, 1j]
+    symbol = dataclasses.replace(base, const_term=LinearTerm(raw + raw.conj().T, base.const_term.a1))
+    assert charge_operator(symbol) is None
+    assert not OperatorPieces(symbol, TruncatedBasis(max_level=12, guard_levels=3)).charge_stacks
+    assert charge_operator(dataclasses.replace(base, const_term=LinearTerm(0.0, base.const_term.a1))) is not None
+
+
+def test_mu_reflected_keeps_a_linear_term():
+    base = normal_form_symbol()
+    reflected = mu_reflected(base)
+    assert isinstance(reflected.const_term, LinearTerm)
+    assert np.array_equal(reflected.const_term.a1, -base.const_term.a1)
+    mus = np.linspace(-2.0, 2.0, 9)
+    assert np.array_equal(reflected.const_stack(mus), base.const_stack(-mus))
+    plain = dataclasses.replace(base, const_term=lambda mu: base.const_term(mu))
+    assert not isinstance(mu_reflected(plain).const_term, LinearTerm)
+    assert np.array_equal(mu_reflected(plain).const_stack(mus), base.const_stack(-mus))
+
+
 @pytest.mark.parametrize("family", sorted(BLOCK_FAMILIES))
 def test_charge_blocks_partition_and_match_dense_spectrum(family):
     symbol = BLOCK_FAMILIES[family]
     basis = TruncatedBasis(max_level=12, guard_levels=3)
-    pieces = OperatorPieces(symbol, basis, (-2.0, 3.0))
+    pieces = OperatorPieces(symbol, basis)
     for mu in (-2.0, 0.0, 0.7, 3.0):
         amat = pieces.symbol.const_stack([mu])[0]
         stacks = stacks_at(pieces, amat)
@@ -540,32 +564,40 @@ def test_gap_certificate_solves_each_charge_orbit_once(monkeypatch, family):
     assert_matches_all_points_reference(cert, symbol)
 
 
-def const_term_calls(symbol):
-    """``symbol`` with a ``const_term`` that records how many mu each call takes."""
-    seen, real = [], symbol.const_term
-    return dataclasses.replace(symbol, const_term=lambda mu: seen.append(len(mu)) or real(mu)), seen
+class CountedTerm(LinearTerm):
+    """A :class:`LinearTerm` that records how many mu each call takes."""
+
+    def __init__(self, term):
+        super().__init__(term.a0, term.a1)
+        self.seen = []
+
+    def __call__(self, mu):
+        self.seen.append(len(mu))
+        return super().__call__(mu)
 
 
-def test_charge_orbits_check_each_distinct_mu_once(grid64):
-    # the certificate fits D at its two extreme mu; its 1,752 orbits lie on
-    # 20 planes of mu, where A(mu) is evaluated and checked; the orbits
-    # themselves are then solved
-    symbol, seen = const_term_calls(matsuno_symbol())
-    cert = sampled_gap_certificate(symbol)
-    assert seen == [2, 20, 1752] and cert.ok
-    seen.clear()
-    charge = charge_operator(symbol, (-1.0, 1.0))
-    seen.clear()
-    radial, _ = charge_orbits(symbol, grid64.vertices, charge)
-    assert seen == [2945] and len(radial) == 3001
-    assert np.unique(radial[:, 0]).size == 2945
+def test_charge_path_evaluates_a_for_the_fit_and_the_orbits_only(grid64):
+    # D is fitted once, from A(0) and A(1); the certificate's 10,600 points
+    # then fall into 1,752 orbits and the 64-grid's 24,578 vertices into
+    # 3,001, and A(mu) is evaluated at those orbits alone, with no check of
+    # the symmetry per mu
+    term = CountedTerm(matsuno_symbol().const_term)
+    symbol = dataclasses.replace(matsuno_symbol(), const_term=term)
+    assert sampled_gap_certificate(symbol).ok
+    assert term.seen == [2, 1752]
+    term.seen.clear()
+    spectrum = SphereSpectrum.build(symbol, grid64)
+    assert term.seen == [2, 3001] and spectrum.charge is not None
+    radial, inverse = charge_orbits(grid64.vertices)
+    assert len(radial) == 3001 and inverse.shape == (24578,)
+    assert np.array_equal(radial[inverse][:, 1], np.hypot(*grid64.vertices[:, 1:].T))
 
 
 @pytest.mark.parametrize("symbol", ["random-affine", "matsuno+bump"])
 def test_gap_certificate_without_charge_symmetry_solves_every_point(
         monkeypatch, random_affine_symbol, bump_perturbed_matsuno, symbol):
-    # no charge operator fits the random symbol, and the bump breaks the
-    # charge symmetry of matsuno at every sampled mu (all inside |mu| < 2)
+    # no charge operator fits the random symbol, and the bump-perturbed
+    # matsuno is a plain callback, with none
     symbol = random_affine_symbol if symbol == "random-affine" else bump_perturbed_matsuno
     cert, solved = certificate_and_solved_points(monkeypatch, symbol)
     assert solved == [10600]
@@ -586,7 +618,7 @@ def random_tridiagonal_symbol(dim=4, seed=5):
     a0, a1 = np.diag(gen.normal(size=dim)), np.diag(gen.normal(size=dim))
     return AffineMatrixSymbol(
         dim=dim,
-        const_term=lambda mu: u @ (a0 + np.multiply.outer(mu, a1)) @ u.conj().T,
+        const_term=LinearTerm(u @ a0 @ u.conj().T, u @ a1 @ u.conj().T),
         x_coeff=u @ (0.5 * (k + k.conj().T)) @ u.conj().T,
         xi_coeff=u @ (0.5j * (k.conj().T - k)) @ u.conj().T,
         gap_band=1,
@@ -602,9 +634,9 @@ def test_tridiagonal_real_form_keeps_the_eigenvalues(family):
     # D = 0, so its three components share each block's level and A(mu)
     # lands off the diagonal: its one stack keeps the complex path
     symbol = random_tridiagonal_symbol() if family == "random-tridiagonal" else BLOCK_FAMILIES[family]
-    pieces = OperatorPieces(symbol, TruncatedBasis(max_level=12, guard_levels=3), (-2.0, 3.0))
+    pieces = OperatorPieces(symbol, TruncatedBasis(max_level=12, guard_levels=3))
     amats = pieces.symbol.const_stack([-2.0, -0.4, 0.7, 3.0])
-    assert pieces.charge_stacks and pieces.charged(amats).all()
+    assert pieces.charge_stacks
     stacks = [s for s in pieces.charge_stacks if s.tridiagonal is not None]
     assert (len(stacks) == len(pieces.charge_stacks)) == (family != "constant-dim3")
     if family == "random-tridiagonal":
@@ -629,9 +661,9 @@ def test_tridiagonal_real_form_keeps_the_eigenvalues(family):
 def test_every_charge_stack_of_the_presets_is_tridiagonal(preset):
     scenario = PRESETS[preset]()
     symbol, basis = scenario.symbol(), scenario.basis()
-    pieces = OperatorPieces(symbol, basis, (scenario.mu_min, scenario.mu_max))
+    pieces = OperatorPieces(symbol, basis)
     amats = pieces.symbol.const_stack([scenario.mu_min, 0.0, 0.7, scenario.mu_max])
-    assert pieces.charge_stacks and pieces.charged(amats).all()
+    assert pieces.charge_stacks
     for s in pieces.charge_stacks:
         assert s.tridiagonal is not None
         diag = s.diagonal(s.to_frame(amats))[1].T

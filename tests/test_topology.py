@@ -14,7 +14,7 @@ from indexlab.errors import (
     SectionVanishesError,
 )
 import indexlab.topology as topology
-from indexlab.hermite import AffineMatrixSymbol, charge_operator
+from indexlab.hermite import AffineMatrixSymbol
 from indexlab.models import (
     matsuno_symbol,
     mu_reflected,
@@ -232,8 +232,8 @@ def projectors(frames):
 @pytest.mark.parametrize("bands", [[1], [2], [3], [1, 2], [2, 3]])
 def test_fields_sliced_from_one_spectrum_match_independent_builds(
         grid32, bump_perturbed_matsuno, bands):
-    # no charge operator fits the bump-perturbed symbol at the poles, so
-    # every vertex is solved: bit-identical to the per-point reference
+    # the bump-perturbed symbol is a plain callback with no charge operator,
+    # so every vertex is solved: bit-identical to the per-point reference
     for sym in (bump_perturbed_matsuno, matsuno_symbol()):
         sliced = SphereSpectrum.build(sym, grid32).field(bands)
         built = BandProjectorField.build(sym, bands, grid32)
@@ -307,24 +307,22 @@ def test_sphere_without_charge_symmetry_solves_every_point(
     assert seen == [1153, 1153, 512]
 
 
-def test_orbit_solve_falls_back_where_a_breaks_the_charge(monkeypatch, bump_perturbed_matsuno):
-    # matsuno's D still fits K, but the bump breaks [D, A(mu)] = 0 for
-    # |mu| < 2: a batch reaching inside solves every point, bit for bit as
-    # without D; a batch wholly outside is solved once per orbit
-    sym = bump_perturbed_matsuno
-    charge = charge_operator(matsuno_symbol(), (-1.0, 1.0))
-    th = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
-    ring = np.stack((np.full_like(th, 0.5), np.cos(th), np.sin(th)), axis=1)
-    outside = ring + [2.0, 0.0, 0.0]
+def test_plain_callback_of_a_symmetric_family_solves_every_point(monkeypatch):
+    # ts2's own A(mu) behind a plain callback has no charge operator (the
+    # safe default): every vertex is solved on its own, and band 3's
+    # curvature equals the one of the LinearTerm's orbit solve
+    scenario = load_preset("ts2")
+    base = scenario.symbol()
+    plain = dataclasses.replace(base, const_term=lambda mu: base.const_term(mu))
+    grid = SphereGrid.build(scenario.grid_n)
     seen = evaluated_points(monkeypatch)
-    inside = batch_eigensystem(sym, ring, charge=charge)
-    plain = batch_eigensystem(sym, ring)
-    assert all(np.array_equal(a, b) for a, b in zip(inside, plain))
-    omegas, vecs = batch_eigensystem(sym, outside, charge=charge)
-    ref_omegas, ref_vecs = batch_eigensystem(sym, outside)
-    assert seen[:2] == [16, 16] and seen[2] < 16
-    assert np.abs(omegas - ref_omegas).max() <= 1e-12
-    assert np.abs(projectors(vecs[:, :, :1]) - projectors(ref_vecs[:, :, :1])).max() <= 1e-12
+    point = SphereSpectrum.build(plain, grid)
+    assert seen == [len(grid.vertices)] and point.charge is None
+    orbit = SphereSpectrum.build(base, grid)
+    assert orbit.charge is not None and seen[1] < len(grid.vertices)
+    a, b = (chern_curvature(s.field([3])) for s in (orbit, point))
+    assert a.C == b.C == 2
+    assert abs(a.raw_value - b.raw_value) <= 1e-12
 
 
 PRESETS = ["normal-form", "matsuno", "matsuno-upper-gap", "matsuno-lower-gap", "ts2", "constant"]
