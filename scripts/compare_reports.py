@@ -11,8 +11,10 @@ A CSV report, spectrum's ``_branches`` table included, reads ``identical``
 when the two files are equal line for line.  Files of equal line counts
 that differ only in numeric fields read as the largest difference between
 matching fields and its file, line and column; any other difference reads
-as the first line that differs.  A differing exit code is reported too.  The script only reports:
-it exits 0 whatever it finds.
+as the first line that differs.  The ``--help`` output of ``indexlab`` and of
+each of its four commands is compared too, one row each: ``identical``, or
+the first line that differs.  A differing exit code is reported too.  The
+script only reports: it exits 0 whatever it finds.
 
     python scripts/compare_reports.py BASE_TREE [HEAD_TREE] [--out-dir DIR]
 
@@ -35,16 +37,28 @@ from pathlib import Path
 
 PRESETS = ("normal-form", "matsuno", "matsuno-upper-gap", "matsuno-lower-gap", "ts2", "constant")
 COMMANDS = (("flow",), ("spectrum",), ("verify",), ("chern", "--method", "all"))
+#: the ``indexlab`` arguments ahead of ``--help`` whose output is compared
+HELP = ((), ("spectrum",), ("flow",), ("chern",), ("verify",))
+
+
+def indexlab(tree: Path, args: list[str], **kwargs) -> subprocess.CompletedProcess:
+    """One ``indexlab`` run on the ``src/`` of ``tree``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    return subprocess.run([sys.executable, "-c", "from indexlab.cli import entry; entry()", *args],
+                          env=env, **kwargs)
 
 
 def run_cli(tree: Path, command: tuple[str, ...], preset: str, fmt: str, out: Path) -> int:
     """Exit code of one CLI run that writes its report to ``out``."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    return subprocess.run(
-        [sys.executable, "-c", "from indexlab.cli import entry; entry()",
-         command[0], "--preset", preset, *command[1:], "--format", fmt, "--out", str(out)],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    ).returncode
+    return indexlab(tree, [command[0], "--preset", preset, *command[1:], "--format", fmt,
+                           "--out", str(out)],
+                    stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def run_help(tree: Path, command: tuple[str, ...]) -> tuple[int, dict]:
+    """Exit code and the output lines of ``indexlab [command] --help``."""
+    done = indexlab(tree, [*command, "--help"], capture_output=True, text=True)
+    return done.returncode, {"help": (done.stdout + done.stderr).splitlines()}
 
 
 def run_report(tree: Path, command: tuple[str, ...], preset: str, out: Path) -> tuple[int, dict | None]:
@@ -163,6 +177,18 @@ def compare(base: Path, head: Path, out_dir: Path) -> list[str]:
                            f"max numeric difference {numeric[0]:.3g} at {numeric[1]}" if numeric
                            else f"differs: {mismatch}")
             rows.append(f"| {name} --format csv | {preset} | {verdict} |")
+    return rows + help_rows(base, head)
+
+
+def help_rows(base: Path, head: Path) -> list[str]:
+    """One table row per entry of :data:`HELP`."""
+    rows = []
+    for command in HELP:
+        (code_a, a), (code_b, b) = run_help(base, command), run_help(head, command)
+        mismatch = first_line_difference(a, b)
+        verdict = (f"exit code {code_a} != {code_b}" if code_a != code_b else
+                   "identical" if mismatch is None else f"differs: {mismatch}")
+        rows.append(f"| {' '.join(('indexlab', *command, '--help'))} | - | {verdict} |")
     return rows
 
 

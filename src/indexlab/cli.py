@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ChernError, FlowError, IndexLabError, ModelError
-from .flow import FlowResult, SpectralWindow, spectral_index, sweep
+from .flow import FlowResult, SpectralWindow, check_mu_grid, spectral_index, sweep
 from .hermite import AffineMatrixSymbol, TruncatedBasis, sampled_gap_certificate
 from .models import (
     constant_symbol,
@@ -135,14 +135,12 @@ class Scenario:
                 raise ModelError(f"model_params[{key!r}] is not read by the {self.model} model")
             if not _PARAM_CHECKS[key](value):
                 raise ModelError(f"model_params[{key!r}] has the wrong type or value: {value!r}")
-        for name, least in (("branch_table_levels", 0), ("grid_n", 16),
-                            ("equator_samples", 16), ("steps", 16)):
+        for name, least in (("branch_table_levels", 0), ("grid_n", 16), ("equator_samples", 16)):
             if getattr(self, name) < least:
                 raise ModelError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
         self.basis()
         self.spectral_window()
-        if not self.mu_min < self.mu_max:
-            raise ModelError(f"mu_min must be below mu_max, got {self.mu_min!r}, {self.mu_max!r}")
+        check_mu_grid(self.mu_min, self.mu_max, self.steps)
         dim = self.symbol().dim
         for name in ("zero_refs", "clutch_refs"):
             if stray := sorted(set(getattr(self, name)) - {str(b) for b in range(1, dim + 1)}):
@@ -207,9 +205,8 @@ class Scenario:
     def from_dict(cls, data: dict) -> "Scenario":
         if not isinstance(data, dict):
             raise ModelError("scenario must be a JSON object")
-        data = dict(data)
-        data["window"] = tuple(data.get("window", (-0.9, 0.9, 0.0)))
-        data["chern_bands"] = tuple(data.get("chern_bands", ()))
+        # the lists of a file as tuples; a key left out takes the field's default
+        data = {k: tuple(v) if k in ("window", "chern_bands") else v for k, v in data.items()}
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:

@@ -50,6 +50,7 @@ __all__ = [
     "SpectrumSweep",
     "FlowResult",
     "Crossing",
+    "check_mu_grid",
     "sweep",
     "spectral_index",
     "flow_invariance_check",
@@ -350,6 +351,19 @@ def _check_matchable_at_floor(a: EigenSample, b: EigenSample, match, window: Spe
         )
 
 
+def check_mu_grid(mu_min: float, mu_max: float, steps: int):
+    """Raise :class:`ModelError` unless ``mu_min < mu_max`` and there are at least 16 steps,
+    each brought down to :data:`MATCH_MIN_WIDTH` by :data:`MAX_MATCH_ROUNDS` bisections."""
+    if steps < 16:
+        raise ModelError(f"steps must be >= 16, got {steps!r}")
+    if not mu_min < mu_max:
+        raise ModelError(f"mu_min must be below mu_max, got {mu_min!r}, {mu_max!r}")
+    step, most = (mu_max - mu_min) / steps, MATCH_MIN_WIDTH * 2**MAX_MATCH_ROUNDS
+    if step > most:
+        raise ModelError(f"mu grid too coarse for the matching-refinement budget: "
+                         f"step {step:.6g} > {most:.6g}")
+
+
 def sweep(
     symbol: AffineMatrixSymbol,
     basis: TruncatedBasis,
@@ -374,10 +388,7 @@ def sweep(
     right, and the matched branches that straddle the reference level in
     the final intervals become the sweep's crossings.
     """
-    if steps < 16:
-        raise ModelError("sweep needs steps >= 16")
-    if not mu_min < mu_max:
-        raise ModelError("sweep needs mu_min < mu_max")
+    check_mu_grid(mu_min, mu_max, steps)
     pieces = OperatorPieces(symbol, basis)
     samples = _window_samples(pieces, window, np.linspace(mu_min, mu_max, steps + 1))
 
@@ -388,14 +399,10 @@ def sweep(
                 f"mu={s.mu}; enlarge the mu range"
             )
 
-    # matching ambiguities refine down to MATCH_MIN_WIDTH (within the
-    # bisection-round budget for any permitted grid), crossing brackets all
-    # the way down to CROSSING_WIDTH
-    base_step = (mu_max - mu_min) / steps
-    if base_step / MATCH_MIN_WIDTH > 2**MAX_MATCH_ROUNDS:
-        raise ModelError("mu grid too coarse for the matching-refinement budget")
-    # one match per interval; None marks an interval new this round, the
-    # only kind tested for a split (an unsplit one keeps its end samples)
+    # matching ambiguities refine down to MATCH_MIN_WIDTH (within the budget
+    # check_mu_grid enforces), crossing brackets down to CROSSING_WIDTH; one
+    # match per interval; None marks an interval new this round, the only
+    # kind tested for a split (an unsplit one keeps its end samples)
     matches = [None] * (len(samples) - 1)
     while True:
         new = [m is None for m in matches]

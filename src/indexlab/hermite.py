@@ -20,12 +20,14 @@ incomplete top blocks can hold truncation artifacts.
 
 Every ``A(mu)`` is evaluated and checked by :meth:`AffineMatrixSymbol.const_stack`.
 Only a :class:`LinearTerm` ``A(mu) = A0 + mu A1`` has a ``D``: :func:`charge_operator`
-fits ``[D, A0] = [D, A1] = 0`` once, which holds at every mu, so nothing re-checks it.
-All functions here are pure; returned arrays are freshly allocated and safe to share
-between threads.  An :class:`OperatorPieces` keeps the stacks it has built: the
-complete charge blocks, or else the whole operator.  Each stack assembles a ``(k, d,
-d)`` stack of ``A(mu)`` at once, so many mu values share one batched solve; a stack
-of tridiagonal blocks also hands out their real diagonals alone, for eigenvalue
+fits ``[D, A0] = [D, A1] = 0``, which holds at every mu, so nothing re-checks it.  The
+symmetry belongs to the symbol: :attr:`AffineMatrixSymbol.charge` fits and diagonalizes
+``D`` once per symbol, and every consumer reads that pair.  All functions here are pure;
+returned arrays are freshly allocated and safe to share between threads, but for that
+cached pair, which is read-only.  An :class:`OperatorPieces` keeps the stacks it has
+built: the complete charge blocks, or else the whole operator.  Each stack assembles a
+``(k, d, d)`` stack of ``A(mu)`` at once, so many mu values share one batched solve; a
+stack of tridiagonal blocks also hands out their real diagonals alone, for eigenvalue
 counts that need no solve.
 
 In D's eigenbasis ``B (x) xhat + C (x) xihat`` couples weight delta only to
@@ -107,12 +109,12 @@ class AffineMatrixSymbol:
     takes a 1-D float array of n values of mu and returns the ``(n, d, d)``
     complex stack ``A(mu)``; :meth:`const_stack` raises :class:`ModelError`
     for any other shape or a non-Hermitian ``A(mu)``; only a :class:`LinearTerm`
-    can have a charge operator (:func:`charge_operator`).  ``gap_band`` is the
-    number of bands below the tracked spectral gap (0 is allowed for scalar
-    controls with no band below the gap) and ``gap_center``/``gap_constant``
-    certify that, away from the origin, band ``gap_band`` stays below
-    ``gap_center - gap_constant`` while band ``gap_band + 1`` stays above
-    ``gap_center + gap_constant``.
+    can have a charge operator, which :attr:`charge` holds diagonalized.
+    ``gap_band`` is the number of bands below the tracked spectral gap (0 is
+    allowed for scalar controls with no band below the gap) and
+    ``gap_center``/``gap_constant`` certify that, away from the origin, band
+    ``gap_band`` stays below ``gap_center - gap_constant`` while band
+    ``gap_band + 1`` stays above ``gap_center + gap_constant``.
     """
 
     dim: int
@@ -165,6 +167,17 @@ class AffineMatrixSymbol:
         out = self.const_stack(points[:, 0]) + points[:, 1, None, None] * self.x_coeff
         out += points[:, 2, None, None] * self.xi_coeff
         return out
+
+    @cached_property
+    def charge(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(delta, frame)``, the read-only ``eigh`` of :func:`charge_operator`, or None without a
+        charge operator; made on first read, once per instance (``replace`` makes a new one)."""
+        d = charge_operator(self)
+        if d is None:
+            return None
+        delta, frame = np.linalg.eigh(d)
+        delta.flags.writeable = frame.flags.writeable = False
+        return delta, frame
 
     def validate(self, rng: np.random.Generator | None = None):
         """:meth:`const_stack` at 32 random mu in [-2, 2] (``B`` and ``C`` are checked at
@@ -293,7 +306,7 @@ def charge_operator(symbol: AffineMatrixSymbol) -> np.ndarray | None:
     """Minimum-norm (so Hermitian) D with ``[D, K] = -K``, ``[D, K^dag] = K^dag`` and ``[D, A0] =
     [D, A0 + A1] = 0`` for a :class:`LinearTerm` ``const_term``, so ``[D, A(mu)] = 0`` at every
     mu; None for any other callback, or when the least-squares residual exceeds 1e-12 of the
-    largest entry (at least 1)."""
+    largest entry (at least 1).  Read it as :attr:`AffineMatrixSymbol.charge`, fitted once."""
     if not isinstance(symbol.const_term, LinearTerm):
         return None
     k = np.asarray(symbol.x_coeff + 1j * np.asarray(symbol.xi_coeff), dtype=complex)
@@ -311,13 +324,13 @@ class OperatorPieces:
     """The mu-independent parts of :func:`quantize` for one (symbol, basis).
 
     A stack's ``B (x) xhat + C (x) xihat`` is built once; each ``A(mu)`` then
-    only adds its same-level entries.  ``charge`` is :func:`charge_operator`
-    (None without one); in its eigenbasis each eigenvalue of ``Q`` gives one
-    charge block of at most d indices.  ``charge_stacks`` are the complete
-    charge blocks (module docstring) stacked by size, empty without
-    ``charge``; block q is complete when its size is the number of
-    components i with ``q - delta_i`` a non-negative integer.  Both are built
-    on first use, as is ``whole``, the whole operator as one block.
+    only adds its same-level entries.  In the eigenbasis of the symbol's
+    charge operator (:attr:`AffineMatrixSymbol.charge`) each eigenvalue of
+    ``Q`` gives one charge block of at most d indices.  ``charge_stacks`` are
+    the complete charge blocks (module docstring) stacked by size, empty
+    without a charge operator; block q is complete when its size is the
+    number of components i with ``q - delta_i`` a non-negative integer.  It
+    is built on first use, as is ``whole``, the whole operator as one block.
     ``guard`` marks the indices on the top ``guard_levels`` levels, for the
     whole operator's artifact filter.
     """
@@ -329,14 +342,10 @@ class OperatorPieces:
         self.guard = self.level >= basis.size - basis.guard_levels
 
     @cached_property
-    def charge(self) -> np.ndarray | None:
-        return charge_operator(self.symbol)
-
-    @cached_property
     def charge_stacks(self) -> list[BlockStack]:
-        if self.charge is None:
+        if self.symbol.charge is None:
             return []
-        delta, frame = np.linalg.eigh(self.charge)
+        delta, frame = self.symbol.charge
         # Q = delta + n; a tolerance that merged two values would only join blocks
         q = delta[self.component] + self.level
         order = np.argsort(q, kind="stable")
@@ -443,7 +452,7 @@ def sampled_gap_certificate(symbol: AffineMatrixSymbol, strict: bool = False) ->
     ``gap_center - gap_constant`` and band ``gap_band + 1`` above
     ``gap_center + gap_constant``.
 
-    With a charge operator (:func:`charge_operator`) the spectrum is solved
+    With a charge operator (:attr:`AffineMatrixSymbol.charge`) the spectrum is solved
     once per charge orbit (:func:`charge_orbits`) and shared by the orbit's
     points; without one every point is solved.
 
@@ -453,7 +462,7 @@ def sampled_gap_certificate(symbol: AffineMatrixSymbol, strict: bool = False) ->
     pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     norms = np.linalg.norm(pts, axis=1)
     pts = pts[(norms >= 1.0) & (norms <= 3.0) & (np.abs(pts[:, 0]) <= 2.0)]
-    if charge_operator(symbol) is None:
+    if symbol.charge is None:
         eigs = np.linalg.eigvalsh(symbol.evaluate_many(pts))
     else:
         radial, inverse = charge_orbits(pts)

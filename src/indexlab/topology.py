@@ -15,11 +15,11 @@ charge operator ``D`` (:mod:`indexlab.hermite`) with ``exp(i t D) H(mu, x,
 xi) exp(-i t D) = H`` turned by ``e^{it}`` in the (x, xi) plane, so the
 eigenvalues depend on ``(mu, hypot(x, xi))`` only and the eigenvectors at
 ``(mu, r cos t, r sin t)`` are ``exp(i t D)`` times those at ``(mu, r, 0)``.
-:class:`SphereSpectrum` takes ``D`` from
-:func:`~indexlab.hermite.charge_operator` and hands it to its band fields;
-the grid and the clutching hemispheres and equator then solve each distinct
-``(mu, hypot(x, xi))`` once and rotate its eigenvectors out to the orbit's
-points.  A symbol without ``D`` (a ``const_term`` that is not a
+``D`` belongs to the symbol: its eigenpairs are
+:attr:`~indexlab.hermite.AffineMatrixSymbol.charge`, fitted and diagonalized
+once per symbol.  The grid and the clutching hemispheres and equator solve
+each distinct ``(mu, hypot(x, xi))`` once and rotate its eigenvectors out to
+the orbit's points.  A symbol without ``D`` (a ``const_term`` that is not a
 :class:`~indexlab.hermite.LinearTerm`) has every point solved on its own, and
 so are the small section-zero batches.
 
@@ -49,7 +49,7 @@ from .errors import (
     ModelError,
     SectionVanishesError,
 )
-from .hermite import AffineMatrixSymbol, charge_operator, charge_orbits
+from .hermite import AffineMatrixSymbol, charge_orbits
 
 __all__ = [
     "SphereGrid",
@@ -115,20 +115,6 @@ class SphereGrid:
         return cls(n_per_face=n, vertices=pts, cells=cells)
 
 
-def _rotated(vecs: np.ndarray, charge: np.ndarray, inverse: np.ndarray,
-             angles: np.ndarray) -> np.ndarray:
-    """``exp(i t D) v`` (n, d, d) for the orbit frames ``v = vecs[inverse]`` and angles t (n,).
-
-    With ``D = F diag(delta) F^dag``, ``exp(i t D) v = F diag(exp(i t delta)) F^dag v``.
-    """
-    delta, frame = np.linalg.eigh(charge)
-    # row j of rows[i] is column j of point i's orbit frame in D's eigenbasis
-    rows = (vecs.swapaxes(1, 2) @ frame.conj())[inverse]
-    rows *= np.exp(1j * np.multiply.outer(angles, delta))[:, None]
-    # one gemm takes every row back to the standard basis
-    return (rows.reshape(-1, len(delta)) @ frame.T).reshape(rows.shape).swapaxes(1, 2)
-
-
 def _band_gap(omegas: np.ndarray, bands: Sequence[int], points: np.ndarray) -> float:
     """Smallest gap between selected and unselected bands of ``omegas`` (n, d).
 
@@ -153,29 +139,35 @@ def batch_eigensystem(
     symbol: AffineMatrixSymbol,
     points: np.ndarray,
     bands: Sequence[int] | None = None,
-    charge: np.ndarray | None = None,
+    orbits: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues (n, d) and orthonormal eigenvector columns (n, d, d).
 
-    Without ``charge``, ``points`` (n, 3) are solved by one batched ``eigh``.
-    With the symbol's charge operator ``D`` (:func:`~indexlab.hermite.charge_operator`)
-    as ``charge``, one batched ``eigh`` solves each orbit of
-    :func:`~indexlab.hermite.charge_orbits` at ``(mu, r, 0)``, and the point at angle
-    ``t = atan2(xi, x)`` takes the orbit's eigenvalues and its eigenvectors times
-    ``exp(i t D) = F diag(exp(i t delta)) F^dag`` (``D = F diag(delta) F^dag``).  The
+    ``points`` (n, 3) are solved by one batched ``eigh``, unless ``orbits`` is set and
+    the symbol has a charge operator ``D = F diag(delta) F^dag`` (``(delta, F)`` is
+    :attr:`~indexlab.hermite.AffineMatrixSymbol.charge`): then one batched ``eigh``
+    solves each orbit of :func:`~indexlab.hermite.charge_orbits` at ``(mu, r, 0)``, and
+    the point at angle ``t = atan2(xi, x)`` takes the orbit's eigenvalues and its
+    eigenvectors times ``exp(i t D) = F diag(exp(i t delta)) F^dag``.  The
     eigenvector phases are those ``eigh`` and the rotation give (the module's gauge
     contract).  If ``bands`` (1-based, contiguous) is given, a gap below
     :data:`BAND_GAP_TOL` between selected and unselected bands at any point raises
     :class:`DegeneracyError`.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    if charge is None:
+    if not orbits or symbol.charge is None:
         omegas, vecs = np.linalg.eigh(symbol.evaluate_many(points))
     else:
         radial, inverse = charge_orbits(points)
         omegas, vecs = np.linalg.eigh(symbol.evaluate_many(radial))
+        delta, frame = symbol.charge
+        # row j of rows[i] is column j of point i's orbit frame in D's eigenbasis
+        rows = (vecs.swapaxes(1, 2) @ frame.conj())[inverse]
         angles = np.arctan2(points[:, 2], points[:, 1])
-        omegas, vecs = omegas[inverse], _rotated(vecs, charge, inverse, angles)
+        rows *= np.exp(1j * np.multiply.outer(angles, delta))[:, None]
+        # one gemm takes every row back to the standard basis
+        omegas = omegas[inverse]
+        vecs = (rows.reshape(-1, len(delta)) @ frame.T).reshape(rows.shape).swapaxes(1, 2)
     if bands is not None:
         _band_gap(omegas, bands, points)
     return omegas, vecs
@@ -196,24 +188,20 @@ class SphereSpectrum:
     """Eigensystem of a symbol at every vertex of a sphere grid.
 
     One batched eigensolve serves every band group: :meth:`field` slices
-    the frames of a contiguous group out of ``vectors``.  ``charge`` is the
-    symbol's charge operator ``D`` (:func:`~indexlab.hermite.charge_operator`,
-    None without one); the build solves the grid once per charge orbit with
-    it (the 64-grid's 24,578 vertices are 3,001 orbits), and the fields hand
-    it on to their own batched solves.  Without it every vertex is solved.
+    the frames of a contiguous group out of ``vectors``.  Where the symbol has
+    a charge operator the build solves the grid once per charge orbit (the
+    64-grid's 24,578 vertices are 3,001 orbits); without one every vertex is
+    solved.
     """
 
     symbol: AffineMatrixSymbol
     grid: SphereGrid
     omegas: np.ndarray  # (V, d) ascending
     vectors: np.ndarray  # (V, d, d) orthonormal eigenvector columns, any phase
-    charge: np.ndarray | None = None
 
     @classmethod
     def build(cls, symbol: AffineMatrixSymbol, grid: SphereGrid) -> "SphereSpectrum":
-        charge = charge_operator(symbol)
-        omegas, vectors = batch_eigensystem(symbol, grid.vertices, charge=charge)
-        return cls(symbol=symbol, grid=grid, omegas=omegas, vectors=vectors, charge=charge)
+        return cls(symbol, grid, *batch_eigensystem(symbol, grid.vertices, orbits=True))
 
     def field(self, bands: Sequence[int]) -> "BandProjectorField":
         """Frames of a contiguous band group, gap-checked at every vertex."""
@@ -231,7 +219,6 @@ class SphereSpectrum:
             grid=self.grid,
             vectors=self.vectors[:, :, bands[0] - 1 : bands[-1]],
             min_gap=min_gap,
-            charge=self.charge,
         )
 
 
@@ -244,8 +231,7 @@ class BandProjectorField:
     the number of selected bands everywhere because the build checks the
     gap to unselected bands at every vertex.  Fields of several band groups
     on one grid should be sliced from one :class:`SphereSpectrum`;
-    :meth:`build` solves the grid for a single group.  ``charge`` is the
-    spectrum's charge operator, which clutching's solves use.
+    :meth:`build` solves the grid for a single group.
     """
 
     symbol: AffineMatrixSymbol
@@ -253,7 +239,6 @@ class BandProjectorField:
     grid: SphereGrid
     vectors: np.ndarray  # (V, d, r)
     min_gap: float
-    charge: np.ndarray | None = None
 
     @property
     def rank(self) -> int:
@@ -401,11 +386,12 @@ def chern_curvature(field_: BandProjectorField) -> ChernReport:
 RefSpec = np.ndarray | Callable[[np.ndarray], np.ndarray] | None
 
 
-def _band_frames(field_: BandProjectorField, points: np.ndarray, charge=None) -> np.ndarray:
-    """Rank-1 band frames (n, d, 1) at ``points`` from one batched solve, per orbit of
-    ``charge`` if given.  Clutching passes the field's; the section-zero batches
-    (1 to 65 points) pass none, as rotating so few orbits costs more than it saves."""
-    _, vecs = batch_eigensystem(field_.symbol, points, field_.bands, charge)
+def _band_frames(field_: BandProjectorField, points: np.ndarray,
+                 orbits: bool = False) -> np.ndarray:
+    """Rank-1 band frames (n, d, 1) at ``points`` from one batched solve, per charge orbit
+    if ``orbits`` (:func:`batch_eigensystem`).  Clutching sets it; the section-zero
+    batches (1 to 65 points) do not, as rotating so few orbits costs more than it saves."""
+    _, vecs = batch_eigensystem(field_.symbol, points, field_.bands, orbits)
     lo = field_.bands[0] - 1
     return vecs[:, :, lo : lo + 1]
 
@@ -457,7 +443,7 @@ def chern_clutching(
     ``|s|^2 > 1e-6`` on a sample of their closed hemisphere; the transition
     phase is ``<s_north | s_south>`` on the equator and its winding is C.
     Each hemisphere sample and the equator are solved as one batch each,
-    once per charge orbit where the field carries a charge operator (a
+    once per charge orbit where the symbol has a charge operator (a
     hemisphere's 1,153 points are 65 orbits, the equator's 2), and point by
     point otherwise.
     """
@@ -471,7 +457,7 @@ def chern_clutching(
     min_norms = []
     for sign, ref, name in ((+1.0, north_ref, "north"), (-1.0, south_ref, "south")):
         pts = _hemisphere_points(sign)
-        frames = _band_frames(field_, pts, field_.charge)
+        frames = _band_frames(field_, pts, orbits=True)
         if ref is None:
             ref = frames[0, :, 0]  # the band eigenvector at the pole
         s = _sections(frames, _ref_values(ref, pts, dim))
@@ -486,7 +472,7 @@ def chern_clutching(
 
     thetas = np.linspace(0.0, 2.0 * np.pi, equator_samples, endpoint=False)
     pts = np.stack((np.zeros_like(thetas), np.cos(thetas), np.sin(thetas)), axis=1)
-    frames = _band_frames(field_, pts, field_.charge)
+    frames = _band_frames(field_, pts, orbits=True)
     s1, s2 = (_sections(frames, _ref_values(ref, pts, dim)) for ref in refs)
     w = winding_number(_inner(s1, s2))
     return ChernReport(

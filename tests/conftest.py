@@ -21,21 +21,22 @@ BLOCK_FAMILIES = {
 
 
 def incomplete_sectors(charge, basis):
-    """Per index (component-major, in the eigenbasis of ``charge``): whether its charge
-    block is incomplete, that is reaches above level M.
+    """Per index (component-major, in the eigenbasis of a symbol's ``charge`` = (delta,
+    frame)): whether its charge block is incomplete, that is reaches above level M.
 
     Index (i, n) has charge q = delta_i + n; its block is incomplete when q - delta_j is
     an integer above M for some component j.
     """
-    delta = np.linalg.eigvalsh(charge)
+    delta = charge[0]
     m = (delta[:, None] + np.arange(basis.size)).reshape(-1, 1) - delta
     return ((np.abs(m - np.rint(m)) <= 1e-8) & (np.rint(m) > basis.max_level)).any(axis=1)
 
 
 def charge_sectors(matrix, charge, basis):
-    """The quantized ``matrix`` in the eigenbasis of ``charge``, restricted to the complete
-    charge sectors and to the incomplete ones: two invariant subspaces."""
-    u = np.kron(np.linalg.eigh(charge)[1], np.eye(basis.size))
+    """The quantized ``matrix`` in the eigenbasis of a symbol's ``charge`` = (delta, frame),
+    restricted to the complete charge sectors and to the incomplete ones: two invariant
+    subspaces."""
+    u = np.kron(charge[1], np.eye(basis.size))
     h, apart = u.conj().T @ matrix @ u, incomplete_sectors(charge, basis)
     return h[np.ix_(~apart, ~apart)], h[np.ix_(apart, apart)]
 

@@ -433,6 +433,17 @@ def test_chern_rejects_a_bad_window_at_load(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["spectrum", "flow", "chern", "verify"])
+def test_mu_grid_too_coarse_for_the_matching_budget_is_refused_at_load(tmp_path, capsys, command):
+    # a step of 80 / 16 = 5 exceeds MATCH_MIN_WIDTH * 2**MAX_MATCH_ROUNDS (about 4.1):
+    # every command refuses the scenario before any solve, chern too, and writes no report
+    path = write_scenario(tmp_path, "normal-form", mu_min=-40.0, mu_max=40.0, steps=16)
+    out = tmp_path / "report.json"
+    assert main([command, "--scenario", path, "--grid", "16", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("indexlab: scenario error: mu grid too coarse")
+    assert not out.exists()
+
+
 def test_flow_endpoint_in_spectrum_exit_code(tmp_path, capsys):
     # the normal-form ground branch sits on omega_ref = 0 at mu = 0
     path = write_scenario(tmp_path, "normal-form", mu_max=0.0)

@@ -94,3 +94,32 @@ def test_csv_files_that_differ_only_in_numbers_give_the_largest_difference(scrip
                   {**b, "report": ["band,method,C,raw_value,residual", "1,curvature,2,nan,0",
                                    "2,curvature,0,0,0"]}):
         assert script.numeric_difference(a, other) is None
+
+
+def fake_tree(root, body):
+    """A source tree whose ``indexlab.cli.entry`` runs ``body`` with ``args`` = its arguments."""
+    package = root / "src" / "indexlab"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(
+        "import sys\n\ndef entry():\n    args = sys.argv[1:]\n" + body)
+    return root
+
+
+def test_help_of_indexlab_and_each_command_is_compared(script, tmp_path):
+    text = "    print('usage: indexlab', *args)\n    sys.exit(0)\n"
+    base = fake_tree(tmp_path / "base", text)
+    head = fake_tree(tmp_path / "head", "    if args == ['flow', '--help']:\n"
+                     "        print('usage: indexlab flow [--new]')\n"
+                     "    if args == ['verify', '--help']:\n        sys.exit(2)\n" + text)
+    assert script.help_rows(base, base) == [
+        f"| indexlab {command}--help | - | identical |"
+        for command in ("", "spectrum ", "flow ", "chern ", "verify ")]
+    assert script.help_rows(base, head) == [
+        "| indexlab --help | - | identical |",
+        "| indexlab spectrum --help | - | identical |",
+        "| indexlab flow --help | - | differs: help line 1: 'usage: indexlab flow --help' "
+        "!= 'usage: indexlab flow [--new]' |",
+        "| indexlab chern --help | - | identical |",
+        "| indexlab verify --help | - | exit code 0 != 2 |",
+    ]

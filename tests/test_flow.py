@@ -279,7 +279,7 @@ def test_plain_callback_sweep_keeps_the_preset_flow(preset, n):
     scenario = PRESETS[preset]()
     symbol, basis, window = scenario.symbol(), scenario.basis(), scenario.spectral_window()
     plain = dataclasses.replace(symbol, const_term=lambda mu: symbol.const_term(mu))
-    assert OperatorPieces(plain, basis).charge is None
+    assert plain.charge is None and not OperatorPieces(plain, basis).charge_stacks
     results = [spectral_index(sweep(s, basis, window, scenario.mu_min, scenario.mu_max,
                                     scenario.steps)) for s in (symbol, plain)]
     assert [r.N for r in results] == [n, n]
@@ -433,13 +433,12 @@ def assert_samples_match_dense_solve(sw, symbol, basis):
     spectrum has a degenerate cluster below or in the window.
     """
     window = sw.window
-    pieces = OperatorPieces(symbol, basis)
-    charged = pieces.charge is not None
+    charged = symbol.charge is not None
     degenerate_mus = []
     for s in sw.samples:
         op = quantize(symbol, s.mu, basis)
         if charged:
-            omegas = np.linalg.eigvalsh(charge_sectors(op.matrix, pieces.charge, basis)[0])
+            omegas = np.linalg.eigvalsh(charge_sectors(op.matrix, symbol.charge, basis)[0])
             weights = np.zeros_like(omegas)
         else:
             omegas, vecs = np.linalg.eigh(op.matrix)
@@ -504,7 +503,7 @@ def test_sweep_samples_match_dense_complex_solve(case):
 def test_sweep_samples_match_dense_solve_random_complex_symbol(random_affine_symbol):
     basis = nf_basis(16)
     pieces = OperatorPieces(random_affine_symbol, basis)
-    assert pieces.charge is None and not pieces.charge_stacks
+    assert random_affine_symbol.charge is None and not pieces.charge_stacks
     sw = sweep(random_affine_symbol, basis, WINDOW_NF, -2.0, 2.0, 32)
     assert assert_samples_match_dense_solve(sw, random_affine_symbol, basis) == []
 
@@ -550,7 +549,7 @@ def bump_perturbed_matsuno_sweep(monkeypatch):
 
 def test_sweep_samples_match_dense_solve_under_invariance_perturbation(monkeypatch):
     symbol, basis, sw = bump_perturbed_matsuno_sweep(monkeypatch)
-    assert OperatorPieces(symbol, basis).charge is None
+    assert symbol.charge is None and not OperatorPieces(symbol, basis).charge_stacks
     assert any(abs(s.mu) >= 2 for s in sw.samples) and any(abs(s.mu) < 2 for s in sw.samples)
     assert assert_samples_match_dense_solve(sw, symbol, basis) == []
 
@@ -896,7 +895,7 @@ def coupled_normal_forms():
 def test_cyclic_charge_blocks_keep_the_complex_path():
     symbol, basis = coupled_normal_forms(), nf_basis(16)
     pieces = OperatorPieces(symbol, basis)
-    assert np.abs(np.linalg.eigvalsh(pieces.charge) - [-0.5, -0.5, 0.5, 0.5]).max() <= 1e-12
+    assert np.abs(symbol.charge[0] - [-0.5, -0.5, 0.5, 0.5]).max() <= 1e-12
     amats = pieces.symbol.const_stack([-2.0, 0.5, 2.0])
     assert all(s.tridiagonal is None for s in pieces.charge_stacks)
     # a 4x4 block has the 4-cycle, and its moduli would give other eigenvalues
@@ -914,6 +913,6 @@ def test_cyclic_charge_blocks_keep_the_complex_path():
     # is not degenerate there
     for mu in (-0.25, 0.25):
         matrix = quantize(symbol, mu, basis).matrix
-        kept, artifacts = (np.linalg.eigvalsh(h) for h in charge_sectors(matrix, pieces.charge, basis))
+        kept, artifacts = (np.linalg.eigvalsh(h) for h in charge_sectors(matrix, symbol.charge, basis))
         assert np.abs(kept[:, None] - artifacts[None, :]).min() <= 1e-9
     assert assert_samples_match_dense_solve(sw, symbol, basis) == []

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from conftest import BLOCK_FAMILIES, charge_sectors, incomplete_sectors
 
-from indexlab.cli import PRESETS
+import indexlab.hermite as hermite
+from indexlab.cli import PRESETS, run_verify
 from indexlab.errors import GapCertificateError, ModelError
 from indexlab.hermite import (
     AffineMatrixSymbol,
@@ -358,9 +359,9 @@ def test_parity_blocks_follow_the_zero_pattern_of_each_const_term():
             dense = quantize(sym, mu, basis).matrix
             if sym is base:
                 assert all(s.frame is not None for s in stacks)
-                dense = charge_sectors(dense, pieces.charge, basis)[0]
+                dense = charge_sectors(dense, sym.charge, basis)[0]
             else:
-                assert pieces.charge is None and len(stacks) == 1 and stacks[0].frame is None
+                assert sym.charge is None and len(stacks) == 1 and stacks[0].frame is None
             assert np.abs(merged_eigenvalues(stacks, amat) - np.linalg.eigvalsh(dense)).max() <= 1e-12
 
 
@@ -396,9 +397,10 @@ CHARGE_SPECTRA = {
 @pytest.mark.parametrize("family", sorted(BLOCK_FAMILIES))
 def test_charge_operator_spectrum(family):
     symbol = BLOCK_FAMILIES[family]
-    pieces = OperatorPieces(symbol, TruncatedBasis(max_level=12, guard_levels=3))
-    d, k = pieces.charge, symbol.x_coeff + 1j * symbol.xi_coeff
-    assert np.abs(np.linalg.eigvalsh(d) - CHARGE_SPECTRA[family]).max() <= 1e-12
+    d, k = charge_operator(symbol), symbol.x_coeff + 1j * symbol.xi_coeff
+    delta, frame = symbol.charge
+    assert np.abs(delta - CHARGE_SPECTRA[family]).max() <= 1e-12
+    assert np.abs(frame @ np.diag(delta) @ frame.conj().T - d).max() <= 1e-12
     assert np.abs(d @ k - k @ d + k).max() <= 1e-12
     if family == "ts2":  # D = +-L1, the generator that A(mu) = mu L1 is made of
         l1 = symbol.const_term(np.array([1.0]))[0]
@@ -438,8 +440,8 @@ def test_charge_stacks_hold_exactly_the_complete_blocks(case):
     assert pieces.charge_stacks
     # the stacks' indices are those of the complete blocks, each index once
     index = np.concatenate([s.index.ravel() for s in pieces.charge_stacks])
-    assert np.array_equal(np.sort(index), np.flatnonzero(~incomplete_sectors(pieces.charge, basis)))
-    delta = np.linalg.eigvalsh(pieces.charge)
+    assert np.array_equal(np.sort(index), np.flatnonzero(~incomplete_sectors(symbol.charge, basis)))
+    delta = symbol.charge[0]
     for s in pieces.charge_stacks:
         q = delta[pieces.component[s.index]] + pieces.level[s.index]
         assert np.abs(q - q[:, :1]).max() <= 1e-8  # one charge per block
@@ -458,9 +460,9 @@ def test_no_charge_operator_for_a_plain_callback_or_a_random_symbol(random_affin
     base = matsuno_symbol()
     plain = dataclasses.replace(base, const_term=lambda mu: base.const_term(mu))
     assert charge_operator(base) is not None
-    assert charge_operator(plain) is None and OperatorPieces(plain, basis).charge is None
+    assert charge_operator(plain) is None and plain.charge is None
     pieces = OperatorPieces(random_affine_symbol, basis)
-    assert pieces.charge is None and not pieces.charge_stacks
+    assert random_affine_symbol.charge is None and not pieces.charge_stacks
     # the fallback: the whole operator, as a stack of one in the standard frame,
     # assembled exactly as quantize assembles it
     (stack,) = stacks_at(pieces, pieces.symbol.const_stack([0.7])[0])
@@ -478,6 +480,38 @@ def test_no_charge_operator_for_a_linear_term_that_breaks_the_symmetry():
     assert charge_operator(symbol) is None
     assert not OperatorPieces(symbol, TruncatedBasis(max_level=12, guard_levels=3)).charge_stacks
     assert charge_operator(dataclasses.replace(base, const_term=LinearTerm(0.0, base.const_term.a1))) is not None
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_verify_fits_the_charge_operator_once(monkeypatch, preset):
+    # the gap certificate, the sweep's charge stacks and the sphere spectrum
+    # all read the one symbol's cached charge
+    calls = []
+    real = hermite.charge_operator
+    monkeypatch.setattr(hermite, "charge_operator", lambda s: calls.append(s) or real(s))
+    run_verify(PRESETS[preset]())
+    assert len(calls) == 1
+    symbol = calls[0]
+    assert symbol.charge is symbol.charge and len(calls) == 1
+
+
+def test_the_charge_cache_belongs_to_one_instance():
+    base = matsuno_symbol()
+    delta, frame = base.charge
+    # a replaced const_term is a new instance with its own, refitted charge
+    plain = dataclasses.replace(base, const_term=lambda mu: base.const_term(mu))
+    assert plain.charge is None
+    raw = np.random.default_rng(5).normal(size=(3, 3, 2)) @ [1.0, 1j]
+    broken = dataclasses.replace(base, const_term=LinearTerm(raw + raw.conj().T, base.const_term.a1))
+    assert broken.charge is None
+    reflected = mu_reflected(base)
+    assert reflected.charge is not base.charge
+    assert np.array_equal(reflected.charge[0], delta)
+    assert base.charge[0] is delta and base.charge[1] is frame
+    # the shared pair is read-only
+    for array in (delta, frame):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
 def test_mu_reflected_keeps_a_linear_term():
@@ -504,13 +538,13 @@ def test_charge_blocks_partition_and_match_dense_spectrum(family):
         assert max(s.index.shape[1] for s in stacks) <= symbol.dim
         # the complete blocks and the incomplete indices partition the basis
         index = np.concatenate([s.index.ravel() for s in stacks])
-        apart = np.flatnonzero(incomplete_sectors(pieces.charge, basis))
+        apart = np.flatnonzero(incomplete_sectors(symbol.charge, basis))
         assert np.array_equal(np.sort(np.concatenate([index, apart])),
                               np.arange(symbol.dim * basis.size))
         # the blocks hold the dense spectrum on their indices; with the
         # incomplete sectors, all of it
         matrix = quantize(symbol, mu, basis).matrix
-        complete, incomplete = charge_sectors(matrix, pieces.charge, basis)
+        complete, incomplete = charge_sectors(matrix, symbol.charge, basis)
         blocks = merged_eigenvalues(stacks, amat)
         assert np.abs(blocks - np.linalg.eigvalsh(complete)).max() <= 1e-12
         merged = np.sort(np.concatenate([blocks, np.linalg.eigvalsh(incomplete)]))
@@ -577,17 +611,17 @@ class CountedTerm(LinearTerm):
 
 
 def test_charge_path_evaluates_a_for_the_fit_and_the_orbits_only(grid64):
-    # D is fitted once, from A(0) and A(1); the certificate's 10,600 points
-    # then fall into 1,752 orbits and the 64-grid's 24,578 vertices into
-    # 3,001, and A(mu) is evaluated at those orbits alone, with no check of
-    # the symmetry per mu
+    # D is fitted once per symbol, from A(0) and A(1), on the first read; the
+    # certificate's 10,600 points then fall into 1,752 orbits and the
+    # 64-grid's 24,578 vertices into 3,001, and A(mu) is evaluated at those
+    # orbits alone, with no check of the symmetry per mu and no second fit
     term = CountedTerm(matsuno_symbol().const_term)
     symbol = dataclasses.replace(matsuno_symbol(), const_term=term)
     assert sampled_gap_certificate(symbol).ok
     assert term.seen == [2, 1752]
     term.seen.clear()
-    spectrum = SphereSpectrum.build(symbol, grid64)
-    assert term.seen == [2, 3001] and spectrum.charge is not None
+    SphereSpectrum.build(symbol, grid64)
+    assert term.seen == [3001] and symbol.charge is not None
     radial, inverse = charge_orbits(grid64.vertices)
     assert len(radial) == 3001 and inverse.shape == (24578,)
     assert np.array_equal(radial[inverse][:, 1], np.hypot(*grid64.vertices[:, 1:].T))

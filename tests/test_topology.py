@@ -241,14 +241,14 @@ def test_fields_sliced_from_one_spectrum_match_independent_builds(
         assert sliced.bands == built.bands == tuple(bands)
         for fld in (sliced, built):
             if sym is bump_perturbed_matsuno:
-                assert fld.charge is None
+                assert fld.symbol.charge is None
                 assert np.array_equal(fld.vectors, vectors)
                 assert fld.min_gap == min_gap
             else:
                 # matsuno is solved once per charge orbit and rotated out to
                 # the vertices: the same projectors up to rounding, and frames
                 # up to a gauge (a unitary inside a rank-2 group)
-                assert fld.charge is not None
+                assert fld.symbol.charge is not None
                 assert np.abs(projectors(fld.vectors) - projectors(vectors)).max() <= 1e-12
                 assert abs(fld.min_gap - min_gap) <= 1e-12
 
@@ -263,7 +263,7 @@ def evaluated_points(monkeypatch):
 
 
 def per_point_spectrum(sym, grid):
-    """The grid spectrum with every vertex solved on its own and no charge operator."""
+    """The grid spectrum with every vertex solved on its own, the charge operator unused."""
     return SphereSpectrum(sym, grid, *batch_eigensystem(sym, grid.vertices))
 
 
@@ -283,7 +283,7 @@ def test_orbit_spectrum_matches_per_point_solve(grid32, family):
     sym = BLOCK_FAMILIES[family]
     spectrum = SphereSpectrum.build(sym, grid32)
     omegas, vecs = np.linalg.eigh(sym.evaluate_many(grid32.vertices))
-    assert spectrum.charge is not None
+    assert sym.charge is not None
     assert np.abs(spectrum.omegas - omegas).max() <= 1e-12
     for rank in (1, 2):
         for lo in range(sym.dim - rank + 1):
@@ -298,7 +298,7 @@ def test_sphere_without_charge_symmetry_solves_every_point(
     sym = random_affine_symbol if name == "random-affine" else bump_perturbed_matsuno
     seen = evaluated_points(monkeypatch)
     spectrum = SphereSpectrum.build(sym, grid32)
-    assert seen == [len(grid32.vertices)] and spectrum.charge is None
+    assert seen == [len(grid32.vertices)] and sym.charge is None
     omegas, vecs = np.linalg.eigh(np.array([sym.evaluate(*p) for p in grid32.vertices]))
     assert np.array_equal(spectrum.omegas, omegas)
     assert np.array_equal(spectrum.vectors, vecs)
@@ -317,9 +317,9 @@ def test_plain_callback_of_a_symmetric_family_solves_every_point(monkeypatch):
     grid = SphereGrid.build(scenario.grid_n)
     seen = evaluated_points(monkeypatch)
     point = SphereSpectrum.build(plain, grid)
-    assert seen == [len(grid.vertices)] and point.charge is None
+    assert seen == [len(grid.vertices)] and plain.charge is None
     orbit = SphereSpectrum.build(base, grid)
-    assert orbit.charge is not None and seen[1] < len(grid.vertices)
+    assert base.charge is not None and seen[1] < len(grid.vertices)
     a, b = (chern_curvature(s.field([3])) for s in (orbit, point))
     assert a.C == b.C == 2
     assert abs(a.raw_value - b.raw_value) <= 1e-12
@@ -346,8 +346,8 @@ def test_preset_curvature_matches_per_point_path(preset):
 def point_gauge(solve):
     """``solve`` (a ``batch_eigensystem``) with each eigenvector column turned by a phase
     that depends only on its point and column, so a point solved twice keeps one frame."""
-    def gauged(symbol, points, bands=None, charge=None):
-        omegas, vecs = solve(symbol, points, bands, charge)
+    def gauged(symbol, points, bands=None, orbits=False):
+        omegas, vecs = solve(symbol, points, bands, orbits)
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
         turns = np.multiply.outer(pts @ [3.1, -1.7, 2.3], np.arange(1, symbol.dim + 1))
         return omegas, vecs * np.exp(1j * turns)[:, None, :]
