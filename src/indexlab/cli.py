@@ -602,8 +602,14 @@ def _to_json(payload: dict) -> str:
 
 def _atomic_write(path: str, text: str):
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    try:  # mkstemp makes the file 0600: give it the mode open(path, "w") would
+        mode = os.stat(path).st_mode & 0o7777
+    except FileNotFoundError:
+        os.umask(umask := os.umask(0))
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".indexlab-", suffix=".tmp")
     try:
+        os.fchmod(fd, mode)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)

@@ -2,8 +2,10 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -493,14 +495,78 @@ def test_verify_ts2_every_band_with_the_default_zero_references(tmp_path):
     assert [entry["reports"]["zeros"]["C"] for entry in report["chern"]["per_band"]] == [-2, 0, 2]
 
 
-def test_cli_import_leaves_out_scipy():
+def loaded_after_import(module, package):
+    """The ``package`` modules a fresh process has loaded after ``import <module>``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(indexlab.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = ("import sys, indexlab.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = (f"import sys, {module}; "
+            f"print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == {package!r})))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.split()
+
+
+def test_cli_import_leaves_out_scipy():
+    assert loaded_after_import("indexlab.cli", "scipy") == []
+
+
+#: the indexlab modules that importing each module loads, the root aside
+LAYERS = {
+    "errors": ["errors"],
+    "hermite": ["errors", "hermite"],
+    "models": ["errors", "hermite", "models"],
+    "flow": ["errors", "flow", "hermite"],
+    "topology": ["errors", "hermite", "topology"],
+    "cli": ["cli", "errors", "flow", "hermite", "models", "topology"],
+}
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_each_module_loads_only_the_modules_it_imports(module):
+    # the package root imports nothing, so a layer costs only its own imports
+    assert loaded_after_import(f"indexlab.{module}", "indexlab") == [
+        "indexlab", *(f"indexlab.{name}" for name in LAYERS[module])]
+
+
+def test_version_matches_pyproject(capsys):
+    # a regex, not tomllib: Python 3.10 has no tomllib
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]\n(.*?)^\[", text, re.M | re.S).group(1)
+    version = re.search(r'^version = "(.+)"$', project, re.M).group(1)
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out == f"indexlab {version}\n"
+
+
+@pytest.mark.parametrize("existing, expected", [(None, 0o644), (0o640, 0o640)],
+                         ids=["new", "replaced-0640"])
+def test_reports_get_the_mode_a_plain_open_gives(tmp_path, existing, expected):
+    out = tmp_path / "report.json"
+    if existing is not None:
+        out.write_text("old")
+        out.chmod(existing)
+    previous = os.umask(0o022)
+    try:
+        assert main(["flow", "--preset", "constant", "--out", str(out)]) == 0
+    finally:
+        os.umask(previous)
+    assert out.stat().st_mode & 0o7777 == expected
+    assert read_json(out)["N"] == 0
+
+
+@pytest.mark.parametrize("out", ["reports", "missing/report.json"], ids=["directory", "missing-dir"])
+def test_unwritable_out_is_an_io_error_that_leaves_no_temp_file(tmp_path, capsys, out):
+    (tmp_path / "reports").mkdir()
+    assert main(["flow", "--preset", "constant", "--out", str(tmp_path / out)]) == 1
+    assert capsys.readouterr().err.startswith("indexlab: i/o error:")
+    assert list(tmp_path.rglob(".indexlab-*.tmp")) == []
+
+
+def test_second_run_replaces_the_report(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["flow", "--preset", "constant", "--out", str(out)]) == 0
+    assert main(["flow", "--preset", "normal-form", "--levels", "16", "--out", str(out)]) == 0
+    assert read_json(out)["N"] == 1
+    assert [path.name for path in tmp_path.iterdir()] == ["report.json"]
 
 
 @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000],
