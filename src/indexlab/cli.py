@@ -21,21 +21,21 @@ Exit codes: 0 success / verdict PASS; 1 configuration or model error;
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from . import __version__
 from .errors import ChernError, FlowError, IndexLabError, ModelError
 from .flow import FlowResult, SpectralWindow, check_mu_grid, spectral_index, sweep
-from .hermite import AffineMatrixSymbol, TruncatedBasis, sampled_gap_certificate
+from .hermite import AffineMatrixSymbol, Record, TruncatedBasis, sampled_gap_certificate
 from .models import (
     constant_symbol,
     matsuno_branch_table,
@@ -45,20 +45,34 @@ from .models import (
     ts2_symbol,
     BranchLabel,
 )
-from .topology import (
-    BandProjectorField,
-    ChernReport,
-    SphereGrid,
-    SphereSpectrum,
-    chern_clutching,
-    chern_curvature,
-    chern_section_zeros,
-)
+
+if TYPE_CHECKING:
+    from .topology import BandProjectorField, ChernReport
 
 __all__ = ["Scenario", "VerificationReport", "PRESETS", "load_preset",
            "run_spectrum", "run_flow", "run_chern", "run_verify", "main", "entry"]
 
 SCHEMA = "indexlab.scenario/1"
+
+#: The Chern layer's names on this module, bound by :func:`_load_topology` on the first ``chern``
+#: or ``verify`` run or read of one of them (so ``flow`` and ``spectrum`` never import
+#: ``topology``); a name already bound is kept, as a test may rebind one.
+_TOPOLOGY_NAMES = ("SphereGrid", "SphereSpectrum", "chern_clutching", "chern_curvature",
+                   "chern_section_zeros")
+
+
+def _load_topology():
+    from . import topology
+    for name in _TOPOLOGY_NAMES:
+        globals().setdefault(name, getattr(topology, name))
+
+
+def __getattr__(name: str):
+    if name not in _TOPOLOGY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_topology()
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -243,15 +257,14 @@ def _normal_form_rows(scenario: Scenario, mus: np.ndarray) -> list[tuple[float, 
     return rows
 
 
-class _Model:
-    """What the CLI knows of one model (a plain class: a NamedTuple costs import time)."""
+class _Model(Record):
+    """What the CLI knows of one model."""
 
-    def __init__(self, make, keys, zero_ref, sections, branch_rows):
-        self.make = make  # the symbol constructor
-        self.keys = keys  # the model_params keys (keyword arguments) make reads
-        self.zero_ref = zero_ref  # (band, dim) -> default section-zero reference
-        self.sections = sections  # band -> registered global section, for clutching
-        self.branch_rows = branch_rows  # (scenario, mus) -> closed-form branch rows, or None
+    make: Callable  # the symbol constructor
+    keys: tuple[str, ...]  # the model_params keys (keyword arguments) make reads
+    zero_ref: Callable  # (band, dim) -> default section-zero reference
+    sections: dict  # band -> registered global section, for clutching
+    branch_rows: Callable | None  # (scenario, mus) -> closed-form branch rows, or None
 
 
 _MODELS: dict[str, _Model] = {
@@ -432,6 +445,7 @@ def run_chern(scenario: Scenario, method: str = "all") -> dict:
     """Per-band Chern indices by the requested method(s)."""
     if method not in (*_CHERN_METHODS, "all"):
         raise ModelError(f"unknown chern method {method!r}")
+    _load_topology()
     t0 = time.monotonic()
     symbol = scenario.symbol()
     bands = scenario.chern_bands or tuple(range(1, symbol.dim + 1))
@@ -450,8 +464,7 @@ def run_chern(scenario: Scenario, method: str = "all") -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of the flow-equals-Chern check for one scenario."""
 
     scenario: Scenario
@@ -482,6 +495,7 @@ def run_verify(scenario: Scenario) -> tuple[VerificationReport, dict]:
     them needs it; a group of one band listed in ``chern_bands`` takes that
     band's curvature report instead of computing it again.
     """
+    _load_topology()
     t0 = time.monotonic()
     symbol = scenario.symbol()
     flow_result, flow_fields, _ = _flow(scenario, symbol)
@@ -601,16 +615,14 @@ def _to_json(payload: dict) -> str:
 
 
 def _atomic_write(path: str, text: str):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    try:  # mkstemp makes the file 0600: give it the mode open(path, "w") would
-        mode = os.stat(path).st_mode & 0o7777
-    except FileNotFoundError:
-        os.umask(umask := os.umask(0))
-        mode = 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".indexlab-", suffix=".tmp")
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".indexlab-{os.urandom(8).hex()}.tmp")
+    # the kernel takes the umask off 0666, as for open(path, "w"): reading it would set it
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        os.fchmod(fd, mode)
         with os.fdopen(fd, "w") as fh:
+            with contextlib.suppress(FileNotFoundError):  # a replaced report keeps its mode
+                os.fchmod(fh.fileno(), os.stat(path).st_mode & 0o7777)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -24,7 +24,7 @@ exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +40,7 @@ from .hermite import (
     AffineMatrixSymbol,
     BlockStack,
     OperatorPieces,
+    Record,
     TruncatedBasis,
     sampled_gap_certificate,
 )
@@ -70,8 +71,7 @@ MAX_MATCH_ROUNDS = 12
 STURM_MARGIN = 1e-9
 
 
-@dataclass(frozen=True)
-class SpectralWindow:
+class SpectralWindow(Record):
     """Open interval of the spectral axis with a reference level inside."""
 
     omega_min: float
@@ -89,8 +89,7 @@ class SpectralWindow:
         return self.omega_max - self.omega_min
 
 
-@dataclass(frozen=True)
-class EigenSample:
+class EigenSample(Record):
     """Window spectrum of the operator at one mu value.
 
     ``omegas`` are the ascending kept eigenvalues inside the window (those of
@@ -106,8 +105,7 @@ class EigenSample:
     count_below_ref: int
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(Record):
     """One branch crossing of the reference level inside (mu_lo, mu_hi)."""
 
     mu_lo: float
@@ -115,8 +113,7 @@ class Crossing:
     direction: int
 
 
-@dataclass(frozen=True)
-class SpectrumSweep:
+class SpectrumSweep(Record):
     """Eigenvalue branches inside a window over a refined mu grid.
 
     ``crossings``, left to right, are the matched branches that straddle the
@@ -134,8 +131,7 @@ class SpectrumSweep:
                 yield (s.mu, i, float(w), float(s.guard_weights[i]))
 
 
-@dataclass(frozen=True)
-class FlowResult:
+class FlowResult(Record):
     """Spectral flow with both independent counts and crossing records."""
 
     N: int
@@ -213,9 +209,8 @@ def _samples(mus: np.ndarray, w: np.ndarray, g: np.ndarray, below: np.ndarray | 
     omegas, weights = w[rows, cols], g[rows, cols]
     below = below + np.count_nonzero(w < window.omega_ref, axis=1)
     ends = np.cumsum(np.bincount(rows, minlength=len(w))).tolist()
-    return [
-        EigenSample(mu=float(mu), omegas=omegas[a:b], guard_weights=weights[a:b],
-                    count_below_ref=int(n))
+    return [  # fields by position, a record's fast path
+        EigenSample(float(mu), omegas[a:b], weights[a:b], int(n))
         for mu, a, b, n in zip(mus, [0] + ends, ends, below)
     ]
 
@@ -460,16 +455,14 @@ def spectral_index(sweep_: SpectrumSweep) -> FlowResult:
     )
 
 
-@dataclass(frozen=True)
-class InvarianceEntry:
+class InvarianceEntry(Record):
     delta: float
     gap_ok: bool
     N: int | None
     matches_baseline: bool | None
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(Record):
     baseline_N: int
     entries: tuple[InvarianceEntry, ...]
 

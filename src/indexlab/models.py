@@ -13,12 +13,12 @@ truncated operator whenever it fits under the cutoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .errors import ModelError, ResonanceError, TruncationError
-from .hermite import AffineMatrixSymbol, LinearTerm, TruncatedBasis
+from .hermite import AffineMatrixSymbol, LinearTerm, Record, TruncatedBasis
 
 __all__ = [
     "BranchLabel",
@@ -49,8 +49,7 @@ MATSUNO_FAMILIES = (
 _LEVELED = ("gravity_minus", "rossby", "gravity_plus", "normal_plus", "normal_minus")
 
 
-@dataclass(frozen=True)
-class BranchLabel:
+class BranchLabel(Record):
     """Named spectral branch; ``level`` is the Hermite excitation number."""
 
     family: str

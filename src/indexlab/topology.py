@@ -37,7 +37,7 @@ traversed counterclockwise as seen from outside the sphere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,7 +49,7 @@ from .errors import (
     ModelError,
     SectionVanishesError,
 )
-from .hermite import AffineMatrixSymbol, charge_orbits
+from .hermite import AffineMatrixSymbol, Record, charge_orbits
 
 __all__ = [
     "SphereGrid",
@@ -73,8 +73,7 @@ BAND_GAP_TOL = 1e-9
 _FACES = ((0, 1, 1, 2), (0, -1, 2, 1), (1, 1, 2, 0), (1, -1, 0, 2), (2, 1, 0, 1), (2, -1, 1, 0))
 
 
-@dataclass(frozen=True)
-class SphereGrid:
+class SphereGrid(Record):
     """Cubed-sphere discretization: 6 faces of N x N cells, shared vertices.
 
     Vertices on face boundaries are deduplicated so every interior edge is
@@ -183,8 +182,7 @@ def point_eigensystem(
     return omegas[0], vecs[0]
 
 
-@dataclass(frozen=True)
-class SphereSpectrum:
+class SphereSpectrum(Record):
     """Eigensystem of a symbol at every vertex of a sphere grid.
 
     One batched eigensolve serves every band group: :meth:`field` slices
@@ -222,8 +220,7 @@ class SphereSpectrum:
         )
 
 
-@dataclass(frozen=True)
-class BandProjectorField:
+class BandProjectorField(Record):
     """Eigenvector frames of a contiguous band group cached on a sphere grid.
 
     ``vectors[v]`` is the (d, r) orthonormal frame of the selected bands at
@@ -258,11 +255,11 @@ class BandProjectorField:
         phases = np.asarray(phases, dtype=complex)
         if phases.shape != (len(self.vectors),):
             raise ModelError("need one phase per grid vertex")
-        return replace(self, vectors=self.vectors * phases[:, None, None])
+        return BandProjectorField(self.symbol, self.bands, self.grid,
+                                  self.vectors * phases[:, None, None], self.min_gap)
 
 
-@dataclass(frozen=True)
-class SectionZero:
+class SectionZero(Record):
     """A nondegenerate zero of a global section and its winding index."""
 
     point: tuple[float, float, float]

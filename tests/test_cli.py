@@ -495,15 +495,19 @@ def test_verify_ts2_every_band_with_the_default_zero_references(tmp_path):
     assert [entry["reports"]["zeros"]["C"] for entry in report["chern"]["per_band"]] == [-2, 0, 2]
 
 
-def loaded_after_import(module, package):
-    """The ``package`` modules a fresh process has loaded after ``import <module>``."""
+def loaded_after(code):
+    """The modules a fresh process has loaded after running ``code``, which prints nothing."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(indexlab.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = (f"import sys, {module}; "
-            f"print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == {package!r})))")
+    code = f"{code}\nimport sys; print(' '.join(sorted(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     return out.stdout.split()
+
+
+def loaded_after_import(module, package):
+    """The ``package`` modules a fresh process has loaded after ``import <module>``."""
+    return [m for m in loaded_after(f"import {module}") if m.split(".")[0] == package]
 
 
 def test_cli_import_leaves_out_scipy():
@@ -517,7 +521,7 @@ LAYERS = {
     "models": ["errors", "hermite", "models"],
     "flow": ["errors", "flow", "hermite"],
     "topology": ["errors", "hermite", "topology"],
-    "cli": ["cli", "errors", "flow", "hermite", "models", "topology"],
+    "cli": ["cli", "errors", "flow", "hermite", "models"],  # topology on first use
 }
 
 
@@ -526,6 +530,23 @@ def test_each_module_loads_only_the_modules_it_imports(module):
     # the package root imports nothing, so a layer costs only its own imports
     assert loaded_after_import(f"indexlab.{module}", "indexlab") == [
         "indexlab", *(f"indexlab.{name}" for name in LAYERS[module])]
+
+
+@pytest.mark.parametrize("command, chern_layer", [
+    ("flow", False), ("spectrum", False), ("chern", True), ("verify", True),
+])
+def test_the_chern_layer_loads_on_the_first_command_that_needs_it(tmp_path, command, chern_layer):
+    # and no command loads numpy.random
+    argv = [command, "--preset", "normal-form", "--levels", "16", "--grid", "16",
+            "--out", str(tmp_path / "report.json")]
+    loaded = loaded_after(f"from indexlab.cli import main; assert main({argv!r}) == 0")
+    assert ("indexlab.topology" in loaded) == chern_layer
+    assert "numpy.random" not in loaded
+
+
+def test_validate_without_rng_does_not_import_numpy_random():
+    loaded = loaded_after("from indexlab.models import matsuno_symbol; matsuno_symbol().validate()")
+    assert "indexlab.models" in loaded and "numpy.random" not in loaded
 
 
 def test_version_matches_pyproject(capsys):
@@ -539,14 +560,18 @@ def test_version_matches_pyproject(capsys):
 
 @pytest.mark.parametrize("existing, expected", [(None, 0o644), (0o640, 0o640)],
                          ids=["new", "replaced-0640"])
-def test_reports_get_the_mode_a_plain_open_gives(tmp_path, existing, expected):
+def test_reports_get_the_mode_a_plain_open_gives(tmp_path, monkeypatch, existing, expected):
     out = tmp_path / "report.json"
     if existing is not None:
         out.write_text("old")
         out.chmod(existing)
     previous = os.umask(0o022)
     try:
-        assert main(["flow", "--preset", "constant", "--out", str(out)]) == 0
+        # the write leaves the process umask alone: reading it means setting it, which
+        # races with any thread that creates a file meanwhile
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "umask", lambda *a: pytest.fail("the report write set the umask"))
+            assert main(["flow", "--preset", "constant", "--out", str(out)]) == 0
     finally:
         os.umask(previous)
     assert out.stat().st_mode & 0o7777 == expected

@@ -472,13 +472,16 @@ def test_no_charge_operator_for_a_plain_callback_or_a_random_symbol(random_affin
 
 
 def test_no_charge_operator_for_a_linear_term_that_breaks_the_symmetry():
-    # matsuno's A1 with a random Hermitian A0: D still fits K and A1, but no D
-    # commutes with A0 as well
+    # matsuno's A1 with a random Hermitian A0, or with matsuno's A0 (zero) plus 1e-6 times a
+    # Hermitian of unit norm: D still fits K and A1, but no D commutes with A0 as well (to
+    # the fit's 1e-12)
     base = matsuno_symbol()
     raw = np.random.default_rng(4).normal(size=(3, 3, 2)) @ [1.0, 1j]
-    symbol = dataclasses.replace(base, const_term=LinearTerm(raw + raw.conj().T, base.const_term.a1))
-    assert charge_operator(symbol) is None
-    assert not OperatorPieces(symbol, TruncatedBasis(max_level=12, guard_levels=3)).charge_stacks
+    herm = raw + raw.conj().T
+    for a0 in (herm, base.const_term.a0 + 1e-6 * herm / np.linalg.norm(herm, ord=2)):
+        symbol = dataclasses.replace(base, const_term=LinearTerm(a0, base.const_term.a1))
+        assert charge_operator(symbol) is None
+        assert not OperatorPieces(symbol, TruncatedBasis(max_level=12, guard_levels=3)).charge_stacks
     assert charge_operator(dataclasses.replace(base, const_term=LinearTerm(0.0, base.const_term.a1))) is not None
 
 

@@ -14,7 +14,7 @@ from indexlab.errors import (
     SectionVanishesError,
 )
 import indexlab.topology as topology
-from indexlab.hermite import AffineMatrixSymbol
+from indexlab.hermite import AffineMatrixSymbol, LinearTerm
 from indexlab.models import (
     matsuno_symbol,
     mu_reflected,
@@ -521,6 +521,33 @@ def test_curvature_degeneracy_detection(grid32):
     # omega = +-sqrt(x^2 + xi^2) vanishes at the poles (x = xi = 0)
     with pytest.raises(DegeneracyError):
         chern_curvature(BandProjectorField.build(squeezed, [1], grid32))
+
+
+def monopole_symbol(p0):
+    """``H = (p - p0) . sigma`` at ``p = (mu, x, xi)``, sigma = (sz, sx, sy): bands cross at p0."""
+    sx, sy, sz = (np.array(m, dtype=complex)
+                  for m in ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]))
+    return AffineMatrixSymbol(
+        dim=2, const_term=LinearTerm(-(p0[0] * sz + p0[1] * sx + p0[2] * sy), sz),
+        x_coeff=sx, xi_coeff=sy, gap_band=1, gap_constant=0.01, name="monopole")
+
+
+def test_curvature_refines_a_spike_once():
+    # a crossing 0.01 inside the sphere puts a cell phase of 2.83 on grid 17; one doubling
+    # brings every cell below pi/2
+    fld = BandProjectorField.build(monopole_symbol([0.99, 0.0, 0.0]), [1], SphereGrid.build(17))
+    assert np.abs(_cell_phases(fld)).max() > 2.8
+    report = chern_curvature(fld)
+    assert (report.C, report.diagnostics["grid_n"], report.diagnostics["refinements"]) == (1, 34, 1)
+    assert report.diagnostics["max_cell_phase"] < np.pi / 2
+
+
+def test_curvature_raises_on_a_spike_that_two_refinements_leave():
+    # a crossing 1e-4 inside the sphere, off every grid symmetry
+    p0 = 0.9999 * np.array([3.0, 1.0, 1.0]) / np.sqrt(11.0)
+    fld = BandProjectorField.build(monopole_symbol(p0), [1], SphereGrid.build(16))
+    with pytest.raises(DegeneracyError, match="after 2 refinements"):
+        chern_curvature(fld)
 
 
 # ---------------------------------------------------------------------------
