@@ -1,3 +1,4 @@
+import builtins
 import dataclasses
 import math
 
@@ -12,6 +13,7 @@ from indexlab.hermite import (
     AffineMatrixSymbol,
     LinearTerm,
     OperatorPieces,
+    Record,
     TruncatedBasis,
     charge_operator,
     charge_orbits,
@@ -49,6 +51,41 @@ def test_basis_validation():
     with pytest.raises(ModelError):
         TruncatedBasis(max_level=8, guard_levels=5)  # M < 2K
     assert TruncatedBasis(max_level=10, guard_levels=5).size == 11
+
+
+def test_records_compare_hash_and_print_by_field_and_refuse_assignment():
+    basis = TruncatedBasis(24)
+    assert basis == TruncatedBasis(max_level=24, epsilon=1.0, guard_levels=5)
+    assert basis != TruncatedBasis(24, guard_levels=4) and basis != (24, 1.0, 5)
+    assert hash(basis) == hash(TruncatedBasis(24, 1.0, 5))
+    assert {BranchLabel("rossby", 2): 1}[BranchLabel(family="rossby", level=2)] == 1
+    assert repr(basis) == "TruncatedBasis(max_level=24, epsilon=1.0, guard_levels=5)"
+    for change in (lambda: setattr(basis, "max_level", 30), lambda: delattr(basis, "epsilon"),
+                   lambda: setattr(basis, "size", 3)):
+        with pytest.raises(AttributeError):
+            change()
+    assert basis.max_level == 24 and basis.size == 25
+    # a missing, surplus, unknown or twice-given field
+    for args, kwargs in [((), {}), ((24, 1.0, 5, 0), {}), ((), {"max_level": 24, "levels": 3}),
+                         ((24,), {"max_level": 24})]:
+        with pytest.raises(TypeError, match="takes the fields max_level, epsilon, guard_levels"):
+            TruncatedBasis(*args, **kwargs)
+
+
+def test_a_record_class_execs_no_generated_source(monkeypatch):
+    monkeypatch.setattr(builtins, "exec", lambda *args: pytest.fail("exec called"))
+
+    class Pair(Record):
+        a: int
+        b: int = 2
+
+        def __post_init__(self):
+            if self.a > self.b:
+                raise ValueError("a > b")
+
+    assert Pair(1) == Pair(a=1, b=2) and Pair(1, 3).b == 3
+    with pytest.raises(ValueError):
+        Pair(3)
 
 
 def test_ladder_entries_m2():
