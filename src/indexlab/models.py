@@ -249,11 +249,8 @@ def matsuno_eigenvalues(level: int, mu: float) -> dict[BranchLabel, float]:
     rossby, gravity_plus (ties at mu = 0 broken by sort position).
     """
     if level == 0:
-        return {
-            BranchLabel("kelvin"): matsuno_eigenvalue(BranchLabel("kelvin"), mu),
-            BranchLabel("yanai_minus"): matsuno_eigenvalue(BranchLabel("yanai_minus"), mu),
-            BranchLabel("yanai_plus"): matsuno_eigenvalue(BranchLabel("yanai_plus"), mu),
-        }
+        labels = (BranchLabel("kelvin"), BranchLabel("yanai_minus"), BranchLabel("yanai_plus"))
+        return {label: matsuno_eigenvalue(label, mu) for label in labels}
     if level < 1:
         raise ModelError("level must be >= 0")
     roots = _depressed_cubic_roots(-(mu * mu + 2.0 * level + 1.0), -mu)
