@@ -14,12 +14,13 @@ no eigenvalue near the window, and only the few others are solved.  A
 symbol without a charge operator (one whose ``const_term`` is not a
 :class:`~indexlab.hermite.LinearTerm`) solves the whole operator at each
 sample and drops the eigenvalues with weight on the guard levels.  Each
-interval's branches are matched once, when the interval appears, and the
-sweep records the matched branches that cross the reference level in its
-final intervals.  The flow through the reference level is counted two
-independent ways -- a counting-function difference between the sweep
-endpoints and the signed tally of those crossings -- and the two must agree
-exactly.
+interval's branches are matched once, when the interval appears; one rule
+(:func:`_ambiguity`) decides both where the sweep bisects and where it
+refuses, and the sweep records the matched branches that cross the reference
+level in its final intervals.  The flow through the reference level is
+counted two independent ways -- a counting-function difference between the
+sweep endpoints and the signed tally of those crossings -- and the two must
+agree exactly.
 """
 
 from __future__ import annotations
@@ -300,11 +301,14 @@ def _match_windows(a: EigenSample, b: EigenSample):
 
 
 def _local_spacing(a: EigenSample, b: EigenSample, window: SpectralWindow) -> float:
+    """Least gap above ``1e-9`` of the window width (so a repeated level counts once)
+    between neighbouring window eigenvalues of ``a`` or ``b``, at most that width."""
     spacing = window.width
     for s in (a, b):
         if len(s.omegas) >= 2:
-            spacing = min(spacing, float(np.diff(s.omegas).min()))
-    return spacing
+            gaps = np.diff(s.omegas)
+            spacing = gaps[gaps > 1e-9 * window.width].min(initial=spacing)
+    return float(spacing)
 
 
 def _direction(wa: float, wb: float, ref: float) -> int:
@@ -312,38 +316,31 @@ def _direction(wa: float, wb: float, ref: float) -> int:
     return int(wa < ref) - int(wb < ref)
 
 
-def _needs_split(a: EigenSample, b: EigenSample, match, window: SpectralWindow) -> bool:
-    """Whether (a, b), wider than :data:`CROSSING_WIDTH` and matched by ``match``, is bisected."""
-    pairs, un_a, un_b, worst = match
-    ambiguous = un_a or un_b or (pairs and worst > 0.5 * _local_spacing(a, b, window))
-    if ambiguous and b.mu - a.mu > MATCH_MIN_WIDTH:
-        return True
-    ref = window.omega_ref
-    for i, j in pairs:
-        wa, wb = a.omegas[i], b.omegas[j]
-        if _direction(wa, wb, ref) or min(abs(wa - ref), abs(wb - ref)) < CROSSING_WIDTH:
-            return True
-    return False
-
-
-def _check_matchable_at_floor(a: EigenSample, b: EigenSample, match, window: SpectralWindow):
-    """Raise when ambiguity in ``match`` survives at the minimum interval width."""
+def _ambiguity(a: EigenSample, b: EigenSample, match, window: SpectralWindow) -> str | None:
+    """Why ``match`` of (a, b) cannot be trusted, or None: an unmatched eigenvalue
+    more than 5 % of the window width from both edges, or a matched pair that
+    moves more than half the local level spacing (:func:`_local_spacing`)."""
     pairs, un_a, un_b, worst = match
     edge_tol = 0.05 * window.width
     for sample, unmatched in ((a, un_a), (b, un_b)):
         for i in unmatched:
             w = sample.omegas[i]
-            edge_dist = min(w - window.omega_min, window.omega_max - w)
-            if edge_dist > edge_tol:
-                raise RefinementError(
-                    f"eigenvalue {w:.6g} appears or vanishes deep inside the "
-                    f"window near mu={sample.mu:.9g}"
-                )
+            if min(w - window.omega_min, window.omega_max - w) > edge_tol:
+                return (f"eigenvalue {w:.6g} appears or vanishes deep inside the "
+                        f"window near mu={sample.mu:.9g}")
     if pairs and worst > 0.5 * _local_spacing(a, b, window):
-        raise RefinementError(
-            f"branch matching ambiguous between mu={a.mu:.9g} and "
-            f"mu={b.mu:.9g} (worst motion {worst:.3g})"
-        )
+        return (f"branch matching ambiguous between mu={a.mu:.9g} and "
+                f"mu={b.mu:.9g} (worst motion {worst:.3g})")
+    return None
+
+
+def _needs_split(a: EigenSample, b: EigenSample, match, window: SpectralWindow) -> bool:
+    """Whether (a, b), wider than :data:`CROSSING_WIDTH` and matched by ``match``, is
+    bisected: when it is wider than :data:`MATCH_MIN_WIDTH` and :func:`_ambiguity`
+    finds ``match`` ambiguous, or when a matched branch straddles the reference level."""
+    if b.mu - a.mu > MATCH_MIN_WIDTH and _ambiguity(a, b, match, window):
+        return True
+    return any(_direction(a.omegas[i], b.omegas[j], window.omega_ref) for i, j in match[0])
 
 
 def check_mu_grid(mu_min: float, mu_max: float, steps: int):
@@ -369,19 +366,20 @@ def sweep(
 ) -> SpectrumSweep:
     """Window spectrum and reference-level crossings over an adaptively refined mu grid.
 
-    Starts from ``steps + 1`` uniform samples.  Intervals are bisected when
-    neighbouring window spectra cannot be matched injectively within half
-    the local level spacing (up to :data:`MAX_MATCH_ROUNDS` rounds) and
-    whenever a matched branch straddles or touches the reference level,
-    until such brackets are narrower than :data:`CROSSING_WIDTH`.  Refinement
-    goes in rounds: each round bisects every interval that still calls for it
-    and solves all of their midpoints in one :func:`_window_samples` call.
-    Whether an interval is split depends only on its two end samples, so the
-    samples are those of bisecting one interval at a time.  Each interval is
-    matched once, when it appears; intervals at or below
-    :data:`MATCH_MIN_WIDTH` are then checked for matchability, left to
-    right, and the matched branches that straddle the reference level in
-    the final intervals become the sweep's crossings.
+    Starts from ``steps + 1`` uniform samples.  An interval is bisected while
+    it is wider than :data:`MATCH_MIN_WIDTH` (up to :data:`MAX_MATCH_ROUNDS`
+    rounds) and :func:`_ambiguity` finds its match untrustworthy: an
+    eigenvalue appears or vanishes away from the window edges, or a matched
+    pair moves more than half the local level spacing.  One whose matched
+    branch straddles the reference level is bisected until it is narrower
+    than :data:`CROSSING_WIDTH`.  Each round bisects every interval that calls
+    for it and solves all of their midpoints in one :func:`_window_samples`
+    call; a split depends only on the interval's end samples, so the samples
+    are those of bisecting one interval at a time.  Each interval is matched
+    once, when it appears.  A final interval the same rule still finds
+    ambiguous raises :class:`RefinementError` with its reason; the matched
+    branches that straddle the reference level in the final intervals become
+    the sweep's crossings.
     """
     check_mu_grid(mu_min, mu_max, steps)
     pieces = OperatorPieces(symbol, basis)
@@ -419,8 +417,9 @@ def sweep(
 
     crossings = []
     for m, a, b in zip(matches, samples, samples[1:]):
-        if b.mu - a.mu <= MATCH_MIN_WIDTH:
-            _check_matchable_at_floor(a, b, m, window)
+        reason = _ambiguity(a, b, m, window)
+        if reason:
+            raise RefinementError(reason)
         for i, j in m[0]:
             direction = _direction(a.omegas[i], b.omegas[j], window.omega_ref)
             if direction:

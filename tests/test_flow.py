@@ -19,8 +19,9 @@ from indexlab.flow import (
     EigenSample,
     SpectralWindow,
     SpectrumSweep,
-    _check_matchable_at_floor,
+    _ambiguity,
     _match_windows,
+    _needs_split,
     flow_invariance_check,
     spectral_index,
     sweep,
@@ -389,11 +390,34 @@ def test_match_windows_is_minimum_cost(n_a, n_b):
 
 def test_eigenvalue_appearing_mid_window_at_floor_raises_refinement_error():
     # 1e-4 apart in mu, b has an extra eigenvalue at the window centre that
-    # no branch of a can reach
+    # no branch of a can reach: the reason the sweep raises RefinementError with
     a = window_sample([0.5], mu=0.0)
     b = window_sample([0.0, 0.5], mu=1e-4)
-    with pytest.raises(RefinementError, match="deep inside the window"):
-        _check_matchable_at_floor(a, b, _match_windows(a, b), WINDOW_NF)
+    assert _ambiguity(a, b, _match_windows(a, b), WINDOW_NF) == (
+        "eigenvalue 0 appears or vanishes deep inside the window near mu=0.0001")
+
+
+@pytest.mark.parametrize("omegas_a,omegas_b,split", [
+    ([0.5], [0.5, 0.89], False),  # an eigenvalue enters at the window edge
+    ([5e-7], [0.3], False),  # touches the reference level, no straddle
+    ([0.5], [0.0, 0.5], True),  # an eigenvalue appears deep inside the window
+    ([-0.1], [0.1], True),  # a matched branch straddles the reference level
+])
+def test_needs_split_only_for_an_ambiguous_match_or_a_straddle(omegas_a, omegas_b, split):
+    a, b = window_sample(omegas_a, mu=0.0), window_sample(omegas_b, mu=0.25)
+    assert _needs_split(a, b, _match_windows(a, b), WINDOW_NF) is split
+
+
+def test_sweep_refuses_an_eigenvalue_appearing_mid_window():
+    # the one level jumps from 5.0 to 0.5 at mu = 0.3, so bisection down to
+    # the floor width still sees it appear at the window centre
+    zero = np.zeros((1, 1), dtype=complex)
+    symbol = AffineMatrixSymbol(
+        dim=1, const_term=lambda mu: np.where(mu < 0.3, 5.0, 0.5)[:, None, None] + 0j,
+        x_coeff=zero, xi_coeff=zero, gap_band=0, gap_constant=0.9, name="jump")
+    with pytest.raises(RefinementError, match=r"^eigenvalue 0\.5 appears or vanishes deep "
+                       r"inside the window near mu=0\.30078125$"):
+        sweep(symbol, TruncatedBasis(max_level=12, guard_levels=3), WINDOW_NF, -2.0, 2.0, 16)
 
 
 def test_counting_and_crossing_disagreement_raises():
@@ -870,7 +894,24 @@ def test_charge_sweep_calls_no_eigh(preset, monkeypatch):
         # block alone); 1x1 blocks never do
         assert {s.index.shape for s, _ in solved["eigvalsh"]} == {(1, 2)}
         lapack_blocks = sum(shape[0] for _, shape in solved["eigvalsh"])
-        assert len(sw.samples) == 225 and 0 < lapack_blocks < 100
+        assert len(sw.samples) == 195 and 0 < lapack_blocks < 100
+
+
+def two_normal_forms(a0, name):
+    """Two normal forms on components (0, 1) and (2, 3), with ``A(mu) = a0 + mu a1``
+    for the normal form's ``a1`` on each pair of components."""
+    nf = normal_form_symbol()
+
+    def pair(m):
+        out = np.zeros((4, 4), dtype=complex)
+        out[:2, :2] = out[2:, 2:] = m
+        return out
+
+    return AffineMatrixSymbol(
+        dim=4, const_term=LinearTerm(a0, pair(nf.const_term.a1)),
+        x_coeff=pair(nf.x_coeff), xi_coeff=pair(nf.xi_coeff),
+        gap_band=2, gap_constant=0.5, name=name,
+    )
 
 
 def coupled_normal_forms():
@@ -881,21 +922,22 @@ def coupled_normal_forms():
     both copies at the same levels; x and xi couple 0-1 and 2-3, the
     coupling 0-2 and 1-3, and the 4-cycle has a non-real product.
     """
-    base = normal_form_symbol().const_term
-
-    def pair(m):
-        out = np.zeros(m.shape[:-2] + (4, 4), dtype=complex)
-        out[..., :2, :2] = out[..., 2:, 2:] = m
-        return out
-
     coupling = np.zeros((4, 4), dtype=complex)
     coupling[0, 2], coupling[1, 3] = 0.3j, 0.2
-    coupling += coupling.conj().T
-    return AffineMatrixSymbol(
-        dim=4, const_term=LinearTerm(coupling, pair(base.a1)),
-        x_coeff=pair(normal_form_symbol().x_coeff), xi_coeff=pair(normal_form_symbol().xi_coeff),
-        gap_band=2, gap_constant=0.5, name="coupled-normal-forms",
-    )
+    return two_normal_forms(coupling + coupling.conj().T, "coupled-normal-forms")
+
+
+@pytest.mark.parametrize("shift,ref", [(0.0, 0.0), (0.1, 0.05)])
+def test_direct_sum_of_normal_forms_flows_twice(shift, ref):
+    # the second copy is shifted by `shift`; with 0 every window level is
+    # double, and a repeated level counts once in the local spacing, so the
+    # degenerate sum is matched like the split one and both copies cross
+    symbol = two_normal_forms(np.diag([0.0, 0.0, shift, shift]).astype(complex),
+                              "doubled-normal-form")
+    assert symbol.charge is not None
+    sw = sweep(symbol, nf_basis(24), SpectralWindow(-0.9, 0.9, ref), -2.0, 2.0, 32)
+    assert spectral_index(sw).N == 2
+    assert [c.direction for c in sw.crossings] == [1, 1]
 
 
 def test_cyclic_charge_blocks_keep_the_complex_path():
