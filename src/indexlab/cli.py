@@ -228,12 +228,21 @@ class Scenario:
         return cls(**data)
 
 
+def _batched(section: Callable) -> Callable:
+    """Mark a section that takes rows of points (n, 3) as well as one point (3,), so that
+    clutching evaluates it once per sample set instead of once per point."""
+    section.batched = True
+    return section
+
+
+@_batched
 def _matsuno_band2_section(p: np.ndarray) -> np.ndarray:
     """Tautological nonvanishing section of the flat middle band."""
-    mu, x, xi = p
-    return np.array([-x, 1j * xi, -1j * mu])
+    mu, x, xi = np.moveaxis(p, -1, 0)
+    return np.stack((-x, 1j * xi, -1j * mu), axis=-1)
 
 
+@_batched
 def _ts2_band2_section(p: np.ndarray) -> np.ndarray:
     """The rotation generator's kernel at p is spanned by p itself."""
     return np.asarray(p, dtype=complex)

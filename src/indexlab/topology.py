@@ -23,6 +23,11 @@ the orbit's points.  A symbol without ``D`` (a ``const_term`` that is not a
 :class:`~indexlab.hermite.LinearTerm`) has every point solved on its own, and
 so are the small section-zero batches.
 
+Each sample set is solved once per symbol, not once per band: a
+:class:`SphereSpectrum` solves the grid when it is built and the clutching
+hemispheres and equator on first use, and every band's field slices its
+frames from those solves.
+
 A frame is any orthonormal eigenbasis, with no phase fixed: each method
 reads only loop products of link overlaps, band projections, or windings in
 one local frame per batch.  Within a run a frame depends only on its point
@@ -182,6 +187,12 @@ def point_eigensystem(
     return omegas[0], vecs[0]
 
 
+def _share_solves(field_: "BandProjectorField", solves: dict) -> "BandProjectorField":
+    """``field_`` reading the clutching solves ``solves`` (:class:`SphereSpectrum`)."""
+    object.__setattr__(field_, "_clutch_solves", solves)
+    return field_
+
+
 class SphereSpectrum(Record):
     """Eigensystem of a symbol at every vertex of a sphere grid.
 
@@ -189,13 +200,21 @@ class SphereSpectrum(Record):
     the frames of a contiguous group out of ``vectors``.  Where the symbol has
     a charge operator the build solves the grid once per charge orbit (the
     64-grid's 24,578 vertices are 3,001 orbits); without one every vertex is
-    solved.
+    solved.  The clutching sample sets are solved on first use, once per
+    spectrum, and shared by every field it slices (:func:`chern_clutching`).
     """
+
+    # the clutching solves by sample set; a slot, so that ==, hash and repr
+    # (which read vars()) do not see it
+    __slots__ = ("_clutch_solves",)
 
     symbol: AffineMatrixSymbol
     grid: SphereGrid
     omegas: np.ndarray  # (V, d) ascending
     vectors: np.ndarray  # (V, d, d) orthonormal eigenvector columns, any phase
+
+    def __post_init__(self):
+        object.__setattr__(self, "_clutch_solves", {})
 
     @classmethod
     def build(cls, symbol: AffineMatrixSymbol, grid: SphereGrid) -> "SphereSpectrum":
@@ -211,13 +230,13 @@ class SphereSpectrum(Record):
         if list(bands) != list(range(bands[0], bands[-1] + 1)):
             raise ModelError(f"bands must be contiguous, got {bands}")
         min_gap = _band_gap(self.omegas, bands, self.grid.vertices)
-        return BandProjectorField(
+        return _share_solves(BandProjectorField(
             symbol=self.symbol,
             bands=bands,
             grid=self.grid,
             vectors=self.vectors[:, :, bands[0] - 1 : bands[-1]],
             min_gap=min_gap,
-        )
+        ), self._clutch_solves)
 
 
 class BandProjectorField(Record):
@@ -228,8 +247,13 @@ class BandProjectorField(Record):
     the number of selected bands everywhere because the build checks the
     gap to unselected bands at every vertex.  Fields of several band groups
     on one grid should be sliced from one :class:`SphereSpectrum`;
-    :meth:`build` solves the grid for a single group.
+    :meth:`build` solves the grid for a single group.  A field reads the
+    clutching solves of the spectrum it was sliced from, kept like that
+    spectrum's outside ``vars()``; a field constructed directly has none and
+    solves its clutching sample sets on each call.
     """
+
+    __slots__ = ("_clutch_solves",)
 
     symbol: AffineMatrixSymbol
     bands: tuple[int, ...]
@@ -255,8 +279,10 @@ class BandProjectorField(Record):
         phases = np.asarray(phases, dtype=complex)
         if phases.shape != (len(self.vectors),):
             raise ModelError("need one phase per grid vertex")
-        return BandProjectorField(self.symbol, self.bands, self.grid,
-                                  self.vectors * phases[:, None, None], self.min_gap)
+        return _share_solves(
+            BandProjectorField(self.symbol, self.bands, self.grid,
+                               self.vectors * phases[:, None, None], self.min_gap),
+            getattr(self, "_clutch_solves", {}))
 
 
 class SectionZero(Record):
@@ -383,12 +409,11 @@ def chern_curvature(field_: BandProjectorField) -> ChernReport:
 RefSpec = np.ndarray | Callable[[np.ndarray], np.ndarray] | None
 
 
-def _band_frames(field_: BandProjectorField, points: np.ndarray,
-                 orbits: bool = False) -> np.ndarray:
-    """Rank-1 band frames (n, d, 1) at ``points`` from one batched solve, per charge orbit
-    if ``orbits`` (:func:`batch_eigensystem`).  Clutching sets it; the section-zero
-    batches (1 to 65 points) do not, as rotating so few orbits costs more than it saves."""
-    _, vecs = batch_eigensystem(field_.symbol, points, field_.bands, orbits)
+def _band_frames(field_: BandProjectorField, points: np.ndarray) -> np.ndarray:
+    """Rank-1 band frames (n, d, 1) at ``points`` from one batched solve, point by point:
+    the section-zero batches (1 to 65 points) are too small for rotating charge orbits to
+    pay."""
+    _, vecs = batch_eigensystem(field_.symbol, points, field_.bands)
     lo = field_.bands[0] - 1
     return vecs[:, :, lo : lo + 1]
 
@@ -404,24 +429,58 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.conj().swapaxes(1, 2) @ b)[:, 0, 0]
 
 
-def _ref_values(ref: RefSpec, points: np.ndarray, dim: int) -> np.ndarray:
-    """A constant reference vector (d,) or a callable's values (n, d)."""
+def _ref_values(ref: RefSpec, points: np.ndarray, dim: int, name: str) -> np.ndarray:
+    """A constant reference vector (d,) or a callable's values (n, d) at ``points``.
+
+    A callable whose ``batched`` attribute is true is called once with every point (n, 3);
+    any other callable is called once per point (3,).  Values of the wrong shape or not
+    finite raise :class:`ModelError` naming the reference (``name``).
+    """
     if callable(ref):
-        return np.array([ref(p) for p in points], dtype=complex)
-    vec = np.asarray(ref, dtype=complex)
-    if vec.shape != (dim,):
-        raise ModelError("reference vector has wrong dimension")
-    return vec
+        values = ref(points) if getattr(ref, "batched", False) else [ref(p) for p in points]
+        shape = (len(points), dim)
+    else:
+        values, shape = ref, (dim,)
+    values = np.asarray(values, dtype=complex)
+    if values.shape != shape:
+        raise ModelError(f"{name} reference values have shape {values.shape}, need {shape}")
+    if not np.all(np.isfinite(values)):
+        raise ModelError(f"{name} reference values are not all finite")
+    return values
 
 
-def _hemisphere_points(sign: float) -> np.ndarray:
-    """The pole of the closed hemisphere {sign * mu >= 0}, then 24 rings of 48 points upward
-    from the equator."""
-    mu = sign * np.repeat(np.linspace(0.0, 1.0, 25)[:-1], 48)
-    th = np.tile(np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False), 24)
-    r = np.sqrt(1.0 - mu * mu)
-    ring_pts = np.stack((mu, r * np.cos(th), r * np.sin(th)), axis=1)
-    return np.vstack(([sign, 0.0, 0.0], ring_pts))
+def _clutching_points(sample_set: str | int) -> np.ndarray:
+    """A clutching sample set: for ``"north"`` or ``"south"`` the pole of the closed
+    hemisphere {+-mu >= 0}, then 24 rings of 48 points upward from the equator; for an
+    int ``n``, n equally spaced equator points from (0, 1, 0)."""
+    if sample_set in ("north", "south"):
+        sign = 1.0 if sample_set == "north" else -1.0
+        mu = sign * np.repeat(np.linspace(0.0, 1.0, 25)[:-1], 48)
+        th = np.tile(np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False), 24)
+        r = np.sqrt(1.0 - mu * mu)
+        ring_pts = np.stack((mu, r * np.cos(th), r * np.sin(th)), axis=1)
+        return np.vstack(([sign, 0.0, 0.0], ring_pts))
+    thetas = np.linspace(0.0, 2.0 * np.pi, sample_set, endpoint=False)
+    return np.stack((np.zeros_like(thetas), np.cos(thetas), np.sin(thetas)), axis=1)
+
+
+def _clutching_frames(
+    field_: BandProjectorField, sample_set: str | int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Points (n, 3) and rank-1 band frames (n, d, 1) of a clutching sample set.
+
+    The set is solved by one ``batch_eigensystem(..., orbits=True)`` on first use and kept
+    in the solves of the field's spectrum, so every band of a spectrum slices one solve;
+    each band still checks its own gap there.
+    """
+    solves = getattr(field_, "_clutch_solves", {})
+    if sample_set not in solves:
+        points = _clutching_points(sample_set)
+        solves[sample_set] = (points, *batch_eigensystem(field_.symbol, points, orbits=True))
+    points, omegas, vecs = solves[sample_set]
+    _band_gap(omegas, field_.bands, points)
+    lo = field_.bands[0] - 1
+    return points, vecs[:, :, lo : lo + 1]
 
 
 def chern_clutching(
@@ -436,13 +495,19 @@ def chern_clutching(
     vectors (defaults: the band eigenvectors at the mu = +-1 poles, which
     reproduce the textbook (1,0)/(0,1) choice for the two-band model).
     References may be callables ``point -> C^d`` for bundles that admit no
-    trivializing constant vector.  Both sections are verified to satisfy
+    trivializing constant vector; one whose ``batched`` attribute is true is
+    called once per sample set with all its points, ``(n, 3) -> (n, d)``.
+    Values that are not finite vectors of the symbol's dimension raise
+    :class:`ModelError` naming the reference.  Both sections are verified to satisfy
     ``|s|^2 > 1e-6`` on a sample of their closed hemisphere; the transition
     phase is ``<s_north | s_south>`` on the equator and its winding is C.
     Each hemisphere sample and the equator are solved as one batch each,
     once per charge orbit where the symbol has a charge operator (a
     hemisphere's 1,153 points are 65 orbits, the equator's 2), and point by
-    point otherwise.
+    point otherwise.  The three solves are made once per symbol: the first
+    band of a :class:`SphereSpectrum` makes them and every other band slices
+    them, checking its own gap at every sample.  When ``north_ref is
+    south_ref`` the equator values are computed once.
     """
     if field_.rank != 1:
         raise ModelError("clutching method requires a rank-1 band")
@@ -452,12 +517,11 @@ def chern_clutching(
 
     refs = []
     min_norms = []
-    for sign, ref, name in ((+1.0, north_ref, "north"), (-1.0, south_ref, "south")):
-        pts = _hemisphere_points(sign)
-        frames = _band_frames(field_, pts, orbits=True)
+    for name, ref in (("north", north_ref), ("south", south_ref)):
+        pts, frames = _clutching_frames(field_, name)
         if ref is None:
             ref = frames[0, :, 0]  # the band eigenvector at the pole
-        s = _sections(frames, _ref_values(ref, pts, dim))
+        s = _sections(frames, _ref_values(ref, pts, dim, name))
         worst = float(_inner(s, s).real.min())
         if worst <= 1e-6:
             raise SectionVanishesError(
@@ -467,10 +531,9 @@ def chern_clutching(
         refs.append(ref)
         min_norms.append(worst)
 
-    thetas = np.linspace(0.0, 2.0 * np.pi, equator_samples, endpoint=False)
-    pts = np.stack((np.zeros_like(thetas), np.cos(thetas), np.sin(thetas)), axis=1)
-    frames = _band_frames(field_, pts, orbits=True)
-    s1, s2 = (_sections(frames, _ref_values(ref, pts, dim)) for ref in refs)
+    pts, frames = _clutching_frames(field_, equator_samples)
+    s1 = _sections(frames, _ref_values(refs[0], pts, dim, "north"))
+    s2 = s1 if refs[1] is refs[0] else _sections(frames, _ref_values(refs[1], pts, dim, "south"))
     w = winding_number(_inner(s1, s2))
     return ChernReport(
         method="clutching",
@@ -547,14 +610,31 @@ def _refine_zero(
     return p0, float(np.linalg.norm(s))
 
 
+def _zero_seeds(amps: np.ndarray, cells: np.ndarray, threshold: float) -> np.ndarray:
+    """Vertices, ascending, with ``amps < threshold`` that ``argsort(amps)`` ranks before
+    every vertex they share a cell with.  Only the cells holding such a candidate are
+    scanned; the ranks come from the full ``argsort``, so ties resolve as it orders them."""
+    rank = np.empty(len(amps), dtype=np.intp)
+    rank[np.argsort(amps)] = np.arange(len(amps))  # inverse permutation
+    candidate = amps < threshold
+    corner = candidate[cells.T]  # (4, cells); four ORs run faster than any(axis=1)
+    near = cells[corner[0] | corner[1] | corner[2] | corner[3]]
+    ranks = rank[near]
+    beaten = np.zeros(len(amps), dtype=bool)  # ranked after another vertex of some cell
+    beaten[near[ranks > ranks.min(axis=1, keepdims=True)]] = True
+    return np.flatnonzero(candidate & ~beaten)
+
+
 def chern_section_zeros(field_: BandProjectorField, reference_vector: Sequence[complex],
                         probe_radius: float = 1e-3) -> ChernReport:
     """Chern index as the sum of local winding indices at section zeros.
 
     The global section ``s(p) = P(p) u0`` is scanned for zeros on the grid
-    vertices.  A vertex seeds a Newton polish when ``|s| < 0.15 |u0|`` there
-    and it comes before every vertex it shares a cell with when ``argsort``
-    orders the vertices by ``|s|``.  Seeds are polished in vertex order, so
+    vertices, read from the frames the field sliced from its spectrum, so the
+    scan solves nothing per band.  A vertex seeds a Newton polish when
+    ``|s| < 0.15 |u0|`` there and it comes before every vertex it shares a
+    cell with when ``argsort`` orders the vertices by ``|s|``; only the cells
+    holding such a candidate are scanned.  Seeds are polished in vertex order, so
     the zeros are listed in grid order, whatever the last bits of ``|s|``.
     Polished points with ``|s| < 1e-10`` are the zeros; one within 1e-6 of
     a zero already found is dropped.  The index of each zero is the winding
@@ -580,14 +660,8 @@ def chern_section_zeros(field_: BandProjectorField, reference_vector: Sequence[c
     threshold = 0.15 * float(np.linalg.norm(u0))
     if not amps.max() > 1e-10 * threshold:
         raise ModelError("section P u0 vanishes at every vertex: u0 = 0 or orthogonal to the band")
-    rank = np.empty(len(amps), dtype=np.intp)
-    rank[np.argsort(amps)] = np.arange(len(amps))  # inverse permutation
-    ranks = rank[field_.grid.cells]
-    beaten = np.zeros(len(amps), dtype=bool)  # ranked after another vertex of some cell
-    beaten[field_.grid.cells[ranks > ranks.min(axis=1, keepdims=True)]] = True
-    seeds = np.flatnonzero((amps < threshold) & ~beaten)
     zeros: list[tuple[np.ndarray, float]] = []
-    for seed in field_.grid.vertices[seeds]:
+    for seed in field_.grid.vertices[_zero_seeds(amps, field_.grid.cells, threshold)]:
         point, norm = _refine_zero(field_, u0, seed)
         if norm < 1e-10 and not any(np.linalg.norm(point - z[0]) < 1e-6 for z in zeros):
             zeros.append((point, norm))

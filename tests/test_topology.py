@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import BLOCK_FAMILIES
 
-from indexlab.cli import load_preset
+from indexlab.cli import _matsuno_band2_section, _ts2_band2_section, load_preset, run_verify
 from indexlab.errors import (
     AliasingError,
     DegeneracyError,
@@ -276,6 +276,55 @@ def test_sphere_solves_each_charge_orbit_once(monkeypatch, grid64):
     seen.clear()
     assert chern_clutching(spectrum.field([1])).C == 2
     assert seen == [65, 65, 2]
+    # the other bands, and a gauge-turned field, slice the same three solves
+    section = dict(north_ref=matsuno_band2_section, south_ref=matsuno_band2_section)
+    assert chern_clutching(spectrum.field([2]), **section).C == 0
+    assert chern_clutching(spectrum.field([3])).C == -2
+    phases = np.exp(1j * np.arange(len(grid64.vertices)))
+    assert chern_clutching(spectrum.field([1]).with_phase_field(phases)).C == 2
+    assert seen == [65, 65, 2]
+    # a field built on its own solves its own sample sets
+    seen.clear()
+    assert chern_clutching(BandProjectorField.build(matsuno_symbol(), [3], grid64)).C == -2
+    assert seen == [3001, 65, 65, 2]
+
+
+def test_clutching_solves_stay_out_of_record_fields(grid32):
+    spectrum = SphereSpectrum.build(matsuno_symbol(), grid32)
+    fld = spectrum.field([1])
+    before = repr(fld), repr(spectrum)
+    chern_clutching(fld)
+    assert list(vars(spectrum)) == ["symbol", "grid", "omegas", "vectors"]
+    assert list(vars(fld)) == ["symbol", "bands", "grid", "vectors", "min_gap"]
+    assert (repr(fld), repr(spectrum)) == before
+
+
+def test_verify_makes_each_clutching_solve_once(monkeypatch):
+    # matsuno-upper-gap lists bands 1, 2 and 3: one solve of each hemisphere
+    # and of the equator serves all three, and each band checks its gap on
+    # each of the three sets
+    scenario = load_preset("matsuno-upper-gap")
+    sizes = {1153, scenario.equator_samples}
+    solves, gaps = [], []
+    real_solve, real_gap = topology.batch_eigensystem, topology._band_gap
+
+    def solve(symbol, points, bands=None, orbits=False):
+        if len(points) in sizes:
+            solves.append((len(points), float(points[0][0]), bands, orbits))
+        return real_solve(symbol, points, bands, orbits)
+
+    def band_gap(omegas, bands, points):
+        if len(points) in sizes:
+            gaps.append((len(points), float(points[0][0]), tuple(bands)))
+        return real_gap(omegas, bands, points)
+
+    monkeypatch.setattr(topology, "batch_eigensystem", solve)
+    monkeypatch.setattr(topology, "_band_gap", band_gap)
+    _, payload = run_verify(scenario)
+    assert payload["verdict"] == "PASS"
+    sets = [(1153, 1.0), (1153, -1.0), (scenario.equator_samples, 0.0)]
+    assert solves == [(*s, None, True) for s in sets]
+    assert gaps == [(*s, (band,)) for band in scenario.chern_bands for s in sets]
 
 
 @pytest.mark.parametrize("family", sorted(BLOCK_FAMILIES))
@@ -606,9 +655,121 @@ def test_clutching_rank2_rejected(grid32):
         chern_clutching(fld)
 
 
+@pytest.mark.parametrize("ref", [
+    lambda p: np.ones(2),  # matsuno has d = 3
+    lambda p: np.ones(6),
+    lambda p: 1.0,
+    lambda p: np.full(3, np.nan),
+    np.ones(2),
+    np.ones(6),
+    1.0,
+    np.full(3, np.nan),
+], ids=["call-2", "call-6", "call-scalar", "call-nan", "vec-2", "vec-6", "scalar", "vec-nan"])
+@pytest.mark.parametrize("side", ["north", "south"])
+def test_clutching_rejects_bad_reference_values(grid32, ref, side):
+    # these reached a bare numpy ValueError, or (NaN) the winding's error
+    fld = BandProjectorField.build(matsuno_symbol(), [1], grid32)
+    with pytest.raises(ModelError, match=f"^{side} reference values"):
+        chern_clutching(fld, **{f"{side}_ref": ref})
+
+
+@pytest.mark.parametrize("preset", ["matsuno", "ts2"])
+def test_builtin_sections_take_rows_bit_for_bit(preset):
+    scenario = load_preset(preset)
+    section = {"matsuno": _matsuno_band2_section, "ts2": _ts2_band2_section}[preset]
+    assert section.batched
+    for sample_set in ("north", "south", scenario.equator_samples):
+        points = topology._clutching_points(sample_set)
+        rows = section(points)
+        per_point = np.array([section(p) for p in points], dtype=complex)
+        assert rows.dtype == per_point.dtype and rows.tobytes() == per_point.tobytes()
+    # the parent's per-point formula, kept in matsuno_band2_section above
+    if preset == "matsuno":
+        points = np.vstack([topology._clutching_points(k) for k in ("north", "south", 512)])
+        old = np.array([matsuno_band2_section(p) for p in points], dtype=complex)
+        assert old.tobytes() == section(points).tobytes()
+
+
+@pytest.mark.parametrize("preset", ["matsuno", "ts2"])
+def test_per_point_callable_matches_builtin_section(preset):
+    scenario = load_preset(preset)
+    section = {"matsuno": _matsuno_band2_section, "ts2": _ts2_band2_section}[preset]
+
+    def per_point(p):
+        assert np.shape(p) == (3,), "called with rows"
+        return section(p)
+
+    spectrum = SphereSpectrum.build(scenario.symbol(), SphereGrid.build(32))
+    fld = spectrum.field([2])
+    builtin = chern_clutching(fld, scenario.equator_samples, section, section)
+    user = chern_clutching(fld, scenario.equator_samples, per_point, per_point)
+    assert user == builtin
+
+
+def test_shared_reference_runs_once_per_equator_point(grid32):
+    calls = []
+
+    def per_point(p):
+        calls.append(len(p))
+        return matsuno_band2_section(p)
+
+    def batched(p):
+        calls.append(len(p))
+        return _matsuno_band2_section(p)
+    batched.batched = True
+
+    fld = BandProjectorField.build(matsuno_symbol(), [2], grid32)
+    assert chern_clutching(fld, 64, per_point, per_point).C == 0
+    assert len(calls) == 1153 + 1153 + 64
+    calls.clear()
+    assert chern_clutching(fld, 64, batched, batched).C == 0
+    assert calls == [1153, 1153, 64]
+    # two distinct callables are each evaluated on the equator
+    calls.clear()
+    other = lambda p: per_point(p)  # noqa: E731
+    assert chern_clutching(fld, 64, per_point, other).C == 0
+    assert len(calls) == 1153 + 1153 + 2 * 64
+
+
 # ---------------------------------------------------------------------------
 # section-zero method
 # ---------------------------------------------------------------------------
+
+def full_cell_seeds(amps, cells, threshold):
+    """The seed rule scanned over every cell: below the threshold and ranked by
+    ``argsort`` before every vertex sharing a cell."""
+    rank = np.empty(len(amps), dtype=np.intp)
+    rank[np.argsort(amps)] = np.arange(len(amps))
+    beaten = np.zeros(len(amps), dtype=bool)
+    for cell in cells:
+        beaten[cell[rank[cell] > rank[cell].min()]] = True
+    return np.flatnonzero((amps < threshold) & ~beaten)
+
+
+@pytest.mark.parametrize("n", [17, 32, 64])
+def test_zero_seeds_match_full_cell_rule_on_random_amplitudes(n):
+    grid = SphereGrid.build(n)
+    rng = np.random.default_rng(n)
+    for amps in (rng.random(len(grid.vertices)),
+                 rng.integers(0, 40, len(grid.vertices)) / 40.0):  # many ties
+        for threshold in (0.05, 0.15, 1.0):
+            expected = full_cell_seeds(amps, grid.cells, threshold)
+            assert len(expected)
+            assert np.array_equal(topology._zero_seeds(amps, grid.cells, threshold), expected)
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_zero_seeds_match_full_cell_rule_on_preset_bands(preset):
+    scenario = load_preset(preset)
+    spectrum = SphereSpectrum.build(scenario.symbol(), SphereGrid.build(scenario.grid_n))
+    for band in range(1, spectrum.symbol.dim + 1):
+        u0 = scenario.zero_ref_for(band)
+        amps = np.abs(spectrum.vectors[:, :, band - 1].conj() @ u0)
+        threshold = 0.15 * float(np.linalg.norm(u0))
+        cells = spectrum.grid.cells
+        seeds = topology._zero_seeds(amps, cells, threshold)
+        assert np.array_equal(seeds, full_cell_seeds(amps, cells, threshold))
+
 
 def assert_zero_points(zeros, expected_points, atol=1e-6):
     assert len(zeros) == len(expected_points)
