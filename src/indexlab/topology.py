@@ -339,26 +339,26 @@ def _cell_phases(field_: BandProjectorField) -> np.ndarray:
 
     For rank r the link amplitude is the determinant of the r x r frame
     overlap.  The sign convention makes the summed phases equal +2 pi C for
-    counterclockwise-from-outside cells.
+    counterclockwise-from-outside cells.  The links are taken in turn, so at
+    most three of the four corner gathers are held at once; ``*=`` multiplies
+    in place, as the temporaries of ``l1 * l2 * l3 * l4`` would, which keeps
+    every bit of the product.
     """
     v = field_.vectors
     cells = field_.grid.cells
-    a, b, c, d = (v[cells[:, i]] for i in range(4))
     if field_.rank == 1:
-        va, vb, vc, vd = (t[:, :, 0] for t in (a, b, c, d))
-        prod = (
-            np.einsum("ij,ij->i", va.conj(), vb)
-            * np.einsum("ij,ij->i", vb.conj(), vc)
-            * np.einsum("ij,ij->i", vc.conj(), vd)
-            * np.einsum("ij,ij->i", vd.conj(), va)
-        )
+        def link(x, y):
+            return np.einsum("ij,ij->i", x[:, :, 0].conj(), y[:, :, 0])
     else:
-        prod = (
-            np.linalg.det(np.einsum("ijk,ijl->ikl", a.conj(), b))
-            * np.linalg.det(np.einsum("ijk,ijl->ikl", b.conj(), c))
-            * np.linalg.det(np.einsum("ijk,ijl->ikl", c.conj(), d))
-            * np.linalg.det(np.einsum("ijk,ijl->ikl", d.conj(), a))
-        )
+        def link(x, y):
+            return np.linalg.det(np.einsum("ijk,ijl->ikl", x.conj(), y))
+    a, b = v[cells[:, 0]], v[cells[:, 1]]
+    prod = link(a, b)
+    for corner in (2, 3):
+        c = v[cells[:, corner]]
+        prod *= link(b, c)
+        b = c
+    prod *= link(b, a)
     return -np.angle(prod)
 
 

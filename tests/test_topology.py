@@ -297,6 +297,9 @@ def test_clutching_solves_stay_out_of_record_fields(grid32):
     assert list(vars(spectrum)) == ["symbol", "grid", "omegas", "vectors"]
     assert list(vars(fld)) == ["symbol", "bands", "grid", "vectors", "min_gap"]
     assert (repr(fld), repr(spectrum)) == before
+    # a field constructed directly has no spectrum and solves its own sets
+    direct = BandProjectorField(*vars(fld).values())
+    assert chern_clutching(direct) == chern_clutching(fld)
 
 
 def test_verify_makes_each_clutching_solve_once(monkeypatch):
@@ -390,6 +393,23 @@ def test_preset_curvature_matches_per_point_path(preset):
         assert abs(a.raw_value - b.raw_value) <= 1e-12
         for key in ("max_cell_phase", "min_band_gap"):  # the gap is inf on one band
             assert a.diagnostics[key] == pytest.approx(b.diagnostics[key], rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("preset", ["normal-form", "matsuno-upper-gap", "ts2"])
+def test_cell_phases_equal_the_four_link_product_bit_for_bit(grid32, preset):
+    # _cell_phases takes the links in turn to hold fewer corner gathers; the
+    # product must keep every bit of the one-expression form
+    spectrum = SphereSpectrum.build(load_preset(preset).symbol(), grid32)
+    for bands in [[b] for b in range(1, spectrum.symbol.dim + 1)] + [[1, 2]]:
+        fld = spectrum.field(bands)
+        a, b, c, d = (fld.vectors[grid32.cells[:, i]] for i in range(4))
+        if fld.rank == 1:
+            a, b, c, d = (t[:, :, 0] for t in (a, b, c, d))
+            link = lambda x, y: np.einsum("ij,ij->i", x.conj(), y)  # noqa: E731
+        else:
+            link = lambda x, y: np.linalg.det(np.einsum("ijk,ijl->ikl", x.conj(), y))  # noqa: E731
+        expected = -np.angle(link(a, b) * link(b, c) * link(c, d) * link(d, a))
+        assert _cell_phases(fld).tobytes() == expected.tobytes(), bands
 
 
 def point_gauge(solve):
