@@ -340,9 +340,10 @@ def _cell_phases(field_: BandProjectorField) -> np.ndarray:
     For rank r the link amplitude is the determinant of the r x r frame
     overlap.  The sign convention makes the summed phases equal +2 pi C for
     counterclockwise-from-outside cells.  The links are taken in turn, so at
-    most three of the four corner gathers are held at once; ``*=`` multiplies
-    in place, as the temporaries of ``l1 * l2 * l3 * l4`` would, which keeps
-    every bit of the product.
+    most three of the four corner gathers are held at once.  ``*=`` keeps the
+    operand order of ``l1 * l2 * l3 * l4``: numpy's complex product is not
+    bitwise commutative, and ``prod * link(...)`` would be computed into the
+    temporary as ``link(...) * prod``.
     """
     v = field_.vectors
     cells = field_.grid.cells

@@ -687,7 +687,7 @@ def test_clutching_rank2_rejected(grid32):
 ], ids=["call-2", "call-6", "call-scalar", "call-nan", "vec-2", "vec-6", "scalar", "vec-nan"])
 @pytest.mark.parametrize("side", ["north", "south"])
 def test_clutching_rejects_bad_reference_values(grid32, ref, side):
-    # these reached a bare numpy ValueError, or (NaN) the winding's error
+    # unchecked, these reach a bare numpy ValueError or (NaN) the winding's error
     fld = BandProjectorField.build(matsuno_symbol(), [1], grid32)
     with pytest.raises(ModelError, match=f"^{side} reference values"):
         chern_clutching(fld, **{f"{side}_ref": ref})
@@ -703,7 +703,7 @@ def test_builtin_sections_take_rows_bit_for_bit(preset):
         rows = section(points)
         per_point = np.array([section(p) for p in points], dtype=complex)
         assert rows.dtype == per_point.dtype and rows.tobytes() == per_point.tobytes()
-    # the parent's per-point formula, kept in matsuno_band2_section above
+    # the plain per-point formula of matsuno_band2_section above
     if preset == "matsuno":
         points = np.vstack([topology._clutching_points(k) for k in ("north", "south", 512)])
         old = np.array([matsuno_band2_section(p) for p in points], dtype=complex)
