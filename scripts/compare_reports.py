@@ -6,7 +6,9 @@ its own process, once with the ``src/`` of the base tree and once with the
 ``src/`` of the head tree, and prints one markdown table row per report.
 A JSON report reads ``identical`` when the two agree apart from their
 ``timings``, else the largest difference between matching floats and the
-first path where it occurs, or the first path where the structure differs.
+first path where it occurs, or the first path where the structure differs,
+followed by every distinct leaf path that differs, list indices collapsed to
+``[*]`` (so a row shows which keys moved, not only the largest).
 A CSV report, spectrum's ``_branches`` table included, reads ``identical``
 when the two files are equal line for line.  Files of equal line counts
 that differ only in numeric fields read as the largest difference between
@@ -146,6 +148,30 @@ def difference(a, b, path: str = "$") -> tuple[float, str, str | None]:
     return worst, where, None
 
 
+def differing_paths(a, b, path: str = "$") -> list[str]:
+    """The distinct paths, list indices collapsed to ``[*]``, of the leaves where ``a`` and
+    ``b`` differ, in order of first occurrence; a structural mismatch is a leaf at its path."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        paths = [p for k in a for p in differing_paths(a[k], b[k], f"{path}.{k}")]
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        paths = [p for x, y in zip(a, b) for p in differing_paths(x, y, f"{path}[*]")]
+    else:
+        nans = isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b)
+        paths = [] if nans or (a == b and type(a) is type(b)) else [path]
+    return list(dict.fromkeys(paths))
+
+
+def json_verdict(a: dict, b: dict) -> str:
+    """``identical``, or the first mismatch or largest float difference of two JSON reports,
+    then every differing leaf path."""
+    if json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True):
+        return "identical"
+    worst, where, mismatch = difference(a, b)
+    verdict = (f"differs: {mismatch}" if mismatch else
+               f"max float difference {worst:.3g} at `{where}`")
+    return f"{verdict}; paths: {', '.join(f'`{p}`' for p in differing_paths(a, b))}"
+
+
 def compare(base: Path, head: Path, out_dir: Path) -> list[str]:
     rows = ["| report | preset | base against head |", "| --- | --- | --- |"]
     for command in COMMANDS:
@@ -158,12 +184,8 @@ def compare(base: Path, head: Path, out_dir: Path) -> list[str]:
                 verdict = f"exit code {code_a} != {code_b}"
             elif a is None or b is None:
                 verdict = "no report" if a is b else "report on one side only"
-            elif json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True):
-                verdict = "identical"
             else:
-                worst, where, mismatch = difference(a, b)
-                verdict = (f"differs: {mismatch}" if mismatch else
-                           f"max float difference {worst:.3g} at `{where}`")
+                verdict = json_verdict(a, b)
             rows.append(f"| {name} | {preset} | {verdict} |")
             code_a, a = run_csv(base, command, preset, out_dir / f"base-{stem}.csv")
             code_b, b = run_csv(head, command, preset, out_dir / f"head-{stem}.csv")

@@ -17,16 +17,17 @@ eigenvalues depend on ``(mu, hypot(x, xi))`` only and the eigenvectors at
 ``(mu, r cos t, r sin t)`` are ``exp(i t D)`` times those at ``(mu, r, 0)``.
 ``D`` belongs to the symbol: its eigenpairs are
 :attr:`~indexlab.hermite.AffineMatrixSymbol.charge`, fitted and diagonalized
-once per symbol.  The grid and the clutching hemispheres and equator solve
-each distinct ``(mu, hypot(x, xi))`` once and rotate its eigenvectors out to
-the orbit's points.  A symbol without ``D`` (a ``const_term`` that is not a
+once per symbol.  The grid and the clutching poles and equator solve each
+distinct ``(mu, hypot(x, xi))`` once and rotate its eigenvectors out to the
+orbit's points.  A symbol without ``D`` (a ``const_term`` that is not a
 :class:`~indexlab.hermite.LinearTerm`) has every point solved on its own, and
 so are the small section-zero batches.
 
-Each sample set is solved once per symbol, not once per band: a
-:class:`SphereSpectrum` solves the grid when it is built and the clutching
-hemispheres and equator on first use, and every band's field slices its
-frames from those solves.
+The grid is solved once per symbol, not once per band: a
+:class:`SphereSpectrum` solves it when it is built, and every band's field
+slices its frames from that solve.  Each method reads its grid samples off
+those frames; clutching adds one small solve per band, of the two poles and
+its equator samples.
 
 A frame is any orthonormal eigenbasis, with no phase fixed: each method
 reads only loop products of link overlaps, band projections, or windings in
@@ -187,12 +188,6 @@ def point_eigensystem(
     return omegas[0], vecs[0]
 
 
-def _share_solves(field_: "BandProjectorField", solves: dict) -> "BandProjectorField":
-    """``field_`` reading the clutching solves ``solves`` (:class:`SphereSpectrum`)."""
-    object.__setattr__(field_, "_clutch_solves", solves)
-    return field_
-
-
 class SphereSpectrum(Record):
     """Eigensystem of a symbol at every vertex of a sphere grid.
 
@@ -200,21 +195,13 @@ class SphereSpectrum(Record):
     the frames of a contiguous group out of ``vectors``.  Where the symbol has
     a charge operator the build solves the grid once per charge orbit (the
     64-grid's 24,578 vertices are 3,001 orbits); without one every vertex is
-    solved.  The clutching sample sets are solved on first use, once per
-    spectrum, and shared by every field it slices (:func:`chern_clutching`).
+    solved.
     """
-
-    # the clutching solves by sample set; a slot, so that ==, hash and repr
-    # (which read vars()) do not see it
-    __slots__ = ("_clutch_solves",)
 
     symbol: AffineMatrixSymbol
     grid: SphereGrid
     omegas: np.ndarray  # (V, d) ascending
     vectors: np.ndarray  # (V, d, d) orthonormal eigenvector columns, any phase
-
-    def __post_init__(self):
-        object.__setattr__(self, "_clutch_solves", {})
 
     @classmethod
     def build(cls, symbol: AffineMatrixSymbol, grid: SphereGrid) -> "SphereSpectrum":
@@ -230,13 +217,13 @@ class SphereSpectrum(Record):
         if list(bands) != list(range(bands[0], bands[-1] + 1)):
             raise ModelError(f"bands must be contiguous, got {bands}")
         min_gap = _band_gap(self.omegas, bands, self.grid.vertices)
-        return _share_solves(BandProjectorField(
+        return BandProjectorField(
             symbol=self.symbol,
             bands=bands,
             grid=self.grid,
             vectors=self.vectors[:, :, bands[0] - 1 : bands[-1]],
             min_gap=min_gap,
-        ), self._clutch_solves)
+        )
 
 
 class BandProjectorField(Record):
@@ -247,13 +234,8 @@ class BandProjectorField(Record):
     the number of selected bands everywhere because the build checks the
     gap to unselected bands at every vertex.  Fields of several band groups
     on one grid should be sliced from one :class:`SphereSpectrum`;
-    :meth:`build` solves the grid for a single group.  A field reads the
-    clutching solves of the spectrum it was sliced from, kept like that
-    spectrum's outside ``vars()``; a field constructed directly has none and
-    solves its clutching sample sets on each call.
+    :meth:`build` solves the grid for a single group.
     """
-
-    __slots__ = ("_clutch_solves",)
 
     symbol: AffineMatrixSymbol
     bands: tuple[int, ...]
@@ -275,14 +257,19 @@ class BandProjectorField(Record):
         return SphereSpectrum.build(symbol, grid).field(bands)
 
     def with_phase_field(self, phases: np.ndarray) -> "BandProjectorField":
-        """Gauge transform: multiply every cached frame by a unit phase."""
+        """Gauge transform: multiply every cached frame by a unit phase.
+
+        A phase that is not finite or whose modulus is off 1 by more than 1e-12 raises
+        :class:`ModelError`: it would scale the section norms that clutching and the
+        zero scan read off the frames.
+        """
         phases = np.asarray(phases, dtype=complex)
         if phases.shape != (len(self.vectors),):
             raise ModelError("need one phase per grid vertex")
-        return _share_solves(
-            BandProjectorField(self.symbol, self.bands, self.grid,
-                               self.vectors * phases[:, None, None], self.min_gap),
-            getattr(self, "_clutch_solves", {}))
+        if not np.all(np.abs(np.abs(phases) - 1.0) <= 1e-12):
+            raise ModelError("phases must be finite and of modulus 1")
+        return BandProjectorField(self.symbol, self.bands, self.grid,
+                                  self.vectors * phases[:, None, None], self.min_gap)
 
 
 class SectionZero(Record):
@@ -309,8 +296,12 @@ def winding_number(samples: Sequence[complex]) -> int:
     """Degree of a closed loop of nonzero complex samples.
 
     The sequence is cyclic (the last sample connects back to the first).
-    Consecutive phase steps must stay below pi in magnitude; the unwrapped
-    total divided by 2 pi is integer up to roundoff.
+    Consecutive phase steps must stay below pi in magnitude, else
+    :class:`AliasingError`.  The total needs no integer check: step k is the
+    principal argument of ``z_{k+1} conj(z_k)``, and the product of those
+    factors is ``prod |z_k|^2 > 0``, so the exact steps sum to ``2 pi w``.
+    Each computed step is within a few ulps of its exact value, so the
+    rounded total is ``w`` for any sample count that fits in memory.
     """
     z = np.asarray(samples, dtype=complex)
     if len(z) < 3:
@@ -323,11 +314,7 @@ def winding_number(samples: Sequence[complex]) -> int:
             "phase step of at least pi between consecutive samples; "
             "increase the sampling density"
         )
-    total = float(steps.sum()) / (2.0 * np.pi)
-    w = int(round(total))
-    if abs(total - w) > 1e-9:
-        raise AliasingError(f"winding total {total} is not close to an integer")
-    return w
+    return int(round(float(steps.sum()) / (2.0 * np.pi)))
 
 
 # ---------------------------------------------------------------------------
@@ -410,26 +397,6 @@ def chern_curvature(field_: BandProjectorField) -> ChernReport:
 RefSpec = np.ndarray | Callable[[np.ndarray], np.ndarray] | None
 
 
-def _band_frames(field_: BandProjectorField, points: np.ndarray) -> np.ndarray:
-    """Rank-1 band frames (n, d, 1) at ``points`` from one batched solve, point by point:
-    the section-zero batches (1 to 65 points) are too small for rotating charge orbits to
-    pay."""
-    _, vecs = batch_eigensystem(field_.symbol, points, field_.bands)
-    lo = field_.bands[0] - 1
-    return vecs[:, :, lo : lo + 1]
-
-
-def _sections(frames: np.ndarray, refs: np.ndarray) -> np.ndarray:
-    """Projections ``P u`` (n, d, 1), ``P = V V^dag``, of references (n, d) or (d,)."""
-    proj = frames @ frames.conj().swapaxes(1, 2)
-    return proj @ np.reshape(refs, (-1, frames.shape[1], 1))
-
-
-def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stacked ``<a|b>`` of column vectors (n, d, 1) -> (n,)."""
-    return (a.conj().swapaxes(1, 2) @ b)[:, 0, 0]
-
-
 def _ref_values(ref: RefSpec, points: np.ndarray, dim: int, name: str) -> np.ndarray:
     """A constant reference vector (d,) or a callable's values (n, d) at ``points``.
 
@@ -450,38 +417,12 @@ def _ref_values(ref: RefSpec, points: np.ndarray, dim: int, name: str) -> np.nda
     return values
 
 
-def _clutching_points(sample_set: str | int) -> np.ndarray:
-    """A clutching sample set: for ``"north"`` or ``"south"`` the pole of the closed
-    hemisphere {+-mu >= 0}, then 24 rings of 48 points upward from the equator; for an
-    int ``n``, n equally spaced equator points from (0, 1, 0)."""
-    if sample_set in ("north", "south"):
-        sign = 1.0 if sample_set == "north" else -1.0
-        mu = sign * np.repeat(np.linspace(0.0, 1.0, 25)[:-1], 48)
-        th = np.tile(np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False), 24)
-        r = np.sqrt(1.0 - mu * mu)
-        ring_pts = np.stack((mu, r * np.cos(th), r * np.sin(th)), axis=1)
-        return np.vstack(([sign, 0.0, 0.0], ring_pts))
-    thetas = np.linspace(0.0, 2.0 * np.pi, sample_set, endpoint=False)
-    return np.stack((np.zeros_like(thetas), np.cos(thetas), np.sin(thetas)), axis=1)
-
-
-def _clutching_frames(
-    field_: BandProjectorField, sample_set: str | int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Points (n, 3) and rank-1 band frames (n, d, 1) of a clutching sample set.
-
-    The set is solved by one ``batch_eigensystem(..., orbits=True)`` on first use and kept
-    in the solves of the field's spectrum, so every band of a spectrum slices one solve;
-    each band still checks its own gap there.
-    """
-    solves = getattr(field_, "_clutch_solves", {})
-    if sample_set not in solves:
-        points = _clutching_points(sample_set)
-        solves[sample_set] = (points, *batch_eigensystem(field_.symbol, points, orbits=True))
-    points, omegas, vecs = solves[sample_set]
-    _band_gap(omegas, field_.bands, points)
-    lo = field_.bands[0] - 1
-    return points, vecs[:, :, lo : lo + 1]
+def _clutching_points(equator_samples: int) -> np.ndarray:
+    """The clutching samples (n + 2, 3): the north pole, the south pole, then ``n``
+    equally spaced equator points from (0, 1, 0)."""
+    thetas = np.linspace(0.0, 2.0 * np.pi, equator_samples, endpoint=False)
+    equator = np.stack((np.zeros_like(thetas), np.cos(thetas), np.sin(thetas)), axis=1)
+    return np.vstack(([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], equator))
 
 
 def chern_clutching(
@@ -497,18 +438,20 @@ def chern_clutching(
     reproduce the textbook (1,0)/(0,1) choice for the two-band model).
     References may be callables ``point -> C^d`` for bundles that admit no
     trivializing constant vector; one whose ``batched`` attribute is true is
-    called once per sample set with all its points, ``(n, 3) -> (n, d)``.
+    called once with all the points it is read at, ``(n, 3) -> (n, d)``.
     Values that are not finite vectors of the symbol's dimension raise
-    :class:`ModelError` naming the reference.  Both sections are verified to satisfy
-    ``|s|^2 > 1e-6`` on a sample of their closed hemisphere; the transition
-    phase is ``<s_north | s_south>`` on the equator and its winding is C.
-    Each hemisphere sample and the equator are solved as one batch each,
-    once per charge orbit where the symbol has a charge operator (a
-    hemisphere's 1,153 points are 65 orbits, the equator's 2), and point by
-    point otherwise.  The three solves are made once per symbol: the first
-    band of a :class:`SphereSpectrum` makes them and every other band slices
-    them, checking its own gap at every sample.  When ``north_ref is
-    south_ref`` the equator values are computed once.
+    :class:`ModelError` naming the reference.  Both sections are verified to
+    satisfy ``|s|^2 > 1e-6`` on their closed hemisphere {+-mu >= 0}, read at
+    its grid vertices (from the field's frames), its pole and the equator
+    samples: for a rank-1 band ``s = v <v|u>``, so ``|s|^2 = |<v|u>|^2``.  The
+    transition phase ``<s_north | s_south>`` is ``conj(<v|u_north>)
+    <v|u_south>`` on the equator, and its winding is C.  The only solve is one
+    batch of the two poles and the equator samples, once per charge orbit
+    where the symbol has a charge operator (4 orbits: the equator's
+    ``hypot(x, xi)`` rounds to two values) and point by point otherwise; it
+    checks the band's gap there, as the field's build did at every vertex.
+    When ``north_ref is south_ref`` the reference is evaluated once, at every
+    point of both hemispheres.
     """
     if field_.rank != 1:
         raise ModelError("clutching method requires a rank-1 band")
@@ -516,26 +459,39 @@ def chern_clutching(
         raise ModelError("need at least 16 equator samples")
     dim = field_.symbol.dim
 
-    refs = []
-    min_norms = []
-    for name, ref in (("north", north_ref), ("south", south_ref)):
-        pts, frames = _clutching_frames(field_, name)
-        if ref is None:
-            ref = frames[0, :, 0]  # the band eigenvector at the pole
-        s = _sections(frames, _ref_values(ref, pts, dim, name))
-        worst = float(_inner(s, s).real.min())
+    samples = _clutching_points(equator_samples)
+    _, vecs = batch_eigensystem(field_.symbol, samples, field_.bands, orbits=True)
+    band = vecs[:, :, field_.bands[0] - 1]  # the poles, then the equator
+    points = np.vstack((field_.grid.vertices, samples))
+    refs = [pole if ref is None else ref  # the band eigenvector at the pole
+            for pole, ref in zip(band, (north_ref, south_ref))]
+
+    def amplitudes(ref: RefSpec, at, name: str) -> np.ndarray:
+        """``<v|u>`` at every point, as ``conj(<u|v>)``: for a constant ``u``, two
+        matrix-vector products.  A callable is evaluated at the points ``at`` only; its
+        amplitudes elsewhere read 0, and nothing reads them."""
+        if not callable(ref):
+            u = _ref_values(ref, points, dim, name).conj()
+            return np.concatenate((field_.vectors[:, :, 0] @ u, band @ u)).conj()
+        frames = np.concatenate((field_.vectors[:, :, 0], band))[at]
+        out = np.zeros(len(points), dtype=complex)
+        out[at] = np.einsum("nd,nd->n", frames, _ref_values(ref, points[at], dim, name).conj())
+        return out.conj()
+
+    shared = amplitudes(refs[0], slice(None), "north") if refs[1] is refs[0] else None
+    amps, min_norms = [], []
+    for name, ref, at in zip(("north", "south"), refs, (points[:, 0] >= 0, points[:, 0] <= 0)):
+        a = amplitudes(ref, at, name) if shared is None else shared
+        worst = float((a.real ** 2 + a.imag ** 2)[at].min())
         if worst <= 1e-6:
             raise SectionVanishesError(
                 f"{name} reference section vanishes on its hemisphere "
                 f"(min |s|^2 = {worst:.3g}); supply a different reference"
             )
-        refs.append(ref)
+        amps.append(a[-equator_samples:])  # the equator samples come last
         min_norms.append(worst)
 
-    pts, frames = _clutching_frames(field_, equator_samples)
-    s1 = _sections(frames, _ref_values(refs[0], pts, dim, "north"))
-    s2 = s1 if refs[1] is refs[0] else _sections(frames, _ref_values(refs[1], pts, dim, "south"))
-    w = winding_number(_inner(s1, s2))
+    w = winding_number(amps[0].conj() * amps[1])
     return ChernReport(
         method="clutching",
         C=w,
@@ -551,6 +507,26 @@ def chern_clutching(
 # ---------------------------------------------------------------------------
 # section-zero method
 # ---------------------------------------------------------------------------
+
+def _band_frames(field_: BandProjectorField, points: np.ndarray) -> np.ndarray:
+    """Rank-1 band frames (n, d, 1) at ``points`` from one batched solve, point by point:
+    the section-zero batches (1 to 65 points) are too small for rotating charge orbits to
+    pay."""
+    _, vecs = batch_eigensystem(field_.symbol, points, field_.bands)
+    lo = field_.bands[0] - 1
+    return vecs[:, :, lo : lo + 1]
+
+
+def _sections(frames: np.ndarray, refs: np.ndarray) -> np.ndarray:
+    """Projections ``P u`` (n, d, 1), ``P = V V^dag``, of a reference vector ``u`` (d,)."""
+    proj = frames @ frames.conj().swapaxes(1, 2)
+    return proj @ np.reshape(refs, (-1, frames.shape[1], 1))
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked ``<a|b>`` of column vectors (n, d, 1) -> (n,)."""
+    return (a.conj().swapaxes(1, 2) @ b)[:, 0, 0]
+
 
 def _tangent_frame(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positively oriented orthonormal tangent frame at unit vector p."""

@@ -123,3 +123,32 @@ def test_help_of_indexlab_and_each_command_is_compared(script, tmp_path):
         "| indexlab chern --help | - | identical |",
         "| indexlab verify --help | - | exit code 0 != 2 |",
     ]
+
+
+def test_every_differing_leaf_path_is_listed_once(script):
+    two_bands = [{"band": 1, "raw_value": 0.5, "zeros": [[1.0, 0.0, 0.0]]},
+                 {"band": 2, "raw_value": 0.5, "zeros": [[0.0, 1.0, 0.0]]}]
+    moved = [{"band": 1, "raw_value": 0.5 + 2**-40, "zeros": [[1.0, 2**-30, 0.0]]},
+             {"band": 2, "raw_value": 0.5 + 2**-41, "zeros": [[0.0, 1.0, 2**-50]]}]
+    a, b = report(bands=two_bands), report(bands=moved)
+    assert script.differing_paths(report(), report()) == []
+    assert script.differing_paths(a, b) == ["$.bands[*].raw_value", "$.bands[*].zeros[*][*]"]
+    assert script.json_verdict(a, a) == "identical"
+    assert script.json_verdict(a, b) == (
+        "max float difference 9.31e-10 at `$.bands[0].zeros[0][1]`; "
+        "paths: `$.bands[*].raw_value`, `$.bands[*].zeros[*][*]`")
+
+
+def test_structural_mismatches_are_leaves_of_the_path_list(script):
+    b = report(C=[1], min_band_gap=math.nan, bands=[{"band": 1.0, "raw_value": 0.5,
+                                                     "zeros": [[1.0, 0.0, 0.0]]}])
+    del b["agreement"]
+    assert script.differing_paths(report(), b) == ["$"]
+    c = report(C=[1], min_band_gap=0.0)
+    assert script.differing_paths(report(), c) == ["$.C", "$.min_band_gap"]
+    assert script.json_verdict(report(), c) == (
+        "differs: $.C length 2 != 1; paths: `$.C`, `$.min_band_gap`")
+    # NaN against NaN does not differ; an int against an equal float does
+    d = report(min_band_gap=math.nan, bands=[{"band": 1.0, "raw_value": 0.5,
+                                              "zeros": [[1.0, 0.0, 0.0]]}])
+    assert script.differing_paths(report(min_band_gap=math.nan), d) == ["$.bands[*].band"]

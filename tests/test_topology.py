@@ -269,24 +269,26 @@ def per_point_spectrum(sym, grid):
 
 def test_sphere_solves_each_charge_orbit_once(monkeypatch, grid64):
     # the 64-grid's 24,578 vertices are 3,001 distinct (mu, hypot(x, xi));
-    # a clutching hemisphere's 1,153 points are 65, the equator's 512 are 2
+    # clutching's two poles and 512 equator samples are 4 (the equator's
+    # hypot(x, xi) rounds to two values)
     seen = evaluated_points(monkeypatch)
     spectrum = SphereSpectrum.build(matsuno_symbol(), grid64)
     assert len(grid64.vertices) == 24578 and seen == [3001]
     seen.clear()
     assert chern_clutching(spectrum.field([1])).C == 2
-    assert seen == [65, 65, 2]
-    # the other bands, and a gauge-turned field, slice the same three solves
+    assert seen == [4]
+    # every band, and a gauge-turned field, solve only their poles and equator:
+    # the hemisphere checks read the grid's frames
     section = dict(north_ref=matsuno_band2_section, south_ref=matsuno_band2_section)
     assert chern_clutching(spectrum.field([2]), **section).C == 0
     assert chern_clutching(spectrum.field([3])).C == -2
     phases = np.exp(1j * np.arange(len(grid64.vertices)))
     assert chern_clutching(spectrum.field([1]).with_phase_field(phases)).C == 2
-    assert seen == [65, 65, 2]
-    # a field built on its own solves its own sample sets
+    assert seen == [4, 4, 4, 4]
+    # a field built on its own solves its grid, then the same four orbits
     seen.clear()
     assert chern_clutching(BandProjectorField.build(matsuno_symbol(), [3], grid64)).C == -2
-    assert seen == [3001, 65, 65, 2]
+    assert seen == [3001, 4]
 
 
 def test_clutching_solves_stay_out_of_record_fields(grid32):
@@ -297,37 +299,44 @@ def test_clutching_solves_stay_out_of_record_fields(grid32):
     assert list(vars(spectrum)) == ["symbol", "grid", "omegas", "vectors"]
     assert list(vars(fld)) == ["symbol", "bands", "grid", "vectors", "min_gap"]
     assert (repr(fld), repr(spectrum)) == before
-    # a field constructed directly has no spectrum and solves its own sets
+    # a field constructed directly runs the same path
     direct = BandProjectorField(*vars(fld).values())
     assert chern_clutching(direct) == chern_clutching(fld)
 
 
 def test_verify_makes_each_clutching_solve_once(monkeypatch):
-    # matsuno-upper-gap lists bands 1, 2 and 3: one solve of each hemisphere
-    # and of the equator serves all three, and each band checks its gap on
-    # each of the three sets
-    scenario = load_preset("matsuno-upper-gap")
-    sizes = {1153, scenario.equator_samples}
+    # the charge-orbit solves of a verify run: the grid once, then per band
+    # one batch of the two poles and the equator (4 orbits), gap-checked there
+    # once; no hemisphere is solved
     solves, gaps = [], []
     real_solve, real_gap = topology.batch_eigensystem, topology._band_gap
 
     def solve(symbol, points, bands=None, orbits=False):
-        if len(points) in sizes:
-            solves.append((len(points), float(points[0][0]), bands, orbits))
+        if orbits:
+            points = np.asarray(points)
+            solves.append((len(points), points[:2].tolist(), bands,
+                           len(topology.charge_orbits(points)[0])))
         return real_solve(symbol, points, bands, orbits)
 
     def band_gap(omegas, bands, points):
-        if len(points) in sizes:
-            gaps.append((len(points), float(points[0][0]), tuple(bands)))
+        gaps.append((len(points), tuple(bands)))
         return real_gap(omegas, bands, points)
 
     monkeypatch.setattr(topology, "batch_eigensystem", solve)
     monkeypatch.setattr(topology, "_band_gap", band_gap)
-    _, payload = run_verify(scenario)
-    assert payload["verdict"] == "PASS"
-    sets = [(1153, 1.0), (1153, -1.0), (scenario.equator_samples, 0.0)]
-    assert solves == [(*s, None, True) for s in sets]
-    assert gaps == [(*s, (band,)) for band in scenario.chern_bands for s in sets]
+    poles = [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]
+    for preset in ("normal-form", "matsuno-upper-gap", "ts2"):
+        scenario = load_preset(preset)
+        samples = scenario.equator_samples + 2
+        solves.clear()
+        gaps.clear()
+        _, payload = run_verify(scenario)
+        assert payload["verdict"] == "PASS"
+        vertices = SphereGrid.build(scenario.grid_n).vertices
+        bands = scenario.chern_bands
+        assert solves == [(len(vertices), vertices[:2].tolist(), None, solves[0][3])] + [
+            (samples, poles, (band,), 4) for band in bands], preset
+        assert [g for g in gaps if g[0] == samples] == [(samples, (band,)) for band in bands]
 
 
 @pytest.mark.parametrize("family", sorted(BLOCK_FAMILIES))
@@ -356,7 +365,7 @@ def test_sphere_without_charge_symmetry_solves_every_point(
     assert np.array_equal(spectrum.vectors, vecs)
     seen.clear()
     chern_clutching(spectrum.field([1]))
-    assert seen == [1153, 1153, 512]
+    assert seen == [514]  # the two poles and the equator, point by point
 
 
 def test_plain_callback_of_a_symmetric_family_solves_every_point(monkeypatch):
@@ -459,6 +468,28 @@ def test_every_chern_method_is_gauge_invariant(monkeypatch, grid17, preset):
             for za, zb in zip(a.zeros, b.zeros):
                 assert np.abs(np.subtract(za.point, zb.point)).max() <= 1e-9
         assert len({r.C for r in want}) == 1  # the methods agree on both sides
+
+
+@pytest.mark.parametrize("bad", [0.0, 2.0, 1e-9, 1.0 + 1e-11, np.nan, np.inf, complex(1.0, np.nan)],
+                         ids=["zero", "two", "tiny", "off-by-1e-11", "nan", "inf", "nan-imag"])
+def test_with_phase_field_rejects_phases_off_the_unit_circle(grid32, bad):
+    # a phase of modulus m scales |<v|u>| by m: the section norms that
+    # clutching and the zero scan read off the frames would move
+    fld = BandProjectorField.build(matsuno_symbol(), [1], grid32)
+    phases = np.ones(len(grid32.vertices), dtype=complex)
+    phases[7] = bad
+    with pytest.raises(ModelError, match="finite and of modulus 1"):
+        fld.with_phase_field(phases)
+
+
+def test_unit_phases_leave_every_method_unchanged(grid32, rng):
+    fld = BandProjectorField.build(matsuno_symbol(), [1], grid32)
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, len(grid32.vertices)))
+    phases[0] *= 1.0 + 1e-13  # within the modulus tolerance
+    turned = fld.with_phase_field(phases)
+    for method in (chern_curvature, chern_clutching,
+                   lambda f: chern_section_zeros(f, [0.0, 0.0, 1.0])):
+        assert method(turned).C == method(fld).C == 2
 
 
 def test_field_projector_idempotent(grid32):
@@ -698,16 +729,17 @@ def test_builtin_sections_take_rows_bit_for_bit(preset):
     scenario = load_preset(preset)
     section = {"matsuno": _matsuno_band2_section, "ts2": _ts2_band2_section}[preset]
     assert section.batched
-    for sample_set in ("north", "south", scenario.equator_samples):
-        points = topology._clutching_points(sample_set)
-        rows = section(points)
-        per_point = np.array([section(p) for p in points], dtype=complex)
-        assert rows.dtype == per_point.dtype and rows.tobytes() == per_point.tobytes()
+    # the points clutching reads a shared reference at: every grid vertex,
+    # the two poles and the equator
+    points = np.vstack((SphereGrid.build(scenario.grid_n).vertices,
+                        topology._clutching_points(scenario.equator_samples)))
+    rows = section(points)
+    per_point = np.array([section(p) for p in points], dtype=complex)
+    assert rows.dtype == per_point.dtype and rows.tobytes() == per_point.tobytes()
     # the plain per-point formula of matsuno_band2_section above
     if preset == "matsuno":
-        points = np.vstack([topology._clutching_points(k) for k in ("north", "south", 512)])
         old = np.array([matsuno_band2_section(p) for p in points], dtype=complex)
-        assert old.tobytes() == section(points).tobytes()
+        assert old.tobytes() == rows.tobytes()
 
 
 @pytest.mark.parametrize("preset", ["matsuno", "ts2"])
@@ -738,17 +770,65 @@ def test_shared_reference_runs_once_per_equator_point(grid32):
         return _matsuno_band2_section(p)
     batched.batched = True
 
+    # a shared reference is read once at every vertex, both poles and the
+    # equator; two distinct ones each on their closed hemisphere, whose
+    # vertices on mu = 0 and the equator samples both read
+    mu = grid32.vertices[:, 0]
+    north, south, equator = (mu >= 0).sum() + 1 + 64, (mu <= 0).sum() + 1 + 64, (mu == 0).sum()
+    assert equator == 4 * 32
     fld = BandProjectorField.build(matsuno_symbol(), [2], grid32)
     assert chern_clutching(fld, 64, per_point, per_point).C == 0
-    assert len(calls) == 1153 + 1153 + 64
+    assert len(calls) == len(mu) + 2 + 64
     calls.clear()
     assert chern_clutching(fld, 64, batched, batched).C == 0
-    assert calls == [1153, 1153, 64]
-    # two distinct callables are each evaluated on the equator
+    assert calls == [len(mu) + 2 + 64]
     calls.clear()
     other = lambda p: per_point(p)  # noqa: E731
     assert chern_clutching(fld, 64, per_point, other).C == 0
-    assert len(calls) == 1153 + 1153 + 2 * 64
+    assert len(calls) == north + south == len(mu) + equator + 2 + 2 * 64
+    calls.clear()
+    other = lambda p: batched(p)  # noqa: E731
+    other.batched = True
+    assert chern_clutching(fld, 64, batched, other).C == 0
+    assert calls == [north, south]
+
+
+def test_clutching_sees_a_section_zero_at_a_grid_vertex(grid32):
+    # u(p) = p - q vanishes at the vertex q, 8 degrees from every point of a
+    # hemisphere sample of 24 rings of 48 points: read there, the section
+    # looks safe (min |s|^2 = 1.8e-4) and band 1 of matsuno (C = 2) reads
+    # C = 1 without an error
+    target = np.array([1.0, 1 / 16, -1 / 8])  # a cube point of face mu = +1
+    target /= np.linalg.norm(target)
+    q = grid32.vertices[np.argmin(np.linalg.norm(grid32.vertices - target, axis=1))]
+    assert np.abs(q - target).max() < 1e-15
+    fld = BandProjectorField.build(matsuno_symbol(), [1], grid32)
+    assert chern_clutching(fld).C == 2
+    with pytest.raises(SectionVanishesError, match=r"^north reference section vanishes .*= 0\)"):
+        chern_clutching(fld, north_ref=lambda p: p - q)
+    with pytest.raises(SectionVanishesError, match=r"^south reference section vanishes"):
+        chern_clutching(fld, south_ref=lambda p: p + q)
+
+
+def test_clutching_reads_the_poles_off_the_grid(grid17):
+    # at odd N no vertex sits at a pole: the pole samples catch a section that
+    # vanishes there, and every preset band keeps its C
+    pole = np.array([1.0, 0.0, 0.0])
+    assert np.linalg.norm(grid17.vertices - pole, axis=1).min() > 0.05
+    assert np.linalg.norm(grid17.vertices + pole, axis=1).min() > 0.05
+    fld = BandProjectorField.build(matsuno_symbol(), [1], grid17)
+    with pytest.raises(SectionVanishesError, match="^north .*= 0\\)"):
+        chern_clutching(fld, north_ref=lambda p: p - pole)
+    with pytest.raises(SectionVanishesError, match="^south .*= 0\\)"):
+        chern_clutching(fld, south_ref=lambda p: p + pole)
+    for preset in ("normal-form", "matsuno-upper-gap", "ts2"):
+        scenario = load_preset(preset)
+        spectrum = SphereSpectrum.build(scenario.symbol(), grid17)
+        for band in scenario.chern_bands:
+            fld = spectrum.field([band])
+            rep = chern_clutching(fld, scenario.equator_samples, *scenario.clutch_refs_for(band))
+            assert rep.C == chern_curvature(fld).C, (preset, band)
+            assert rep.diagnostics["min_section_norm_sq"] > 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -789,6 +869,32 @@ def test_zero_seeds_match_full_cell_rule_on_preset_bands(preset):
         cells = spectrum.grid.cells
         seeds = topology._zero_seeds(amps, cells, threshold)
         assert np.array_equal(seeds, full_cell_seeds(amps, cells, threshold))
+
+
+def test_a_second_seed_of_a_zero_is_dropped(monkeypatch):
+    # each real seed gets a second seed at a vertex sharing a cell with it;
+    # both polish to the same zero, and the 1e-6 filter keeps the first only
+    # (without it the two copies sit closer than twice the probe radius)
+    scenario = load_preset("matsuno")
+    fld = SphereSpectrum.build(scenario.symbol(), SphereGrid.build(scenario.grid_n)).field([1])
+    u0 = scenario.zero_ref_for(1)
+    expected = chern_section_zeros(fld, u0)
+    assert expected.diagnostics["zero_count"] == 2
+    real_seeds, real_refine = topology._zero_seeds, topology._refine_zero
+
+    def doubled(amps, cells, threshold):
+        seeds = real_seeds(amps, cells, threshold)
+        neighbours = [next(v for v in cells[(cells == s).any(axis=1)][0] if v != s)
+                      for s in seeds]
+        return np.concatenate((seeds, neighbours))
+
+    polished = []
+    monkeypatch.setattr(topology, "_zero_seeds", doubled)
+    monkeypatch.setattr(topology, "_refine_zero",
+                        lambda *a: polished.append(real_refine(*a)) or polished[-1])
+    rep = chern_section_zeros(fld, u0)
+    assert len(polished) == 4 and all(norm < 1e-10 for _, norm in polished)
+    assert rep == expected
 
 
 def assert_zero_points(zeros, expected_points, atol=1e-6):
