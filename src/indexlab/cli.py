@@ -28,7 +28,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -46,32 +46,16 @@ from .models import (
     BranchLabel,
 )
 
-if TYPE_CHECKING:
-    from .topology import BandProjectorField, ChernReport
-
 __all__ = ["Scenario", "VerificationReport", "PRESETS", "load_preset",
            "run_spectrum", "run_flow", "run_chern", "run_verify", "main", "entry"]
 
 SCHEMA = "indexlab.scenario/1"
 
-#: The Chern layer's names on this module, bound by :func:`_load_topology` on the first ``chern``
-#: or ``verify`` run or read of one of them (so ``flow`` and ``spectrum`` never import
-#: ``topology``); a name already bound is kept, as a test may rebind one.
-_TOPOLOGY_NAMES = ("SphereGrid", "SphereSpectrum", "chern_clutching", "chern_curvature",
-                   "chern_section_zeros")
 
-
-def _load_topology():
+def _topology():
+    """The Chern layer, imported on first use: ``flow`` and ``spectrum`` never load it."""
     from . import topology
-    for name in _TOPOLOGY_NAMES:
-        globals().setdefault(name, getattr(topology, name))
-
-
-def __getattr__(name: str):
-    if name not in _TOPOLOGY_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load_topology()
-    return globals()[name]
+    return topology
 
 
 EXIT_OK = 0
@@ -404,7 +388,7 @@ def run_flow(scenario: Scenario) -> dict:
     }
 
 
-def _chern_report_dict(report: ChernReport) -> dict:
+def _chern_report_dict(report) -> dict:
     out = {
         "method": report.method,
         "C": report.C,
@@ -420,18 +404,19 @@ def _chern_report_dict(report: ChernReport) -> dict:
 
 
 #: Each Chern method by name, in report order: (scenario, field, band) -> report.  The
-#: entries look the ``chern_*`` functions up when called, so a rebinding of one on this
-#: module reaches them.
-_CHERN_METHODS: dict[str, Callable[[Scenario, BandProjectorField, int], ChernReport]] = {
-    "curvature": lambda scenario, fld, band: chern_curvature(fld),
-    "clutching": lambda scenario, fld, band: chern_clutching(
+#: entries look the ``topology.chern_*`` functions up when called, so a rebinding of one
+#: on that module reaches them.
+_CHERN_METHODS: dict[str, Callable] = {
+    "curvature": lambda scenario, fld, band: _topology().chern_curvature(fld),
+    "clutching": lambda scenario, fld, band: _topology().chern_clutching(
         fld, scenario.equator_samples, *scenario.clutch_refs_for(band)),
-    "zeros": lambda scenario, fld, band: chern_section_zeros(fld, scenario.zero_ref_for(band)),
+    "zeros": lambda scenario, fld, band: _topology().chern_section_zeros(
+        fld, scenario.zero_ref_for(band)),
 }
 
 
 def _band_reports(
-    scenario: Scenario, spectrum: SphereSpectrum, bands: Sequence[int], method: str
+    scenario: Scenario, spectrum, bands: Sequence[int], method: str
 ) -> tuple[list[int], list[dict], bool]:
     """Per-band C (first method), report entries and agreement, from one spectrum."""
     per_band = []
@@ -454,11 +439,11 @@ def run_chern(scenario: Scenario, method: str = "all") -> dict:
     """Per-band Chern indices by the requested method(s)."""
     if method not in (*_CHERN_METHODS, "all"):
         raise ModelError(f"unknown chern method {method!r}")
-    _load_topology()
+    topology = _topology()
     t0 = time.monotonic()
     symbol = scenario.symbol()
     bands = scenario.chern_bands or tuple(range(1, symbol.dim + 1))
-    spectrum = SphereSpectrum.build(symbol, SphereGrid.build(scenario.grid_n))
+    spectrum = topology.SphereSpectrum.build(symbol, topology.SphereGrid.build(scenario.grid_n))
     c_values, per_band, agreement = _band_reports(scenario, spectrum, bands, method)
     out = {
         "schema": "indexlab.chern/1",
@@ -504,7 +489,7 @@ def run_verify(scenario: Scenario) -> tuple[VerificationReport, dict]:
     them needs it; a group of one band listed in ``chern_bands`` takes that
     band's curvature report instead of computing it again.
     """
-    _load_topology()
+    topology = _topology()
     t0 = time.monotonic()
     symbol = scenario.symbol()
     flow_result, flow_fields, _ = _flow(scenario, symbol)
@@ -512,7 +497,7 @@ def run_verify(scenario: Scenario) -> tuple[VerificationReport, dict]:
 
     subgap_bands = list(range(1, symbol.gap_band + 1))
     if subgap_bands or scenario.chern_bands:
-        spectrum = SphereSpectrum.build(symbol, SphereGrid.build(scenario.grid_n))
+        spectrum = topology.SphereSpectrum.build(symbol, topology.SphereGrid.build(scenario.grid_n))
     per_band, agreement = [], None
     if scenario.chern_bands:
         _, per_band, agreement = _band_reports(
@@ -526,7 +511,7 @@ def run_verify(scenario: Scenario) -> tuple[VerificationReport, dict]:
     if group:
         group_report = curvature.get(group)
         if group_report is None:
-            group_report = _chern_report_dict(chern_curvature(spectrum.field(list(group))))
+            group_report = _chern_report_dict(topology.chern_curvature(spectrum.field(list(group))))
         subgap_c, subgap_raw = group_report["C"], group_report["raw_value"]
     if complement:
         # 0.0 - keeps a zero raw value +0.0

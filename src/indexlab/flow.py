@@ -149,9 +149,10 @@ def _sturm_count(diag: np.ndarray, off_sq: np.ndarray, shift: np.ndarray) -> np.
     of ``T - shift = L D L^T`` (Sylvester's law of inertia; Barth, Martin &
     Wilkinson 1967).  A pivot of magnitude at most ``pivmin`` becomes
     ``-pivmin``, as in LAPACK ``dstebz`` (here with the largest ``b^2`` of
-    all the matrices), so no division is by zero or overflows.  The count is
-    exact for a matrix within a few ulps of ``T`` (Demmel, Dhillon & Ren
-    1995).
+    all the matrices), so no division is by zero or overflows.  After that
+    clamp no pivot is 0, so counting ``pivot <= 0`` would count the same.  The
+    count is exact for a matrix within a few ulps of ``T`` (Demmel, Dhillon &
+    Ren 1995).
     """
     pivmin = np.finfo(float).tiny * max(1.0, off_sq.max(initial=0.0))
     count = 0

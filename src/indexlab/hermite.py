@@ -51,6 +51,7 @@ __all__ = [
     "Record",
     "TruncatedBasis",
     "AffineMatrixSymbol",
+    "as_points",
     "TruncatedOperator",
     "BlockStack",
     "OperatorPieces",
@@ -202,7 +203,7 @@ class AffineMatrixSymbol:
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         """Stack of symbol matrices at ``points`` of shape (n, 3) = (mu, x, xi)."""
-        points = np.asarray(points, dtype=float)
+        points = as_points(points)
         out = self.const_stack(points[:, 0]) + points[:, 1, None, None] * self.x_coeff
         out += points[:, 2, None, None] * self.xi_coeff
         return out
@@ -222,6 +223,14 @@ class AffineMatrixSymbol:
         """:meth:`const_stack` at 32 mu in [-2, 2], evenly spaced or drawn from ``rng`` (``B``
         and ``C`` are checked at construction); without ``rng`` no ``numpy.random`` import."""
         self.const_stack(np.linspace(-2.0, 2.0, 32) if rng is None else rng.uniform(-2.0, 2.0, 32))
+
+
+def as_points(points) -> np.ndarray:
+    """``points`` as floats (n, 3) = (mu, x, xi); other shapes raise :class:`ModelError`."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ModelError(f"points must have shape (n, 3), got {points.shape}")
+    return points
 
 
 class TruncatedOperator(Record):

@@ -30,10 +30,11 @@ those frames; clutching adds one small solve per band, of the two poles and
 its equator samples.
 
 A frame is any orthonormal eigenbasis, with no phase fixed: each method
-reads only loop products of link overlaps, band projections, or windings in
-one local frame per batch.  Within a run a frame depends only on its point
-(LAPACK gives the same vectors for the same matrix), which the Newton
-polish needs: it solves its centre point in two batches.
+reads only loop products of link overlaps, or windings of band amplitudes
+``<v|u>`` (a rank-1 band's section is ``P u = v <v|u>``) in one local frame
+per batch.  Within a run a frame depends only on its point (LAPACK gives the
+same vectors for the same matrix), which the Newton polish needs: it solves
+its centre point in two batches.
 
 Orientation convention: the ordered coordinates (mu, x, xi) are positively
 oriented, i.e. a tangent frame (t1, t2) at p is positive when
@@ -55,7 +56,7 @@ from .errors import (
     ModelError,
     SectionVanishesError,
 )
-from .hermite import AffineMatrixSymbol, Record, charge_orbits
+from .hermite import AffineMatrixSymbol, Record, as_points, charge_orbits
 
 __all__ = [
     "SphereGrid",
@@ -148,8 +149,9 @@ def batch_eigensystem(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues (n, d) and orthonormal eigenvector columns (n, d, d).
 
-    ``points`` (n, 3) are solved by one batched ``eigh``, unless ``orbits`` is set and
-    the symbol has a charge operator ``D = F diag(delta) F^dag`` (``(delta, F)`` is
+    ``points`` (n, 3) or one point (3,) are solved by one batched ``eigh`` (other shapes
+    raise :class:`ModelError`), unless ``orbits`` is set and the symbol has a charge
+    operator ``D = F diag(delta) F^dag`` (``(delta, F)`` is
     :attr:`~indexlab.hermite.AffineMatrixSymbol.charge`): then one batched ``eigh``
     solves each orbit of :func:`~indexlab.hermite.charge_orbits` at ``(mu, r, 0)``, and
     the point at angle ``t = atan2(xi, x)`` takes the orbit's eigenvalues and its
@@ -159,7 +161,7 @@ def batch_eigensystem(
     :data:`BAND_GAP_TOL` between selected and unselected bands at any point raises
     :class:`DegeneracyError`.
     """
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    points = as_points(np.atleast_2d(points))
     if not orbits or symbol.charge is None:
         omegas, vecs = np.linalg.eigh(symbol.evaluate_many(points))
     else:
@@ -317,6 +319,14 @@ def winding_number(samples: Sequence[complex]) -> int:
     return int(round(float(steps.sum()) / (2.0 * np.pi)))
 
 
+def _amplitudes(vectors: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """``<v|u>`` (n,) of rank-1 band vectors ``v`` (n, d) and a reference ``u`` (d,) or one
+    per row (n, d): a rank-1 band's section is ``P u = v <v|u>``, one number per point."""
+    if ref.ndim == 1:
+        return (vectors @ ref.conj()).conj()
+    return np.einsum("nd,nd->n", vectors, ref.conj()).conj()
+
+
 # ---------------------------------------------------------------------------
 # curvature method
 # ---------------------------------------------------------------------------
@@ -438,20 +448,18 @@ def chern_clutching(
     reproduce the textbook (1,0)/(0,1) choice for the two-band model).
     References may be callables ``point -> C^d`` for bundles that admit no
     trivializing constant vector; one whose ``batched`` attribute is true is
-    called once with all the points it is read at, ``(n, 3) -> (n, d)``.
+    called once with all the points of its hemisphere, ``(n, 3) -> (n, d)``.
     Values that are not finite vectors of the symbol's dimension raise
-    :class:`ModelError` naming the reference.  Both sections are verified to
-    satisfy ``|s|^2 > 1e-6`` on their closed hemisphere {+-mu >= 0}, read at
-    its grid vertices (from the field's frames), its pole and the equator
-    samples: for a rank-1 band ``s = v <v|u>``, so ``|s|^2 = |<v|u>|^2``.  The
+    :class:`ModelError` naming the reference.  Each reference, shared or not,
+    is read on its own closed hemisphere {+-mu >= 0}, at its grid vertices
+    (from the field's frames), its pole and the equator samples, where its
+    section ``s = v <v|u>`` must satisfy ``|s|^2 = |<v|u>|^2 > 1e-6``.  The
     transition phase ``<s_north | s_south>`` is ``conj(<v|u_north>)
     <v|u_south>`` on the equator, and its winding is C.  The only solve is one
     batch of the two poles and the equator samples, once per charge orbit
     where the symbol has a charge operator (4 orbits: the equator's
     ``hypot(x, xi)`` rounds to two values) and point by point otherwise; it
     checks the band's gap there, as the field's build did at every vertex.
-    When ``north_ref is south_ref`` the reference is evaluated once, at every
-    point of both hemispheres.
     """
     if field_.rank != 1:
         raise ModelError("clutching method requires a rank-1 band")
@@ -462,27 +470,17 @@ def chern_clutching(
     samples = _clutching_points(equator_samples)
     _, vecs = batch_eigensystem(field_.symbol, samples, field_.bands, orbits=True)
     band = vecs[:, :, field_.bands[0] - 1]  # the poles, then the equator
+    frames = np.concatenate((field_.vectors[:, :, 0], band))
     points = np.vstack((field_.grid.vertices, samples))
-    refs = [pole if ref is None else ref  # the band eigenvector at the pole
-            for pole, ref in zip(band, (north_ref, south_ref))]
-
-    def amplitudes(ref: RefSpec, at, name: str) -> np.ndarray:
-        """``<v|u>`` at every point, as ``conj(<u|v>)``: for a constant ``u``, two
-        matrix-vector products.  A callable is evaluated at the points ``at`` only; its
-        amplitudes elsewhere read 0, and nothing reads them."""
-        if not callable(ref):
-            u = _ref_values(ref, points, dim, name).conj()
-            return np.concatenate((field_.vectors[:, :, 0] @ u, band @ u)).conj()
-        frames = np.concatenate((field_.vectors[:, :, 0], band))[at]
-        out = np.zeros(len(points), dtype=complex)
-        out[at] = np.einsum("nd,nd->n", frames, _ref_values(ref, points[at], dim, name).conj())
-        return out.conj()
-
-    shared = amplitudes(refs[0], slice(None), "north") if refs[1] is refs[0] else None
     amps, min_norms = [], []
-    for name, ref, at in zip(("north", "south"), refs, (points[:, 0] >= 0, points[:, 0] <= 0)):
-        a = amplitudes(ref, at, name) if shared is None else shared
-        worst = float((a.real ** 2 + a.imag ** 2)[at].min())
+    for name, pole, ref, at in zip(("north", "south"), band, (north_ref, south_ref),
+                                   (points[:, 0] >= 0, points[:, 0] <= 0)):
+        ref = pole if ref is None else ref  # the band eigenvector at the pole
+        if callable(ref):
+            a = _amplitudes(frames[at], _ref_values(ref, points[at], dim, name))
+        else:
+            a = _amplitudes(frames, _ref_values(ref, points, dim, name))[at]
+        worst = float((a.real ** 2 + a.imag ** 2).min())
         if worst <= 1e-6:
             raise SectionVanishesError(
                 f"{name} reference section vanishes on its hemisphere "
@@ -509,23 +507,10 @@ def chern_clutching(
 # ---------------------------------------------------------------------------
 
 def _band_frames(field_: BandProjectorField, points: np.ndarray) -> np.ndarray:
-    """Rank-1 band frames (n, d, 1) at ``points`` from one batched solve, point by point:
-    the section-zero batches (1 to 65 points) are too small for rotating charge orbits to
-    pay."""
+    """Rank-1 band vectors (n, d) at ``points``, solved point by point: the section-zero
+    batches (1 to 65 points) are too small for rotating charge orbits to pay."""
     _, vecs = batch_eigensystem(field_.symbol, points, field_.bands)
-    lo = field_.bands[0] - 1
-    return vecs[:, :, lo : lo + 1]
-
-
-def _sections(frames: np.ndarray, refs: np.ndarray) -> np.ndarray:
-    """Projections ``P u`` (n, d, 1), ``P = V V^dag``, of a reference vector ``u`` (d,)."""
-    proj = frames @ frames.conj().swapaxes(1, 2)
-    return proj @ np.reshape(refs, (-1, frames.shape[1], 1))
-
-
-def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stacked ``<a|b>`` of column vectors (n, d, 1) -> (n,)."""
-    return (a.conj().swapaxes(1, 2) @ b)[:, 0, 0]
+    return vecs[:, :, field_.bands[0] - 1]
 
 
 def _tangent_frame(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -540,12 +525,10 @@ def _tangent_frame(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _section_coords(
     field_: BandProjectorField, u0: np.ndarray, center: np.ndarray, points: np.ndarray
 ) -> np.ndarray:
-    """Coordinates ``<v0 | P(q) u0>`` at ``points`` q, v0 the band vector at ``center``.
-
-    The center and the points are solved as one batch.
-    """
+    """Coordinates ``<v0 | P(q) u0> = <v0|v_q> <v_q|u0>`` at ``points`` q, v0 the band
+    vector at ``center``; the center and the points are solved as one batch."""
     frames = _band_frames(field_, np.vstack((center, points)))
-    return _inner(frames[:1], _sections(frames[1:], u0))
+    return _amplitudes(frames[1:], frames[0]).conj() * _amplitudes(frames[1:], u0)
 
 
 def _refine_zero(
@@ -553,15 +536,15 @@ def _refine_zero(
 ) -> tuple[np.ndarray, float]:
     """Polish a candidate zero of the section by 2x2 Newton from its seed.
 
-    Newton runs on the complex coordinate z(t) = <v0 | s> of the section in
-    the frame of the band eigenvector v0 at the current point, with t the
-    tangent-plane offset.  The seed is a grid vertex where the section is
+    Newton runs on the complex coordinate z(t) = <v0|s> = <v0|v> <v|u0> of
+    the section in the frame of the band eigenvector v0 at the current point,
+    with t the tangent-plane offset.  The seed is a grid vertex where the section is
     small; near a nondegenerate zero the iteration converges quadratically.
     Each step solves the current point first and stops once ``|z| < 1e-13``
     there, so a seed that is an exact zero comes back unchanged after one
     small solve; only a step that moves solves the four finite-difference
-    neighbours.  Returns the point and the section norm there, which the
-    caller tests.
+    neighbours.  Returns the point and the section norm ``|<v|u0>|`` there,
+    which the caller tests.
     """
     p0 = seed_point / np.linalg.norm(seed_point)
     h = 1e-7
@@ -583,8 +566,7 @@ def _refine_zero(
             break
         p0 = p0 + step[0] * t1 + step[1] * t2
         p0 /= np.linalg.norm(p0)
-    s = _sections(_band_frames(field_, p0), u0)
-    return p0, float(np.linalg.norm(s))
+    return p0, float(abs(_amplitudes(_band_frames(field_, p0), u0)[0]))
 
 
 def _zero_seeds(amps: np.ndarray, cells: np.ndarray, threshold: float) -> np.ndarray:
@@ -606,9 +588,9 @@ def chern_section_zeros(field_: BandProjectorField, reference_vector: Sequence[c
                         probe_radius: float = 1e-3) -> ChernReport:
     """Chern index as the sum of local winding indices at section zeros.
 
-    The global section ``s(p) = P(p) u0`` is scanned for zeros on the grid
-    vertices, read from the frames the field sliced from its spectrum, so the
-    scan solves nothing per band.  A vertex seeds a Newton polish when
+    The global section ``s(p) = P(p) u0 = v <v|u0>`` is scanned for zeros on
+    the grid vertices, as ``|s| = |<v|u0>|`` off the frames the field sliced
+    from its spectrum, so the scan solves nothing per band.  A vertex seeds a Newton polish when
     ``|s| < 0.15 |u0|`` there and it comes before every vertex it shares a
     cell with when ``argsort`` orders the vertices by ``|s|``; only the cells
     holding such a candidate are scanned.  Seeds are polished in vertex order, so
@@ -633,7 +615,7 @@ def chern_section_zeros(field_: BandProjectorField, reference_vector: Sequence[c
     # locally lowest rank lies next to each zero (a cell winding would not
     # do: on even grids the preset zeros are vertices).  Sections bounded
     # away from zero (min above the floor) cost no polish.
-    amps = np.abs(np.einsum("vd,d->v", field_.vectors[:, :, 0].conj(), u0))
+    amps = np.abs(_amplitudes(field_.vectors[:, :, 0], u0))
     threshold = 0.15 * float(np.linalg.norm(u0))
     if not amps.max() > 1e-10 * threshold:
         raise ModelError("section P u0 vanishes at every vertex: u0 = 0 or orthogonal to the band")

@@ -259,11 +259,11 @@ def test_run_verify_objects_directly():
 def test_run_verify_takes_the_subgap_index_from_the_rank_1_complement(monkeypatch, preset):
     # bands 1..2 lie below the gap and band 3 above: verify computes the
     # curvature of band 3 alone and negates it
-    import indexlab.cli as cli
+    import indexlab.topology as topology
     from indexlab.topology import SphereGrid, SphereSpectrum, chern_curvature
 
     ranks = []
-    monkeypatch.setattr(cli, "chern_curvature",
+    monkeypatch.setattr(topology, "chern_curvature",
                         lambda fld, *a: ranks.append(fld.rank) or chern_curvature(fld, *a))
     scenario = load_preset(preset)
     result, payload = run_verify(scenario)
@@ -282,11 +282,11 @@ def test_run_verify_takes_the_subgap_index_from_the_rank_1_complement(monkeypatc
 def test_run_verify_computes_each_band_curvature_once(monkeypatch, preset, bands):
     # the sub-gap index comes from band 3, which chern_bands also reports:
     # its curvature is computed once and shared
-    import indexlab.cli as cli
+    import indexlab.topology as topology
     from indexlab.topology import chern_curvature
 
     computed = []
-    monkeypatch.setattr(cli, "chern_curvature",
+    monkeypatch.setattr(topology, "chern_curvature",
                         lambda fld, *a: computed.append(fld.bands) or chern_curvature(fld, *a))
     result, payload = run_verify(load_preset(preset))
     assert sorted(computed) == bands
@@ -606,15 +606,15 @@ def test_scenario_not_utf8_or_nested_too_deeply_is_config_error(tmp_path, capsys
 @pytest.mark.parametrize("command", [["chern", "--method", "all"], ["verify"]])
 def test_chern_methods_disagreeing_exit_code(tmp_path, capsys, monkeypatch, command):
     # a section-zero count one above the other methods' index
-    import indexlab.cli as cli
+    import indexlab.topology as topology
 
-    real = cli.chern_section_zeros
+    real = topology.chern_section_zeros
 
     def one_above(*args):
         report = real(*args)
         return dataclasses.replace(report, C=report.C + 1)
 
-    monkeypatch.setattr(cli, "chern_section_zeros", one_above)
+    monkeypatch.setattr(topology, "chern_section_zeros", one_above)
     out = tmp_path / "report.json"
     assert main([*command, "--preset", "normal-form", "--levels", "16", "--grid", "16",
                  "--out", str(out)]) == 4

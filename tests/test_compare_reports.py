@@ -152,3 +152,14 @@ def test_structural_mismatches_are_leaves_of_the_path_list(script):
     d = report(min_band_gap=math.nan, bands=[{"band": 1.0, "raw_value": 0.5,
                                               "zeros": [[1.0, 0.0, 0.0]]}])
     assert script.differing_paths(report(min_band_gap=math.nan), d) == ["$.bands[*].band"]
+
+
+def test_every_command_row_has_its_own_report_files(script):
+    # the two chern rows differ only by --grid 17, which moves the preset zeros
+    # off the vertices so that the Newton polish runs; a stem of the command
+    # name alone would give both rows one file
+    assert ("chern", "--method", "all", "--grid", "17") in script.COMMANDS
+    stems = [script.report_stem(c, p) for c in script.COMMANDS for p in script.PRESETS]
+    assert len(set(stems)) == len(stems) == len(script.COMMANDS) * len(script.PRESETS)
+    assert script.report_stem(("chern", "--method", "all", "--grid", "17"), "ts2") == (
+        "chern-method-all-grid-17-ts2")

@@ -198,6 +198,19 @@ def test_batch_eigensystem_degeneracy_error_names_point():
     assert omegas.shape == (2, 3) and vecs.shape == (2, 3, 3)
 
 
+@pytest.mark.parametrize("shape", [(6,), (1, 6), (2,), (4, 4)])
+def test_points_of_the_wrong_shape_are_refused(shape):
+    # a (6,) array is not the point (0, 0, 1), nor is a (1, 6) array two points
+    sym = matsuno_symbol()
+    points = np.resize([0.0, 0.0, 1.0], shape)
+    for solve in (lambda: point_eigensystem(sym, points), lambda: sym.evaluate_many(points),
+                  lambda: batch_eigensystem(sym, points),
+                  lambda: batch_eigensystem(sym, points, orbits=True)):
+        with pytest.raises(ModelError, match=re.escape("points must have shape (n, 3)")):
+            solve()
+    assert batch_eigensystem(sym, [0.0, 0.0, 1.0])[1].shape == (1, 3, 3)
+
+
 # ---------------------------------------------------------------------------
 # band projector field
 # ---------------------------------------------------------------------------
@@ -758,7 +771,7 @@ def test_per_point_callable_matches_builtin_section(preset):
     assert user == builtin
 
 
-def test_shared_reference_runs_once_per_equator_point(grid32):
+def test_each_reference_is_read_on_its_own_closed_hemisphere(grid32):
     calls = []
 
     def per_point(p):
@@ -770,27 +783,23 @@ def test_shared_reference_runs_once_per_equator_point(grid32):
         return _matsuno_band2_section(p)
     batched.batched = True
 
-    # a shared reference is read once at every vertex, both poles and the
-    # equator; two distinct ones each on their closed hemisphere, whose
-    # vertices on mu = 0 and the equator samples both read
+    # shared or not, a reference is read at every vertex of its closed
+    # hemisphere, its pole and the equator samples: the vertices on mu = 0
+    # and the equator samples are read once for each side
     mu = grid32.vertices[:, 0]
     north, south, equator = (mu >= 0).sum() + 1 + 64, (mu <= 0).sum() + 1 + 64, (mu == 0).sum()
     assert equator == 4 * 32
     fld = BandProjectorField.build(matsuno_symbol(), [2], grid32)
-    assert chern_clutching(fld, 64, per_point, per_point).C == 0
-    assert len(calls) == len(mu) + 2 + 64
-    calls.clear()
-    assert chern_clutching(fld, 64, batched, batched).C == 0
-    assert calls == [len(mu) + 2 + 64]
-    calls.clear()
-    other = lambda p: per_point(p)  # noqa: E731
-    assert chern_clutching(fld, 64, per_point, other).C == 0
-    assert len(calls) == north + south == len(mu) + equator + 2 + 2 * 64
-    calls.clear()
+    for south_ref in (per_point, lambda p: per_point(p)):
+        calls.clear()
+        assert chern_clutching(fld, 64, per_point, south_ref).C == 0
+        assert len(calls) == north + south == len(mu) + equator + 2 + 2 * 64
     other = lambda p: batched(p)  # noqa: E731
     other.batched = True
-    assert chern_clutching(fld, 64, batched, other).C == 0
-    assert calls == [north, south]
+    for south_ref in (batched, other):
+        calls.clear()
+        assert chern_clutching(fld, 64, batched, south_ref).C == 0
+        assert calls == [north, south]
 
 
 def test_clutching_sees_a_section_zero_at_a_grid_vertex(grid32):
@@ -1002,6 +1011,28 @@ def test_zero_polish_solves_the_neighbours_only_for_a_step(grid64, monkeypatch):
     steps = len(sizes) // 2
     assert steps >= 2 and sizes == [1, 4] * steps + [1]
     assert norm < 1e-12 and np.abs(point - [0.0, 0.0, 1.0]).max() < 1e-12
+
+
+@pytest.mark.parametrize("symbol", [normal_form_symbol, matsuno_symbol, ts2_symbol])
+def test_section_coordinates_match_the_projector_formula(grid32, symbol):
+    # the Newton and probe coordinates z(q) = <v0|v_q> <v_q|u0> are the
+    # projector formula <v0| V V^dag u0>, V the band frame at q
+    rng = np.random.default_rng(11)
+    sym = symbol()
+    spectrum = SphereSpectrum.build(sym, grid32)
+    points = rng.normal(size=(17, 3))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    center, near = points[0], points[1:] * 1e-3 + points[0]
+    for band in range(1, sym.dim + 1):
+        u0 = rng.normal(size=sym.dim) + 1j * rng.normal(size=sym.dim)
+        u0 /= np.linalg.norm(u0)
+        for q in (points[1:], near / np.linalg.norm(near, axis=1, keepdims=True)):
+            z = topology._section_coords(spectrum.field([band]), u0, center, q)
+            _, vecs = batch_eigensystem(sym, np.vstack((center, q)))
+            frames = vecs[:, :, band - 1 : band]
+            projectors = frames[1:] @ frames[1:].conj().swapaxes(1, 2)
+            expected = np.einsum("d,nd->n", frames[0, :, 0].conj(), projectors @ u0)
+            assert np.abs(z - expected).max() <= 1e-15
 
 
 def test_zeros_nonvanishing_section(grid32):
