@@ -360,7 +360,7 @@ def run_spectrum(scenario: Scenario) -> dict:
 
 def _flow(scenario: Scenario, symbol: AffineMatrixSymbol) -> tuple[FlowResult, dict, int]:
     """Certify the gap, sweep and count: result, report fields, samples."""
-    sampled_gap_certificate(symbol, strict=True)
+    sampled_gap_certificate(symbol)
     sw = sweep(symbol, scenario.basis(), scenario.spectral_window(),
                scenario.mu_min, scenario.mu_max, scenario.steps)
     result = spectral_index(sw)

@@ -16,7 +16,8 @@ symbol without a charge operator (one whose ``const_term`` is not a
 sample and drops the eigenvalues with weight on the guard levels.  Each
 interval's branches are matched once, when the interval appears; one rule
 (:func:`_ambiguity`) decides both where the sweep bisects and where it
-refuses, and the sweep records the matched branches that cross the reference
+refuses; an interval a branch could cross the whole window in is bisected too
+(:func:`sweep`), and the sweep records the matched branches that cross the reference
 level in its final intervals.  The flow through the reference level is
 counted two independent ways -- a counting-function difference between the
 sweep endpoints and the signed tally of those crossings -- and the two must
@@ -32,6 +33,7 @@ import numpy as np
 
 from .errors import (
     EndpointInSpectrumError,
+    GapCertificateError,
     MethodDisagreementError,
     ModelError,
     RefinementError,
@@ -40,6 +42,7 @@ from .hermite import (
     SPURIOUS_THRESHOLD,
     AffineMatrixSymbol,
     BlockStack,
+    LinearTerm,
     OperatorPieces,
     Record,
     TruncatedBasis,
@@ -373,7 +376,11 @@ def sweep(
     eigenvalue appears or vanishes away from the window edges, or a matched
     pair moves more than half the local level spacing.  One whose matched
     branch straddles the reference level is bisected until it is narrower
-    than :data:`CROSSING_WIDTH`.  Each round bisects every interval that calls
+    than :data:`CROSSING_WIDTH`.  No eigenvalue of a ``LinearTerm`` symbol moves faster in mu
+    than ``||a1||_2`` (Weyl), so an interval at least ``window.width / ||a1||_2`` wide is
+    bisected too; a sweep that needs more than ``steps * 2**MAX_MATCH_ROUNDS`` such intervals
+    (:func:`check_mu_grid`'s budget) raises :class:`RefinementError` before any solve.  A
+    callback has no such bound.  Each round bisects every interval that calls
     for it and solves all of their midpoints in one :func:`_window_samples`
     call; a split depends only on the interval's end samples, so the samples
     are those of bisecting one interval at a time.  Each interval is matched
@@ -383,6 +390,10 @@ def sweep(
     the sweep's crossings.
     """
     check_mu_grid(mu_min, mu_max, steps)
+    slope = np.linalg.norm(term.a1, 2) if isinstance(term := symbol.const_term, LinearTerm) else 0
+    if (mu_max - mu_min) * slope / window.width > steps * 2**MAX_MATCH_ROUNDS:
+        raise RefinementError(f"window width {window.width:.3g} at mu slope {slope:.3g} needs "
+                              f"more than {steps} x 2**{MAX_MATCH_ROUNDS} intervals")
     pieces = OperatorPieces(symbol, basis)
     samples = _window_samples(pieces, window, np.linspace(mu_min, mu_max, steps + 1))
 
@@ -402,7 +413,8 @@ def sweep(
         new = [m is None for m in matches]
         matches = [m or _match_windows(a, b) for m, a, b in zip(matches, samples, samples[1:])]
         split = [
-            fresh and b.mu - a.mu > CROSSING_WIDTH and _needs_split(a, b, m, window)
+            fresh and b.mu - a.mu > CROSSING_WIDTH
+            and ((b.mu - a.mu) * slope >= window.width or _needs_split(a, b, m, window))
             for fresh, m, a, b in zip(new, matches, samples, samples[1:])
         ]
         if not any(split):
@@ -496,8 +508,8 @@ def flow_invariance_check(
     random Hermitian of unit spectral norm and g a smooth bump vanishing
     for |mu| >= 2; the sweep range must contain [-2, 2] (else :class:`ModelError`),
     so the operator at the sweep endpoints is untouched and only the crossing
-    region is deformed.  Perturbations that break the sampled gap certificate
-    are reported as skipped rather than failures.
+    region is deformed.  A perturbation whose gap certificate raises
+    :class:`GapCertificateError` is reported as skipped (``gap_ok=False``), not a failure.
     """
     if mu_min > -2.0 or mu_max < 2.0:
         raise ModelError(f"invariance sweep [{mu_min}, {mu_max}] must contain the bump's [-2, 2]")
@@ -517,12 +529,10 @@ def flow_invariance_check(
             + (dl * _bump(mu))[:, None, None] * pert,
             name=f"{symbol.name}+{delta}P",
         )
-        cert = sampled_gap_certificate(shifted)
-        if not cert.ok:
-            entries.append(
-                InvarianceEntry(delta=float(delta), gap_ok=False, N=None,
-                                matches_baseline=None)
-            )
+        try:
+            sampled_gap_certificate(shifted)
+        except GapCertificateError:
+            entries.append(InvarianceEntry(float(delta), False, None, None))
             continue
         result = spectral_index(sweep(shifted, basis, window, mu_min, mu_max, steps))
         entries.append(

@@ -63,7 +63,6 @@ __all__ = [
     "spurious_weights",
     "charge_operator",
     "charge_orbits",
-    "GapCertificate",
     "sampled_gap_certificate",
 ]
 
@@ -475,33 +474,20 @@ def charge_orbits(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.stack((orbits.real, orbits.imag, np.zeros(len(orbits))), axis=1), inverse
 
 
-class GapCertificate(Record):
-    """Result of sampling the spectral-gap assumption for a symbol family."""
-
-    ok: bool
-    lower_margin: float
-    upper_margin: float
-    points_checked: int
-    worst_point: tuple[float, float, float] = (0.0, 0.0, 0.0)
-
-    @property
-    def margin(self) -> float:
-        return min(self.lower_margin, self.upper_margin)
-
-
-def sampled_gap_certificate(symbol: AffineMatrixSymbol, strict: bool = False) -> GapCertificate:
-    """Check the gap assumption on a Cartesian sample of the shell.
+def sampled_gap_certificate(symbol: AffineMatrixSymbol) -> float:
+    """Check the gap assumption on a Cartesian sample of the shell; return its margin.
 
     Points of a ``30**3`` grid of ``[-3, 3]^3`` with ``1 <= |(mu,x,xi)| <=
     3`` and ``|mu| <= 2`` are kept; at each, band ``gap_band`` must lie below
     ``gap_center - gap_constant`` and band ``gap_band + 1`` above
-    ``gap_center + gap_constant``.
+    ``gap_center + gap_constant``.  The margin is the least distance past
+    those bounds over the sample; one that is not positive (or NaN) raises
+    :class:`GapCertificateError` with the lower and upper margins and a
+    sampled point of least margin.
 
     With a charge operator (:attr:`AffineMatrixSymbol.charge`) the spectrum is solved
     once per charge orbit (:func:`charge_orbits`) and shared by the orbit's
     points; without one every point is solved.
-
-    With ``strict=True`` a violation raises :class:`GapCertificateError`.
     """
     axis = np.linspace(-3.0, 3.0, 30)
     pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
@@ -519,18 +505,11 @@ def sampled_gap_certificate(symbol: AffineMatrixSymbol, strict: bool = False) ->
         lower = symbol.gap_center - symbol.gap_constant - eigs[:, r - 1]
     if r <= symbol.dim - 1:
         upper = eigs[:, r] - (symbol.gap_center + symbol.gap_constant)
-    worst = pts[int(np.argmin(np.minimum(lower, upper)))]
-    cert = GapCertificate(
-        ok=bool(lower.min() > 0 and upper.min() > 0),
-        lower_margin=float(lower.min()),
-        upper_margin=float(upper.min()),
-        points_checked=len(pts),
-        worst_point=tuple(float(c) for c in worst),
-    )
-    if strict and not cert.ok:
+    if not (lower.min() > 0 and upper.min() > 0):
+        worst = pts[int(np.argmin(np.minimum(lower, upper)))]
         raise GapCertificateError(
             f"gap certificate failed for {symbol.name!r}: margins "
-            f"({cert.lower_margin:.3g}, {cert.upper_margin:.3g}) at "
-            f"point {cert.worst_point}"
+            f"({lower.min():.3g}, {upper.min():.3g}) at "
+            f"point {tuple(worst.tolist())}"
         )
-    return cert
+    return float(min(lower.min(), upper.min()))

@@ -77,7 +77,7 @@ def test_verify_constant_pass(tmp_path):
     )
 
 
-def test_verify_corrupted_gap_band_exits_nonzero(tmp_path):
+def test_verify_corrupted_gap_band_exits_nonzero(tmp_path, capsys):
     scenario = load_preset("normal-form")
     scenario = dataclasses.replace(
         scenario, model_params={"epsilon": 1.0, "gap_band_override": 2}
@@ -86,6 +86,8 @@ def test_verify_corrupted_gap_band_exits_nonzero(tmp_path):
     path.write_text(json.dumps(scenario.to_dict()))
     rc = main(["verify", "--scenario", str(path), "--out", str(tmp_path / "r.json")])
     assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "indexlab: error: gap certificate failed for 'normal-form': margins (-3.89, inf) at point (")
 
 
 def strict_json(path):

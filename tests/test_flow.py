@@ -159,6 +159,32 @@ def test_spectral_index_constant_zero():
     assert res.crossings == ()
 
 
+@pytest.mark.parametrize("m", [16, 24, 40, 60])
+@pytest.mark.parametrize("gap_band, window", [(2, WINDOW_MAT), (1, SpectralWindow(-1.5, -1.1, -1.3))],
+                         ids=["upper-gap", "lower-gap"])
+def test_sweep_bisects_where_a_branch_could_cross_the_whole_window(gap_band, window, m):
+    # 16 steps on [-6, 6] make intervals 0.75 wide, and Kelvin (omega = mu)
+    # passes through the 0.4-wide window inside one of them unseen by its end
+    # samples; no eigenvalue moves faster than ||a1||_2 = 1, so every interval
+    # is bisected below 0.4 and both crossings are tracked
+    symbol = matsuno_symbol(gap_band)
+    assert np.linalg.norm(symbol.const_term.a1, 2) == pytest.approx(1.0)
+    sw = sweep(symbol, TruncatedBasis(max_level=m, guard_levels=5), window, -6.0, 6.0, 16)
+    res = spectral_index(sw)
+    assert res.N == 2
+    assert res.method_counts == {"counting_function": 2, "tracked_crossings": 2}
+    assert [c.direction for c in res.crossings] == [1, 1]
+    assert max(b.mu - a.mu for a, b in zip(sw.samples, sw.samples[1:])) < window.width
+
+
+def test_sweep_refuses_a_window_too_narrow_for_the_refinement_budget(monkeypatch):
+    # intervals narrower than 2e-7 / ||a1||_2 over [-2, 2] would take 2e7 of
+    # them, beyond 32 x 2**12: refused up front, before any solve
+    monkeypatch.setattr(flow, "_window_samples", lambda *args: pytest.fail("solved"))
+    with pytest.raises(RefinementError, match=r"window width 2e-07 .* needs more than 32 x 2\*\*12"):
+        sweep(normal_form_symbol(), nf_basis(), SpectralWindow(-1e-7, 1e-7, 0.0), -2.0, 2.0, 32)
+
+
 def test_endpoint_in_spectrum_error():
     # at mu_max = 0 the ground branch sits exactly on omega_ref = 0
     with pytest.raises(EndpointInSpectrumError):
@@ -261,6 +287,17 @@ def test_flow_invariance_matsuno():
     assert report.baseline_N == 2
     assert report.all_valid_match
     assert all(e.gap_ok for e in report.entries)
+
+
+def test_flow_invariance_skips_a_perturbation_that_breaks_the_certificate():
+    # delta = 0.5 pushes a band of the perturbed symbol inside the certified
+    # gap: its certificate raises, and the entry is skipped, not a failure
+    report = flow_invariance_check(normal_form_symbol(), deltas=[0.05, 0.5], basis=nf_basis(16),
+                                   window=WINDOW_NF, mu_min=-2.0, mu_max=2.0, steps=32)
+    assert report.baseline_N == 1
+    assert [(e.delta, e.gap_ok, e.N, e.matches_baseline) for e in report.entries] == [
+        (0.05, True, 1, True), (0.5, False, None, None)]
+    assert report.all_valid_match
 
 
 @pytest.mark.parametrize("mu_min, mu_max", [(-1.5, 2.0), (-2.0, 1.9), (-1.0, 1.0)])
