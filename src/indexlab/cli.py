@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ChernError, FlowError, IndexLabError, ModelError
-from .flow import FlowResult, SpectralWindow, check_mu_grid, spectral_index, sweep
+from .flow import FlowResult, SpectralWindow, check_mu_grid, sector_index, spectral_index, sweep
 from .hermite import AffineMatrixSymbol, Record, TruncatedBasis, sampled_gap_certificate
 from .models import (
     constant_symbol,
@@ -359,20 +359,28 @@ def run_spectrum(scenario: Scenario) -> dict:
 
 
 def _flow(scenario: Scenario, symbol: AffineMatrixSymbol) -> tuple[FlowResult, dict, int]:
-    """Certify the gap, sweep and count: result, report fields, samples."""
+    """Certify the gap and count the flow: result, report fields and samples.
+
+    A symbol with a charge operator is counted from its charge blocks at the two ends of
+    the mu range (:func:`~indexlab.flow.sector_index`, 2 samples); any other is swept
+    (:func:`~indexlab.flow.sweep`, ``samples`` the sweep's).
+    """
     sampled_gap_certificate(symbol)
-    sw = sweep(symbol, scenario.basis(), scenario.spectral_window(),
-               scenario.mu_min, scenario.mu_max, scenario.steps)
-    result = spectral_index(sw)
+    args = (symbol, scenario.basis(), scenario.spectral_window(), scenario.mu_min, scenario.mu_max)
+    if symbol.charge is not None:
+        result, samples = sector_index(*args), 2
+    else:
+        sw = sweep(*args, scenario.steps)
+        result, samples = spectral_index(sw), len(sw.samples)
     fields = {
         "N": result.N,
         "method_counts": result.method_counts,
         "crossings": [
-            {"mu_lo": c.mu_lo, "mu_hi": c.mu_hi, "direction": c.direction}
+            {"mu_lo": c.mu_lo, "mu_hi": c.mu_hi, "direction": c.direction, "sector": c.sector}
             for c in result.crossings
         ],
     }
-    return result, fields, len(sw.samples)
+    return result, fields, samples
 
 
 def run_flow(scenario: Scenario) -> dict:
@@ -380,7 +388,7 @@ def run_flow(scenario: Scenario) -> dict:
     t0 = time.monotonic()
     _, fields, samples = _flow(scenario, scenario.symbol())
     return {
-        "schema": "indexlab.flow/1",
+        "schema": "indexlab.flow/2",
         "scenario": scenario.to_dict(),
         **fields,
         "samples": samples,
@@ -526,7 +534,7 @@ def run_verify(scenario: Scenario) -> tuple[VerificationReport, dict]:
         verdict=verdict,
     )
     payload = {
-        "schema": "indexlab.verify/1",
+        "schema": "indexlab.verify/2",
         "scenario": scenario.to_dict(),
         "flow": flow_fields,
         "chern": {

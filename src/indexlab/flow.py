@@ -1,5 +1,13 @@
 """Spectral flow of truncated operators through a gap window.
 
+A symbol with a charge operator is counted sector by sector, with no mu
+sampling (:func:`sector_index`): each complete charge block is exactly affine
+in mu, so its crossings of the reference level are the real roots of one
+small pencil (:func:`_pencil_crossings`), and its eigenvalue counts at the two
+ends of the mu range give the counting function.  The ``flow`` and ``verify``
+commands count such symbols so; the sweep below serves ``spectrum``, and
+``flow`` and ``verify`` of any other symbol.
+
 A sweep diagonalizes the quantized operator on an adaptively refined mu
 grid, discards truncation artifacts, and records the eigenvalues inside a
 spectral window.  The grid is refined in rounds: each round bisects every
@@ -11,9 +19,9 @@ incomplete top blocks, the only ones that can hold truncation artifacts, are
 left out.  Where the blocks are tridiagonal, eigenvalue counts (Sturm
 sequences) of their real forms at the window edges settle every block with
 no eigenvalue near the window, and only the few others are solved.  A
-symbol without a charge operator (one whose ``const_term`` is not a
-:class:`~indexlab.hermite.LinearTerm`) solves the whole operator at each
-sample and drops the eigenvalues with weight on the guard levels.  Each
+symbol without a charge operator (a ``const_term`` that is not a
+:class:`~indexlab.hermite.LinearTerm`, or one no D fits) solves the whole operator at
+each sample and drops the eigenvalues with weight on the guard levels.  Each
 interval's branches are matched once, when the interval appears; one rule
 (:func:`_ambiguity`) decides both where the sweep bisects and where it
 refuses; an interval a branch could cross the whole window in is bisected too
@@ -42,7 +50,6 @@ from .hermite import (
     SPURIOUS_THRESHOLD,
     AffineMatrixSymbol,
     BlockStack,
-    LinearTerm,
     OperatorPieces,
     Record,
     TruncatedBasis,
@@ -58,12 +65,27 @@ __all__ = [
     "check_mu_grid",
     "sweep",
     "spectral_index",
+    "sector_index",
     "flow_invariance_check",
     "InvarianceReport",
 ]
 
-#: Crossed brackets are bisected until narrower than this in mu.
+#: Crossed brackets are bisected until narrower than this in mu; an eigenvalue
+#: nearer than this to the reference level at an end of the mu range, or a second
+#: one at a pencil root, is refused.
 CROSSING_WIDTH = 1e-6
+#: A pencil root whose slope ``|v^H T1 v|`` is below this times a bound on
+#: ``||T1||_2`` is refused as a tangency.  The computed roots of a double root
+#: can lie anywhere within about ``sqrt(eps ||T|| / c)`` of it (``c`` the
+#: branch's curvature), where the slopes reach about ``2 sqrt(c eps ||T||)``:
+#: 4.3e-8 on the normal form's branch ``sqrt(mu**2 + 2)`` with the reference
+#: level 1e-15 above its minimum.  Two roots 3.4e-6 apart there have slopes 1.2e-6.
+TANGENT_SLOPE = 1e-7
+#: A pencil eigenvalue whose imaginary part is at most this (``sqrt(eps)``)
+#: times its real part is real: LAPACK returns exactly 0 for a real
+#: eigenvalue of a real matrix, a complex stack's are off by rounding, and a
+#: complex pair this near the axis is a tangency to working precision.
+_REAL = 2.0**-26
 #: Matching ambiguities are bisected down to this interval width.
 MATCH_MIN_WIDTH = 1e-3
 #: Bisection rounds allowed per coarse interval for matching refinement.
@@ -110,11 +132,17 @@ class EigenSample(Record):
 
 
 class Crossing(Record):
-    """One branch crossing of the reference level inside (mu_lo, mu_hi)."""
+    """One branch crossing of the reference level inside [mu_lo, mu_hi].
+
+    A :func:`sweep` crossing is a bracket of two samples, with ``sector`` None;
+    a :func:`sector_index` crossing is a pencil root, ``mu_lo == mu_hi``, in
+    the charge block of q ``sector``.
+    """
 
     mu_lo: float
     mu_hi: float
     direction: int
+    sector: float | None = None
 
 
 class SpectrumSweep(Record):
@@ -376,12 +404,13 @@ def sweep(
     eigenvalue appears or vanishes away from the window edges, or a matched
     pair moves more than half the local level spacing.  One whose matched
     branch straddles the reference level is bisected until it is narrower
-    than :data:`CROSSING_WIDTH`.  No eigenvalue of a ``LinearTerm`` symbol moves faster in mu
-    than ``||a1||_2`` (Weyl), so an interval at least ``window.width / ||a1||_2`` wide is
-    bisected too; a sweep that needs more than ``steps * 2**MAX_MATCH_ROUNDS`` such intervals
-    (:func:`check_mu_grid`'s budget) raises :class:`RefinementError` before any solve.  A
-    callback has no such bound.  Each round bisects every interval that calls
-    for it and solves all of their midpoints in one :func:`_window_samples`
+    than :data:`CROSSING_WIDTH`.  No eigenvalue moves faster in mu than a bound
+    ``slope`` on ``||A'(mu)||_2`` that the ``const_term`` carries (Weyl): ``||a1||_2`` for a
+    :class:`~indexlab.hermite.LinearTerm`.  So an interval at least ``window.width / slope``
+    wide is bisected too; a sweep that needs more than ``steps * 2**MAX_MATCH_ROUNDS`` such
+    intervals (:func:`check_mu_grid`'s budget) raises :class:`RefinementError` before any
+    solve.  A callback without a ``slope`` has no such rule.  Each round bisects every
+    interval that calls for it and solves all of their midpoints in one :func:`_window_samples`
     call; a split depends only on the interval's end samples, so the samples
     are those of bisecting one interval at a time.  Each interval is matched
     once, when it appears.  A final interval the same rule still finds
@@ -390,7 +419,7 @@ def sweep(
     the sweep's crossings.
     """
     check_mu_grid(mu_min, mu_max, steps)
-    slope = np.linalg.norm(term.a1, 2) if isinstance(term := symbol.const_term, LinearTerm) else 0
+    slope = getattr(symbol.const_term, "slope", None) or 0.0
     if (mu_max - mu_min) * slope / window.width > steps * 2**MAX_MATCH_ROUNDS:
         raise RefinementError(f"window width {window.width:.3g} at mu slope {slope:.3g} needs "
                               f"more than {steps} x 2**{MAX_MATCH_ROUNDS} intervals")
@@ -450,8 +479,14 @@ def spectral_index(sweep_: SpectrumSweep) -> FlowResult:
     disagreement raises :class:`MethodDisagreementError`.
     """
     samples = sweep_.samples
-    n_counting = samples[0].count_below_ref - samples[-1].count_below_ref
-    n_crossing = sum(c.direction for c in sweep_.crossings)
+    return _flow_result(samples[0].count_below_ref - samples[-1].count_below_ref,
+                        sweep_.crossings)
+
+
+def _flow_result(n_counting: int, crossings: Sequence[Crossing]) -> FlowResult:
+    """The flow of counting-function difference ``n_counting``, checked against the signed
+    tally of ``crossings``: a disagreement raises :class:`MethodDisagreementError`."""
+    n_crossing = sum(c.direction for c in crossings)
     if n_counting != n_crossing:
         raise MethodDisagreementError(
             f"counting-function flow {n_counting} != tracked crossings "
@@ -463,8 +498,103 @@ def spectral_index(sweep_: SpectrumSweep) -> FlowResult:
             "counting_function": n_counting,
             "tracked_crossings": n_crossing,
         },
-        crossings=sweep_.crossings,
+        crossings=tuple(crossings),
     )
+
+
+def _pencil_crossings(t0: np.ndarray, t1: np.ndarray, mu_min: float, mu_max: float,
+                      sectors: Sequence) -> list[Crossing]:
+    """The crossings of the reference level in (mu_min, mu_max) of the Hermitian blocks
+    ``T(mu) - omega_ref = t0 + (mu - mu_min) t1``, ``t0`` and ``t1`` ``(b, s, s)``; block
+    j's crossings carry ``sectors[j]``.
+
+    ``t0`` must be invertible (no eigenvalue on the reference level at mu_min).  Then
+    ``T(mu) - omega_ref = t0 (1 + (mu - mu_min) t0^-1 t1)`` is singular exactly at
+    ``mu = mu_min - 1 / lam`` for each eigenvalue lam of ``t0^-1 t1``, one ``eig`` per
+    stack.  The real lam (:data:`_REAL`) below ``-1 / (mu_max - mu_min)`` are the roots
+    in range; no other lam is divided by, so a lam of 0 (a level that does not move) is
+    no division.  At each root the Hermitian block is solved by ``eigh``: the eigenvector
+    v of its eigenvalue nearest 0 gives the direction, the sign of the branch's slope
+    ``v^H t1 v`` (Hellmann-Feynman; +1 upward).  A root whose block has a second
+    eigenvalue within :data:`CROSSING_WIDTH` of the reference level (a multiple root), or
+    whose slope is below :data:`TANGENT_SLOPE` times the largest row sum of ``|t1|`` (a
+    bound on ``||t1||_2``; a tangency), raises :class:`RefinementError` naming its
+    sector and mu: its direction is not certain, and it is never guessed.
+    """
+    lam = np.linalg.eigvals(np.linalg.solve(t0, t1))
+    real = np.abs(lam.imag) <= _REAL * np.abs(lam.real)
+    block, which = np.nonzero(real & (lam.real * (mu_max - mu_min) < -1.0))
+    mus = mu_min - 1.0 / lam.real[block, which]
+    w, v = np.linalg.eigh(t0[block] + (mus - mu_min)[:, None, None] * t1[block])
+    nearest = np.argsort(np.abs(w), axis=1)
+    v = np.take_along_axis(v, nearest[:, None, :1], axis=2)[..., 0]
+    slopes = np.einsum("ni,nij,nj->n", v.conj(), t1[block], v).real
+    tangent = TANGENT_SLOPE * np.abs(t1).sum(axis=-1).max(initial=0.0)
+    crossings = []
+    for j, mu, slope, values, order in zip(block, mus, slopes, w, nearest):
+        if len(order) > 1 and abs(values[order[1]]) < CROSSING_WIDTH:
+            raise RefinementError(f"multiple root in sector q={sectors[j]} at mu={mu:.9g}: "
+                                  f"two eigenvalues on the reference level")
+        if abs(slope) < tangent:
+            raise RefinementError(f"tangent root in sector q={sectors[j]} at mu={mu:.9g}: "
+                                  f"slope {slope:.3g}")
+        crossings.append(Crossing(float(mu), float(mu), 1 if slope > 0 else -1, sectors[j]))
+    return crossings
+
+
+def sector_index(
+    symbol: AffineMatrixSymbol,
+    basis: TruncatedBasis,
+    window: SpectralWindow,
+    mu_min: float,
+    mu_max: float,
+) -> FlowResult:
+    """Spectral flow through ``window.omega_ref`` of a symbol with a charge operator, from
+    its complete charge blocks at the two ends of [mu_min, mu_max], counted two ways.
+
+    Each complete block (:attr:`~indexlab.hermite.OperatorPieces.charge_stacks`) is an
+    exact block of the untruncated operator and exactly affine in mu: ``T(mu) = T(mu_min) +
+    (mu - mu_min) T1``, with ``T1`` the block of ``a1`` in the charge frame (the symbol's
+    ``const_term`` is a :class:`~indexlab.hermite.LinearTerm`).  A ``tridiagonal`` stack is
+    taken in its real form.  Counting method: the blocks' eigenvalues below the reference
+    level at mu_min minus those at mu_max, by Sturm counts (:func:`_sturm_count`) of the
+    real forms, else by ``eigvalsh``.  Crossing method: the signed tally of the roots
+    :func:`_pencil_crossings` finds in every block; each crossing records its block's q.
+    An eigenvalue within :data:`CROSSING_WIDTH` of the reference level at either end
+    raises :class:`EndpointInSpectrumError`, and counts that disagree raise
+    :class:`MethodDisagreementError`.  Only ``omega_ref`` is read from ``window``, and no
+    mu between the ends is sampled.
+    """
+    if symbol.charge is None:
+        raise ModelError(f"{symbol.name!r} has no charge operator")
+    if not mu_min < mu_max:
+        raise ModelError(f"mu_min must be below mu_max, got {mu_min!r}, {mu_max!r}")
+    stacks = OperatorPieces(symbol, basis).charge_stacks
+    ref, ends = window.omega_ref, (mu_min, mu_max)
+    shifts = ref + np.array([-CROSSING_WIDTH, 0.0, CROSSING_WIDTH])
+    below, crossings = np.zeros((3, 2), dtype=int), []
+    if stacks:  # one frame for all
+        framed = stacks[0].to_frame(symbol.const_stack(ends))
+        slope = stacks[0].to_frame(np.asarray(symbol.const_term.a1, dtype=complex)[None])
+    for stack in stacks:
+        b, s = stack.index.shape
+        if stack.tridiagonal is None:
+            h = stack.assemble(framed)
+            counts = (np.linalg.eigvalsh(h)[None] < shifts[:, None, None, None]).sum(axis=(2, 3))
+            t0, t1 = h[0] - ref * np.eye(s), stack.assemble(slope, static=False)[0]
+        else:
+            diag, comp = stack.diagonal(framed), stack.tridiagonal[2]
+            counts = _sturm_count(diag.swapaxes(0, 1), stack.tridiagonal[1] ** 2,
+                                  shifts[:, None, None]).sum(axis=-1)
+            t0, t1 = stack.blocks(diag[0].T - ref, np.arange(b)), np.zeros((b, s, s))
+            t1[:, np.arange(s), np.arange(s)] = slope[0][comp, comp].real.T
+        for mu, near in zip(ends, counts[2] - counts[0]):
+            if near:
+                raise EndpointInSpectrumError(f"eigenvalue on the reference level at the "
+                                              f"endpoint mu={mu}; enlarge the mu range")
+        below += counts
+        crossings += _pencil_crossings(t0, t1, mu_min, mu_max, stack.charges.tolist())
+    return _flow_result(int(below[1, 0] - below[1, 1]), sorted(crossings, key=lambda c: c.mu_lo))
 
 
 class InvarianceEntry(Record):
@@ -484,12 +614,42 @@ class InvarianceReport(Record):
 
 
 def _bump(mu: np.ndarray, half_width: float = 2.0) -> np.ndarray:
-    """Smooth compactly supported envelope, 1 at mu = 0, 0 for |mu| >= width."""
+    """Smooth compactly supported envelope, 1 at mu = 0, 0 for |mu| >= width.
+
+    ``g(mu) = f(mu / half_width)`` with ``f(t) = exp(1 - 1/u)``, ``u = 1 - t**2``, for
+    |t| < 1.  Its slope bound, :func:`_bump_slope`, is exact: ``f'(t) = -2 t f(t) / u**2``,
+    and ``d/dt log|f'| = 1/t - 2t/u**2 + 4t/u`` vanishes, after multiplying by ``t u**2`` and
+    putting ``t**2 = 1 - u``, where ``3 u**2 - 6 u + 2 = 0``: at ``u* = 1 - 1/sqrt(3)`` (the
+    root in (0, 1]), ``t*^2 = 1/sqrt(3)``.  ``|f'|`` is 0 at t = 0 and tends to 0 as u -> 0,
+    so ``max|f'| = 2 t* exp(1 - 1/u*) / u*^2`` (2.1703...), and ``max|g'|`` is that over
+    ``half_width``.
+    """
     t = mu / half_width
     inside = np.abs(t) < 1.0
     out = np.zeros_like(t)
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - t[inside] * t[inside]))
     return out
+
+
+def _bump_slope(half_width: float = 2.0) -> float:
+    """``max |g'|`` of :func:`_bump`'s ``g``, derived in its docstring."""
+    u = 1.0 - 3.0**-0.5
+    return 2.0 * 3.0**-0.25 * np.exp(1.0 - 1.0 / u) / u**2 / half_width
+
+
+class _BumpedTerm:
+    """The ``const_term`` ``base(mu) + delta * g(mu) * pert`` of :func:`flow_invariance_check`,
+    ``g`` the :func:`_bump`; with ``||pert||_2 = 1`` its ``slope`` (:func:`sweep`) is
+    ``base.slope + |delta| max|g'|`` where ``base`` has a ``slope``, and it has none where
+    ``base`` has none."""
+
+    def __init__(self, base, delta: float, pert: np.ndarray):
+        self.base, self.delta, self.pert = base, delta, pert
+        if (base_slope := getattr(base, "slope", None)) is not None:
+            self.slope = base_slope + abs(delta) * _bump_slope()
+
+    def __call__(self, mu: np.ndarray) -> np.ndarray:
+        return self.base(mu) + (self.delta * _bump(mu))[:, None, None] * self.pert
 
 
 def flow_invariance_check(
@@ -508,8 +668,11 @@ def flow_invariance_check(
     random Hermitian of unit spectral norm and g a smooth bump vanishing
     for |mu| >= 2; the sweep range must contain [-2, 2] (else :class:`ModelError`),
     so the operator at the sweep endpoints is untouched and only the crossing
-    region is deformed.  A perturbation whose gap certificate raises
-    :class:`GapCertificateError` is reported as skipped (``gap_ok=False``), not a failure.
+    region is deformed.  The perturbed ``const_term`` is a callback with no charge
+    operator, so each sweep solves the whole operator; its ``slope`` bound for the
+    sweep is the symbol's plus ``|delta| max|g'|`` (:class:`_BumpedTerm`).  A perturbation
+    whose gap certificate raises :class:`GapCertificateError` is reported as skipped
+    (``gap_ok=False``), not a failure.
     """
     if mu_min > -2.0 or mu_max < 2.0:
         raise ModelError(f"invariance sweep [{mu_min}, {mu_max}] must contain the bump's [-2, 2]")
@@ -521,14 +684,9 @@ def flow_invariance_check(
 
     baseline = spectral_index(sweep(symbol, basis, window, mu_min, mu_max, steps))
     entries = []
-    base_const = symbol.const_term
     for delta in deltas:
-        shifted = replace(
-            symbol,
-            const_term=lambda mu, dl=delta: base_const(mu)
-            + (dl * _bump(mu))[:, None, None] * pert,
-            name=f"{symbol.name}+{delta}P",
-        )
+        shifted = replace(symbol, const_term=_BumpedTerm(symbol.const_term, delta, pert),
+                          name=f"{symbol.name}+{delta}P")
         try:
             sampled_gap_certificate(shifted)
         except GapCertificateError:

@@ -291,7 +291,9 @@ class BlockStack(Record):
     zero beyond its first off-diagonals and ``tridiagonal`` is that
     matrix's real diagonal ``(s, b)``, the moduli of its subdiagonal ``(s - 1,
     b)`` and the component of each diagonal entry ``(s, b)``: the real form
-    (module docstring) of every block.  Else it is None.
+    (module docstring) of every block.  Else it is None.  ``charges`` ``(b,)``
+    holds each charge block's q, rounded to 9 decimals (distinct blocks differ by
+    more than 1e-8); it is None for the whole operator.
     """
 
     index: np.ndarray
@@ -300,20 +302,23 @@ class BlockStack(Record):
     components: tuple[np.ndarray, np.ndarray]
     frame: np.ndarray | None
     tridiagonal: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    charges: np.ndarray | None = None
 
     def to_frame(self, amats: np.ndarray) -> np.ndarray:
         """A ``(k, d, d)`` stack of ``A(mu)`` in the standard frame, turned into ``frame``."""
         return amats if self.frame is None else self.frame.conj().T @ amats @ self.frame
 
-    def assemble(self, framed: np.ndarray) -> np.ndarray:
+    def assemble(self, framed: np.ndarray, static: bool = True) -> np.ndarray:
         """``A(mu) (x) Id + static`` on each block for each of a ``(k, d, d)`` stack of
-        ``A(mu)``, as ``(k, b, s, s)``, symmetrized to be exactly Hermitian.
+        ``A(mu)``, as ``(k, b, s, s)``, symmetrized to be exactly Hermitian; with
+        ``static`` False, ``A (x) Id`` alone (for ``A1``, the mu slope of the blocks).
 
         ``framed`` is in ``frame`` (:meth:`to_frame`); stacks that share a
         frame share one transform.
         """
         which, rows, cols = self.same_level
-        h = np.repeat(self.static[None], len(framed), axis=0)
+        h = (np.repeat(self.static[None], len(framed), axis=0) if static
+             else np.zeros((len(framed), *self.static.shape), dtype=complex))
         h[:, which, rows, cols] += framed[:, self.components[0], self.components[1]]
         h += h.conj().swapaxes(-2, -1)
         h *= 0.5
@@ -342,6 +347,12 @@ class LinearTerm:
 
     def __init__(self, a0: np.ndarray | float, a1: np.ndarray):
         self.a0, self.a1 = a0, a1
+
+    @property
+    def slope(self) -> float:
+        """``||a1||_2``, a bound on ``||A'(mu)||_2``: no eigenvalue of the quantized operator
+        moves faster in mu (Weyl).  Another ``const_term`` may carry such a bound as ``slope``."""
+        return float(np.linalg.norm(self.a1, 2))
 
     def __call__(self, mu: np.ndarray) -> np.ndarray:
         return self.a0 + np.multiply.outer(mu, self.a1)
@@ -374,8 +385,9 @@ class OperatorPieces:
     ``Q`` gives one charge block of at most d indices.  ``charge_stacks`` are
     the complete charge blocks (module docstring) stacked by size, empty
     without a charge operator; block q is complete when its size is the
-    number of components i with ``q - delta_i`` a non-negative integer.  It
-    is built on first use, as is ``whole``, the whole operator as one block.
+    number of components i with ``q - delta_i`` a non-negative integer; each
+    stack keeps its blocks' q.  It is built on first use, as is ``whole``, the
+    whole operator as one block.
     ``guard`` marks the indices on the top ``guard_levels`` levels, for the
     whole operator's artifact filter.
     """
@@ -399,12 +411,18 @@ class OperatorPieces:
         n = np.array([q[p[0]] for p in parts])[:, None] - delta
         full = np.count_nonzero((np.abs(n - np.rint(n)) <= 1e-8) & (n > -0.5), axis=1)
         parts = [p for p, f in zip(parts, full) if len(p) == f]
-        return [self.stack(np.array([p for p in parts if len(p) == size]), frame)
-                for size in sorted({len(p) for p in parts})]
+        stacks = []
+        for size in sorted({len(p) for p in parts}):
+            rows = [p for p in parts if len(p) == size]
+            charges = np.round(q[[p[0] for p in rows]], 9) + 0.0  # + 0.0: no q reads -0.0
+            stacks.append(self.stack(np.array(rows), frame, charges))
+        return stacks
 
-    def stack(self, index: np.ndarray, frame: np.ndarray | None = None) -> BlockStack:
-        """The operator on each row of the ``(b, s)`` component-major ``index`` of ``frame``;
-        ``tridiagonal`` (:class:`BlockStack`) only where a ``frame`` is given."""
+    def stack(self, index: np.ndarray, frame: np.ndarray | None = None,
+              charges: np.ndarray | None = None) -> BlockStack:
+        """The operator on each row of the ``(b, s)`` component-major ``index`` of ``frame``,
+        the blocks of ``charges``; ``tridiagonal`` (:class:`BlockStack`) only where a
+        ``frame`` is given."""
         level, comp = self.level[index], self.component[index]
         coeffs = [np.asarray(c) if frame is None else frame.conj().T @ c @ frame
                   for c in (self.symbol.x_coeff, self.symbol.xi_coeff)]
@@ -421,7 +439,7 @@ class OperatorPieces:
             tridiagonal = (h.diagonal(0, -2, -1).real.T.copy(),
                            np.abs(h.diagonal(-1, -2, -1)).T, comp.T.copy())
         return BlockStack(index, static, (which, rows, cols),
-                          (comp[which, rows], comp[which, cols]), frame, tridiagonal)
+                          (comp[which, rows], comp[which, cols]), frame, tridiagonal, charges)
 
     @cached_property
     def whole(self) -> BlockStack:

@@ -183,6 +183,26 @@ def test_flow_json_report(tmp_path):
     assert len(report["crossings"]) == 1
 
 
+def test_flow_report_has_one_crossing_shape_on_both_paths(monkeypatch):
+    # normal-form's A(mu) behind a plain callback has no charge operator, so
+    # run_flow sweeps it: the crossing is the sweep's bracket with no sector,
+    # where the charge blocks give the root mu = 0 in the q = -1/2 block
+    scenario = dataclasses.replace(load_preset("normal-form"), max_level=16)
+    pencil = run_flow(scenario)
+    symbol = scenario.symbol()
+    plain = dataclasses.replace(symbol, const_term=lambda mu: symbol.const_term(mu))
+    monkeypatch.setattr(Scenario, "symbol", lambda self: plain)
+    swept = run_flow(scenario)
+    assert pencil["crossings"] == [{"mu_lo": 0.0, "mu_hi": 0.0, "direction": 1, "sector": -0.5}]
+    (crossing,) = swept["crossings"]
+    assert crossing["sector"] is None and crossing["direction"] == 1
+    assert crossing["mu_lo"] < 0.0 <= crossing["mu_hi"] <= crossing["mu_lo"] + 1e-6
+    assert (pencil["samples"], swept["samples"] > 33) == (2, True)
+    for report in (pencil, swept):
+        del report["crossings"], report["samples"], report["timings"]
+    assert pencil == swept
+
+
 def test_chern_reports_match_spec_examples(tmp_path):
     out = tmp_path / "chern.json"
     rc = main(
@@ -383,12 +403,13 @@ def test_unregistered_global_section_rejected_before_any_sweep(tmp_path, capsys,
     # no section zeros to count, the integer fields have lower bounds (the
     # Hermite basis is built at load too), and so do the spectral window and
     # the mu range, so each of these scenarios is rejected when it loads and
-    # verify never starts the flow sweep
+    # verify never starts the flow count (the sweep, or the charge blocks' count)
     import indexlab.cli as cli
 
     calls = []
-    real_sweep = cli.sweep
-    monkeypatch.setattr(cli, "sweep", lambda *a, **k: calls.append(a) or real_sweep(*a, **k))
+    for name in ("sweep", "sector_index"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, real=real, **k: calls.append(a) or real(*a, **k))
     for changes in (
         {"clutch_refs": {"1": "global-section"}},
         {"zero_refs": {"1": [[0, 0], [1, 0], [0, 0]]}},  # dim 3, not 2
@@ -419,7 +440,7 @@ def test_unregistered_global_section_rejected_before_any_sweep(tmp_path, capsys,
         assert main(["verify", "--scenario", path, *overrides]) == 1, (changes, overrides)
         assert "indexlab: scenario error:" in capsys.readouterr().err
         assert calls == []
-    # the spy does see the sweep of a valid scenario
+    # the spy does see the flow count of a valid scenario
     path = write_scenario(tmp_path, "normal-form")
     assert main(["verify", "--scenario", path, "--grid", "16",
                  "--out", str(tmp_path / "verify.json")]) == 0
@@ -627,7 +648,7 @@ def test_chern_methods_disagreeing_exit_code(tmp_path, capsys, monkeypatch, comm
 
 @pytest.mark.parametrize("command, lines", [
     ("flow", ["key,value", "N,1", "counting_function,1", "tracked_crossings,1",
-              "crossing,-9.5367431640625e-07:0:1"]),
+              "crossing,0:0:1"]),
     ("verify", ["key,value", "N,1", "C,1", "verdict,PASS"]),
 ])
 def test_key_value_csv_reports(tmp_path, command, lines):

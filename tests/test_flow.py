@@ -12,8 +12,7 @@ from indexlab.errors import (
     ModelError,
     RefinementError,
 )
-from indexlab.cli import PRESETS, run_flow
-import indexlab.cli as cli
+from indexlab.cli import PRESETS, run_flow, run_spectrum
 from indexlab.flow import (
     Crossing,
     EigenSample,
@@ -23,6 +22,7 @@ from indexlab.flow import (
     _match_windows,
     _needs_split,
     flow_invariance_check,
+    sector_index,
     spectral_index,
     sweep,
 )
@@ -189,6 +189,8 @@ def test_endpoint_in_spectrum_error():
     # at mu_max = 0 the ground branch sits exactly on omega_ref = 0
     with pytest.raises(EndpointInSpectrumError):
         sweep(normal_form_symbol(), nf_basis(), WINDOW_NF, -2.0, 0.0, 16)
+    with pytest.raises(EndpointInSpectrumError, match=r"endpoint mu=0\.0;"):
+        sector_index(normal_form_symbol(), nf_basis(), WINDOW_NF, -2.0, 0.0)
 
 
 def test_truncation_stability_normal_form():
@@ -348,6 +350,12 @@ def test_count_below_ref_includes_the_spectrum_below_the_window():
     res = spectral_index(sw)
     assert res.N == 0 and res.crossings == ()
     assert res.method_counts == {"counting_function": 0, "tracked_crossings": 0}
+    # A(mu) lands off the diagonal of these blocks, so the sector count
+    # takes the general complex path, and gives the same
+    basis = TruncatedBasis(max_level=12, guard_levels=3)
+    stacks = OperatorPieces(symbol, basis).charge_stacks
+    assert stacks and all(s.tridiagonal is None for s in stacks)
+    assert sector_index(symbol, basis, WINDOW_NF, -2.0, 2.0) == res
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -355,29 +363,28 @@ def test_run_flow_matches_each_interval_once(preset, monkeypatch):
     # the initial grid has `steps` intervals and each bisection replaces one
     # interval by two, so a sweep ending with n samples created
     # steps + 2 (n - steps - 1) intervals; the sweep matches each of them
-    # once and spectral_index matches none
-    matched, indexed = [], []
-    real_match, real_index = flow._match_windows, cli.spectral_index
+    # once and spectral_index matches none.  run_flow counts every preset
+    # from its charge blocks and sweeps none, so the sweep runs on the
+    # preset's arguments
+    matched = []
+    real_match = flow._match_windows
 
     def spy_match(a, b):
         matched.append((a.mu, b.mu))
         return real_match(a, b)
 
-    def spy_index(sweep_):
-        before = len(matched)
-        result = real_index(sweep_)
-        indexed.append(len(matched) - before)
-        return result
-
     monkeypatch.setattr(flow, "_match_windows", spy_match)
-    monkeypatch.setattr(cli, "spectral_index", spy_index)
     scenario = PRESETS[preset]()
-    report = run_flow(scenario)
-    steps, samples = scenario.steps, report["samples"]
+    assert run_flow(scenario)["samples"] == 2 and matched == []
+    sw = sweep(scenario.symbol(), scenario.basis(), scenario.spectral_window(),
+               scenario.mu_min, scenario.mu_max, scenario.steps)
+    steps, samples = scenario.steps, len(sw.samples)
     assert samples > steps + 1 or preset == "constant"
     assert len(matched) == steps + 2 * (samples - steps - 1)
     assert len(set(matched)) == len(matched)
-    assert indexed == [0]
+    before = len(matched)
+    spectral_index(sw)
+    assert len(matched) == before
 
 
 def test_table_rows_shape():
@@ -1001,3 +1008,169 @@ def test_cyclic_charge_blocks_keep_the_complex_path():
         kept, artifacts = (np.linalg.eigvalsh(h) for h in charge_sectors(matrix, symbol.charge, basis))
         assert np.abs(kept[:, None] - artifacts[None, :]).min() <= 1e-9
     assert assert_samples_match_dense_solve(sw, symbol, basis) == []
+
+
+# ---------------------------------------------------------------------------
+# the sector count: one pencil solve per charge block
+# ---------------------------------------------------------------------------
+
+KELVIN_YANAI = 1.3 - 1 / 1.3  # the Yanai branch (mu + sqrt(mu**2 + 4)) / 2 at 1.3
+
+#: preset -> (mu, direction, q) of each crossing, in closed form
+CLOSED_FORM_CROSSINGS = {
+    "normal-form": [(0.0, 1, -0.5)],
+    "matsuno": [(KELVIN_YANAI, 1, 0.0), (1.3, 1, -1.0)],
+    "matsuno-upper-gap": [(KELVIN_YANAI, 1, 0.0), (1.3, 1, -1.0)],
+    "matsuno-lower-gap": [(-1.3, 1, -1.0), (-KELVIN_YANAI, 1, 0.0)],
+    "ts2": [(-0.5, -1, -1.0), (1.5, -1, 0.0)],
+    "constant": [],
+}
+
+
+def preset_args(name):
+    """(symbol, basis, window, mu_min, mu_max, steps) of a preset."""
+    s = PRESETS[name]()
+    return s.symbol(), s.basis(), s.spectral_window(), s.mu_min, s.mu_max, s.steps
+
+
+def preset_sector_index(preset):
+    return sector_index(*preset_args(preset)[:5])
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_sector_index_crossings_at_the_closed_forms(preset):
+    result = preset_sector_index(preset)
+    expected = CLOSED_FORM_CROSSINGS[preset]
+    assert result.N == sum(d for _, d, _ in expected)
+    assert result.method_counts == {"counting_function": result.N, "tracked_crossings": result.N}
+    assert [(c.direction, c.sector) for c in result.crossings] == [(d, q) for _, d, q in expected]
+    for c, (mu, _, _) in zip(result.crossings, expected):
+        assert c.mu_lo == c.mu_hi and abs(c.mu_lo - mu) <= 1e-12
+
+
+#: name -> (symbol, basis, window, mu_min, mu_max, steps) of each cross-check
+PENCIL_CASES = {
+    **{f"preset-{name}": preset_args(name) for name in sorted(PRESETS)},
+    "normal-form-reflected": (normal_form_symbol(reflected=True), nf_basis(24), WINDOW_NF,
+                              -2.0, 2.0, 32),
+    "normal-form-eps-0.5": (normal_form_symbol(0.5), nf_basis(24, 0.5), WINDOW_NF, -2.0, 2.0, 32),
+    **{f"matsuno-upper-gap-M{m}": (matsuno_symbol(2), TruncatedBasis(max_level=m, guard_levels=5),
+                                   WINDOW_MAT, -6.0, 6.0, 48) for m in (16, 24, 40, 90)},
+    "coupled-normal-forms": (coupled_normal_forms(), nf_basis(16), WINDOW_NF, -2.0, 2.0, 32),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PENCIL_CASES))
+def test_sector_index_agrees_with_the_sweep(case):
+    # the same N, the same directions in the same order, and each pencil
+    # root inside the bracket the sweep recorded for it
+    symbol, basis, window, mu_min, mu_max, steps = PENCIL_CASES[case]
+    swept = spectral_index(sweep(symbol, basis, window, mu_min, mu_max, steps))
+    pencil = sector_index(symbol, basis, window, mu_min, mu_max)
+    assert pencil.N == swept.N
+    assert pencil.method_counts == swept.method_counts
+    assert [c.direction for c in pencil.crossings] == [c.direction for c in swept.crossings]
+    for root, bracket in zip(pencil.crossings, swept.crossings):
+        assert root.mu_lo == root.mu_hi and bracket.mu_lo <= root.mu_lo <= bracket.mu_hi
+        assert bracket.sector is None and root.sector is not None
+
+
+@pytest.mark.parametrize("t", [-1e-6, 0.0, 1e-12, 1e-6])
+def test_sector_index_near_a_tangency(t):
+    # at omega_ref = sqrt(2) + t the q = 0.5 branch sqrt(mu**2 + 2) of the
+    # normal form touches (t = 0) or crosses (t > 0) the reference level
+    # near mu = 0, and the ground branch omega = mu crosses it at mu = omega_ref.
+    # N is 1 every time; t > 0 adds a -1/+1 pair at -+sqrt(omega_ref**2 - 2);
+    # only an exactly tangent root may be refused
+    ref = 2**0.5 + t
+    window = SpectralWindow(ref - 0.1, ref + 0.1, ref)
+    try:
+        result = sector_index(normal_form_symbol(), nf_basis(24), window, -2.0, 2.0)
+    except RefinementError as exc:
+        assert t == 0.0 and str(exc).startswith("tangent root in sector q=0.5 at mu=")
+        return
+    assert result.N == 1
+    expected = [(ref, 1, -0.5)]
+    if t > 0:
+        root = math.sqrt(ref**2 - 2)
+        expected = [(-root, -1, 0.5), (root, 1, 0.5)] + expected
+    assert [(c.direction, c.sector) for c in result.crossings] == [(d, q) for _, d, q in expected]
+    for c, (mu, _, _) in zip(result.crossings, expected):
+        assert abs(c.mu_lo - mu) <= 1e-9 * max(1.0, abs(mu))
+
+
+def test_sector_index_refuses_a_multiple_root():
+    # two copies of the normal form in one charge block: both ground
+    # branches omega = mu cross omega_ref = 0 at mu = 0, a double root
+    symbol = two_normal_forms(np.zeros((4, 4), dtype=complex), "doubled-normal-form")
+    with pytest.raises(RefinementError, match=r"^multiple root in sector q=-0\.5 at mu=0: "):
+        sector_index(symbol, nf_basis(24), WINDOW_NF, -2.0, 2.0)
+
+
+def test_sector_index_refuses_roots_that_disagree_with_the_counts(monkeypatch):
+    # the Kelvin crossing (q = -1) left out of the roots
+    real = flow._pencil_crossings
+    monkeypatch.setattr(flow, "_pencil_crossings",
+                        lambda *args: [c for c in real(*args) if c.sector != -1.0])
+    with pytest.raises(MethodDisagreementError,
+                       match=r"^counting-function flow 2 != tracked crossings 1$"):
+        preset_sector_index("matsuno-upper-gap")
+
+
+def test_sector_index_needs_a_charge_operator(random_affine_symbol):
+    with pytest.raises(ModelError, match="has no charge operator"):
+        sector_index(random_affine_symbol, nf_basis(16), WINDOW_NF, -2.0, 2.0)
+
+
+def test_flow_invariance_bump_carries_a_slope_bound():
+    # Kelvin (omega = mu) passes the 0.4-wide window inside one 0.75-wide
+    # interval; the perturbed term's bound ||a1||_2 + |delta| max|g'| makes
+    # the sweep bisect it, as it does for the unperturbed LinearTerm
+    report = flow_invariance_check(matsuno_symbol(), [0.05], MATSUNO_BASIS, WINDOW_MAT,
+                                   -6.0, 6.0, steps=16)
+    assert report.baseline_N == 2
+    assert [(e.delta, e.gap_ok, e.N, e.matches_baseline) for e in report.entries] == [
+        (0.05, True, 2, True)]
+
+
+def test_bump_slope_bounds_the_bump_derivative():
+    mu = np.linspace(-2.0, 2.0, 400_001)
+    slopes = np.abs(np.diff(flow._bump(mu)) / np.diff(mu))
+    assert slopes.max() <= flow._bump_slope() <= slopes.max() * (1 + 1e-6)
+    term = flow._BumpedTerm(matsuno_symbol().const_term, -0.05, np.eye(3))
+    assert term.slope == 1.0 + 0.05 * flow._bump_slope()
+    assert not hasattr(flow._BumpedTerm(lambda mu: mu, 0.05, np.eye(3)), "slope")
+
+
+@pytest.mark.parametrize("preset, window, n, crossings", [
+    ("matsuno", (-1.5, 1.5, 1.3), 2, [KELVIN_YANAI, 1.3]),
+    ("ts2", (-0.9, 0.9, 0.5), -2, [-0.5, 1.5]),
+])
+def test_run_flow_counts_windows_the_sweep_refuses(preset, window, n, crossings):
+    # the window holds a dense cluster of levels, so the sweep's local spacing
+    # refuses the match; the charge blocks' count reads no spacing
+    scenario = dataclasses.replace(PRESETS[preset](), window=window)
+    report = run_flow(scenario)
+    assert (report["N"], report["method_counts"]) == (
+        n, {"counting_function": n, "tracked_crossings": n})
+    assert [c["direction"] for c in report["crossings"]] == [int(math.copysign(1, n))] * 2
+    for c, mu in zip(report["crossings"], crossings):
+        assert c["mu_lo"] == c["mu_hi"] and abs(c["mu_lo"] - mu) <= 1e-12
+    with pytest.raises(RefinementError, match="branch matching ambiguous"):
+        run_spectrum(scenario)
+
+
+def test_flow_report_does_not_depend_on_the_last_bit_of_a_window_edge():
+    # the sweep read 97, 97, 94, 94 and 94 samples at these five edges
+    scenario = PRESETS["matsuno-upper-gap"]()
+    lo, hi, ref = scenario.window
+    edges = [hi]
+    for _ in range(2):
+        edges = [np.nextafter(edges[0], -np.inf), *edges, np.nextafter(edges[-1], np.inf)]
+    reports = []
+    for edge in edges:
+        report = run_flow(dataclasses.replace(scenario, window=(lo, float(edge), ref)))
+        del report["timings"], report["scenario"]["window"]
+        reports.append(report)
+    assert len({hi, *map(float, edges)}) == 5
+    assert all(r == reports[0] for r in reports)

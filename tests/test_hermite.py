@@ -515,6 +515,8 @@ def test_charge_stacks_hold_exactly_the_complete_blocks(case):
     for s in pieces.charge_stacks:
         q = delta[pieces.component[s.index]] + pieces.level[s.index]
         assert np.abs(q - q[:, :1]).max() <= 1e-8  # one charge per block
+        assert np.abs(s.charges - q[:, 0]).max() <= 1e-9  # which the stack keeps
+    assert pieces.whole.charges is None
     # one stack per block size, ascending; no guard mask on any stack, the
     # whole operator's is the pieces'
     sizes = [s.index.shape[1] for s in pieces.charge_stacks]
