@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ChernError, FlowError, IndexLabError, ModelError
-from .flow import FlowResult, SpectralWindow, check_mu_grid, sector_index, spectral_index, sweep
+from .flow import FlowResult, SpectralWindow, check_mu_grid, sector_index, sweep
 from .hermite import AffineMatrixSymbol, Record, TruncatedBasis, sampled_gap_certificate
 from .models import (
     constant_symbol,
@@ -358,20 +358,16 @@ def run_spectrum(scenario: Scenario) -> dict:
     }
 
 
-def _flow(scenario: Scenario, symbol: AffineMatrixSymbol) -> tuple[FlowResult, dict, int]:
-    """Certify the gap and count the flow: result, report fields and samples.
+def _flow(scenario: Scenario, symbol: AffineMatrixSymbol) -> tuple[FlowResult, dict]:
+    """Certify the gap and count the flow from the charge blocks at the two ends of the
+    mu range (:func:`~indexlab.flow.sector_index`): the result and its report fields.
 
-    A symbol with a charge operator is counted from its charge blocks at the two ends of
-    the mu range (:func:`~indexlab.flow.sector_index`, 2 samples); any other is swept
-    (:func:`~indexlab.flow.sweep`, ``samples`` the sweep's).
+    Every model builds a symbol with a charge operator; one without raises
+    :class:`~indexlab.errors.ModelError`.
     """
     sampled_gap_certificate(symbol)
-    args = (symbol, scenario.basis(), scenario.spectral_window(), scenario.mu_min, scenario.mu_max)
-    if symbol.charge is not None:
-        result, samples = sector_index(*args), 2
-    else:
-        sw = sweep(*args, scenario.steps)
-        result, samples = spectral_index(sw), len(sw.samples)
+    result = sector_index(symbol, scenario.basis(), scenario.spectral_window(),
+                          scenario.mu_min, scenario.mu_max)
     fields = {
         "N": result.N,
         "method_counts": result.method_counts,
@@ -380,18 +376,18 @@ def _flow(scenario: Scenario, symbol: AffineMatrixSymbol) -> tuple[FlowResult, d
             for c in result.crossings
         ],
     }
-    return result, fields, samples
+    return result, fields
 
 
 def run_flow(scenario: Scenario) -> dict:
     """Spectral flow of the scenario through its gap window."""
     t0 = time.monotonic()
-    _, fields, samples = _flow(scenario, scenario.symbol())
+    _, fields = _flow(scenario, scenario.symbol())
     return {
         "schema": "indexlab.flow/2",
         "scenario": scenario.to_dict(),
         **fields,
-        "samples": samples,
+        "samples": 2,
         "timings": {"seconds": time.monotonic() - t0},
     }
 
@@ -500,7 +496,7 @@ def run_verify(scenario: Scenario) -> tuple[VerificationReport, dict]:
     topology = _topology()
     t0 = time.monotonic()
     symbol = scenario.symbol()
-    flow_result, flow_fields, _ = _flow(scenario, symbol)
+    flow_result, flow_fields = _flow(scenario, symbol)
     t_flow = time.monotonic()
 
     subgap_bands = list(range(1, symbol.gap_band + 1))

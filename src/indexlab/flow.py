@@ -5,8 +5,9 @@ sampling (:func:`sector_index`): each complete charge block is exactly affine
 in mu, so its crossings of the reference level are the real roots of one
 small pencil (:func:`_pencil_crossings`), and its eigenvalue counts at the two
 ends of the mu range give the counting function.  The ``flow`` and ``verify``
-commands count such symbols so; the sweep below serves ``spectrum``, and
-``flow`` and ``verify`` of any other symbol.
+commands count every symbol so; the sweep below serves ``spectrum``,
+:func:`flow_invariance_check` and library callers, with or without a charge
+operator.
 
 A sweep diagonalizes the quantized operator on an adaptively refined mu
 grid, discards truncation artifacts, and records the eigenvalues inside a
@@ -637,21 +638,6 @@ def _bump_slope(half_width: float = 2.0) -> float:
     return 2.0 * 3.0**-0.25 * np.exp(1.0 - 1.0 / u) / u**2 / half_width
 
 
-class _BumpedTerm:
-    """The ``const_term`` ``base(mu) + delta * g(mu) * pert`` of :func:`flow_invariance_check`,
-    ``g`` the :func:`_bump`; with ``||pert||_2 = 1`` its ``slope`` (:func:`sweep`) is
-    ``base.slope + |delta| max|g'|`` where ``base`` has a ``slope``, and it has none where
-    ``base`` has none."""
-
-    def __init__(self, base, delta: float, pert: np.ndarray):
-        self.base, self.delta, self.pert = base, delta, pert
-        if (base_slope := getattr(base, "slope", None)) is not None:
-            self.slope = base_slope + abs(delta) * _bump_slope()
-
-    def __call__(self, mu: np.ndarray) -> np.ndarray:
-        return self.base(mu) + (self.delta * _bump(mu))[:, None, None] * self.pert
-
-
 def flow_invariance_check(
     symbol: AffineMatrixSymbol,
     deltas: Sequence[float],
@@ -670,9 +656,9 @@ def flow_invariance_check(
     so the operator at the sweep endpoints is untouched and only the crossing
     region is deformed.  The perturbed ``const_term`` is a callback with no charge
     operator, so each sweep solves the whole operator; its ``slope`` bound for the
-    sweep is the symbol's plus ``|delta| max|g'|`` (:class:`_BumpedTerm`).  A perturbation
-    whose gap certificate raises :class:`GapCertificateError` is reported as skipped
-    (``gap_ok=False``), not a failure.
+    sweep is the symbol's plus ``|delta| max|g'|`` (:func:`_bump_slope`), and it has none
+    where the symbol's has none.  A perturbation whose gap certificate raises
+    :class:`GapCertificateError` is reported as skipped (``gap_ok=False``), not a failure.
     """
     if mu_min > -2.0 or mu_max < 2.0:
         raise ModelError(f"invariance sweep [{mu_min}, {mu_max}] must contain the bump's [-2, 2]")
@@ -684,9 +670,14 @@ def flow_invariance_check(
 
     baseline = spectral_index(sweep(symbol, basis, window, mu_min, mu_max, steps))
     entries = []
+    base = symbol.const_term
     for delta in deltas:
-        shifted = replace(symbol, const_term=_BumpedTerm(symbol.const_term, delta, pert),
-                          name=f"{symbol.name}+{delta}P")
+        def bumped(mu, dl=delta):
+            return base(mu) + (dl * _bump(mu))[:, None, None] * pert
+
+        if (slope := getattr(base, "slope", None)) is not None:
+            bumped.slope = slope + abs(delta) * _bump_slope()
+        shifted = replace(symbol, const_term=bumped, name=f"{symbol.name}+{delta}P")
         try:
             sampled_gap_certificate(shifted)
         except GapCertificateError:

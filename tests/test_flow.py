@@ -8,6 +8,7 @@ from conftest import charge_sectors
 
 from indexlab.errors import (
     EndpointInSpectrumError,
+    GapCertificateError,
     MethodDisagreementError,
     ModelError,
     RefinementError,
@@ -1133,13 +1134,25 @@ def test_flow_invariance_bump_carries_a_slope_bound():
         (0.05, True, 2, True)]
 
 
-def test_bump_slope_bounds_the_bump_derivative():
+def test_bump_slope_bounds_the_bump_derivative(monkeypatch):
     mu = np.linspace(-2.0, 2.0, 400_001)
     slopes = np.abs(np.diff(flow._bump(mu)) / np.diff(mu))
     assert slopes.max() <= flow._bump_slope() <= slopes.max() * (1 + 1e-6)
-    term = flow._BumpedTerm(matsuno_symbol().const_term, -0.05, np.eye(3))
-    assert term.slope == 1.0 + 0.05 * flow._bump_slope()
-    assert not hasattr(flow._BumpedTerm(lambda mu: mu, 0.05, np.eye(3)), "slope")
+    # the perturbed term carries ||a1||_2 + |delta| max|g'| where the symbol's
+    # term has a bound, and no bound where it has none
+    terms = []
+
+    def skip(symbol):
+        terms.append(symbol.const_term)
+        raise GapCertificateError("skipped")
+
+    monkeypatch.setattr(flow, "sampled_gap_certificate", skip)
+    flow_invariance_check(matsuno_symbol(), [-0.05], MATSUNO_BASIS, WINDOW_MAT, -6.0, 6.0, 16)
+    term = normal_form_symbol().const_term
+    plain = dataclasses.replace(normal_form_symbol(), const_term=lambda mu: term(mu))
+    flow_invariance_check(plain, [0.05], nf_basis(16), WINDOW_NF, -2.0, 2.0)
+    assert terms[0].slope == 1.0 + 0.05 * flow._bump_slope()
+    assert not hasattr(terms[1], "slope")
 
 
 @pytest.mark.parametrize("preset, window, n, crossings", [
