@@ -13,9 +13,10 @@ Every subcommand takes ``--preset <name>`` or ``--scenario <file.json>``,
 (temp file + rename) and JSON output is byte-deterministic apart from the
 ``timings`` block.
 
-Exit codes: 0 success / verdict PASS; 1 configuration or model error;
-2 usage error; 3 flow computation failure; 4 Chern computation failure;
-5 verify verdict FAIL.
+Exit codes: 0 success / verdict PASS; 1 configuration or model error (a
+scenario or flag too large for the memory at hand included); 2 usage error;
+3 flow computation failure; 4 Chern computation failure; 5 verify verdict
+FAIL.
 """
 
 from __future__ import annotations
@@ -694,6 +695,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (OSError, ValueError, RecursionError, IndexLabError, TypeError) as exc:
         print(f"indexlab: scenario error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"indexlab: scenario error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     try:
         report = {
@@ -717,6 +721,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_CONFIG
     except OSError as exc:
         print(f"indexlab: i/o error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"indexlab: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     if report.get("agreement") is False or report.get("chern", {}).get("agreement") is False:

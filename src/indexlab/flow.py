@@ -15,22 +15,20 @@ spectral window.  The grid is refined in rounds: each round bisects every
 interval whose end samples call for it and solves all the new midpoints
 together.  A batch of samples solves the complete charge blocks of the
 operator (:class:`~indexlab.hermite.OperatorPieces`, built once per sweep)
-for eigenvalues only, one batched solve per stack of equal-size blocks; the
-incomplete top blocks, the only ones that can hold truncation artifacts, are
-left out.  Where the blocks are tridiagonal, eigenvalue counts (Sturm
-sequences) of their real forms at the window edges settle every block with
-no eigenvalue near the window, and only the few others are solved.  A
-symbol without a charge operator (a ``const_term`` that is not a
-:class:`~indexlab.hermite.LinearTerm`, or one no D fits) solves the whole operator at
-each sample and drops the eigenvalues with weight on the guard levels.  Each
-interval's branches are matched once, when the interval appears; one rule
-(:func:`_ambiguity`) decides both where the sweep bisects and where it
-refuses; an interval a branch could cross the whole window in is bisected too
-(:func:`sweep`), and the sweep records the matched branches that cross the reference
-level in its final intervals.  The flow through the reference level is
-counted two independent ways -- a counting-function difference between the
-sweep endpoints and the signed tally of those crossings -- and the two must
-agree exactly.
+for eigenvalues only, one batched ``eigvalsh`` per stack of equal-size blocks
+in the form :meth:`~indexlab.hermite.BlockStack.form` gives (real where the
+blocks are tridiagonal); the incomplete top blocks, the only ones that can
+hold truncation artifacts, are left out.  A symbol without a charge operator
+(a ``const_term`` that is not a :class:`~indexlab.hermite.LinearTerm`, or one
+no D fits) solves the whole operator at each sample and drops the eigenvalues
+with weight on the guard levels.  Each interval's branches are matched once,
+when the interval appears; one rule (:func:`_ambiguity`) decides both where
+the sweep bisects and where it refuses; an interval a branch could cross the
+whole window in is bisected too (:func:`sweep`), and the sweep records the
+matched branches that cross the reference level in its final intervals.  The
+flow through the reference level is counted two independent ways -- a
+counting-function difference between the sweep endpoints and the signed tally
+of those crossings -- and the two must agree exactly.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ from .errors import (
 from .hermite import (
     SPURIOUS_THRESHOLD,
     AffineMatrixSymbol,
-    BlockStack,
     OperatorPieces,
     Record,
     TruncatedBasis,
@@ -91,11 +88,6 @@ _REAL = 2.0**-26
 MATCH_MIN_WIDTH = 1e-3
 #: Bisection rounds allowed per coarse interval for matching refinement.
 MAX_MATCH_ROUNDS = 12
-#: A tridiagonal block T is solved only if its Sturm counts below
-#: ``omega_min - tau`` and ``omega_max + tau`` differ, ``tau`` this times
-#: ``max(1, ||T||)``: far above the backward error of the count and of
-#: ``eigvalsh`` (a few ulps of ``||T||``).
-STURM_MARGIN = 1e-9
 
 
 class SpectralWindow(Record):
@@ -172,68 +164,10 @@ class FlowResult(Record):
     crossings: tuple[Crossing, ...]
 
 
-def _sturm_count(diag: np.ndarray, off_sq: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Eigenvalues below ``shift`` of real symmetric tridiagonal matrices.
-
-    ``diag`` (s, ...) and ``off_sq`` (s - 1, ...) hold the diagonals and the
-    squared subdiagonals, entry by entry, broadcast against ``shift``.
-    Counts the negative pivots ``d_i = (a_i - shift) - b_{i-1}^2 / d_{i-1}``
-    of ``T - shift = L D L^T`` (Sylvester's law of inertia; Barth, Martin &
-    Wilkinson 1967).  A pivot of magnitude at most ``pivmin`` becomes
-    ``-pivmin``, as in LAPACK ``dstebz`` (here with the largest ``b^2`` of
-    all the matrices), so no division is by zero or overflows.  After that
-    clamp no pivot is 0, so counting ``pivot <= 0`` would count the same.  The
-    count is exact for a matrix within a few ulps of ``T`` (Demmel, Dhillon &
-    Ren 1995).
-    """
-    pivmin = np.finfo(float).tiny * max(1.0, off_sq.max(initial=0.0))
-    count = 0
-    for i, a in enumerate(diag):
-        d = a - shift
-        if i:
-            d -= off_sq[i - 1] / pivot
-        pivot = np.where(np.abs(d) <= pivmin, -pivmin, d)
-        count = count + (pivot < 0)
-    return count
-
-
-def _tridiagonal_eigenvalues(stack: BlockStack, framed: np.ndarray,
-                             window: SpectralWindow) -> tuple[np.ndarray, np.ndarray]:
-    """The ``eigvalsh`` values of a ``tridiagonal`` stack's blocks that the window can
-    see, as ``(k, b * s)`` with ``+inf`` for the rest, and per sample the
-    eigenvalues below the window of the blocks not solved.
-
-    A block whose Sturm counts (:func:`_sturm_count`) below ``omega_min -
-    tau`` and ``omega_max + tau`` agree has no eigenvalue within ``tau / 2``
-    of the window, so its ``eigvalsh`` values are all outside it and as many
-    below it as that count: it is not solved.  ``tau`` is
-    :data:`STURM_MARGIN` times ``max(1, ||T||)``, with ``||T||`` bounded for
-    all of a sample's blocks at once.  The other blocks are solved by
-    ``eigvalsh`` in the real form that :meth:`~indexlab.hermite.BlockStack.blocks`
-    builds.  A 1x1 block's eigenvalue is its entry, as LAPACK returns it.
-    """
-    diag = stack.diagonal(framed)
-    k, s, b = diag.shape
-    if s == 1:
-        return diag.reshape(k, b), 0
-    moduli = stack.tridiagonal[1]
-    # Gershgorin: |a_i| + |b_{i-1}| + |b_i| bounds ||T||
-    norm = np.abs(diag).reshape(k, -1).max(axis=1) + 2.0 * moduli.max()
-    tau = STURM_MARGIN * np.maximum(1.0, norm)[:, None]
-    below, upto = _sturm_count(diag.swapaxes(0, 1), moduli ** 2,
-                               np.stack([window.omega_min - tau, window.omega_max + tau]))
-    solve = below != upto
-    w = np.full((k, b, s), np.inf)
-    if solve.any():
-        w[solve] = np.linalg.eigvalsh(stack.blocks(diag.swapaxes(1, 2)[solve],
-                                                   np.nonzero(solve)[1]))
-    return w.reshape(k, -1), np.where(solve, 0, below).sum(axis=1)
-
-
-def _samples(mus: np.ndarray, w: np.ndarray, g: np.ndarray, below: np.ndarray | int,
+def _samples(mus: np.ndarray, w: np.ndarray, g: np.ndarray,
              window: SpectralWindow) -> list[EigenSample]:
     """Samples at ``mus`` (k,) from their kept values ``w`` (k, n), ``+inf`` where none,
-    with guard weights ``g`` and ``below`` eigenvalues below the window not in ``w``.
+    with guard weights ``g``.
 
     Only the values inside the window are sorted (stably, per sample).
     """
@@ -241,7 +175,7 @@ def _samples(mus: np.ndarray, w: np.ndarray, g: np.ndarray, below: np.ndarray | 
     order = np.lexsort((w[rows, cols], rows))
     rows, cols = rows[order], cols[order]
     omegas, weights = w[rows, cols], g[rows, cols]
-    below = below + np.count_nonzero(w < window.omega_ref, axis=1)
+    below = np.count_nonzero(w < window.omega_ref, axis=1)
     ends = np.cumsum(np.bincount(rows, minlength=len(w))).tolist()
     return [  # fields by position, a record's fast path
         EigenSample(float(mu), omegas[a:b], weights[a:b], int(n))
@@ -255,33 +189,25 @@ def _window_samples(pieces: OperatorPieces, window: SpectralWindow,
 
     One ``A(mu)`` evaluation for all of ``mus``.  With charge stacks the
     samples are solved as one batch, turned into the charge frame once and
-    solved per charge stack for eigenvalues only, by
-    :func:`_tridiagonal_eigenvalues` where the stack is ``tridiagonal``, else
-    by ``eigvalsh``; every value is kept, with guard weight 0.0.  Without
-    them each sample solves the whole operator alone by ``eigh`` and drops
-    the values whose guard weight exceeds
+    solved per charge stack for eigenvalues only, by one ``eigvalsh`` of its
+    :meth:`~indexlab.hermite.BlockStack.form`; every value is kept, with guard
+    weight 0.0.  Without them each sample solves the whole operator alone by
+    ``eigh`` and drops the values whose guard weight exceeds
     :data:`~indexlab.hermite.SPURIOUS_THRESHOLD`.
     """
     mus = np.asarray(mus, dtype=float)
     amats = pieces.symbol.const_stack(mus)
     if pieces.charge_stacks:
         framed = pieces.charge_stacks[0].to_frame(amats)  # one frame for all
-        parts, below = [], 0
-        for stack in pieces.charge_stacks:
-            if stack.tridiagonal is None:
-                w, settled = np.linalg.eigvalsh(stack.assemble(framed)), 0
-            else:
-                w, settled = _tridiagonal_eigenvalues(stack, framed, window)
-            parts.append(w.reshape(len(mus), -1))
-            below = below + settled
-        w = np.concatenate(parts, axis=1)
-        return _samples(mus, w, np.zeros_like(w), below, window)
+        w = np.concatenate([np.linalg.eigvalsh(stack.form(framed)).reshape(len(mus), -1)
+                            for stack in pieces.charge_stacks], axis=1)
+        return _samples(mus, w, np.zeros_like(w), window)
     samples = []
     for i in range(len(mus)):
         w, v = np.linalg.eigh(pieces.whole.assemble(amats[i:i + 1])[0])
         g = (np.abs(v) ** 2 * pieces.guard[:, None]).sum(axis=-2)
         w = np.where(g <= SPURIOUS_THRESHOLD, w, np.inf)
-        samples += _samples(mus[i:i + 1], w, g, 0, window)
+        samples += _samples(mus[i:i + 1], w, g, window)
     return samples
 
 
@@ -556,10 +482,11 @@ def sector_index(
     Each complete block (:attr:`~indexlab.hermite.OperatorPieces.charge_stacks`) is an
     exact block of the untruncated operator and exactly affine in mu: ``T(mu) = T(mu_min) +
     (mu - mu_min) T1``, with ``T1`` the block of ``a1`` in the charge frame (the symbol's
-    ``const_term`` is a :class:`~indexlab.hermite.LinearTerm`).  A ``tridiagonal`` stack is
-    taken in its real form.  Counting method: the blocks' eigenvalues below the reference
-    level at mu_min minus those at mu_max, by Sturm counts (:func:`_sturm_count`) of the
-    real forms, else by ``eigvalsh``.  Crossing method: the signed tally of the roots
+    ``const_term`` is a :class:`~indexlab.hermite.LinearTerm`); both are taken in the form
+    :meth:`~indexlab.hermite.BlockStack.form` gives, real for a ``tridiagonal`` stack.
+    Counting method: the blocks' eigenvalues below the reference level at mu_min minus
+    those at mu_max, by ``eigvalsh``, which counts exactly for a matrix within a few ulps
+    of the block.  Crossing method: the signed tally of the roots
     :func:`_pencil_crossings` finds in every block; each crossing records its block's q.
     An eigenvalue within :data:`CROSSING_WIDTH` of the reference level at either end
     raises :class:`EndpointInSpectrumError`, and counts that disagree raise
@@ -578,17 +505,9 @@ def sector_index(
         framed = stacks[0].to_frame(symbol.const_stack(ends))
         slope = stacks[0].to_frame(np.asarray(symbol.const_term.a1, dtype=complex)[None])
     for stack in stacks:
-        b, s = stack.index.shape
-        if stack.tridiagonal is None:
-            h = stack.assemble(framed)
-            counts = (np.linalg.eigvalsh(h)[None] < shifts[:, None, None, None]).sum(axis=(2, 3))
-            t0, t1 = h[0] - ref * np.eye(s), stack.assemble(slope, static=False)[0]
-        else:
-            diag, comp = stack.diagonal(framed), stack.tridiagonal[2]
-            counts = _sturm_count(diag.swapaxes(0, 1), stack.tridiagonal[1] ** 2,
-                                  shifts[:, None, None]).sum(axis=-1)
-            t0, t1 = stack.blocks(diag[0].T - ref, np.arange(b)), np.zeros((b, s, s))
-            t1[:, np.arange(s), np.arange(s)] = slope[0][comp, comp].real.T
+        h = stack.form(framed)
+        counts = (np.linalg.eigvalsh(h)[None] < shifts[:, None, None, None]).sum(axis=(2, 3))
+        t0, t1 = h[0] - ref * np.eye(h.shape[-1]), stack.form(slope, static=False)[0]
         for mu, near in zip(ends, counts[2] - counts[0]):
             if near:
                 raise EndpointInSpectrumError(f"eigenvalue on the reference level at the "

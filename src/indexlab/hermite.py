@@ -26,9 +26,9 @@ symmetry belongs to the symbol: :attr:`AffineMatrixSymbol.charge` fits and diago
 returned arrays are freshly allocated and safe to share between threads, but for that
 cached pair, which is read-only.  An :class:`OperatorPieces` keeps the stacks it has
 built: the complete charge blocks, or else the whole operator.  Each stack assembles a
-``(k, d, d)`` stack of ``A(mu)`` at once, so many mu values share one batched solve; a
-stack of tridiagonal blocks also hands out their real diagonals alone, for eigenvalue
-counts that need no solve.
+``(k, d, d)`` stack of ``A(mu)`` at once, so many mu values share one batched solve, and
+hands its blocks out in the form they are solved in (:meth:`BlockStack.form`): the real
+form below for a stack of tridiagonal blocks.
 
 In D's eigenbasis ``B (x) xhat + C (x) xihat`` couples weight delta only to
 delta +- 1, so for a D with distinct eigenvalues (every shipped family's) each
@@ -289,8 +289,8 @@ class BlockStack(Record):
     frame) lands at block, row, column ``same_level[0..2][t]``.  When
     ``A(mu)`` lands on the diagonal only, the symmetrized ``static`` is exactly
     zero beyond its first off-diagonals and ``tridiagonal`` is that
-    matrix's real diagonal ``(s, b)``, the moduli of its subdiagonal ``(s - 1,
-    b)`` and the component of each diagonal entry ``(s, b)``: the real form
+    matrix's real diagonal ``(b, s)``, the moduli of its subdiagonal ``(b, s -
+    1)`` and the component of each diagonal entry ``(b, s)``: the real form
     (module docstring) of every block.  Else it is None.  ``charges`` ``(b,)``
     holds each charge block's q, rounded to 9 decimals (distinct blocks differ by
     more than 1e-8); it is None for the whole operator.
@@ -324,19 +324,18 @@ class BlockStack(Record):
         h *= 0.5
         return h
 
-    def diagonal(self, framed: np.ndarray) -> np.ndarray:
-        """The real diagonals of :meth:`assemble`'s blocks of a ``tridiagonal`` stack, bit
-        for bit, as ``(k, s, b)``."""
-        diag, _, comp = self.tridiagonal
-        return diag + framed[:, comp, comp].real
-
-    def blocks(self, diag: np.ndarray, which: np.ndarray) -> np.ndarray:
-        """The real forms of blocks ``which`` (n,) of a ``tridiagonal`` stack, with the
-        diagonals ``diag`` (n, s) of :meth:`diagonal`, as ``(n, s, s)`` float arrays."""
-        n, s = diag.shape
-        h, i = np.zeros((n, s, s)), np.arange(s)
-        h[:, i, i] = diag
-        h[:, i[1:], i[:-1]] = h[:, i[:-1], i[1:]] = self.tridiagonal[1][:, which].T
+    def form(self, framed: np.ndarray, static: bool = True) -> np.ndarray:
+        """The blocks as they are solved, ``(k, b, s, s)``: for a ``tridiagonal`` stack the
+        real forms, with :meth:`assemble`'s real diagonal and the moduli of its subdiagonal
+        bit for bit (with ``static`` False, that real diagonal alone); else :meth:`assemble`."""
+        if self.tridiagonal is None:
+            return self.assemble(framed, static)
+        diag, moduli, comp = self.tridiagonal
+        h, i = np.zeros((len(framed), *self.static.shape)), np.arange(self.static.shape[-1])
+        h[..., i, i] = framed[:, comp, comp].real
+        if static:
+            h[..., i, i] += diag
+            h[..., i[1:], i[:-1]] = h[..., i[:-1], i[1:]] = moduli
         return h
 
 
@@ -436,8 +435,7 @@ class OperatorPieces:
             # whole numbers apart: entries two or more positions apart join levels two or more
             # apart, where the ladder matrices are exactly 0, so the block is tridiagonal
             h = 0.5 * (static + static.conj().swapaxes(-2, -1))
-            tridiagonal = (h.diagonal(0, -2, -1).real.T.copy(),
-                           np.abs(h.diagonal(-1, -2, -1)).T, comp.T.copy())
+            tridiagonal = (h.diagonal(0, -2, -1).real, np.abs(h.diagonal(-1, -2, -1)), comp)
         return BlockStack(index, static, (which, rows, cols),
                           (comp[which, rows], comp[which, cols]), frame, tridiagonal, charges)
 

@@ -590,6 +590,37 @@ def test_reports_get_the_mode_a_plain_open_gives(tmp_path, monkeypatch, existing
     assert read_json(out)["N"] == 0
 
 
+def out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)")
+
+
+@pytest.mark.parametrize("command,owner,name", [
+    ("flow", "hermite", "ladder_matrices"),  # a large --levels
+    ("chern", "topology.SphereGrid", "build"),  # a large --grid
+])
+def test_running_out_of_memory_is_one_error_line(capsys, monkeypatch, command, owner, name):
+    # the allocation fails at once, with no memory taken: a MemoryError where a
+    # flag too large for the machine would raise it
+    import indexlab.hermite as hermite
+    import indexlab.topology as topology
+
+    owner = {"hermite": hermite, "topology.SphereGrid": topology.SphereGrid}[owner]
+    monkeypatch.setattr(owner, name, out_of_memory)
+    assert main([command, "--preset", "normal-form"]) == 1
+    assert capsys.readouterr().err == ("indexlab: out of memory: Unable to allocate 7.28 TiB "
+                                       "for an array with shape (1000000, 1000000)\n")
+
+
+def test_a_scenario_too_large_for_memory_is_a_scenario_error(tmp_path, capsys, monkeypatch):
+    # the constant model builds its symbol with np.eye(dim) while the scenario
+    # is checked; that allocation fails at once, as a large "dim" would
+    path = write_scenario(tmp_path, "constant", model_params={"value": 5.0, "dim": 3})
+    monkeypatch.setattr(np, "eye", out_of_memory)
+    assert main(["flow", "--scenario", path]) == 1
+    assert capsys.readouterr().err == ("indexlab: scenario error: out of memory: Unable to allocate "
+                                       "7.28 TiB for an array with shape (1000000, 1000000)\n")
+
+
 @pytest.mark.parametrize("out", ["reports", "missing/report.json"], ids=["directory", "missing-dir"])
 def test_unwritable_out_is_an_io_error_that_leaves_no_temp_file(tmp_path, capsys, out):
     (tmp_path / "reports").mkdir()

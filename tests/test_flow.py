@@ -714,31 +714,23 @@ def test_batched_window_samples_name_a_non_hermitian_mu():
         flow._window_samples(pieces, WINDOW_MAT, [-1.0, 0.25, 0.5, 1.0])
 
 
-def real_forms(stack, amats):
-    """The ``(k, b, s, s)`` real forms of a ``tridiagonal`` stack's blocks at a ``(k, d, d)``
-    stack of ``A(mu)``, as the sweep solves them."""
-    diag = stack.diagonal(stack.to_frame(amats)).swapaxes(1, 2)
-    k, b, s = diag.shape
-    return stack.blocks(diag.reshape(k * b, s), np.tile(np.arange(b), k)).reshape(k, b, s, s)
-
-
 def all_eigh_samples(pieces, window, mus, vectors=True):
     """Reference: every block solved by LAPACK, one mu at a time, by ``eigh`` and weighed
-    on the guard levels (with ``vectors`` False, a charge block by ``eigvalsh``, in its
-    real form where its stack is ``tridiagonal``, with guard weights 0.0).  Every value
-    of a charge block is kept; the whole operator drops its values with guard weight
-    above the threshold."""
+    on the guard levels (with ``vectors`` False, a charge block by ``eigvalsh`` of its
+    :meth:`BlockStack.form`, real where its stack is ``tridiagonal``, with guard weights
+    0.0).  Every value of a charge block is kept; the whole operator drops its values with
+    guard weight above the threshold."""
     out, charged = [], bool(pieces.charge_stacks)
     for mu in mus:
         amat = pieces.symbol.const_stack([mu])
         parts = []
         for s in pieces.charge_stacks if charged else [pieces.whole]:
-            h = s.assemble(s.to_frame(amat))
+            framed = s.to_frame(amat)
             if vectors or not charged:
-                w, v = np.linalg.eigh(h)
+                w, v = np.linalg.eigh(s.assemble(framed))
                 g = (np.abs(v) ** 2 * pieces.guard[s.index][..., None]).sum(axis=-2)
             else:
-                w = np.linalg.eigvalsh(h if s.tridiagonal is None else real_forms(s, amat))
+                w = np.linalg.eigvalsh(s.form(framed))
                 g = np.zeros_like(w)
             parts.append((w.ravel(), g.ravel()))
         omegas, weights = (np.concatenate(p) for p in zip(*parts))
@@ -775,12 +767,11 @@ def test_eigenvalue_only_stacks_match_an_all_eigh_solve(preset):
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_sturm_settled_samples_equal_the_lapack_only_path(preset):
-    # a block settled by its Sturm counts stands for the eigvalsh values it
-    # would have had: the window contents and the counts are bit for bit those
-    # of solving every block by LAPACK, at every sweep mu.  The window-edge
-    # samples mu = +-1.5 of the matsuno gaps (the Kelvin branch omega = mu on
-    # the edge) are among them; that branch is the 1x1 q = -1 block, whose
-    # eigenvalue is its entry
+    # the batched sweep's window contents and counts are bit for bit those of
+    # solving every block alone by LAPACK, one mu at a time, at every sweep
+    # mu.  The window-edge samples mu = +-1.5 of the matsuno gaps (the Kelvin
+    # branch omega = mu on the edge) are among them; that branch is the 1x1
+    # q = -1 block, whose eigenvalue is its entry
     pieces, window, sw = preset_sweep(preset)
     mus = [s.mu for s in sw.samples]
     reference = all_eigh_samples(pieces, window, mus, vectors=False)
@@ -794,14 +785,14 @@ def test_sturm_settled_samples_equal_the_lapack_only_path(preset):
 @pytest.mark.parametrize("preset", ["matsuno", "normal-form", "ts2"])
 def test_blocks_with_an_eigenvalue_ulps_from_a_window_edge_reach_lapack(preset):
     # windows whose edges sit a few ulps either side of an eigvalsh value of a
-    # 2x2 or 3x3 eigenvalue-only block: only the margin tau decides, against
-    # rounding, whether that value is inside, so each such block must be solved
+    # 2x2 or 3x3 eigenvalue-only block: the batched solve must put that value
+    # on the same side of the edge as the one-mu solve
     scenario = PRESETS[preset]()
     symbol, basis = scenario.symbol(), scenario.basis()
     pieces = OperatorPieces(symbol, basis)
     mus = np.linspace(scenario.mu_min, scenario.mu_max, 7)
     amats = pieces.symbol.const_stack(mus)
-    values = [np.linalg.eigvalsh(real_forms(s, amats))[:, :12].ravel()
+    values = [np.linalg.eigvalsh(s.form(s.to_frame(amats)))[:, :12].ravel()
               for s in pieces.charge_stacks if s.tridiagonal is not None and s.index.shape[1] > 1]
     values = np.concatenate(values)
     for value in values[:: max(1, len(values) // 8)]:
@@ -815,66 +806,6 @@ def test_blocks_with_an_eigenvalue_ulps_from_a_window_edge_reach_lapack(preset):
                            SpectralWindow(value - 0.25, down, value - 0.125)):
                 assert_same_samples(flow._window_samples(pieces, window, mus),
                                     all_eigh_samples(pieces, window, mus, vectors=False))
-
-
-def random_tridiagonals(rng, size, count, scale):
-    """Diagonals (size, count) and squared subdiagonals (size - 1, count), a third
-    of the subdiagonal entries exactly zero."""
-    diag = scale * rng.uniform(-1.0, 1.0, (size, count))
-    off = scale * rng.uniform(-1.0, 1.0, (size - 1, count))
-    off[rng.uniform(size=off.shape) < 1 / 3] = 0.0
-    return diag, off**2
-
-
-def tridiagonal_eigenvalues(diag, off_sq):
-    """eigvalsh of each (count,) matrix with subdiagonal +sqrt(off_sq)."""
-    size, count = diag.shape
-    t = np.zeros((count, size, size))
-    t[:, range(size), range(size)] = diag.T
-    t[:, range(1, size), range(size - 1)] = np.sqrt(off_sq).T
-    t[:, range(size - 1), range(1, size)] = np.sqrt(off_sq).T
-    return np.linalg.eigvalsh(t)
-
-
-@pytest.mark.parametrize("size", [1, 2, 3])
-@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_sturm_count_equals_the_eigvalsh_count(size, scale, seed):
-    rng = np.random.default_rng(seed)
-    diag, off_sq = random_tridiagonals(rng, size, 200, scale)
-    eigs = tridiagonal_eigenvalues(diag, off_sq)
-    # shifts: random, every diagonal entry (exact zero pivots), every
-    # eigenvalue, and the eigenvalues of the leading 1x1 and 2x2 blocks
-    # (a zero pivot further down)
-    leading = [diag[:1]] + ([tridiagonal_eigenvalues(diag[:2], off_sq[:1]).T] if size == 3 else [])
-    shifts = np.concatenate([scale * rng.uniform(-2.5, 2.5, (4, 200)), diag, eigs.T, *leading])
-    with np.errstate(divide="raise", over="raise", invalid="raise"):
-        counts = flow._sturm_count(diag, off_sq, shifts)
-    assert counts.shape == shifts.shape
-    # both counts are exact for a matrix within rounding of T: between the
-    # eigenvalues farther than that below and the ones not farther above
-    rounding = 1e-13 * np.abs(eigs).max(axis=1)
-    below = (eigs[None] < shifts[..., None] - rounding[:, None]).sum(axis=-1)
-    upto = (eigs[None] <= shifts[..., None] + rounding[:, None]).sum(axis=-1)
-    assert np.all((below <= counts) & (counts <= upto))
-    clear = below == upto
-    assert clear[:4].all()  # the random shifts
-    assert np.array_equal(counts[clear], below[clear])
-
-
-def test_sturm_count_of_exact_zero_pivots():
-    # diag(1, 2, 3) shifted by 2: a zero pivot with a zero subdiagonal after
-    # it (0 / 0 without the pivmin guard), and one with a nonzero subdiagonal
-    # after it (division by zero)
-    diag = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-    off_sq = np.array([[0.0, 1.0], [0.0, 1.0]])
-    with np.errstate(divide="raise", over="raise", invalid="raise"):
-        counts = flow._sturm_count(diag, off_sq, np.array([2.0, 0.0]))
-    # the second matrix is [[0, 1, 0], [1, 0, 1], [0, 1, 0]]: eigenvalues
-    # -sqrt(2), 0, sqrt(2), the shift 0 is one of them
-    assert counts[0] in (1, 2) and counts[1] in (1, 2)
-    assert np.array_equal(flow._sturm_count(diag, off_sq, np.array([[2.5, 0.5], [1.5, -0.5]])),
-                          [[2, 2], [1, 1]])
 
 
 def test_samples_without_charge_blocks_equal_an_all_eigh_solve(monkeypatch, random_affine_symbol):
@@ -893,21 +824,20 @@ def test_samples_without_charge_blocks_equal_an_all_eigh_solve(monkeypatch, rand
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_charge_sweep_calls_no_eigh(preset, monkeypatch):
-    # each stack solve (a (k, b, s, s) array from assemble, or the (n, s, s)
-    # blocks of a tridiagonal stack that its Sturm counts leave to LAPACK; the
-    # d x d D of the pieces is solved too) is handed the array built just
-    # before it
-    built, solved = [], {"eigh": [], "eigvalsh": []}
-    real_assemble, real_blocks = BlockStack.assemble, BlockStack.blocks
+    # each batch of samples solves each charge stack by one eigvalsh of the
+    # (k, b, s, s) array its form builds just before (the d x d D of the
+    # pieces is solved too), and nothing by eigh
+    built, solved, batches = [], {"eigh": [], "eigvalsh": []}, []
+    real_form, real_window_samples = BlockStack.form, flow._window_samples
     real_eigh, real_eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
 
-    def spy_assemble(stack, framed):
-        built.append((stack, real_assemble(stack, framed)))
+    def spy_form(stack, framed, static=True):
+        built.append((stack, real_form(stack, framed, static)))
         return built[-1][1]
 
-    def spy_blocks(stack, diag, which):
-        built.append((stack, real_blocks(stack, diag, which)))
-        return built[-1][1]
+    def spy_window_samples(pieces, window, mus):
+        batches.append(len(mus))
+        return real_window_samples(pieces, window, mus)
 
     def spy(name, real):
         def solve(h):
@@ -919,27 +849,24 @@ def test_charge_sweep_calls_no_eigh(preset, monkeypatch):
             return real(h)
         return solve
 
-    monkeypatch.setattr(BlockStack, "assemble", spy_assemble)
-    monkeypatch.setattr(BlockStack, "blocks", spy_blocks)
+    monkeypatch.setattr(BlockStack, "form", spy_form)
+    monkeypatch.setattr(flow, "_window_samples", spy_window_samples)
     monkeypatch.setattr(np.linalg, "eigh", spy("eigh", real_eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", real_eigvalsh))
     scenario = PRESETS[preset]()
     symbol, basis = scenario.symbol(), scenario.basis()
     sw = sweep(symbol, basis, scenario.spectral_window(), scenario.mu_min, scenario.mu_max,
                scenario.steps)
-    pieces = OperatorPieces(symbol, basis)
-    assert pieces.charge_stacks
+    stacks = OperatorPieces(symbol, basis).charge_stacks
+    assert stacks and solved["eigh"] == []
     # every charge block is complete, so none has a guard weight to measure:
     # no stack is solved for eigenvectors, and only charge stacks for values
-    assert solved["eigh"] == []
     assert all(s.frame is not None for s, _ in solved["eigvalsh"])
+    assert [(s.index.shape, shape) for s, shape in solved["eigvalsh"]] == [
+        (s.index.shape, (k, *s.index.shape, s.index.shape[1])) for k in batches for s in stacks]
+    assert sum(batches) == len(sw.samples)
     if preset == "matsuno":
-        # of the blocks (61 per sample), only those whose Sturm counts leave
-        # an eigenvalue near the window reach LAPACK (here the 2x2 q = 0
-        # block alone); 1x1 blocks never do
-        assert {s.index.shape for s, _ in solved["eigvalsh"]} == {(1, 2)}
-        lapack_blocks = sum(shape[0] for _, shape in solved["eigvalsh"])
-        assert len(sw.samples) == 195 and 0 < lapack_blocks < 100
+        assert len(sw.samples) == 195 and sum(s.index.shape[0] for s in stacks) == 61
 
 
 def two_normal_forms(a0, name):
@@ -1106,6 +1033,24 @@ def test_sector_index_refuses_a_multiple_root():
     symbol = two_normal_forms(np.zeros((4, 4), dtype=complex), "doubled-normal-form")
     with pytest.raises(RefinementError, match=r"^multiple root in sector q=-0\.5 at mu=0: "):
         sector_index(symbol, nf_basis(24), WINDOW_NF, -2.0, 2.0)
+
+
+@pytest.mark.parametrize("t", [-1e-7, 1e-7, -1e-5, 1e-5])
+def test_sector_index_endpoint_margin_on_a_two_index_block(t):
+    # mu_max = KELVIN_YANAI + t, by the Kelvin-Yanai root of the 2x2 q = 0
+    # block: an eigenvalue within CROSSING_WIDTH of omega_ref there is refused
+    # by the eigvalsh counts; 1e-5 before the root none is in range, 1e-5
+    # after it that root alone
+    symbol, basis, window = preset_args("matsuno-upper-gap")[:3]
+    if abs(t) < 1e-6:
+        with pytest.raises(EndpointInSpectrumError, match=r"endpoint mu=0\.5307"):
+            sector_index(symbol, basis, window, -6.0, KELVIN_YANAI + t)
+        return
+    result = sector_index(symbol, basis, window, -6.0, KELVIN_YANAI + t)
+    assert result.N == (t > 0)
+    assert result.method_counts == {"counting_function": result.N, "tracked_crossings": result.N}
+    assert [(c.direction, c.sector) for c in result.crossings] == [(1, 0.0)] * result.N
+    assert all(abs(c.mu_lo - KELVIN_YANAI) <= 1e-12 for c in result.crossings)
 
 
 def test_sector_index_refuses_roots_that_disagree_with_the_counts(monkeypatch):

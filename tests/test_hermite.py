@@ -745,12 +745,21 @@ def random_tridiagonal_symbol(dim=4, seed=5):
     )
 
 
+def assert_slope_form(stack, framed):
+    """The ``static`` False form of a ``tridiagonal`` stack: the real diagonal of
+    ``assemble(framed, static=False)`` bit for bit, and zeros off the diagonal."""
+    h, real = stack.assemble(framed, static=False), stack.form(framed, static=False)
+    assert real.dtype == np.float64 and real.shape == h.shape
+    assert np.array_equal(real.diagonal(0, -2, -1), h.diagonal(0, -2, -1).real)
+    assert not (real * (1.0 - np.eye(h.shape[-1]))).any()
+
+
 @pytest.mark.parametrize("family", sorted(BLOCK_FAMILIES) + ["random-tridiagonal"])
 def test_tridiagonal_real_form_keeps_the_eigenvalues(family):
     # the real form has assemble's real diagonal and the moduli of its
     # subdiagonal, bit for bit, and so its eigenvalues; constant-dim3 has
     # D = 0, so its three components share each block's level and A(mu)
-    # lands off the diagonal: its one stack keeps the complex path
+    # lands off the diagonal: its one stack's form is assemble's complex blocks
     symbol = random_tridiagonal_symbol() if family == "random-tridiagonal" else BLOCK_FAMILIES[family]
     pieces = OperatorPieces(symbol, TruncatedBasis(max_level=12, guard_levels=3))
     amats = pieces.symbol.const_stack([-2.0, -0.4, 0.7, 3.0])
@@ -759,12 +768,16 @@ def test_tridiagonal_real_form_keeps_the_eigenvalues(family):
     assert (len(stacks) == len(pieces.charge_stacks)) == (family != "constant-dim3")
     if family == "random-tridiagonal":
         assert [s.index.shape[1] for s in stacks] == [1, 2, 3, 4]
+    for s in pieces.charge_stacks:
+        if s.tridiagonal is None:
+            framed = s.to_frame(amats)
+            for static in (True, False):
+                assert np.array_equal(s.form(framed, static), s.assemble(framed, static))
     for s in stacks:
         framed = s.to_frame(amats)
         h = s.assemble(framed)
-        k, b, size, _ = h.shape
-        diag = s.diagonal(framed).swapaxes(1, 2).reshape(k * b, size)
-        real = s.blocks(diag, np.tile(np.arange(b), k)).reshape(h.shape)
+        size = h.shape[-1]
+        real = s.form(framed)
         assert s.static.dtype == h.dtype == np.complex128 and real.dtype == np.float64
         assert np.array_equal(real, real.swapaxes(-2, -1)) and not np.triu(real, 2).any()
         assert np.array_equal(real.diagonal(0, -2, -1), h.diagonal(0, -2, -1).real)
@@ -773,6 +786,8 @@ def test_tridiagonal_real_form_keeps_the_eigenvalues(family):
         assert np.abs(np.linalg.eigvalsh(real) - np.linalg.eigvalsh(h)).max() <= 1e-12 * scale
         if family == "random-tridiagonal" and size > 1:  # the phases are far from real
             assert np.abs(h.diagonal(-1, -2, -1).imag).max() > 0.1 * scale
+        assert_slope_form(s, framed)
+        assert_slope_form(s, s.to_frame(np.asarray(symbol.const_term.a1, dtype=complex)[None]))
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -784,8 +799,8 @@ def test_every_charge_stack_of_the_presets_is_tridiagonal(preset):
     assert pieces.charge_stacks
     for s in pieces.charge_stacks:
         assert s.tridiagonal is not None
-        diag = s.diagonal(s.to_frame(amats))[1].T
-        assert s.blocks(diag, np.arange(len(diag))).dtype == np.float64
+        assert s.form(s.to_frame(amats)).dtype == np.float64
+        assert_slope_form(s, s.to_frame(np.asarray(symbol.const_term.a1, dtype=complex)[None]))
     # the whole operator, and so quantize, stays complex
     assert pieces.whole.assemble(amats).dtype == np.complex128
     assert quantize(symbol, 0.7, basis).matrix.dtype == np.complex128
