@@ -378,8 +378,10 @@ def charge_operator(symbol: AffineMatrixSymbol) -> np.ndarray | None:
 class OperatorPieces:
     """The mu-independent parts of :func:`quantize` for one (symbol, basis).
 
-    A stack's ``B (x) xhat + C (x) xihat`` is built once; each ``A(mu)`` then
-    only adds its same-level entries.  In the eigenbasis of the symbol's
+    A stack's ``B (x) xhat + C (x) xihat`` is built once, from the ladder entries of
+    the level pairs it indexes (:func:`position_momentum`'s arithmetic on them, so
+    no ``(M + 1)**2`` matrix and memory linear in M); each ``A(mu)`` then only adds
+    its same-level entries.  In the eigenbasis of the symbol's
     charge operator (:attr:`AffineMatrixSymbol.charge`) each eigenvalue of
     ``Q`` gives one charge block of at most d indices.  ``charge_stacks`` are
     the complete charge blocks (module docstring) stacked by size, empty
@@ -393,7 +395,7 @@ class OperatorPieces:
 
     def __init__(self, symbol: AffineMatrixSymbol, basis: TruncatedBasis):
         self.symbol = symbol
-        self._xmat, self._ximat = position_momentum(basis)
+        self.scale = np.sqrt(basis.epsilon / 2.0)  # of the ladder entries, sqrt(eps/2)
         self.component, self.level = np.divmod(np.arange(symbol.dim * basis.size), basis.size)
         self.guard = self.level >= basis.size - basis.guard_levels
 
@@ -427,7 +429,11 @@ class OperatorPieces:
                   for c in (self.symbol.x_coeff, self.symbol.xi_coeff)]
         pair = (comp[:, :, None], comp[:, None, :])
         levels = (level[:, :, None], level[:, None, :])
-        static = coeffs[0][pair] * self._xmat[levels] + coeffs[1][pair] * self._ximat[levels]
+        # position_momentum's entries at these level pairs, by its arithmetic: bit for bit
+        a = np.where(levels[1] == levels[0] + 1, np.sqrt(levels[1]), 0.0)
+        adag = np.where(levels[0] == levels[1] + 1, np.sqrt(levels[0]), 0.0)
+        xmat, ximat = self.scale * (a + adag), 1j * self.scale * (adag - a)
+        static = coeffs[0][pair] * xmat + coeffs[1][pair] * ximat
         which, rows, cols = np.nonzero(levels[0] == levels[1])
         tridiagonal = None
         if frame is not None and np.array_equal(rows, cols):
@@ -498,31 +504,46 @@ def sampled_gap_certificate(symbol: AffineMatrixSymbol) -> float:
     ``gap_center - gap_constant`` and band ``gap_band + 1`` above
     ``gap_center + gap_constant``.  The margin is the least distance past
     those bounds over the sample; one that is not positive (or NaN) raises
-    :class:`GapCertificateError` with the lower and upper margins and a
-    sampled point of least margin.
+    :class:`GapCertificateError` with the lower and upper margins and the grid's
+    first sampled point of least margin.
 
-    With a charge operator (:attr:`AffineMatrixSymbol.charge`) the spectrum is solved
-    once per charge orbit (:func:`charge_orbits`) and shared by the orbit's
-    points; without one every point is solved.
+    The sample is the product of the 20 mu with ``|mu| <= 2`` and the 900 ``(x, xi)``,
+    the norm summed as ``np.linalg.norm`` sums it.  With a charge operator
+    (:attr:`AffineMatrixSymbol.charge`) each mu row meets the distinct ``hypot(x, xi)``
+    of its kept pairs: those are the orbits of :func:`charge_orbits`, in its order, each
+    solved once; without one every kept point is solved.
     """
     axis = np.linspace(-3.0, 3.0, 30)
-    pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-    norms = np.linalg.norm(pts, axis=1)
-    pts = pts[(norms >= 1.0) & (norms <= 3.0) & (np.abs(pts[:, 0]) <= 2.0)]
+    mu = axis[np.abs(axis) <= 2.0]
+    x, xi = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
+    norms = np.sqrt((mu[:, None] ** 2 + x ** 2) + xi ** 2)
+    keep = (norms >= 1.0) & (norms <= 3.0)  # (mu row, pair)
+
+    def sample() -> np.ndarray:  # the kept points (n, 3), in the order of the grid's rows
+        rows, pairs = np.nonzero(keep)
+        return np.stack((mu[rows], x[pairs], xi[pairs]), axis=1)
+
     if symbol.charge is None:
-        eigs = np.linalg.eigvalsh(symbol.evaluate_many(pts))
+        solved = sample()
     else:
-        radial, inverse = charge_orbits(pts)
-        eigs = np.linalg.eigvalsh(symbol.evaluate_many(radial))[inverse]
+        radius = np.hypot(x, xi)
+        order = np.argsort(radius)
+        radii, first = np.unique(radius[order], return_index=True)  # each radius's run of pairs
+        orbits = np.logical_or.reduceat(keep[:, order], first, axis=1)  # (mu row, radius): any kept
+        at_mu, at_r = np.nonzero(orbits)
+        solved = np.stack((mu[at_mu], radii[at_r], np.zeros(len(at_r))), axis=1)
+    eigs = np.linalg.eigvalsh(symbol.evaluate_many(solved))
     r = symbol.gap_band
-    lower = np.full(len(pts), np.inf)
-    upper = np.full(len(pts), np.inf)
+    lower = upper = np.full(len(solved), np.inf)
     if r >= 1:
         lower = symbol.gap_center - symbol.gap_constant - eigs[:, r - 1]
     if r <= symbol.dim - 1:
         upper = eigs[:, r] - (symbol.gap_center + symbol.gap_constant)
     if not (lower.min() > 0 and upper.min() > 0):
-        worst = pts[int(np.argmin(np.minimum(lower, upper)))]
+        pts, margins = sample(), np.minimum(lower, upper)
+        if symbol.charge is not None:  # each point takes its orbit's margin
+            margins = margins[charge_orbits(pts)[1]]
+        worst = pts[int(np.argmin(margins))]
         raise GapCertificateError(
             f"gap certificate failed for {symbol.name!r}: margins "
             f"({lower.min():.3g}, {upper.min():.3g}) at "

@@ -192,6 +192,15 @@ def test_flow_report_crossing_is_a_pencil_root():
     assert report["samples"] == 2
 
 
+def test_flow_at_a_large_cutoff():
+    # the charge blocks take their ladder entries level pair by level pair, with
+    # no (M + 1)**2 matrix, so a cutoff of 20,000 levels counts the same one root
+    scenario = dataclasses.replace(load_preset("normal-form"), max_level=20000)
+    report = run_flow(scenario)
+    assert report["N"] == 1
+    assert report["crossings"] == [{"mu_lo": 0.0, "mu_hi": 0.0, "direction": 1, "sector": -0.5}]
+
+
 def test_chern_reports_match_spec_examples(tmp_path):
     out = tmp_path / "chern.json"
     rc = main(
@@ -595,7 +604,7 @@ def out_of_memory(*args, **kwargs):
 
 
 @pytest.mark.parametrize("command,owner,name", [
-    ("flow", "hermite", "ladder_matrices"),  # a large --levels
+    ("flow", "hermite.OperatorPieces", "stack"),  # a large --levels
     ("chern", "topology.SphereGrid", "build"),  # a large --grid
 ])
 def test_running_out_of_memory_is_one_error_line(capsys, monkeypatch, command, owner, name):
@@ -604,7 +613,8 @@ def test_running_out_of_memory_is_one_error_line(capsys, monkeypatch, command, o
     import indexlab.hermite as hermite
     import indexlab.topology as topology
 
-    owner = {"hermite": hermite, "topology.SphereGrid": topology.SphereGrid}[owner]
+    owner = {"hermite.OperatorPieces": hermite.OperatorPieces,
+             "topology.SphereGrid": topology.SphereGrid}[owner]
     monkeypatch.setattr(owner, name, out_of_memory)
     assert main([command, "--preset", "normal-form"]) == 1
     assert capsys.readouterr().err == ("indexlab: out of memory: Unable to allocate 7.28 TiB "

@@ -451,6 +451,28 @@ def test_quantize_equals_kron_formula(family):
         assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
+@pytest.mark.parametrize("family", sorted(BLOCK_FAMILIES))
+def test_stack_ladder_entries_equal_the_dense_matrices(family):
+    # OperatorPieces computes the position and momentum entries of the level pairs
+    # it indexes; every stack's static part equals the one gathered from the dense
+    # position_momentum matrices, bit for bit, signed zeros included
+    symbol = BLOCK_FAMILIES[family]
+    for eps in (1.0, 0.3):
+        basis = TruncatedBasis(max_level=12, epsilon=eps, guard_levels=3)
+        xmat, ximat = position_momentum(basis)
+        pieces = OperatorPieces(symbol, basis)
+        for stack in [*pieces.charge_stacks, pieces.whole]:
+            f = stack.frame
+            bx, cxi = (np.asarray(c) if f is None else f.conj().T @ c @ f
+                       for c in (symbol.x_coeff, symbol.xi_coeff))
+            level, comp = pieces.level[stack.index], pieces.component[stack.index]
+            pair = (comp[:, :, None], comp[:, None, :])
+            levels = (level[:, :, None], level[:, None, :])
+            expected = bx[pair] * xmat[levels] + cxi[pair] * ximat[levels]
+            assert stack.static.dtype == expected.dtype
+            assert stack.static.tobytes() == expected.tobytes()
+
+
 #: eigenvalues of the charge operator D of each family in BLOCK_FAMILIES
 CHARGE_SPECTRA = {
     "normal-form": [-0.5, 0.5],
@@ -639,17 +661,24 @@ def all_points_margins(symbol, grid_points=30, shell=(1.0, 3.0), mu_max=2.0):
     return pts, lower, upper
 
 
-def certificate_and_solved_points(monkeypatch, symbol):
+def certificate_and_solved_arrays(monkeypatch, symbol):
+    """The certificate's margin or :class:`GapCertificateError`, and a copy of every point
+    array it passes to ``evaluate_many``."""
     solved = []
     real = AffineMatrixSymbol.evaluate_many
     monkeypatch.setattr(AffineMatrixSymbol, "evaluate_many",
-                        lambda self, pts: solved.append(len(pts)) or real(self, pts))
+                        lambda self, pts: solved.append(np.array(pts)) or real(self, pts))
     try:
         margin = sampled_gap_certificate(symbol)
     except GapCertificateError as exc:
         margin = exc
     monkeypatch.undo()
     return margin, solved
+
+
+def certificate_and_solved_points(monkeypatch, symbol):
+    margin, solved = certificate_and_solved_arrays(monkeypatch, symbol)
+    return margin, [len(pts) for pts in solved]
 
 
 def assert_matches_all_points_reference(margin, symbol, atol):
@@ -722,6 +751,43 @@ def test_gap_certificate_without_charge_symmetry_solves_every_point(
     # every point solved as the reference solves it: the same margins exactly
     # (the random symbol's gap closes on the shell, so it is refused)
     assert_matches_all_points_reference(margin, symbol, atol=0.0)
+
+
+@pytest.mark.parametrize("family", sorted(BLOCK_FAMILIES))
+def test_gap_certificate_orbits_are_the_charge_orbits_of_the_reference_sample(monkeypatch, family):
+    # the certificate builds its orbits from the (mu, (x, xi)) product; they are
+    # charge_orbits of the reference's 10,600 points, bit for bit and in order
+    symbol = BLOCK_FAMILIES[family]
+    margin, (solved,) = certificate_and_solved_arrays(monkeypatch, symbol)
+    pts = all_points_margins(symbol)[0]
+    assert len(pts) == 10600
+    radial, inverse = charge_orbits(pts)
+    assert solved.dtype == radial.dtype and solved.shape == radial.shape == (1752, 3)
+    assert solved.tobytes() == radial.tobytes()
+    # so the margin is the least over the orbits' solves exactly
+    eigs = np.linalg.eigvalsh(symbol.evaluate_many(radial))
+    r, none = symbol.gap_band, np.full(len(radial), np.inf)
+    lower = symbol.gap_center - symbol.gap_constant - eigs[:, r - 1] if r else none
+    upper = eigs[:, r] - (symbol.gap_center + symbol.gap_constant) if r < symbol.dim else none
+    assert margin == min(lower.min(), upper.min())
+
+
+@pytest.mark.parametrize("gap_band", [0, 3])
+def test_callback_refusal_names_the_reference_first_point_of_least_margin(monkeypatch, gap_band):
+    # a plain callback has no charge operator, so every kept point is solved, the
+    # reference's points in the reference's order; with a misset gap band (96
+    # points within 1e-12 of the least margin) the refusal names exactly the
+    # reference's first point of least margin
+    base = matsuno_symbol()
+    symbol = dataclasses.replace(base, const_term=lambda mu: base.const_term(mu),
+                                 gap_band=gap_band, name="matsuno-callback")
+    assert symbol.charge is None
+    refusal, (solved,) = certificate_and_solved_arrays(monkeypatch, symbol)
+    pts, lower, upper = all_points_margins(symbol)
+    assert solved.tobytes() == pts.tobytes()
+    assert_matches_all_points_reference(refusal, symbol, atol=0.0)
+    worst = pts[int(np.argmin(np.minimum(lower, upper)))]
+    assert str(refusal).endswith(f"at point {tuple(worst.tolist())}")
 
 
 def random_tridiagonal_symbol(dim=4, seed=5):
