@@ -34,7 +34,11 @@ In D's eigenbasis ``B (x) xhat + C (x) xihat`` couples weight delta only to
 delta +- 1, so for a D with distinct eigenvalues (every shipped family's) each
 charge block is a Hermitian tridiagonal ``h``, similar through a diagonal
 unitary to the real ``S`` with ``Re h_ii`` on the diagonal and ``|h_{i+1,i}|``
-beside it (Parlett, *The Symmetric Eigenvalue Problem*, ch. 7).
+beside it (Parlett, *The Symmetric Eigenvalue Problem*, ch. 7).  The symbol
+itself takes the same form on the half-plane ``xi = 0``, ``x = r >= 0``:
+:attr:`AffineMatrixSymbol.real_form` writes ``H(mu, r, 0)`` as a real tridiagonal
+``T(mu, r)``, which the gap certificate and the charge-orbit solves of
+:mod:`indexlab.topology` solve in place of the complex matrix.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ __all__ = [
     "as_points",
     "TruncatedOperator",
     "BlockStack",
+    "RealForm",
     "OperatorPieces",
     "LinearTerm",
     "ladder_matrices",
@@ -218,6 +223,28 @@ class AffineMatrixSymbol:
         delta.flags.writeable = frame.flags.writeable = False
         return delta, frame
 
+    @cached_property
+    def real_form(self) -> RealForm | None:
+        """:class:`RealForm` of ``H(mu, r, 0)`` in :attr:`charge`'s frame, read-only; None
+        without a charge operator or unless its weights delta are consecutive, ``delta_k +
+        1`` after ``delta_k``, which makes the frame tridiagonal (a repeated delta, as in a
+        direct sum of two copies, is not).  Made on first read, once per instance."""
+        if self.charge is None:
+            return None
+        delta, frame = self.charge
+        if (np.abs(np.diff(delta) - 1.0) > 1e-8).any():
+            return None
+        term, fh = self.const_term, frame.conj().T
+        a0 = np.asarray(term.a0, dtype=complex) + np.zeros((self.dim, self.dim))
+        diagonal = np.stack([(fh @ a @ frame).diagonal().real for a in (a0, term.a1)])
+        sub = (fh @ self.x_coeff @ frame).diagonal(-1)
+        moduli = np.abs(sub)
+        turns = np.where(moduli > 0, sub, 1.0) / np.where(moduli > 0, moduli, 1.0)
+        form = RealForm(diagonal, moduli, frame * np.concatenate(([1.0], np.cumprod(turns))))
+        for a in vars(form).values():
+            a.flags.writeable = False
+        return form
+
     def validate(self, rng: np.random.Generator | None = None):
         """:meth:`const_stack` at 32 mu in [-2, 2], evenly spaced or drawn from ``rng`` (``B``
         and ``C`` are checked at construction); without ``rng`` no ``numpy.random`` import."""
@@ -339,6 +366,31 @@ class BlockStack(Record):
         return h
 
 
+class RealForm(Record):
+    """``H(mu, r, 0)`` of a symbol whose charge weights are consecutive, as the real symmetric
+    tridiagonal ``T(mu, r)`` (module docstring): ``H(mu, r, 0) = frame T(mu, r) frame^dag``.
+
+    ``diagonal`` ``(2, d)`` holds the real diagonals ``a0`` and ``a1`` of ``A0`` and ``A1`` in
+    the charge frame F, so T has ``a0 + mu a1`` on its diagonal, and ``r |b_k|`` beside it
+    for the subdiagonal ``b`` ``(d - 1,)`` of ``B`` there (``moduli``).  ``frame`` is ``F G``
+    for the diagonal unitary gauge G that makes ``G^dag F^dag B F G`` real.  As ``delta_k =
+    delta_1 + k - 1``, the orbit's point at angle t has ``exp(i t D) frame = exp(i t
+    delta_1) frame diag(1, z, ..., z**(d - 1))`` for ``z = exp(i t)``.
+    """
+
+    diagonal: np.ndarray
+    moduli: np.ndarray
+    frame: np.ndarray
+
+    def matrices(self, mu: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """``T(mu, r)`` of each of m pairs (two float arrays), as a real ``(m, d, d)`` stack."""
+        d = len(self.frame)
+        t, i = np.zeros((len(mu), d, d)), np.arange(d)
+        t[:, i, i] = self.diagonal[0] + mu[:, None] * self.diagonal[1]
+        t[:, i[1:], i[:-1]] = t[:, i[:-1], i[1:]] = r[:, None] * self.moduli
+        return t
+
+
 class LinearTerm:
     """The ``const_term`` ``A(mu) = a0 + mu * a1``: an ``(n, d, d)`` stack per n values of mu.
 
@@ -407,16 +459,21 @@ class OperatorPieces:
         # Q = delta + n; a tolerance that merged two values would only join blocks
         q = delta[self.component] + self.level
         order = np.argsort(q, kind="stable")
-        cuts = np.flatnonzero(np.diff(q[order]) > 1e-8) + 1
-        parts = [np.sort(p) for p in np.split(order, cuts)]
-        n = np.array([q[p[0]] for p in parts])[:, None] - delta
+        block = np.empty(len(q), dtype=np.intp)  # blocks numbered in ascending q
+        block[order[0]], block[order[1:]] = 0, np.cumsum(np.diff(q[order]) > 1e-8)
+        members = np.argsort(block, kind="stable")  # block by block, each ascending
+        sizes = np.bincount(block)
+        starts = np.cumsum(sizes) - sizes
+        first = members[starts]  # each block's least index
+        n = q[first][:, None] - delta
         full = np.count_nonzero((np.abs(n - np.rint(n)) <= 1e-8) & (n > -0.5), axis=1)
-        parts = [p for p, f in zip(parts, full) if len(p) == f]
         stacks = []
-        for size in sorted({len(p) for p in parts}):
-            rows = [p for p in parts if len(p) == size]
-            charges = np.round(q[[p[0] for p in rows]], 9) + 0.0  # + 0.0: no q reads -0.0
-            stacks.append(self.stack(np.array(rows), frame, charges))
+        for size in range(1, len(delta) + 1):  # a block has at most d indices
+            rows = np.flatnonzero((sizes == full) & (sizes == size))
+            if len(rows):
+                charges = np.round(q[first[rows]], 9) + 0.0  # + 0.0: no q reads -0.0
+                index = members[starts[rows, None] + np.arange(size)]
+                stacks.append(self.stack(index, frame, charges))
         return stacks
 
     def stack(self, index: np.ndarray, frame: np.ndarray | None = None,
@@ -511,7 +568,9 @@ def sampled_gap_certificate(symbol: AffineMatrixSymbol) -> float:
     the norm summed as ``np.linalg.norm`` sums it.  With a charge operator
     (:attr:`AffineMatrixSymbol.charge`) each mu row meets the distinct ``hypot(x, xi)``
     of its kept pairs: those are the orbits of :func:`charge_orbits`, in its order, each
-    solved once; without one every kept point is solved.
+    solved once, by one real ``eigvalsh`` of :attr:`AffineMatrixSymbol.real_form` where
+    the symbol has one (no ``const_term`` call); without a charge operator every kept
+    point is solved.
     """
     axis = np.linspace(-3.0, 3.0, 30)
     mu = axis[np.abs(axis) <= 2.0]
@@ -532,7 +591,9 @@ def sampled_gap_certificate(symbol: AffineMatrixSymbol) -> float:
         orbits = np.logical_or.reduceat(keep[:, order], first, axis=1)  # (mu row, radius): any kept
         at_mu, at_r = np.nonzero(orbits)
         solved = np.stack((mu[at_mu], radii[at_r], np.zeros(len(at_r))), axis=1)
-    eigs = np.linalg.eigvalsh(symbol.evaluate_many(solved))
+    form = symbol.real_form
+    eigs = np.linalg.eigvalsh(symbol.evaluate_many(solved) if form is None
+                              else form.matrices(solved[:, 0], solved[:, 1]))
     r = symbol.gap_band
     lower = upper = np.full(len(solved), np.inf)
     if r >= 1:

@@ -19,7 +19,12 @@ eigenvalues depend on ``(mu, hypot(x, xi))`` only and the eigenvectors at
 :attr:`~indexlab.hermite.AffineMatrixSymbol.charge`, fitted and diagonalized
 once per symbol.  The grid and the clutching poles and equator solve each
 distinct ``(mu, hypot(x, xi))`` once and rotate its eigenvectors out to the
-orbit's points.  A symbol without ``D`` (a ``const_term`` that is not a
+orbit's points.  Where ``D``'s weights are consecutive, ``delta_k + 1`` after
+``delta_k`` (every shipped family), that solve is a real one, of the symbol's
+:attr:`~indexlab.hermite.AffineMatrixSymbol.real_form`, and the rotation
+drops the common phase ``exp(i t delta_1)`` of each point, which the gauge
+contract below allows; a ``D`` with a repeated weight keeps the complex
+solve.  A symbol without ``D`` (a ``const_term`` that is not a
 :class:`~indexlab.hermite.LinearTerm`) has every point solved on its own, and
 so are the small section-zero batches.
 
@@ -155,9 +160,14 @@ def batch_eigensystem(
     :attr:`~indexlab.hermite.AffineMatrixSymbol.charge`): then one batched ``eigh``
     solves each orbit of :func:`~indexlab.hermite.charge_orbits` at ``(mu, r, 0)``, and
     the point at angle ``t = atan2(xi, x)`` takes the orbit's eigenvalues and its
-    eigenvectors times ``exp(i t D) = F diag(exp(i t delta)) F^dag``.  The
-    eigenvector phases are those ``eigh`` and the rotation give (the module's gauge
-    contract).  If ``bands`` (1-based, contiguous) is given, a gap below
+    eigenvectors times ``exp(i t D) = F diag(exp(i t delta)) F^dag``.  Where the symbol
+    has a :attr:`~indexlab.hermite.AffineMatrixSymbol.real_form` ``H(mu, r, 0) = F G T
+    G^dag F^dag``, that ``eigh`` is a real one of ``T``, with eigenvectors W, and the
+    point's frame is ``F G diag(1, z, ..., z**(d - 1)) W`` for ``z = (x + i xi) / r`` (1
+    at r = 0): the rotation ``F diag(exp(i t delta)) F^dag`` of consecutive weights
+    without its common phase ``exp(i t delta_1)``.  The eigenvector phases are those
+    ``eigh`` and the rotation give (the module's gauge contract).  If ``bands``
+    (1-based, contiguous) is given, a gap below
     :data:`BAND_GAP_TOL` between selected and unselected bands at any point raises
     :class:`DegeneracyError`.
     """
@@ -166,18 +176,38 @@ def batch_eigensystem(
         omegas, vecs = np.linalg.eigh(symbol.evaluate_many(points))
     else:
         radial, inverse = charge_orbits(points)
-        omegas, vecs = np.linalg.eigh(symbol.evaluate_many(radial))
-        delta, frame = symbol.charge
-        # row j of rows[i] is column j of point i's orbit frame in D's eigenbasis
-        rows = (vecs.swapaxes(1, 2) @ frame.conj())[inverse]
-        angles = np.arctan2(points[:, 2], points[:, 1])
-        rows *= np.exp(1j * np.multiply.outer(angles, delta))[:, None]
-        # one gemm takes every row back to the standard basis
+        form = symbol.real_form
+        if form is None:
+            omegas, vecs = np.linalg.eigh(symbol.evaluate_many(radial))
+            delta, frame = symbol.charge
+            rows = vecs.swapaxes(1, 2) @ frame.conj()
+            turns = np.exp(1j * np.multiply.outer(np.arctan2(points[:, 2], points[:, 1]), delta))
+        else:
+            omegas, vecs = np.linalg.eigh(form.matrices(radial[:, 0], radial[:, 1]))
+            frame, turns = form.frame, _turns(points, symbol.dim)
+            rows = np.ascontiguousarray(vecs.swapaxes(1, 2))
+        # row j of rows[i] is column j of point i's frame in the basis of frame's columns;
+        # the orbit rows are C-contiguous, so the gather is too
+        rows = rows[inverse] * turns[:, None]
         omegas = omegas[inverse]
-        vecs = (rows.reshape(-1, len(delta)) @ frame.T).reshape(rows.shape).swapaxes(1, 2)
+        # one gemm takes every row back to the standard basis
+        vecs = (rows.reshape(-1, symbol.dim) @ frame.T).reshape(rows.shape).swapaxes(1, 2)
     if bands is not None:
         _band_gap(omegas, bands, points)
     return omegas, vecs
+
+
+def _turns(points: np.ndarray, d: int) -> np.ndarray:
+    """``z**k`` (n, d) for k = 0..d - 1 at each point, ``z = (x + i xi) / hypot(x, xi)``
+    set to 1 on the mu axis: ``exp(i t k)`` at the point's angle t."""
+    x, xi = points[:, 1], points[:, 2]
+    turns = np.ones((len(points), d), dtype=complex)
+    z, r = turns[:, 0].copy(), np.hypot(x, xi)
+    np.divide(x, r, out=z.real, where=r > 0)
+    np.divide(xi, r, out=z.imag, where=r > 0)
+    for k in range(1, d):
+        np.multiply(turns[:, k - 1], z, out=turns[:, k])
+    return turns
 
 
 def point_eigensystem(
@@ -331,33 +361,53 @@ def _amplitudes(vectors: np.ndarray, ref: np.ndarray) -> np.ndarray:
 # curvature method
 # ---------------------------------------------------------------------------
 
+def _face_vertices(cells: np.ndarray, n: int) -> np.ndarray:
+    """The ``(6, n + 1, n + 1)`` vertex numbers of each face, row-major, read off ``cells``
+    (``SphereGrid.build``'s corner order): cell (i, j) of a face has the corners (i, j),
+    (i + 1, j), (i + 1, j + 1) and (i, j + 1)."""
+    corners = cells.reshape(6, n, n, 4)
+    face = np.empty((6, n + 1, n + 1), dtype=cells.dtype)
+    face[:, :n, :n] = corners[..., 0]
+    face[:, n, :n] = corners[:, n - 1, :, 1]
+    face[:, n, n] = corners[:, n - 1, n - 1, 2]
+    face[:, :n, n] = corners[:, :, n - 1, 3]
+    return face
+
+
 def _cell_phases(field_: BandProjectorField) -> np.ndarray:
     """Berry phase per grid cell from the overlap product around the loop.
 
     For rank r the link amplitude is the determinant of the r x r frame
     overlap.  The sign convention makes the summed phases equal +2 pi C for
-    counterclockwise-from-outside cells.  The links are taken in turn, so at
-    most three of the four corner gathers are held at once.  ``*=`` keeps the
+    counterclockwise-from-outside cells.  The frames are gathered one face at
+    a time, as its ``(n + 1)**2`` vertex block, and the four corners of its
+    cells are slices of that block and of its conjugate.  ``*=`` keeps the
     operand order of ``l1 * l2 * l3 * l4``: numpy's complex product is not
     bitwise commutative, and ``prod * link(...)`` would be computed into the
     temporary as ``link(...) * prod``.
     """
-    v = field_.vectors
-    cells = field_.grid.cells
+    n = field_.grid.n_per_face
     if field_.rank == 1:
+        v = field_.vectors[:, :, 0]
+
         def link(x, y):
-            return np.einsum("ij,ij->i", x[:, :, 0].conj(), y[:, :, 0])
+            return np.einsum("...j,...j->...", x, y)
     else:
+        v = field_.vectors
+
         def link(x, y):
-            return np.linalg.det(np.einsum("ijk,ijl->ikl", x.conj(), y))
-    a, b = v[cells[:, 0]], v[cells[:, 1]]
-    prod = link(a, b)
-    for corner in (2, 3):
-        c = v[cells[:, corner]]
-        prod *= link(b, c)
-        b = c
-    prod *= link(b, a)
-    return -np.angle(prod)
+            return np.linalg.det(np.einsum("...jk,...jl->...kl", x, y))
+    phases = np.empty((6, n, n))
+    for face, block in zip(phases, _face_vertices(field_.grid.cells, n)):
+        frames = v[block]
+        # the four corners of every cell of the face, conjugated (bra) and not (ket)
+        bra, ket = ((f[:-1, :-1], f[1:, :-1], f[1:, 1:], f[:-1, 1:])
+                    for f in (frames.conj(), frames))
+        prod = link(bra[0], ket[1])
+        for k in (1, 2, 3):
+            prod *= link(bra[k], ket[(k + 1) % 4])
+        face[...] = -np.angle(prod)
+    return phases.reshape(-1)
 
 
 def chern_curvature(field_: BandProjectorField) -> ChernReport:
@@ -448,7 +498,10 @@ def chern_clutching(
     reproduce the textbook (1,0)/(0,1) choice for the two-band model).
     References may be callables ``point -> C^d`` for bundles that admit no
     trivializing constant vector; one whose ``batched`` attribute is true is
-    called once with all the points of its hemisphere, ``(n, 3) -> (n, d)``.
+    called once with all the points of its hemisphere, ``(n, 3) -> (n, d)``,
+    and any other callable once per point of its hemisphere: 12,930 Python
+    calls on the 64-grid with 512 equator samples, 25,860 per band for one
+    callable shared by both hemispheres.
     Values that are not finite vectors of the symbol's dimension raise
     :class:`ModelError` naming the reference.  Each reference, shared or not,
     is read on its own closed hemisphere {+-mu >= 0}, at its grid vertices

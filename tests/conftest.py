@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from indexlab.flow import _bump as flow_bump
+from indexlab.hermite import AffineMatrixSymbol, RealForm
 from indexlab.models import constant_symbol, matsuno_symbol, mu_reflected, normal_form_symbol, ts2_symbol
 from indexlab.topology import SphereGrid
 
@@ -18,6 +19,26 @@ BLOCK_FAMILIES = {
     "constant": constant_symbol(),
     "constant-dim3": constant_symbol(2.0, 3),
 }
+
+
+def record_solves(monkeypatch):
+    """A list that gets a copy of the points of every symbol solve from now on: the points
+    of each ``evaluate_many`` call, and ``(mu, r, 0)`` of each ``RealForm.matrices`` call
+    (the real form of ``H(mu, r, 0)``)."""
+    solved = []
+    evaluate, matrices = AffineMatrixSymbol.evaluate_many, RealForm.matrices
+
+    def evaluate_many(self, points):
+        solved.append(np.array(points))
+        return evaluate(self, points)
+
+    def real_matrices(self, mu, r):
+        solved.append(np.stack((mu, r, np.zeros(len(mu))), axis=1))
+        return matrices(self, mu, r)
+
+    monkeypatch.setattr(AffineMatrixSymbol, "evaluate_many", evaluate_many)
+    monkeypatch.setattr(RealForm, "matrices", real_matrices)
+    return solved
 
 
 def incomplete_sectors(charge, basis):

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import BLOCK_FAMILIES, charge_sectors, incomplete_sectors
+from conftest import BLOCK_FAMILIES, charge_sectors, incomplete_sectors, record_solves
 
 import indexlab.hermite as hermite
 from indexlab.cli import PRESETS, run_verify
@@ -547,6 +547,47 @@ def test_charge_stacks_hold_exactly_the_complete_blocks(case):
     assert np.array_equal(pieces.guard, pieces.level >= basis.size - basis.guard_levels)
 
 
+def per_block_charge_stacks(pieces):
+    """The charge stacks built block by block in Python: each block's indices split off the
+    stable sort of Q, sorted, filtered by completeness and stacked by size."""
+    delta, frame = pieces.symbol.charge
+    q = delta[pieces.component] + pieces.level
+    order = np.argsort(q, kind="stable")
+    parts = [np.sort(p) for p in np.split(order, np.flatnonzero(np.diff(q[order]) > 1e-8) + 1)]
+    n = np.array([q[p[0]] for p in parts])[:, None] - delta
+    full = np.count_nonzero((np.abs(n - np.rint(n)) <= 1e-8) & (n > -0.5), axis=1)
+    parts = [p for p, f in zip(parts, full) if len(p) == f]
+    stacks = []
+    for size in sorted({len(p) for p in parts}):
+        rows = [p for p in parts if len(p) == size]
+        charges = np.round(q[[p[0] for p in rows]], 9) + 0.0
+        stacks.append(pieces.stack(np.array(rows), frame, charges))
+    return stacks
+
+
+def stack_bytes(stack):
+    """Every array of a :class:`BlockStack`, as (dtype, shape, bytes) leaves."""
+    leaves = []
+    for value in vars(stack).values():
+        for a in value if isinstance(value, tuple) else (value,):
+            a = np.asarray(a)
+            leaves.append((a.dtype.str, a.shape, a.tobytes()))
+    return leaves
+
+
+@pytest.mark.parametrize("family", sorted(BLOCK_FAMILIES))
+@pytest.mark.parametrize("max_level", [12, 61])
+def test_charge_stacks_equal_the_per_block_construction(family, max_level):
+    # the grouping into blocks is vectorized; every stack stays byte-equal to
+    # the block-by-block construction
+    basis = TruncatedBasis(max_level=max_level, guard_levels=3)
+    pieces = OperatorPieces(BLOCK_FAMILIES[family], basis)
+    expected = per_block_charge_stacks(pieces)
+    assert len(pieces.charge_stacks) == len(expected) > 0
+    for got, want in zip(pieces.charge_stacks, expected):
+        assert stack_bytes(got) == stack_bytes(want)
+
+
 def test_no_charge_operator_for_a_plain_callback_or_a_random_symbol(random_affine_symbol):
     # matsuno's own A(mu) behind a plain callback has no D, the safe default,
     # and no D fits the random symbol's coefficients
@@ -663,11 +704,8 @@ def all_points_margins(symbol, grid_points=30, shell=(1.0, 3.0), mu_max=2.0):
 
 def certificate_and_solved_arrays(monkeypatch, symbol):
     """The certificate's margin or :class:`GapCertificateError`, and a copy of every point
-    array it passes to ``evaluate_many``."""
-    solved = []
-    real = AffineMatrixSymbol.evaluate_many
-    monkeypatch.setattr(AffineMatrixSymbol, "evaluate_many",
-                        lambda self, pts: solved.append(np.array(pts)) or real(self, pts))
+    array it solves (:func:`conftest.record_solves`)."""
+    solved = record_solves(monkeypatch)
     try:
         margin = sampled_gap_certificate(symbol)
     except GapCertificateError as exc:
@@ -703,12 +741,33 @@ def assert_matches_all_points_reference(margin, symbol, atol):
 def test_gap_certificate_solves_each_charge_orbit_once(monkeypatch, family):
     # every closed-form family has a charge operator that commutes with
     # A(mu), so its spectrum depends on (mu, |x + i xi|) only: the 10,600
-    # sampled points fall into 1,752 orbits, one solve each
+    # sampled points fall into 1,752 orbits, one solve each (of the real
+    # form, but on constant-dim3, whose weights delta repeat)
     symbol = BLOCK_FAMILIES[family]
     margin, solved = certificate_and_solved_points(monkeypatch, symbol)
     assert solved == [1752]
+    assert (symbol.real_form is None) == (family == "constant-dim3")
     # the orbit solve shares one spectrum along an orbit: equal to rounding
     assert_matches_all_points_reference(margin, symbol, atol=1e-12)
+
+
+@pytest.mark.parametrize("family", sorted(BLOCK_FAMILIES))
+def test_real_form_is_the_symbol_on_the_half_plane(family):
+    # H(mu, r, 0) = frame T(mu, r) frame^dag, T real symmetric tridiagonal and
+    # frame unitary; constant-dim3's weights repeat (0 three times): no real form
+    symbol = BLOCK_FAMILIES[family]
+    form = symbol.real_form
+    if family == "constant-dim3":
+        assert symbol.charge is not None and form is None
+        return
+    mu, r = np.linspace(-2.0, 2.0, 9), np.linspace(0.0, 3.0, 9)
+    t = form.matrices(mu, r)
+    assert t.dtype == float and np.array_equal(t, t.swapaxes(1, 2))
+    assert not np.triu(t, 2).any()
+    h = symbol.evaluate_many(np.stack((mu, r, np.zeros(9)), axis=1))
+    assert np.abs(form.frame @ t @ form.frame.conj().T - h).max() <= 1e-12
+    assert np.abs(form.frame.conj().T @ form.frame - np.eye(symbol.dim)).max() <= 1e-12
+    assert not any(a.flags.writeable for a in vars(form).values())
 
 
 class CountedTerm(LinearTerm):
@@ -723,18 +782,22 @@ class CountedTerm(LinearTerm):
         return super().__call__(mu)
 
 
-def test_charge_path_evaluates_a_for_the_fit_and_the_orbits_only(grid64):
+def test_charge_path_evaluates_a_for_the_fit_and_the_orbits_only(monkeypatch, grid64):
     # D is fitted once per symbol, from A(0) and A(1), on the first read; the
     # certificate's 10,600 points then fall into 1,752 orbits and the
-    # 64-grid's 24,578 vertices into 3,001, and A(mu) is evaluated at those
-    # orbits alone, with no check of the symmetry per mu and no second fit
+    # 64-grid's 24,578 vertices into 3,001, and A(mu) is taken at those
+    # orbits alone, in the real form T(mu, r), whose diagonal holds the
+    # LinearTerm's a0 and a1 in D's frame: no const_term call per mu, no
+    # check of the symmetry per mu and no second fit
     term = CountedTerm(matsuno_symbol().const_term)
     symbol = dataclasses.replace(matsuno_symbol(), const_term=term)
+    solved = record_solves(monkeypatch)
     assert sampled_gap_certificate(symbol) > 0
-    assert term.seen == [2, 1752]
-    term.seen.clear()
+    assert term.seen == [2] and [len(s) for s in solved] == [1752]
+    solved.clear()
     SphereSpectrum.build(symbol, grid64)
-    assert term.seen == [3001] and symbol.charge is not None
+    assert term.seen == [2] and [len(s) for s in solved] == [3001]
+    assert symbol.charge is not None and symbol.real_form is not None
     radial, inverse = charge_orbits(grid64.vertices)
     assert len(radial) == 3001 and inverse.shape == (24578,)
     assert np.array_equal(radial[inverse][:, 1], np.hypot(*grid64.vertices[:, 1:].T))
@@ -764,12 +827,19 @@ def test_gap_certificate_orbits_are_the_charge_orbits_of_the_reference_sample(mo
     radial, inverse = charge_orbits(pts)
     assert solved.dtype == radial.dtype and solved.shape == radial.shape == (1752, 3)
     assert solved.tobytes() == radial.tobytes()
-    # so the margin is the least over the orbits' solves exactly
-    eigs = np.linalg.eigvalsh(symbol.evaluate_many(radial))
-    r, none = symbol.gap_band, np.full(len(radial), np.inf)
-    lower = symbol.gap_center - symbol.gap_constant - eigs[:, r - 1] if r else none
-    upper = eigs[:, r] - (symbol.gap_center + symbol.gap_constant) if r < symbol.dim else none
-    assert margin == min(lower.min(), upper.min())
+    # so the margin is the least over the orbits' solves exactly: of the real
+    # form where the symbol has one, and within 1e-12 of the complex solve
+    form = symbol.real_form
+    for matrices in ([symbol.evaluate_many(radial)] if form is None else
+                     [form.matrices(radial[:, 0], radial[:, 1]), symbol.evaluate_many(radial)]):
+        eigs = np.linalg.eigvalsh(matrices)
+        r, none = symbol.gap_band, np.full(len(radial), np.inf)
+        lower = symbol.gap_center - symbol.gap_constant - eigs[:, r - 1] if r else none
+        upper = eigs[:, r] - (symbol.gap_center + symbol.gap_constant) if r < symbol.dim else none
+        if matrices.dtype == float or form is None:
+            assert margin == min(lower.min(), upper.min())
+        else:
+            assert abs(margin - min(lower.min(), upper.min())) <= 1e-12
 
 
 @pytest.mark.parametrize("gap_band", [0, 3])

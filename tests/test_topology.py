@@ -1,10 +1,11 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
-from conftest import BLOCK_FAMILIES
+from conftest import BLOCK_FAMILIES, record_solves
 
 from indexlab.cli import _matsuno_band2_section, _ts2_band2_section, load_preset, run_verify
 from indexlab.errors import (
@@ -266,13 +267,9 @@ def test_fields_sliced_from_one_spectrum_match_independent_builds(
                 assert abs(fld.min_gap - min_gap) <= 1e-12
 
 
-def evaluated_points(monkeypatch):
-    """The number of points of each ``evaluate_many`` call from now on."""
-    seen = []
-    real = AffineMatrixSymbol.evaluate_many
-    monkeypatch.setattr(AffineMatrixSymbol, "evaluate_many",
-                        lambda self, pts: seen.append(len(pts)) or real(self, pts))
-    return seen
+def sizes(solved):
+    """The number of points of each solve that :func:`conftest.record_solves` recorded."""
+    return [len(points) for points in solved]
 
 
 def per_point_spectrum(sym, grid):
@@ -284,12 +281,12 @@ def test_sphere_solves_each_charge_orbit_once(monkeypatch, grid64):
     # the 64-grid's 24,578 vertices are 3,001 distinct (mu, hypot(x, xi));
     # clutching's two poles and 512 equator samples are 4 (the equator's
     # hypot(x, xi) rounds to two values)
-    seen = evaluated_points(monkeypatch)
+    seen = record_solves(monkeypatch)
     spectrum = SphereSpectrum.build(matsuno_symbol(), grid64)
-    assert len(grid64.vertices) == 24578 and seen == [3001]
+    assert len(grid64.vertices) == 24578 and sizes(seen) == [3001]
     seen.clear()
     assert chern_clutching(spectrum.field([1])).C == 2
-    assert seen == [4]
+    assert sizes(seen) == [4]
     # every band, and a gauge-turned field, solve only their poles and equator:
     # the hemisphere checks read the grid's frames
     section = dict(north_ref=matsuno_band2_section, south_ref=matsuno_band2_section)
@@ -297,11 +294,11 @@ def test_sphere_solves_each_charge_orbit_once(monkeypatch, grid64):
     assert chern_clutching(spectrum.field([3])).C == -2
     phases = np.exp(1j * np.arange(len(grid64.vertices)))
     assert chern_clutching(spectrum.field([1]).with_phase_field(phases)).C == 2
-    assert seen == [4, 4, 4, 4]
+    assert sizes(seen) == [4, 4, 4, 4]
     # a field built on its own solves its grid, then the same four orbits
     seen.clear()
     assert chern_clutching(BandProjectorField.build(matsuno_symbol(), [3], grid64)).C == -2
-    assert seen == [3001, 4]
+    assert sizes(seen) == [3001, 4]
 
 
 def test_clutching_solves_stay_out_of_record_fields(grid32):
@@ -370,15 +367,15 @@ def test_orbit_spectrum_matches_per_point_solve(grid32, family):
 def test_sphere_without_charge_symmetry_solves_every_point(
         monkeypatch, grid32, random_affine_symbol, bump_perturbed_matsuno, name):
     sym = random_affine_symbol if name == "random-affine" else bump_perturbed_matsuno
-    seen = evaluated_points(monkeypatch)
+    seen = record_solves(monkeypatch)
     spectrum = SphereSpectrum.build(sym, grid32)
-    assert seen == [len(grid32.vertices)] and sym.charge is None
+    assert sizes(seen) == [len(grid32.vertices)] and sym.charge is None
     omegas, vecs = np.linalg.eigh(np.array([sym.evaluate(*p) for p in grid32.vertices]))
     assert np.array_equal(spectrum.omegas, omegas)
     assert np.array_equal(spectrum.vectors, vecs)
     seen.clear()
     chern_clutching(spectrum.field([1]))
-    assert seen == [514]  # the two poles and the equator, point by point
+    assert sizes(seen) == [514]  # the two poles and the equator, point by point
 
 
 def test_plain_callback_of_a_symmetric_family_solves_every_point(monkeypatch):
@@ -389,17 +386,68 @@ def test_plain_callback_of_a_symmetric_family_solves_every_point(monkeypatch):
     base = scenario.symbol()
     plain = dataclasses.replace(base, const_term=lambda mu: base.const_term(mu))
     grid = SphereGrid.build(scenario.grid_n)
-    seen = evaluated_points(monkeypatch)
+    seen = record_solves(monkeypatch)
     point = SphereSpectrum.build(plain, grid)
-    assert seen == [len(grid.vertices)] and plain.charge is None
+    assert sizes(seen) == [len(grid.vertices)] and plain.charge is None
     orbit = SphereSpectrum.build(base, grid)
-    assert base.charge is not None and seen[1] < len(grid.vertices)
+    assert base.charge is not None and sizes(seen)[1] < len(grid.vertices)
     a, b = (chern_curvature(s.field([3])) for s in (orbit, point))
     assert a.C == b.C == 2
     assert abs(a.raw_value - b.raw_value) <= 1e-12
 
 
 PRESETS = ["normal-form", "matsuno", "matsuno-upper-gap", "matsuno-lower-gap", "ts2", "constant"]
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_real_form_frames_are_orthonormal_eigenframes_at_every_vertex(grid64, preset):
+    # gauge-free: whatever phase the real form's expansion F G diag(z**n) W
+    # gives a vertex frame, its columns are orthonormal eigenvectors of H
+    # there; at the poles (r = 0) z is 1, with no division by zero
+    sym = load_preset(preset).symbol()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        spectrum = SphereSpectrum.build(sym, grid64)
+    assert sym.real_form is not None
+    v, omegas = spectrum.vectors, spectrum.omegas
+    residual = sym.evaluate_many(grid64.vertices) @ v - v * omegas[:, None, :]
+    assert np.linalg.norm(residual, axis=1).max() <= 1e-12
+    assert np.abs(v.conj().swapaxes(1, 2) @ v - np.eye(sym.dim)).max() <= 1e-12
+    poles = grid64.vertices[np.hypot(grid64.vertices[:, 1], grid64.vertices[:, 2]) == 0]
+    assert poles.tolist() == [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]
+    assert (topology._turns(poles, sym.dim) == 1).all()
+
+
+def direct_sum_of_normal_forms():
+    """Two uncoupled copies of the normal form on components (0, 1) and (2, 3): the
+    weights delta are -1/2 and +1/2, each twice, so the charge frame has no real form."""
+    nf = normal_form_symbol()
+
+    def pair(m):
+        out = np.zeros((4, 4), dtype=complex)
+        out[:2, :2] = out[2:, 2:] = m
+        return out
+
+    return AffineMatrixSymbol(dim=4, const_term=LinearTerm(0.0, pair(nf.const_term.a1)),
+                              x_coeff=pair(nf.x_coeff), xi_coeff=pair(nf.xi_coeff),
+                              gap_band=2, gap_constant=0.5, name="doubled-normal-form")
+
+
+def test_repeated_weights_take_the_complex_orbit_path(monkeypatch, grid32):
+    sym = direct_sum_of_normal_forms()
+    assert np.abs(sym.charge[0] - [-0.5, -0.5, 0.5, 0.5]).max() <= 1e-12
+    assert sym.real_form is None
+    seen = record_solves(monkeypatch)
+    orbit = SphereSpectrum.build(sym, grid32)
+    # one complex solve of the orbits, none of a real form
+    radial = topology.charge_orbits(grid32.vertices)[0]
+    assert sizes(seen) == [len(radial)] and seen[0].tobytes() == radial.tobytes()
+    monkeypatch.undo()
+    point = per_point_spectrum(sym, grid32)
+    for bands, c in (([1, 2], 2), ([3, 4], -2)):
+        a, b = (chern_curvature(s.field(bands)) for s in (orbit, point))
+        assert a.C == b.C == c
+        assert abs(a.raw_value - b.raw_value) <= 1e-12
 
 
 @pytest.mark.parametrize("preset", PRESETS)
