@@ -373,9 +373,7 @@ class RealForm(Record):
     ``diagonal`` ``(2, d)`` holds the real diagonals ``a0`` and ``a1`` of ``A0`` and ``A1`` in
     the charge frame F, so T has ``a0 + mu a1`` on its diagonal, and ``r |b_k|`` beside it
     for the subdiagonal ``b`` ``(d - 1,)`` of ``B`` there (``moduli``).  ``frame`` is ``F G``
-    for the diagonal unitary gauge G that makes ``G^dag F^dag B F G`` real.  As ``delta_k =
-    delta_1 + k - 1``, the orbit's point at angle t has ``exp(i t D) frame = exp(i t
-    delta_1) frame diag(1, z, ..., z**(d - 1))`` for ``z = exp(i t)``.
+    for the diagonal unitary gauge G that makes ``G^dag F^dag B F G`` real.
     """
 
     diagonal: np.ndarray

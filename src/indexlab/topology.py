@@ -21,10 +21,9 @@ once per symbol.  The grid and the clutching poles and equator solve each
 distinct ``(mu, hypot(x, xi))`` once and rotate its eigenvectors out to the
 orbit's points.  Where ``D``'s weights are consecutive, ``delta_k + 1`` after
 ``delta_k`` (every shipped family), that solve is a real one, of the symbol's
-:attr:`~indexlab.hermite.AffineMatrixSymbol.real_form`, and the rotation
-drops the common phase ``exp(i t delta_1)`` of each point, which the gauge
-contract below allows; a ``D`` with a repeated weight keeps the complex
-solve.  A symbol without ``D`` (a ``const_term`` that is not a
+:attr:`~indexlab.hermite.AffineMatrixSymbol.real_form`; a ``D`` with a
+repeated weight keeps the complex solve.  A symbol without ``D`` (a
+``const_term`` that is not a
 :class:`~indexlab.hermite.LinearTerm`) has every point solved on its own, and
 so are the small section-zero batches.
 
@@ -163,11 +162,9 @@ def batch_eigensystem(
     eigenvectors times ``exp(i t D) = F diag(exp(i t delta)) F^dag``.  Where the symbol
     has a :attr:`~indexlab.hermite.AffineMatrixSymbol.real_form` ``H(mu, r, 0) = F G T
     G^dag F^dag``, that ``eigh`` is a real one of ``T``, with eigenvectors W, and the
-    point's frame is ``F G diag(1, z, ..., z**(d - 1)) W`` for ``z = (x + i xi) / r`` (1
-    at r = 0): the rotation ``F diag(exp(i t delta)) F^dag`` of consecutive weights
-    without its common phase ``exp(i t delta_1)``.  The eigenvector phases are those
-    ``eigh`` and the rotation give (the module's gauge contract).  If ``bands``
-    (1-based, contiguous) is given, a gap below
+    point's frame is ``exp(i t D) F G W = F G diag(exp(i t delta)) W``, as G is diagonal.
+    The eigenvector phases are those ``eigh`` and the rotation give (the module's gauge
+    contract).  If ``bands`` (1-based, contiguous) is given, a gap below
     :data:`BAND_GAP_TOL` between selected and unselected bands at any point raises
     :class:`DegeneracyError`.
     """
@@ -177,37 +174,23 @@ def batch_eigensystem(
     else:
         radial, inverse = charge_orbits(points)
         form = symbol.real_form
+        delta, frame = symbol.charge
         if form is None:
             omegas, vecs = np.linalg.eigh(symbol.evaluate_many(radial))
-            delta, frame = symbol.charge
             rows = vecs.swapaxes(1, 2) @ frame.conj()
-            turns = np.exp(1j * np.multiply.outer(np.arctan2(points[:, 2], points[:, 1]), delta))
         else:
             omegas, vecs = np.linalg.eigh(form.matrices(radial[:, 0], radial[:, 1]))
-            frame, turns = form.frame, _turns(points, symbol.dim)
-            rows = np.ascontiguousarray(vecs.swapaxes(1, 2))
+            frame, rows = form.frame, np.ascontiguousarray(vecs.swapaxes(1, 2))
         # row j of rows[i] is column j of point i's frame in the basis of frame's columns;
         # the orbit rows are C-contiguous, so the gather is too
-        rows = rows[inverse] * turns[:, None]
+        rows = rows[inverse] * np.exp(1j * np.multiply.outer(
+            np.arctan2(points[:, 2], points[:, 1]), delta))[:, None]
         omegas = omegas[inverse]
         # one gemm takes every row back to the standard basis
         vecs = (rows.reshape(-1, symbol.dim) @ frame.T).reshape(rows.shape).swapaxes(1, 2)
     if bands is not None:
         _band_gap(omegas, bands, points)
     return omegas, vecs
-
-
-def _turns(points: np.ndarray, d: int) -> np.ndarray:
-    """``z**k`` (n, d) for k = 0..d - 1 at each point, ``z = (x + i xi) / hypot(x, xi)``
-    set to 1 on the mu axis: ``exp(i t k)`` at the point's angle t."""
-    x, xi = points[:, 1], points[:, 2]
-    turns = np.ones((len(points), d), dtype=complex)
-    z, r = turns[:, 0].copy(), np.hypot(x, xi)
-    np.divide(x, r, out=z.real, where=r > 0)
-    np.divide(xi, r, out=z.imag, where=r > 0)
-    for k in range(1, d):
-        np.multiply(turns[:, k - 1], z, out=turns[:, k])
-    return turns
 
 
 def point_eigensystem(

@@ -401,9 +401,9 @@ PRESETS = ["normal-form", "matsuno", "matsuno-upper-gap", "matsuno-lower-gap", "
 
 @pytest.mark.parametrize("preset", PRESETS)
 def test_real_form_frames_are_orthonormal_eigenframes_at_every_vertex(grid64, preset):
-    # gauge-free: whatever phase the real form's expansion F G diag(z**n) W
+    # gauge-free: whatever phase the real form's expansion F G diag(exp(i t delta)) W
     # gives a vertex frame, its columns are orthonormal eigenvectors of H
-    # there; at the poles (r = 0) z is 1, with no division by zero
+    # there; the poles (r = 0) raise no RuntimeWarning
     sym = load_preset(preset).symbol()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -415,7 +415,6 @@ def test_real_form_frames_are_orthonormal_eigenframes_at_every_vertex(grid64, pr
     assert np.abs(v.conj().swapaxes(1, 2) @ v - np.eye(sym.dim)).max() <= 1e-12
     poles = grid64.vertices[np.hypot(grid64.vertices[:, 1], grid64.vertices[:, 2]) == 0]
     assert poles.tolist() == [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]
-    assert (topology._turns(poles, sym.dim) == 1).all()
 
 
 def direct_sum_of_normal_forms():
